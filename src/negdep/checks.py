@@ -53,7 +53,17 @@ from .errors import (
     default_caps,
 )
 from .rationals import NEG_INF, POS_INF, Extended, as_rational
-from .stochorder import StVerdict, UpperSetViolation, st_leq, st_leq_uppersets
+from .stochorder import (
+    IntegerLaw,
+    RankPacking,
+    UpperSetViolation,
+    integer_coupling,
+    integer_view,
+    masked_law,
+    require_agreement,
+    st_leq,
+    st_leq_uppersets,
+)
 from .supermodular import GridFunction, supermodular_leq, verify_supermodular_witness
 from .uppersets import UpperSet, enumerate_upper_index_sets, from_members
 
@@ -417,9 +427,14 @@ def _ext_leq(a: Sequence[Extended], b: Sequence[Extended]) -> bool:
 
 
 class _CellContext:
-    """Per-cell machinery: event masks, cached conditional laws, cached orders."""
+    """Per-cell machinery: event masks, cached conditional laws, cached orders.
 
-    def __init__(self, d, J, kind, variant, caps, st_mode):
+    The screen runs on integer conditional laws keyed by packed ranks of the
+    observed columns; Fraction conditional laws are built only for verify
+    mode and for the witness search.
+    """
+
+    def __init__(self, d, view, J, kind, variant, caps, st_mode):
         self.d = d
         self.J = J
         self.kind = kind
@@ -428,9 +443,14 @@ class _CellContext:
         self.st_mode = st_mode
         self.i_max = tuple(j for j in range(1, d.dim + 1) if j not in J)
         self.cols = [j - 1 for j in self.i_max]
+        self.weights, ranks, sizes = view
+        packing = RankPacking([sizes[c] for c in self.cols])
+        self.guards = packing.guards
+        self.keys = [packing.pack([r[c] for c in self.cols]) for r in ranks]
+        self.int_cache: dict[int, IntegerLaw] = {}
         self.law_cache: dict[int, FiniteJointDistribution] = {}
         self.proj_cache: dict[tuple[int, tuple[int, ...]], FiniteJointDistribution] = {}
-        self.st_cache: dict[tuple[int, int], StVerdict] = {}
+        self.st_cache: dict[tuple[int, int], bool] = {}
         self.st_checks = 0
         self.upper_sets = 0
 
@@ -441,6 +461,12 @@ class _CellContext:
             if event.matches(x):
                 mask |= 1 << k
         return mask
+
+    def int_law(self, mask: int) -> IntegerLaw:
+        law = self.int_cache.get(mask)
+        if law is None:
+            law = self.int_cache[mask] = masked_law(mask, self.keys, self.weights)
+        return law
 
     def law(self, mask: int) -> FiniteJointDistribution:
         cached = self.law_cache.get(mask)
@@ -475,16 +501,28 @@ class _CellContext:
             self.proj_cache[key] = cached
         return cached
 
-    def st_screen(self, mask_lo: int, mask_hi: int) -> StVerdict:
-        """Does [X_Imax | high] <=st [X_Imax | low]?"""
+    def st_screen(self, mask_lo: int, mask_hi: int) -> bool:
+        """Does [X_Imax | high] <=st [X_Imax | low]?
+
+        Verify mode also sweeps the upper sets of the Fraction laws and
+        raises if the two oracles disagree.
+        """
         key = (mask_lo, mask_hi)
         cached = self.st_cache.get(key)
         if cached is None:
-            cached = st_leq(self.law(mask_hi), self.law(mask_lo),
-                            mode=self.st_mode, caps=self.caps)
+            flows, _ = integer_coupling(self.int_law(mask_hi), self.int_law(mask_lo),
+                                        self.guards)
+            cached = flows is not None
+            if self.st_mode == "verify":
+                by_sets = st_leq_uppersets(self.law(mask_hi), self.law(mask_lo),
+                                           caps=self.caps)
+                require_agreement(cached, by_sets.holds)
+                # counted as st_leq reports it: a TRUE verdict is the
+                # coupling's, which examines no upper set
+                if not cached:
+                    self.upper_sets += by_sets.upper_sets_examined
             self.st_cache[key] = cached
             self.st_checks += 1
-            self.upper_sets += cached.upper_sets_examined
         return cached
 
 
@@ -512,8 +550,8 @@ def _coordinate_means(law: FiniteJointDistribution) -> tuple[Fraction, ...]:
 
 
 def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
-    d, J, kind, variant, caps, st_mode = args
-    ctx = _CellContext(d, J, kind, variant, caps, st_mode)
+    d, view, J, kind, variant, caps, st_mode = args
+    ctx = _CellContext(d, view, J, kind, variant, caps, st_mode)
     labels = _conditioning_labels(d, J, kind)
     masks = {}
     for label in labels:
@@ -531,8 +569,7 @@ def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
             mask_lo, mask_hi = masks[low], masks[high]
             if mask_lo == mask_hi:
                 continue  # identical events, identical conditional laws
-            screen = ctx.st_screen(mask_lo, mask_hi)
-            if screen.holds:
+            if ctx.st_screen(mask_lo, mask_hi):
                 continue
             # violation somewhere; locate the minimal observed block
             for block in _subsets(ctx.i_max):
@@ -592,7 +629,8 @@ def _check_regression_family(d, kind, prop, max_j, variant, caps, st_mode, jobs)
     caps = caps or default_caps()
     limit = d.dim - 1 if max_j is None else min(max_j, d.dim - 1)
     blocks = _subsets(range(1, d.dim + 1), limit)
-    cells = [(d, J, kind, variant, caps, st_mode) for J in blocks]
+    view = integer_view(d)
+    cells = [(d, view, J, kind, variant, caps, st_mode) for J in blocks]
     witness, stats = _run_cells(_scan_regression_cell, cells, jobs)
     restricted = limit < d.dim - 1
     return Verdict(prop, witness is None, witness, stats,

@@ -154,7 +154,11 @@ def _cmd_check(args) -> int:
                 print(f"error: unknown property {prop!r}", file=sys.stderr)
                 return 2
             t0 = time.monotonic()
-            verdict = runner(d, kw)
+            try:
+                verdict = runner(d, kw)
+            except ValueError as exc:  # e.g. a law of dimension 1
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             timings[prop] = (time.monotonic() - t0) * 1000.0
             verdicts.append(verdict)
             mark = "holds" if verdict.holds else "FAILS"

@@ -121,9 +121,6 @@ class FiniteJointDistribution:
 
     # -- basic queries ---------------------------------------------------
 
-    def support(self) -> tuple[Vector, ...]:
-        return tuple(x for x, _ in self.atoms)
-
     def probability(self, x: Vector) -> Fraction:
         for v, p in self.atoms:
             if v == x:
@@ -298,7 +295,7 @@ def from_json_dict(obj: dict) -> FiniteJointDistribution:
         raw_atoms = obj["atoms"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"distribution JSON needs 'dim' and 'atoms': missing {exc}") from exc
-    if not isinstance(dim, int):
+    if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError(f"'dim' must be an integer, got {dim!r}")
     entries = []
     for k, atom in enumerate(raw_atoms):

@@ -346,21 +346,6 @@ _RUNNERS: dict[str, Callable[[Caps, int, str], FixtureResult]] = {
 }
 
 
-def fixture_model(fixture: str):
-    """The model spec a fixture builds from, where one exists."""
-    models = {
-        "ex-2.1": three_player_spec,
-        "ex-3.1": lambda: dominance_spec(F(1), F(1), RandomDraw()),
-        "ex-3.2": lambda: dominance_spec(F(1, 2), F(1, 2), FixedDraw((1, 2, 3, 4))),
-        "ex-3.3": lambda: equal_strength(2, FixedDraw((1, 2, 3, 4))),
-        "thm-3.1": lambda: equal_strength(2, RandomDraw()),
-        "thm-3.2": lambda: equal_strength(3, FixedDraw(tuple(range(1, 9)))),
-        "thm-3.3": lambda: equal_strength(3, FixedDraw(tuple(range(1, 9)))),
-    }
-    builder = models.get(fixture)
-    return builder() if builder else None
-
-
 def run_fixture(fixture: str, caps: Caps | None = None, jobs: int = 1,
                 st_mode: str = "fast") -> FixtureResult:
     if fixture not in _RUNNERS:

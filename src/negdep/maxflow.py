@@ -1,9 +1,10 @@
-"""Exact maximum flow on networks with rational capacities.
+"""Exact maximum flow.
 
-Capacities are scaled by their common denominator to integers, so the
-augmenting-path search (Dinic: BFS level graph + blocking flow) terminates
-and every intermediate quantity stays exact. Flows are scaled back to
-Fractions on the way out.
+The engine is :func:`integer_max_flow`, a Dinic search (BFS level graph plus
+blocking flow) on integer nodes and integer capacities, so it terminates and
+every intermediate quantity stays exact. :func:`max_flow` takes a
+:class:`FlowNetwork` with rational capacities, scales them by their common
+denominator to integers, runs the engine, and scales flows back to Fractions.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Hashable
+from typing import Hashable, Sequence
 
 from .rationals import as_rational
 
@@ -53,25 +54,29 @@ class MaxFlowResult:
     source_side: frozenset  # nodes reachable from the source in the residual
 
 
-def max_flow(net: FlowNetwork) -> MaxFlowResult:
-    """Exact maximum flow value, a maximizing flow, and the min-cut side."""
-    n = len(net._ids)
-    scale = lcm(*(c.denominator for _, _, c in net._edges)) if net._edges else 1
+def integer_max_flow(n: int, edges: Sequence[tuple[int, int, int]], src: int,
+                     dst: int) -> tuple[int, list[int], list[bool]]:
+    """Maximum flow on nodes 0..n-1 with nonnegative integer capacities.
 
+    Returns the flow value, the flow on each edge in input order, and for
+    each node whether the residual network reaches it from ``src`` (the
+    source side of a minimum cut). Adjacency lists keep the input edge order,
+    so the flow found depends only on that order and the capacities, and
+    multiplying every capacity by one positive constant multiplies every
+    flow by it.
+    """
     # paired residual slots: edge 2k forward, 2k^1 its reverse
     to: list[int] = []
     residual: list[int] = []
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, cap in net._edges:
+    for u, v, cap in edges:
         adj[u].append(len(to))
         to.append(v)
-        residual.append(int(cap * scale))
+        residual.append(cap)
         adj[v].append(len(to))
         to.append(u)
         residual.append(0)
 
-    src = net._ids[net.source]
-    dst = net._ids[net.sink]
     level = [-1] * n
     it = [0] * n
 
@@ -138,13 +143,22 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
                 seen[to[e]] = True
                 queue.append(to[e])
 
+    sent = [cap - residual[2 * k] for k, (_, _, cap) in enumerate(edges)]
+    return total, sent, seen
+
+
+def max_flow(net: FlowNetwork) -> MaxFlowResult:
+    """Exact maximum flow value, a maximizing flow, and the min-cut side."""
+    scale = lcm(*(c.denominator for _, _, c in net._edges)) if net._edges else 1
+    edges = [(u, v, int(cap * scale)) for u, v, cap in net._edges]
+    total, sent, seen = integer_max_flow(len(net._ids), edges,
+                                         net._ids[net.source], net._ids[net.sink])
     names = list(net._ids)
     flows: dict = {}
-    for k, (u, v, cap) in enumerate(net._edges):
-        sent = int(cap * scale) - residual[2 * k]
-        if sent:
+    for (u, v, _), f in zip(edges, sent):
+        if f:
             key = (names[u], names[v])
-            flows[key] = flows.get(key, Fraction(0)) + Fraction(sent, scale)
+            flows[key] = flows.get(key, Fraction(0)) + Fraction(f, scale)
     return MaxFlowResult(
         value=Fraction(total, scale),
         flows=flows,

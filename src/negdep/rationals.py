@@ -43,10 +43,3 @@ def format_extended(t: Extended) -> str:
         return "inf"
     return format_rational(t)
 
-
-def parse_extended(text: str) -> Extended:
-    if text == "-inf":
-        return NEG_INF
-    if text == "inf":
-        return POS_INF
-    return Fraction(text)

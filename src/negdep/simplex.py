@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .errors import InternalConsistencyError
+
 try:  # optional accelerator; exactness is unaffected
     from gmpy2 import mpq as _Q
 except ImportError:  # pragma: no cover
@@ -208,7 +210,10 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     if needs_phase1:
         t.set_objective({a: _Q(-1) for a in artificials})
         status = t.run()
-        assert status == OPTIMAL  # phase-1 objective is bounded above by 0
+        if status != OPTIMAL:
+            raise InternalConsistencyError(
+                f"phase 1 ended {status}, but its objective is bounded above by 0"
+            )
         if t.z_value != 0:
             return SimplexResult(status=INFEASIBLE)
         art_set = set(artificials)

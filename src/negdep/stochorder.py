@@ -17,33 +17,157 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple, Sequence
 
 from .distributions import FiniteJointDistribution, Vector
 from .errors import Caps, InternalConsistencyError, default_caps
-from .maxflow import FlowNetwork, max_flow
+from .maxflow import integer_max_flow
 from .uppersets import UpperSet, enumerate_upper_index_sets, from_members, upper_closure
 
-_FIELD_BITS = 16
-_FIELD_CAP = 1 << (_FIELD_BITS - 1)
+
+class RankPacking:
+    """Packs per-axis ranks into one int so componentwise <= is one int expression.
+
+    Axis a gets a field of ``(sizes[a] - 1).bit_length()`` value bits plus a
+    guard bit above them, so there is no limit on the number of distinct
+    values. Axis 0 sits in the highest field, so int order of packed keys is
+    lexicographic order of the rank vectors. x <= y componentwise iff
+    ``((y | guards) - x) & guards == guards``: each field of the difference
+    stays at least 1 and below twice its guard, so no field borrows from the
+    next, and its guard survives iff that field of y is at least that of x.
+    """
+
+    def __init__(self, sizes: Sequence[int]):
+        shifts = []
+        offset = 0
+        guards = 0
+        for size in reversed(sizes):
+            bits = (size - 1).bit_length()
+            shifts.append(offset)
+            guards |= 1 << (offset + bits)
+            offset += bits + 1
+        self.shifts = tuple(reversed(shifts))
+        self.guards = guards
+
+    def pack(self, ranks: Sequence[int]) -> int:
+        return sum(r << s for r, s in zip(ranks, self.shifts))
+
+
+def axis_ranks(vectors: Sequence[Vector], dim: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each vector's per-axis ranks among the sorted values the vectors take
+    on that axis, and the number of those values per axis."""
+    axes = [sorted({v[a] for v in vectors}) for a in range(dim)]
+    rank = [{v: r for r, v in enumerate(ax)} for ax in axes]
+    return ([tuple(rank[a][v[a]] for a in range(dim)) for v in vectors],
+            [len(ax) for ax in axes])
 
 
 def _pack_ranks(vectors: list[Vector], dim: int) -> tuple[list[int], int]:
-    """Encode vectors as integers so componentwise <= is one int expression.
+    """Packed ranks of the vectors within their own per-axis value sets."""
+    ranks, sizes = axis_ranks(vectors, dim)
+    packing = RankPacking(sizes)
+    return [packing.pack(r) for r in ranks], packing.guards
 
-    Each coordinate is replaced by its rank in that axis's sorted value set,
-    packed into 16-bit fields with a guard bit: x <= y componentwise iff
-    ((packed_y | guards) - packed_x) keeps every guard bit set.
+
+def integer_weights(d: FiniteJointDistribution) -> tuple[int, ...]:
+    """The atoms' probabilities times their common denominator."""
+    scale = lcm(*(p.denominator for _, p in d.atoms))
+    return tuple(p.numerator * (scale // p.denominator) for _, p in d.atoms)
+
+
+class IntegerLaw(NamedTuple):
+    """A finite law as packed-rank keys with positive integer weights.
+
+    Atom k has probability ``weights[k] / total``; keys come from one
+    :class:`RankPacking`, shared by every law compared against this one.
     """
-    axes = [sorted({v[a] for v in vectors}) for a in range(dim)]
-    if any(len(ax) >= _FIELD_CAP for ax in axes):
-        raise ValueError("axis has too many distinct values to pack")
-    rank = [{v: r for r, v in enumerate(ax)} for ax in axes]
-    packed = [
-        sum(rank[a][v[a]] << (_FIELD_BITS * a) for a in range(dim))
-        for v in vectors
-    ]
-    guards = sum(_FIELD_CAP << (_FIELD_BITS * a) for a in range(dim))
-    return packed, guards
+
+    keys: tuple[int, ...]
+    weights: tuple[int, ...]
+    total: int
+
+
+def _integer_law(d: FiniteJointDistribution, keys: list[int]) -> IntegerLaw:
+    weights = integer_weights(d)
+    return IntegerLaw(tuple(keys), weights, sum(weights))
+
+
+def integer_view(d: FiniteJointDistribution) -> tuple[tuple[int, ...], list, list[int]]:
+    """The atoms' integer weights over the law's common denominator, each
+    atom's per-axis ranks among the support values, and the axis sizes."""
+    ranks, sizes = axis_ranks([x for x, _ in d.atoms], d.dim)
+    return integer_weights(d), ranks, sizes
+
+
+def masked_law(mask: int, keys: Sequence[int], weights: Sequence[int]) -> IntegerLaw:
+    """The law of the atoms whose bits are set in ``mask``, merged by key.
+
+    Keys come out ascending, which for packed ranks is lexicographic order.
+    """
+    merged: dict[int, int] = {}
+    total = 0
+    while mask:
+        low = mask & -mask
+        k = low.bit_length() - 1
+        mask ^= low
+        merged[keys[k]] = merged.get(keys[k], 0) + weights[k]
+        total += weights[k]
+    order = sorted(merged)
+    return IntegerLaw(tuple(order), tuple(merged[key] for key in order), total)
+
+
+def check_integer_coupling(flows: Sequence[tuple[int, int, int]], lx: IntegerLaw,
+                           ly: IntegerLaw, guards: int) -> None:
+    """Exact re-check of a coupling of lx below ly, in integers.
+
+    ``flows`` holds (i, j, f): mass ``f / (lx.total * ly.total)`` on the pair
+    of atom i of lx and atom j of ly. Every mass must be positive on a
+    comparable pair, and the row and column sums must be the two laws'
+    weights on that common scale.
+    """
+    rows = [0] * len(lx.keys)
+    cols = [0] * len(ly.keys)
+    for i, j, f in flows:
+        if f <= 0:
+            raise InternalConsistencyError(f"coupling mass {f} at atoms {(i, j)}")
+        if ((ly.keys[j] | guards) - lx.keys[i]) & guards != guards:
+            raise InternalConsistencyError(f"coupling pair of atoms {(i, j)} is not ordered")
+        rows[i] += f
+        cols[j] += f
+    if any(r != w * ly.total for r, w in zip(rows, lx.weights)):
+        raise InternalConsistencyError("coupling row sums differ from the left law")
+    if any(c != w * lx.total for c, w in zip(cols, ly.weights)):
+        raise InternalConsistencyError("coupling column sums differ from the right law")
+
+
+def integer_coupling(lx: IntegerLaw, ly: IntegerLaw, guards: int):
+    """Decide lx <=st ly by exact transportation feasibility, in integers.
+
+    Capacities are cross-multiplied by the other law's total: ``w_x * T_Y``
+    on source and x -> y edges, ``w_y * T_X`` on sink edges (docs/theory.md
+    section 2). The order holds iff the flow reaches ``T_X * T_Y``. Returns
+    ``(flows, None)`` with the checked coupling's (i, j, f) triples when it
+    holds, and ``(None, deficient)`` with the indices of the x-atoms on the
+    source side of a minimum cut when it fails.
+    """
+    nx = len(lx.keys)
+    tx, ty = lx.total, ly.total
+    edges = [(0, 2 + i, w * ty) for i, w in enumerate(lx.weights)]
+    edges.extend((2 + nx + j, 1, w * tx) for j, w in enumerate(ly.weights))
+    y_guarded = [yj | guards for yj in ly.keys]
+    middle = []
+    for i, (xi, w) in enumerate(zip(lx.keys, lx.weights)):
+        above = [j for j, yg in enumerate(y_guarded) if (yg - xi) & guards == guards]
+        cap = w * ty
+        edges.extend((2 + i, 2 + nx + j, cap) for j in above)
+        middle.extend((i, j) for j in above)
+    value, sent, seen = integer_max_flow(2 + nx + len(ly.keys), edges, 0, 1)
+    if value == tx * ty:
+        flows = [(i, j, f) for (i, j), f in zip(middle, sent[nx + len(ly.keys):]) if f]
+        check_integer_coupling(flows, lx, ly, guards)
+        return flows, None
+    return None, [i for i in range(nx) if seen[2 + i]]
 
 
 @dataclass(frozen=True)
@@ -128,31 +252,15 @@ def st_leq_coupling(dX: FiniteJointDistribution,
     xs = [x for x, _ in dX.atoms]
     ys = [y for y, _ in dY.atoms]
     packed, guards = _pack_ranks(xs + ys, dX.dim)
-    px_packed = packed[: len(xs)]
-    py_packed = packed[len(xs):]
+    lx = _integer_law(dX, packed[: len(xs)])
+    ly = _integer_law(dY, packed[len(xs):])
+    flows, deficient_idx = integer_coupling(lx, ly, guards)
+    if flows is not None:
+        scale = lx.total * ly.total
+        pairs = [(xs[i], ys[j], Fraction(f, scale)) for i, j, f in flows]
+        return StVerdict(holds=True, method="coupling", coupling=Coupling(tuple(sorted(pairs))))
 
-    net = FlowNetwork("s", "t")
-    for i, (x, p) in enumerate(dX.atoms):
-        net.add_edge("s", ("x", i), p)
-    for j, (y, q) in enumerate(dY.atoms):
-        net.add_edge(("y", j), "t", q)
-    for i, (x, p) in enumerate(dX.atoms):
-        xi = px_packed[i]
-        for j in range(len(ys)):
-            if ((py_packed[j] | guards) - xi) & guards == guards:
-                net.add_edge(("x", i), ("y", j), p)
-
-    result = max_flow(net)
-    if result.value == 1:
-        pairs = []
-        for (u, v), mass in result.flows.items():
-            if isinstance(u, tuple) and u[0] == "x" and isinstance(v, tuple) and v[0] == "y":
-                pairs.append((xs[u[1]], ys[v[1]], mass))
-        coupling = Coupling(tuple(sorted(pairs)))
-        coupling.validate(dX, dY)
-        return StVerdict(holds=True, method="coupling", coupling=coupling)
-
-    deficient = sorted(xs[i] for i in range(len(xs)) if ("x", i) in result.source_side)
+    deficient = sorted(xs[i] for i in deficient_idx)
     ambient = sorted(set(xs) | set(ys))
     upper = upper_closure(deficient, ambient)
     p_left = sum((dX.probability(v) for v in upper.points), Fraction(0))
@@ -164,6 +272,15 @@ def st_leq_coupling(dX: FiniteJointDistribution,
         method="coupling",
         violation=UpperSetViolation(upper, p_left, p_right),
     )
+
+
+def require_agreement(by_coupling: bool, by_uppersets: bool) -> None:
+    """Raise InternalConsistencyError unless the two oracles gave one answer."""
+    if by_coupling != by_uppersets:
+        raise InternalConsistencyError(
+            f"stochastic-order oracles disagree: coupling={by_coupling} "
+            f"uppersets={by_uppersets}"
+        )
 
 
 def st_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
@@ -181,9 +298,5 @@ def st_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
     if mode == "fast":
         return by_flow
     by_sets = st_leq_uppersets(dX, dY, caps=caps)
-    if by_flow.holds != by_sets.holds:
-        raise InternalConsistencyError(
-            f"stochastic-order oracles disagree: coupling={by_flow.holds} "
-            f"uppersets={by_sets.holds}"
-        )
+    require_agreement(by_flow.holds, by_sets.holds)
     return by_flow if by_flow.holds else by_sets

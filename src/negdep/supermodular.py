@@ -30,12 +30,6 @@ class GridFunction:
     axes: tuple[tuple[Fraction, ...], ...]
     values: tuple[tuple[Vector, Fraction], ...]  # grid point -> value, lex order
 
-    def __call__(self, x: Vector) -> Fraction:
-        for point, value in self.values:
-            if point == x:
-                return value
-        raise KeyError(x)
-
     def as_dict(self) -> dict[Vector, Fraction]:
         return dict(self.values)
 

@@ -268,6 +268,16 @@ class TestRegressionFamily:
         assert fast.holds == slow.holds
         assert fast.witness == slow.witness
 
+    @settings(max_examples=40, deadline=None)
+    @given(finite_distributions(min_dim=3, max_dim=3, max_atoms=6,
+                                values=[F(0), F(1), F(2)]))
+    def test_random_laws_same_verdict_in_both_st_modes(self, d):
+        # upper_sets counts differ on purpose: only verify mode sweeps
+        for check in (check_nrd, check_nltd, check_nrtd):
+            fast = check(d, st_mode="fast")
+            slow = check(d, st_mode="verify")
+            assert (fast.holds, fast.witness) == (slow.holds, slow.witness)
+
 
 class TestStochIncreasing:
     def test_constant_family(self, table1):

@@ -136,6 +136,21 @@ class TestCheck:
     def test_unknown_property_exit_two(self, table1_file):
         assert main(["check", table1_file, "--props", "banana"]) == 2
 
+    def test_univariate_law_exit_two_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "coin.json"
+        path.write_text(canonical_json(to_json_dict(make_pmf(1, [((0,), F(1, 2)),
+                                                                 ((1,), F(1, 2))]))))
+        assert main(["check", str(path), "--props", "nrd", "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_boolean_dim_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"dim": True, "atoms": [{"x": ["0"], "p": "1"}]}))
+        assert main(["check", str(path), "--props", "nod", "--jobs", "1"]) == 2
+        assert "'dim' must be an integer" in capsys.readouterr().err
+
     def test_cap_exceeded_exit_two(self, table1_file):
         code = main(["check", table1_file, "--props", "nsmd",
                      "--caps", "lp_vars=10", "--jobs", "1"])

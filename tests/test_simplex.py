@@ -1,6 +1,16 @@
 from fractions import Fraction
 
-from negdep import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, simplex_solve
+import pytest
+
+from negdep import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    InternalConsistencyError,
+    LinearProgram,
+    simplex_solve,
+)
+from negdep.simplex import _Tableau
 
 F = Fraction
 
@@ -113,3 +123,17 @@ def test_pure_feasibility_with_empty_objective():
     result = simplex_solve(program)
     assert result.status == OPTIMAL
     assert result.solution == (F(1), F(2))
+
+
+def test_phase1_non_optimal_status_raises(monkeypatch):
+    # phase 1 cannot be unbounded; if it ever reports so, the solver must say
+    # so loudly, also under python -O, instead of reading a stale objective
+    monkeypatch.setattr(_Tableau, "run", lambda self: UNBOUNDED)
+    equality_lp = LinearProgram(
+        num_vars=2,
+        objective={0: F(1)},
+        constraints=[],
+        equalities=[({0: F(1), 1: F(1)}, F(1))],
+    )
+    with pytest.raises(InternalConsistencyError):
+        simplex_solve(equality_lp)

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negdep import (
     InternalConsistencyError,
@@ -11,7 +13,15 @@ from negdep import (
     st_leq_coupling,
     st_leq_uppersets,
 )
-from negdep.uppersets import upper_closure
+from negdep.checks import _CellContext
+from negdep.errors import Caps
+from negdep.stochorder import (
+    _pack_ranks,
+    check_integer_coupling,
+    integer_coupling,
+    integer_view,
+)
+from negdep.uppersets import componentwise_leq, upper_closure
 
 from .strategies import distribution_pairs, finite_distributions
 
@@ -132,6 +142,84 @@ class TestAgreementAndInvariants:
 
         with pytest.raises(InternalConsistencyError):
             Coupling(broken).validate(table1, table1)
+
+
+class TestRankPacking:
+    def test_wide_axis_packs_and_orders_componentwise(self):
+        # 40,000 distinct values on one axis: past the old 16-bit field limit
+        rng = random.Random(7)
+        vectors = [(F(k, 3), F(rng.randrange(5)), F(-k % 11)) for k in range(40_000)]
+        packed, guards = _pack_ranks(vectors, 3)
+        pairs = [(rng.randrange(len(vectors)), rng.randrange(len(vectors)))
+                 for _ in range(4000)]
+        # near-diagonal pairs, where the wide axis alone does not decide
+        pairs += [(k, k + rng.randrange(1, 4)) for k in range(0, 39_990, 10)]
+        for a, b in pairs:
+            for i, j in ((a, b), (b, a)):
+                ordered = ((packed[j] | guards) - packed[i]) & guards == guards
+                assert ordered == componentwise_leq(vectors[i], vectors[j])
+
+    def test_packed_order_is_lexicographic(self):
+        vectors = sorted({(F(a), F(b, 2)) for a in range(-2, 3) for b in range(6)})
+        packed, _ = _pack_ranks(vectors, 2)
+        assert packed == sorted(packed)
+
+
+@st.composite
+def parent_law_and_masks(draw):
+    d = draw(finite_distributions(min_dim=3, max_dim=3, max_atoms=7))
+    full = (1 << len(d.atoms)) - 1
+    masks = st.integers(1, full)
+    return d, draw(st.sampled_from([(1,), (2,), (3,), (1, 2), (2, 3)])), draw(masks), draw(masks)
+
+
+def _cell(d, J):
+    return _CellContext(d, integer_view(d), J, "eq", "weak", Caps(), "fast")
+
+
+class TestIntegerKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(parent_law_and_masks())
+    def test_matches_fraction_oracles(self, case):
+        d, J, mask_x, mask_y = case
+        ctx = _cell(d, J)
+        lx, ly = ctx.int_law(mask_x), ctx.int_law(mask_y)
+        dX, dY = ctx.law(mask_x), ctx.law(mask_y)
+        flows, _ = integer_coupling(lx, ly, ctx.guards)
+        assert (flows is not None) == st_leq_uppersets(dX, dY).holds
+        if flows is None:
+            return
+        # conditional-law atoms and integer-law keys share the same (lex) order
+        xs = [x for x, _ in dX.atoms]
+        ys = [y for y, _ in dY.atoms]
+        assert [F(w, lx.total) for w in lx.weights] == [p for _, p in dX.atoms]
+        scale = lx.total * ly.total
+        expected = sorted((xs[i], ys[j], F(f, scale)) for i, j, f in flows)
+        coupling = st_leq_coupling(dX, dY).coupling
+        assert list(coupling.pairs) == expected
+        coupling.validate(dX, dY)
+
+    def _holding_case(self, table1):
+        ctx = _cell(table1, (1,))
+        lo, hi = ctx.mask_of((F(0),)), ctx.mask_of((F(2),))
+        lx, ly = ctx.int_law(hi), ctx.int_law(lo)
+        flows, _ = integer_coupling(lx, ly, ctx.guards)
+        assert flows is not None
+        return flows, lx, ly, ctx.guards
+
+    def test_tampered_row_sum_raises(self, table1):
+        flows, lx, ly, guards = self._holding_case(table1)
+        i, j, f = flows[0]
+        with pytest.raises(InternalConsistencyError, match="row sums"):
+            check_integer_coupling([(i, j, f + 1)] + flows[1:], lx, ly, guards)
+
+    def test_incomparable_pair_raises(self, table1):
+        flows, lx, ly, guards = self._holding_case(table1)
+        bad = [(i, j) for i in range(len(lx.keys)) for j in range(len(ly.keys))
+               if ((ly.keys[j] | guards) - lx.keys[i]) & guards != guards]
+        i, j = bad[0]
+        with pytest.raises(InternalConsistencyError, match="not ordered"):
+            check_integer_coupling(flows + [(i, j, 1)], lx, ly, guards)
 
 
 def test_upper_closure_consistency():
