@@ -29,6 +29,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add, gt, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .distributions import (
@@ -184,10 +185,28 @@ def _subsets(indices: Sequence[int], max_size: int | None = None) -> list[tuple[
 
 # -- orthant dependence -------------------------------------------------------
 
-def _axis_positions(d: FiniteJointDistribution):
-    axes = d.support_grid()
-    pos = [{v: k for k, v in enumerate(ax)} for ax in axes]
-    return axes, pos
+def _cumulate(cells: list[int], step: int, size: int, reverse: bool) -> None:
+    """Prefix sums of the flat grid along one axis, or suffix sums if reverse.
+
+    Position k of the axis with stride ``step`` is the run of ``step`` cells
+    at ``k * step`` in every block of ``step * size`` cells. Each position
+    takes in its neighbour's sums one slice at a time: one contiguous slice
+    per block, or one strided slice across the blocks per offset within the
+    run, whichever are fewer.
+    """
+    period = step * size
+    blocks = len(cells) // period
+    for k in (range(size - 2, -1, -1) if reverse else range(1, size)):
+        dst = k * step
+        src = dst + step if reverse else dst - step
+        if blocks <= step:
+            for base in range(0, len(cells), period):
+                lo, hi = base + dst, base + src
+                cells[lo:lo + step] = map(add, cells[lo:lo + step], cells[hi:hi + step])
+        else:
+            for j in range(step):
+                cells[dst + j::period] = map(add, cells[dst + j::period],
+                                             cells[src + j::period])
 
 
 def _orthant_scan(d: FiniteJointDistribution, side: str) -> Verdict:
@@ -202,76 +221,50 @@ def _orthant_scan(d: FiniteJointDistribution, side: str) -> Verdict:
     P(rank <= k). Upper side, positions k = 0..s: corner value -inf for
     k = 0 and axes[k-1] for k >= 1 (the event {X > axes[k-1]} holds iff
     rank >= k), cell mass P(rank >= k).
+
+    Masses are integer weights over the law's common denominator D, so a
+    corner fails iff joint * D**(n-1) > product of the marginal weights
+    (docs/theory.md section 7). Corners are scanned in flat (lexicographic)
+    order, and the first failing one is the witness.
     """
     _require_joint(d)
-    axes, pos = _axis_positions(d)
+    weights, ranks, sizes = integer_view(d)
     n = d.dim
     upper = side == "upper"
-    ext_sizes = [len(ax) + (1 if upper else 0) for ax in axes]
+    ext_sizes = [s + 1 if upper else s for s in sizes]
 
     strides = [0] * n
     acc = 1
     for a in range(n - 1, -1, -1):
         strides[a] = acc
         acc *= ext_sizes[a]
-    cells = [ZERO] * acc
-    for x, p in d.atoms:
-        k = sum(pos[a][x[a]] * strides[a] for a in range(n))
-        cells[k] += p
+    cells = [0] * acc
+    for r, w in zip(ranks, weights):
+        cells[sum(k * step for k, step in zip(r, strides))] += w
+    for step, size in zip(strides, ext_sizes):
+        _cumulate(cells, step, size, upper)
 
-    if upper:
-        # suffix sums: descending flat order updates base after base + step
-        for a in range(n):
-            step = strides[a]
-            for base in range(acc - 1, -1, -1):
-                if (base // step) % ext_sizes[a] + 1 < ext_sizes[a]:
-                    cells[base] += cells[base + step]
-    else:
-        for a in range(n):
-            step = strides[a]
-            for base in range(acc):
-                if (base // step) % ext_sizes[a] > 0:
-                    cells[base] += cells[base - step]
+    # an axis's marginal line runs through the corner that constrains no
+    # other axis; the outer products lay the grid out in the same flat order
+    products = [1]
+    for step, size in zip(strides, ext_sizes):
+        base = 0 if upper else acc - 1 - (size - 1) * step
+        line = cells[base:base + size * step:step]
+        products = [p * m for p in products for m in line]
+    total = sum(weights)
+    scale = total ** (n - 1)
+    first = next(itertools.compress(
+        itertools.count(),
+        map(gt, map(mul, cells, itertools.repeat(scale)), products)), None)
 
-    marg = []
-    for a in range(n):
-        m = d.marginal([a + 1]).as_dict()
-        line = [m.get((v,), ZERO) for v in axes[a]]
-        if upper:
-            for k in range(len(line) - 2, -1, -1):
-                line[k] += line[k + 1]
-            line.append(ZERO)  # position s: threshold at the max, empty event
-        else:
-            for k in range(1, len(line)):
-                line[k] += line[k - 1]
-        marg.append(line)
-
-    corners = 0
-    witness = None
-
-    def corner_label(position):
-        if upper:
-            return tuple(NEG_INF if k == 0 else axes[a][k - 1]
-                         for a, k in enumerate(position))
-        return tuple(axes[a][k] for a, k in enumerate(position))
-
-    def scan(a, base, prod, position):
-        nonlocal corners, witness
-        if a == n:
-            corners += 1
-            joint = cells[base]
-            if joint > prod:
-                witness = OrthantWitness(side, corner_label(position), joint, prod)
-            return
-        for k in range(ext_sizes[a]):
-            scan(a + 1, base + k * strides[a], prod * marg[a][k], position + [k])
-            if witness is not None:
-                return
-
-    scan(0, 0, ONE, [])
     name = "nlod" if side == "lower" else "nuod"
-    return Verdict(name, witness is None, witness,
-                   CheckStats(conditioning_pairs=corners))
+    if first is None:
+        return Verdict(name, True, None, CheckStats(conditioning_pairs=acc))
+    grid = [(NEG_INF,) + ax if upper else ax for ax in d.support_grid()]
+    corner = tuple(g[first // step % size] for g, step, size in zip(grid, strides, ext_sizes))
+    witness = OrthantWitness(side, corner, Fraction(cells[first], total),
+                             Fraction(products[first], total ** n))
+    return Verdict(name, False, witness, CheckStats(conditioning_pairs=first + 1))
 
 
 def check_nlod(d: FiniteJointDistribution) -> Verdict:
@@ -308,44 +301,51 @@ def _block_pairs(n: int, max_block: int | None) -> list[tuple[tuple[int, ...], t
 
 
 def _scan_association_cell(args) -> tuple[AssociationWitness | None, CheckStats]:
-    d, a1, a2, caps = args
+    """Scan the upper-set pairs of one block pair in integer weights.
+
+    The projected supports are kept as per-axis rank vectors, which sort and
+    compare like the values they stand for, so the upper sets come out in the
+    same order. With D the common denominator, a pair fails iff
+    mass12 * D > mass1 * mass2 (docs/theory.md section 3).
+    """
+    d, (weights, ranks, _), a1, a2, caps = args
     cols1 = [j - 1 for j in a1]
     cols2 = [j - 1 for j in a2]
-    joint: dict[tuple[Vector, Vector], Fraction] = {}
-    for x, p in d.atoms:
-        key = (tuple(x[c] for c in cols1), tuple(x[c] for c in cols2))
-        joint[key] = joint.get(key, ZERO) + p
-    support1 = sorted({a for a, _ in joint})
-    support2 = sorted({b for _, b in joint})
-    p1 = {a: ZERO for a in support1}
-    p2 = {b: ZERO for b in support2}
-    for (a, b), p in joint.items():
-        p1[a] += p
-        p2[b] += p
+    keys = [(tuple(r[c] for c in cols1), tuple(r[c] for c in cols2)) for r in ranks]
+    support1 = sorted({a for a, _ in keys})
+    support2 = sorted({b for _, b in keys})
+    index1 = {a: i for i, a in enumerate(support1)}
+    index2 = {b: i for i, b in enumerate(support2)}
+    table = [[0] * len(support2) for _ in support1]
+    for (a, b), w in zip(keys, weights):
+        table[index1[a]][index2[b]] += w
+    p1 = [sum(row) for row in table]
+    p2 = [sum(col) for col in zip(*table)]
+    total = sum(weights)
 
     upper2 = list(enumerate_upper_index_sets(support2, cap=caps.max_upper_sets))
+    masses2 = [sum(map(p2.__getitem__, idx2)) for idx2 in upper2]
     examined = 0
     stats_upper = len(upper2)
     for idx1 in enumerate_upper_index_sets(support1, cap=caps.max_upper_sets):
         stats_upper += 1
-        in1 = [support1[i] for i in idx1]
-        mass1 = sum((p1[a] for a in in1), ZERO)
-        row = {b: ZERO for b in support2}
-        for a in in1:
-            for b in support2:
-                q = joint.get((a, b))
-                if q:
-                    row[b] += q
-        for idx2 in upper2:
+        mass1 = sum(map(p1.__getitem__, idx1))
+        row = [0] * len(support2)
+        for i in idx1:
+            row = list(map(add, row, table[i]))
+        for idx2, mass2 in zip(upper2, masses2):
             examined += 1
-            mass12 = sum((row[support2[i]] for i in idx2), ZERO)
-            mass2 = sum((p2[support2[i]] for i in idx2), ZERO)
-            if mass12 > mass1 * mass2:
+            mass12 = sum(map(row.__getitem__, idx2))
+            if mass12 * total > mass1 * mass2:
+                axes = d.support_grid()
+
+                def members(support, idx, cols):
+                    return from_members([tuple(axes[c][k] for c, k in zip(cols, support[i]))
+                                         for i in idx])
+
                 witness = AssociationWitness(
-                    a1, a2,
-                    from_members([support1[i] for i in idx1]),
-                    from_members([support2[i] for i in idx2]),
-                    mass12, mass1, mass2,
+                    a1, a2, members(support1, idx1, cols1), members(support2, idx2, cols2),
+                    Fraction(mass12, total), Fraction(mass1, total), Fraction(mass2, total),
                 )
                 return witness, CheckStats(
                     cells=1, conditioning_pairs=examined, upper_sets=stats_upper
@@ -364,8 +364,8 @@ def check_na(d: FiniteJointDistribution, max_block: int | None = None,
     """
     _require_joint(d)
     caps = caps or default_caps()
-    pairs = _block_pairs(d.dim, max_block)
-    cells = [(d, a1, a2, caps) for a1, a2 in pairs]
+    view = integer_view(d)
+    cells = [(d, view, a1, a2, caps) for a1, a2 in _block_pairs(d.dim, max_block)]
     witness, stats = _run_cells(_scan_association_cell, cells, jobs)
     restricted = max_block is not None and max_block < d.dim - 1
     return Verdict("na", witness is None, witness, stats,
@@ -604,22 +604,20 @@ def _run_cells(scan: Callable, cells: list, jobs: int):
     are summed as if the scan had stopped right there, so worker count never
     changes the outcome.
     """
-    if jobs <= 1 or len(cells) <= 1:
-        total = CheckStats()
-        for cell in cells:
-            witness, stats = scan(cell)
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(cells) > 1 else None
+    total = CheckStats()
+    try:
+        results = (map(scan, cells) if pool is None
+                   else pool.map(scan, cells, chunksize=max(1, len(cells) // (4 * jobs))))
+        for witness, stats in results:
             total = total.plus(stats)
             if witness is not None:
                 return witness, total
         return None, total
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(scan, cells, chunksize=max(1, len(cells) // (4 * jobs))))
-    total = CheckStats()
-    for witness, stats in results:
-        total = total.plus(stats)
-        if witness is not None:
-            return witness, total
-    return None, total
+    finally:
+        if pool is not None:
+            # cells not yet handed to a worker never start
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _check_regression_family(d, kind, prop, max_j, variant, caps, st_mode, jobs):

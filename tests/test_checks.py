@@ -1,3 +1,5 @@
+import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from negdep import (
     product,
     verify_witness,
 )
+from negdep.checks import CheckStats, _run_cells
 from negdep.rationals import NEG_INF
 from negdep.tournaments import FixedDraw
 
@@ -40,6 +43,17 @@ def comonotone():
 
 def coin():
     return make_pmf(1, [((0,), F(1, 2)), ((1,), F(1, 2))])
+
+
+def _marking_scan(args):
+    """A cell scan that leaves a marker file per cell it runs and finds a
+    witness in cell 0 only; the other cells take a while."""
+    marker_dir, k = args
+    open(os.path.join(marker_dir, f"cell-{k}"), "w").close()
+    if k == 0:
+        return "witness in cell 0", CheckStats(cells=1, conditioning_pairs=3)
+    time.sleep(0.05)
+    return None, CheckStats(cells=1, conditioning_pairs=5)
 
 
 class TestOrthant:
@@ -136,6 +150,20 @@ class TestAssociation:
         seq = check_na(random_draw_counterexample, jobs=1)
         par = check_na(random_draw_counterexample, jobs=2)
         assert seq == par
+
+
+class TestParallelCells:
+    def test_pool_stops_after_first_witness(self, tmp_path):
+        runs = {}
+        for jobs in (1, 2):
+            marker_dir = tmp_path / f"jobs-{jobs}"
+            marker_dir.mkdir()
+            cells = [(str(marker_dir), k) for k in range(40)]
+            runs[jobs] = (_run_cells(_marking_scan, cells, jobs), len(os.listdir(marker_dir)))
+        (seq, seq_ran), (par, par_ran) = runs[1], runs[2]
+        assert seq == par == ("witness in cell 0", CheckStats(cells=1, conditioning_pairs=3))
+        assert seq_ran == 1
+        assert par_ran < 40
 
 
 class TestSupermodularDependence:

@@ -1,0 +1,91 @@
+"""The integer orthant and association scans against the Fraction reference,
+and against laws that are negatively associated by theorem."""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from negdep import (
+    check_na,
+    check_nlod,
+    check_nod,
+    check_nuod,
+    make_pmf,
+    permutation_distribution,
+    product,
+    verify_witness,
+)
+
+from . import reference_scans as ref
+from .strategies import finite_distributions
+
+F = Fraction
+
+# negative and non-integer values, so ranks, not values, must drive the scans
+_VALUES = [F(-2), F(-1, 2), F(0), F(1, 3), F(1), F(5, 2)]
+
+
+@st.composite
+def dependent_laws(draw):
+    """Laws of dimension 2-4; half of them put every column in the same
+    order, which makes the coordinates positively dependent, so FALSE
+    verdicts and their witnesses are common."""
+    dim = draw(st.integers(2, 4))
+    size = draw(st.integers(1, 6))
+    columns = [draw(st.lists(st.sampled_from(_VALUES), min_size=size, max_size=size))
+               for _ in range(dim)]
+    if draw(st.booleans()):
+        columns = [sorted(column) for column in columns]
+    weights = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+    total = sum(weights)
+    return make_pmf(dim, [(x, F(w, total)) for x, w in zip(zip(*columns), weights)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_laws())
+def test_integer_scans_match_fraction_reference(d):
+    pairs = ((check_nlod, ref.check_nlod), (check_nuod, ref.check_nuod),
+             (check_nod, ref.check_nod), (check_na, ref.check_na))
+    for checker, reference in pairs:
+        got, want = checker(d), reference(d)
+        assert got == want
+        assert repr(got) == repr(want)
+        if not got.holds:
+            verify_witness(d, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dependent_laws(), st.integers(1, 2))
+def test_block_capped_na_matches_fraction_reference(d, max_block):
+    got, want = check_na(d, max_block=max_block), ref.check_na(d, max_block=max_block)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.sampled_from(_VALUES), min_size=2, max_size=4))
+def test_permutation_laws_are_na_and_nod(values):
+    # Joag-Dev & Proschan (1983): permutation laws are NA, and NA implies NOD
+    d = permutation_distribution(values)
+    na = check_na(d)
+    assert na.holds and na.definitive
+    assert check_nod(d).holds
+
+
+_factors = st.one_of(
+    finite_distributions(min_dim=1, max_dim=1, max_atoms=4, values=_VALUES),
+    st.lists(st.sampled_from(_VALUES), min_size=2, max_size=2).map(permutation_distribution),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_factors, min_size=2, max_size=3))
+def test_product_laws_are_na_and_nod(factors):
+    # independent blocks of NA laws form an NA law (Joag-Dev & Proschan 1983)
+    d = factors[0]
+    for factor in factors[1:]:
+        d = product(d, factor)
+    assume(d.dim <= 4)
+    na = check_na(d)
+    assert na.holds and na.definitive
+    assert check_nod(d).holds
