@@ -209,7 +209,7 @@ def _cumulate(cells: list[int], step: int, size: int, reverse: bool) -> None:
                                              cells[src + j::period])
 
 
-def _orthant_scan(d: FiniteJointDistribution, side: str) -> Verdict:
+def _orthant_scan(d: FiniteJointDistribution, side: str, view=None) -> Verdict:
     """Compare the joint orthant mass with the product of marginal masses.
 
     Both sides are step functions jumping only at support values, so the
@@ -225,10 +225,11 @@ def _orthant_scan(d: FiniteJointDistribution, side: str) -> Verdict:
     Masses are integer weights over the law's common denominator D, so a
     corner fails iff joint * D**(n-1) > product of the marginal weights
     (docs/theory.md section 7). Corners are scanned in flat (lexicographic)
-    order, and the first failing one is the witness.
+    order, and the first failing one is the witness. ``view`` is the law's
+    ``integer_view`` when the caller has already built it.
     """
     _require_joint(d)
-    weights, ranks, sizes = integer_view(d)
+    weights, ranks, sizes = view or integer_view(d)
     n = d.dim
     upper = side == "upper"
     ext_sizes = [s + 1 if upper else s for s in sizes]
@@ -278,11 +279,12 @@ def check_nuod(d: FiniteJointDistribution) -> Verdict:
 
 
 def check_nod(d: FiniteJointDistribution) -> Verdict:
-    """Both orthant bounds."""
-    lower = check_nlod(d)
+    """Both orthant bounds, on one integer view of the law."""
+    view = integer_view(d)
+    lower = _orthant_scan(d, "lower", view)
     if not lower.holds:
         return replace(lower, prop="nod")
-    upper = check_nuod(d)
+    upper = _orthant_scan(d, "upper", view)
     return Verdict("nod", upper.holds, upper.witness, lower.stats.plus(upper.stats))
 
 

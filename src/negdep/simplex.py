@@ -1,29 +1,30 @@
-"""Exact-rational simplex for LPs in standard inequality form.
+"""Exact simplex for LPs in standard inequality form, pivoting in integers.
 
     maximize    c . x
     subject to  A x <= b,   x >= 0
 
-Rows are sparse dicts. The entering variable follows Bland's rule (lowest
-eligible index), which both terminates and — by entering the original sparse
-columns first — keeps fill-in low; ratio ties prefer the sparsest row, and
-after a long degenerate streak tie-breaking reverts to lowest basis index,
-which restores Bland's termination guarantee in full. All arithmetic is
-exact (gmpy2 rationals when available, stdlib Fractions otherwise — results
-are identical).
+Rows are sparse dicts of integers plus an integer rhs; each row's basic column
+has a positive coefficient and appears in no other row, and the reduced costs
+and objective value are integers over one positive denominator. A pivot takes
+an integer combination of each row with the pivot row and divides out its
+gcd (docs/theory.md section 8); Fractions appear only at the API.
+
+The entering variable follows Bland's rule (lowest eligible index), which
+both terminates and — by entering the original sparse columns first — keeps
+fill-in low; ratio ties prefer the sparsest row, and after a long degenerate
+streak tie-breaking reverts to lowest basis index, which restores Bland's
+termination guarantee in full. Positive row scaling changes none of these
+choices, so the pivots are those of the tableau in normalised Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import InternalConsistencyError
-
-try:  # optional accelerator; exactness is unaffected
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -51,18 +52,47 @@ class SimplexResult:
     solution: tuple[Fraction, ...] | None = None
 
 
-def _back(q) -> Fraction:
-    return q if isinstance(q, Fraction) else Fraction(int(q.numerator), int(q.denominator))
+def _integer_row(coeffs: Mapping[int, Fraction], rhs) -> tuple[dict[int, int], int, int]:
+    """The row times L, the lcm of its denominators: (coefficients, rhs, L)."""
+    items = [(c, a) for c, a in coeffs.items() if a]
+    scale = lcm(rhs.denominator, *(a.denominator for _, a in items))
+    return ({c: a.numerator * (scale // a.denominator) for c, a in items},
+            rhs.numerator * (scale // rhs.denominator), scale)
+
+
+def _eliminate(row: dict[int, int], tail: tuple[int, ...], pivot_row: dict[int, int],
+               pivot_tail: tuple[int, ...], e: int) -> tuple[dict[int, int], list[int]]:
+    """m * row - f * pivot_row with the least m > 0 that clears column e,
+    divided by its gcd. ``tail`` holds entries outside the columns (rhs, ...),
+    combined the same way. Keys keep their order; new keys follow the pivot
+    row's order."""
+    g = gcd(pivot_row[e], row[e])
+    m, f = pivot_row[e] // g, row[e] // g
+    if m != 1:
+        row = {c: a * m for c, a in row.items()}
+    get = row.get
+    for c, a in pivot_row.items():
+        val = get(c, 0) - f * a
+        if val:
+            row[c] = val
+        else:
+            del row[c]
+    tail = [x * m - f * y for x, y in zip(tail, pivot_tail)]
+    g = gcd(*tail, *row.values())
+    if g > 1:
+        row = {c: a // g for c, a in row.items()}
+        tail = [x // g for x in tail]
+    return row, tail
 
 
 class _Tableau:
     def __init__(self, num_structural: int):
-        self.rows: list[dict[int, object]] = []
-        self.rhs: list[object] = []
+        self.rows: list[dict[int, int]] = []
+        self.rhs: list[int] = []
         self.basis: list[int] = []
-        self.z: dict[int, object] = {}
-        self.z_value = _Q(0)
-        self.num_structural = num_structural
+        self.z: dict[int, int] = {}  # reduced costs times z_den
+        self.z_value = 0             # objective value times z_den
+        self.z_den = 1
         self.num_cols = num_structural
 
     def new_col(self) -> int:
@@ -70,75 +100,44 @@ class _Tableau:
         self.num_cols += 1
         return col
 
-    def set_objective(self, coeffs: dict[int, object]) -> None:
+    def set_objective(self, coeffs: Mapping[int, Fraction]) -> None:
         """Install reduced costs for the given objective, pricing out the basis."""
-        self.z = dict(coeffs)
-        self.z_value = _Q(0)
+        self.z, self.z_value, self.z_den = _integer_row(coeffs, 0)
         for r, b in enumerate(self.basis):
-            cb = coeffs.get(b)
-            if cb:
-                row = self.rows[r]
-                for col, a in row.items():
-                    val = self.z.get(col, _Q(0)) - cb * a
-                    if val:
-                        self.z[col] = val
-                    else:
-                        self.z.pop(col, None)
-                self.z_value += cb * self.rhs[r]
-        for b in self.basis:
-            self.z.pop(b, None)
+            self._price_out(r, b)
+
+    def _price_out(self, r: int, e: int) -> None:
+        if self.z.get(e):
+            self.z, (self.z_value, self.z_den) = _eliminate(
+                self.z, (self.z_value, self.z_den), self.rows[r], (-self.rhs[r], 0), e)
 
     def pivot(self, r: int, e: int) -> None:
         row = self.rows[r]
-        piv = row[e]
-        if piv != 1:
-            inv = _Q(1) / piv
-            self.rows[r] = row = {c: a * inv for c, a in row.items()}
-            self.rhs[r] *= inv
-        rhs_r = self.rhs[r]
+        if row[e] < 0:  # only when a zero-level artificial leaves the basis
+            self.rows[r] = row = {c: -a for c, a in row.items()}
+            self.rhs[r] = -self.rhs[r]
+        tail = (self.rhs[r],)
         for i, other in enumerate(self.rows):
-            if i == r:
-                continue
-            f = other.get(e)
-            if not f:
-                continue
-            for c, a in row.items():
-                val = other.get(c, _Q(0)) - f * a
-                if val:
-                    other[c] = val
-                else:
-                    other.pop(c, None)
-            self.rhs[i] -= f * rhs_r
-        f = self.z.get(e)
-        if f:
-            for c, a in row.items():
-                val = self.z.get(c, _Q(0)) - f * a
-                if val:
-                    self.z[c] = val
-                else:
-                    self.z.pop(c, None)
-            self.z_value += f * rhs_r
+            if i != r and other.get(e):
+                self.rows[i], (self.rhs[i],) = _eliminate(other, (self.rhs[i],), row, tail, e)
+        self._price_out(r, e)
         self.basis[r] = e
 
     def _entering(self) -> int | None:
-        best = None
-        for c, cost in self.z.items():
-            if cost > 0 and (best is None or c < best):
-                best = c
-        return best
+        return min((c for c, cost in self.z.items() if cost > 0), default=None)
 
     def _leaving(self, e: int, pure_bland_ties: bool) -> int | None:
+        # rhs_i / a_i < rhs_best / a_best, cross-multiplied: both a are positive
         best_row = None
-        best_ratio = None
-        best_key = None
+        best_rhs = best_a = best_key = None
         for i, row in enumerate(self.rows):
             a = row.get(e)
             if a and a > 0:
-                ratio = self.rhs[i] / a
+                b = self.rhs[i]
                 key = self.basis[i] if pure_bland_ties else (len(row), self.basis[i])
-                if best_ratio is None or ratio < best_ratio or (ratio == best_ratio
-                                                                and key < best_key):
-                    best_row, best_ratio, best_key = i, ratio, key
+                if best_row is None or b * best_a < best_rhs * a or (
+                        b * best_a == best_rhs * a and key < best_key):
+                    best_row, best_rhs, best_a, best_key = i, b, a, key
         return best_row
 
     def run(self) -> str:
@@ -163,12 +162,6 @@ class _Tableau:
                 degenerate_streak = 0
 
 
-def _to_q(value) -> object:
-    if isinstance(value, Fraction):
-        return _Q(value.numerator, value.denominator)
-    return _Q(value)
-
-
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Exact optimum of the LP, or UNBOUNDED / INFEASIBLE."""
     t = _Tableau(lp.num_vars)
@@ -176,15 +169,14 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     artificials: list[int] = []
 
     for coeffs, rhs in lp.constraints:
-        row = {c: _to_q(a) for c, a in coeffs.items() if a}
-        b = _to_q(rhs)
+        row, b, scale = _integer_row(coeffs, rhs)
         slack = t.new_col()
-        row[slack] = _Q(1)
+        row[slack] = scale
         if b < 0:
             row = {c: -a for c, a in row.items()}
             b = -b
             art = t.new_col()
-            row[art] = _Q(1)
+            row[art] = scale
             artificials.append(art)
             t.basis.append(art)
             needs_phase1 = True
@@ -194,13 +186,12 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         t.rhs.append(b)
 
     for coeffs, rhs in lp.equalities:
-        row = {c: _to_q(a) for c, a in coeffs.items() if a}
-        b = _to_q(rhs)
+        row, b, scale = _integer_row(coeffs, rhs)
         if b < 0:
             row = {c: -a for c, a in row.items()}
             b = -b
         art = t.new_col()
-        row[art] = _Q(1)
+        row[art] = scale
         artificials.append(art)
         t.basis.append(art)
         t.rows.append(row)
@@ -208,7 +199,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         needs_phase1 = True
 
     if needs_phase1:
-        t.set_objective({a: _Q(-1) for a in artificials})
+        t.set_objective({a: -1 for a in artificials})
         status = t.run()
         if status != OPTIMAL:
             raise InternalConsistencyError(
@@ -235,18 +226,17 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             for a in artificials:
                 row.pop(a, None)
 
-    objective = {c: _to_q(v) for c, v in lp.objective.items() if v}
-    t.set_objective(objective)
+    t.set_objective(lp.objective)
     status = t.run()
     if status == UNBOUNDED:
         return SimplexResult(status=UNBOUNDED)
 
-    values = [_Q(0)] * lp.num_vars
+    values = [Fraction(0)] * lp.num_vars
     for r, b in enumerate(t.basis):
         if b < lp.num_vars:
-            values[b] = t.rhs[r]
+            values[b] = Fraction(t.rhs[r], t.rows[r][b])
     return SimplexResult(
         status=OPTIMAL,
-        objective=_back(t.z_value),
-        solution=tuple(_back(v) for v in values),
+        objective=Fraction(t.z_value, t.z_den),
+        solution=tuple(values),
     )

@@ -11,6 +11,7 @@ from negdep import (
     check_nlod,
     check_nod,
     check_nuod,
+    checks,
     make_pmf,
     permutation_distribution,
     product,
@@ -89,3 +90,13 @@ def test_product_laws_are_na_and_nod(factors):
     na = check_na(d)
     assert na.holds and na.definitive
     assert check_nod(d).holds
+
+
+def test_nod_builds_the_integer_view_once(monkeypatch):
+    calls = []
+    view = checks.integer_view
+    monkeypatch.setattr(checks, "integer_view", lambda d: calls.append(d) or view(d))
+    d = permutation_distribution([0, 1, 2, 3])
+    verdict = check_nod(d)
+    assert len(calls) == 1
+    assert repr(verdict) == repr(ref.check_nod(d))
