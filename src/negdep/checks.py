@@ -29,8 +29,8 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add, gt, mul
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import add, gt, le, mul, or_
+from typing import Callable, Mapping, Sequence
 
 from .distributions import (
     EQ,
@@ -73,12 +73,6 @@ ONE = Fraction(1)
 
 WEAK = "weak"
 STRICT = "strict"
-
-PROPERTY_NAMES = (
-    "na", "nsmd", "nod", "nlod", "nuod",
-    "nrd", "nltd", "nrtd", "nrd1", "nltd1", "nrtd1",
-)
-
 
 # -- verdicts and witnesses -------------------------------------------------
 
@@ -365,6 +359,8 @@ def check_na(d: FiniteJointDistribution, max_block: int | None = None,
     covariance, so this family of rectangle inequalities is exhaustive.
     """
     _require_joint(d)
+    if max_block is not None and max_block < 1:
+        raise ValueError(f"max_block must be at least 1, got {max_block}")
     caps = caps or default_caps()
     view = integer_view(d)
     cells = [(d, view, a1, a2, caps) for a1, a2 in _block_pairs(d.dim, max_block)]
@@ -404,24 +400,55 @@ def _tail_event(kind: str, variant: str, indices, thresholds) -> ConditioningEve
     return upper_event(indices, thresholds, strict=(variant == WEAK))
 
 
-def _conditioning_labels(d: FiniteJointDistribution, J: tuple[int, ...],
-                         kind: str) -> list[tuple[Extended, ...]]:
-    """Candidate conditioning points for the block J, in lexicographic order.
+_TAIL_OPS = {(LOWER, WEAK): "<=", (LOWER, STRICT): "<",
+             (UPPER, WEAK): ">", (UPPER, STRICT): ">="}  # as in _tail_event
 
-    Equality events run over the support of the J-marginal. Tail events run
-    over the per-coordinate support values with an unbounded sentinel (the
-    events depend on a threshold only through its position relative to the
-    support, so this grid is exhaustive); zero-probability labels are skipped
-    by the caller.
+
+def _tail_masks(eq: list[int], op: str, sentinel: bool) -> list[int]:
+    """The atom masks of {x op v} for the support values v of one axis, ascending.
+
+    ``eq[r]`` is the mask of the atoms of rank r, so each mask is a prefix
+    (lower tails) or suffix (upper tails) OR of them. With ``sentinel`` the
+    grid also gets the unbounded threshold, whose mask is every atom: +inf
+    after the values for lower tails, -inf before them for upper tails.
     """
-    if kind == EQ:
-        return [x for x, _ in d.marginal(list(J)).atoms]
-    axes = d.support_grid()
-    grids = []
-    for j in J:
-        values = list(axes[j - 1])
-        grids.append([NEG_INF] + values if kind == UPPER else values + [POS_INF])
-    return list(itertools.product(*grids))
+    s = len(eq)
+    if op in ("<=", "<"):
+        below = list(itertools.accumulate(eq, or_, initial=0))  # below[r]: ranks < r
+        masks = below[1:] if op == "<=" else below[:s]
+        return masks + [below[s]] if sentinel else masks
+    above = list(itertools.accumulate(reversed(eq), or_, initial=0))[::-1]  # ranks >= r
+    masks = above[:s] if op == ">=" else above[1:]
+    return [above[0]] + masks if sentinel else masks
+
+
+def _label_masks(view, tails: Sequence[tuple[int, str]], pinned: Sequence[int],
+                 sentinel: bool) -> list[tuple[tuple[int, ...], int]]:
+    """Every conditioning label with a nonempty event, in lexicographic order,
+    with its atom mask.
+
+    A label holds one grid position per tail axis (``tails`` pairs a column
+    with its comparison) followed by the ranks of the pinned columns. Its
+    mask is the AND of one bitset per tail axis and the bitset of the atoms
+    carrying those pinned ranks (docs/theory.md section 6).
+    """
+    _, ranks, sizes = view
+    axes = []
+    for c, op in tails:
+        eq = [0] * sizes[c]
+        for k, r in enumerate(ranks):
+            eq[r[c]] |= 1 << k
+        axes.append([((p,), m) for p, m in enumerate(_tail_masks(eq, op, sentinel))])
+    groups: dict[tuple[int, ...], int] = {}
+    for k, r in enumerate(ranks):
+        key = tuple(r[c] for c in pinned)
+        groups[key] = groups.get(key, 0) | 1 << k
+    axes.append(sorted(groups.items()))
+    labels = [((), (1 << len(ranks)) - 1)]
+    for axis in axes:
+        labels = [(label + part, mask & bits) for label, mask in labels
+                  for part, bits in axis if mask & bits]
+    return labels
 
 
 def _ext_leq(a: Sequence[Extended], b: Sequence[Extended]) -> bool:
@@ -429,21 +456,19 @@ def _ext_leq(a: Sequence[Extended], b: Sequence[Extended]) -> bool:
 
 
 class _CellContext:
-    """Per-cell machinery: event masks, cached conditional laws, cached orders.
+    """Per-cell machinery: cached conditional laws, cached orders, the pair loop.
 
-    The screen runs on integer conditional laws keyed by packed ranks of the
+    ``given`` is the conditioning block; the observed block is the rest. The
+    screen runs on integer conditional laws keyed by packed ranks of the
     observed columns; Fraction conditional laws are built only for verify
     mode and for the witness search.
     """
 
-    def __init__(self, d, view, J, kind, variant, caps, st_mode):
+    def __init__(self, d, view, given, caps, st_mode):
         self.d = d
-        self.J = J
-        self.kind = kind
-        self.variant = variant
         self.caps = caps
         self.st_mode = st_mode
-        self.i_max = tuple(j for j in range(1, d.dim + 1) if j not in J)
+        self.i_max = tuple(j for j in range(1, d.dim + 1) if j not in given)
         self.cols = [j - 1 for j in self.i_max]
         self.weights, ranks, sizes = view
         packing = RankPacking([sizes[c] for c in self.cols])
@@ -451,18 +476,9 @@ class _CellContext:
         self.keys = [packing.pack([r[c] for c in self.cols]) for r in ranks]
         self.int_cache: dict[int, IntegerLaw] = {}
         self.law_cache: dict[int, FiniteJointDistribution] = {}
-        self.proj_cache: dict[tuple[int, tuple[int, ...]], FiniteJointDistribution] = {}
         self.st_cache: dict[tuple[int, int], bool] = {}
         self.st_checks = 0
         self.upper_sets = 0
-
-    def mask_of(self, label) -> int:
-        event = _tail_event(self.kind, self.variant, self.J, label)
-        mask = 0
-        for k, (x, _) in enumerate(self.d.atoms):
-            if event.matches(x):
-                mask |= 1 << k
-        return mask
 
     def int_law(self, mask: int) -> IntegerLaw:
         law = self.int_cache.get(mask)
@@ -492,17 +508,6 @@ class _CellContext:
         self.law_cache[mask] = law
         return law
 
-    def projected(self, mask: int, block: tuple[int, ...]) -> FiniteJointDistribution:
-        if block == self.i_max:
-            return self.law(mask)
-        key = (mask, block)
-        cached = self.proj_cache.get(key)
-        if cached is None:
-            positions = [self.i_max.index(j) + 1 for j in block]
-            cached = self.law(mask).marginal(positions)
-            self.proj_cache[key] = cached
-        return cached
-
     def st_screen(self, mask_lo: int, mask_hi: int) -> bool:
         """Does [X_Imax | high] <=st [X_Imax | low]?
 
@@ -526,6 +531,23 @@ class _CellContext:
             self.st_cache[key] = cached
             self.st_checks += 1
         return cached
+
+    def first_failing_pair(self, labels: list[tuple[tuple[int, ...], int]]):
+        """The first ordered pair of labels, low <= high componentwise, whose
+        conditional law at high is not below the one at low, as
+        ``((low, mask_lo), (high, mask_hi))`` or None, and the number of
+        ordered pairs examined up to it."""
+        pairs = 0
+        for a_pos, (low, mask_lo) in enumerate(labels):
+            for high, mask_hi in labels[a_pos + 1:]:
+                if not all(map(le, low, high)):
+                    continue
+                pairs += 1
+                if mask_lo == mask_hi:
+                    continue  # identical events, identical conditional laws
+                if not self.st_screen(mask_lo, mask_hi):
+                    return ((low, mask_lo), (high, mask_hi)), pairs
+        return None, pairs
 
 
 def _deterministic_upper_violation(ctx: _CellContext, law_hi, law_lo) -> UpperSetViolation:
@@ -553,50 +575,45 @@ def _coordinate_means(law: FiniteJointDistribution) -> tuple[Fraction, ...]:
 
 def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
     d, view, J, kind, variant, caps, st_mode = args
-    ctx = _CellContext(d, view, J, kind, variant, caps, st_mode)
-    labels = _conditioning_labels(d, J, kind)
-    masks = {}
-    for label in labels:
-        mask = ctx.mask_of(label)
-        if mask:
-            masks[label] = mask
-    live = [lab for lab in labels if lab in masks]
-
-    pairs_examined = 0
-    for a_pos, low in enumerate(live):
-        for high in live[a_pos + 1:]:
-            if not _ext_leq(low, high):
+    ctx = _CellContext(d, view, J, caps, st_mode)
+    cols = [j - 1 for j in J]
+    if kind == EQ:
+        labels = _label_masks(view, (), cols, sentinel=False)
+    else:
+        labels = _label_masks(view, [(c, _TAIL_OPS[kind, variant]) for c in cols], (),
+                              sentinel=True)
+    found, pairs_examined = ctx.first_failing_pair(labels)
+    witness = None
+    if found is not None:
+        (low, mask_lo), (high, mask_hi) = found
+        axes = d.support_grid()
+        grids = [axes[c] + (POS_INF,) if kind == LOWER
+                 else (NEG_INF,) + axes[c] if kind == UPPER else axes[c] for c in cols]
+        # violation somewhere; locate the minimal observed block
+        for block in _subsets(ctx.i_max):
+            positions = [ctx.i_max.index(j) + 1 for j in block]
+            law_hi = ctx.law(mask_hi).marginal(positions)
+            law_lo = ctx.law(mask_lo).marginal(positions)
+            sub = st_leq(law_hi, law_lo, mode=st_mode, caps=caps)
+            ctx.st_checks += 1
+            ctx.upper_sets += sub.upper_sets_examined
+            if sub.holds:
                 continue
-            pairs_examined += 1
-            mask_lo, mask_hi = masks[low], masks[high]
-            if mask_lo == mask_hi:
-                continue  # identical events, identical conditional laws
-            if ctx.st_screen(mask_lo, mask_hi):
-                continue
-            # violation somewhere; locate the minimal observed block
-            for block in _subsets(ctx.i_max):
-                law_hi = ctx.projected(mask_hi, block)
-                law_lo = ctx.projected(mask_lo, block)
-                sub = st_leq(law_hi, law_lo, mode=st_mode, caps=caps)
-                ctx.st_checks += 1
-                ctx.upper_sets += sub.upper_sets_examined
-                if sub.holds:
-                    continue
-                violation = _deterministic_upper_violation(ctx, law_hi, law_lo)
-                witness = RegressionWitness(
-                    kind=kind, variant=variant, given=J, observed=block,
-                    point_low=low, point_high=high, violation=violation,
-                    mean_low=_coordinate_means(law_lo),
-                    mean_high=_coordinate_means(law_hi),
-                )
-                stats = CheckStats(cells=1, conditioning_pairs=pairs_examined,
-                                   st_checks=ctx.st_checks, upper_sets=ctx.upper_sets)
-                return witness, stats
+            witness = RegressionWitness(
+                kind=kind, variant=variant, given=J, observed=block,
+                point_low=tuple(g[p] for g, p in zip(grids, low)),
+                point_high=tuple(g[p] for g, p in zip(grids, high)),
+                violation=_deterministic_upper_violation(ctx, law_hi, law_lo),
+                mean_low=_coordinate_means(law_lo),
+                mean_high=_coordinate_means(law_hi),
+            )
+            break
+        else:
             raise InternalConsistencyError(
                 "full-block comparison failed but every sub-block passed"
             )
-    return None, CheckStats(cells=1, conditioning_pairs=pairs_examined,
-                            st_checks=ctx.st_checks, upper_sets=ctx.upper_sets)
+    return witness, CheckStats(cells=1, conditioning_pairs=pairs_examined,
+                               st_checks=ctx.st_checks, upper_sets=ctx.upper_sets)
 
 
 def _run_cells(scan: Callable, cells: list, jobs: int):
@@ -626,6 +643,8 @@ def _check_regression_family(d, kind, prop, max_j, variant, caps, st_mode, jobs)
     _require_joint(d)
     if variant not in (WEAK, STRICT):
         raise ValueError(f"unknown variant {variant!r}")
+    if max_j is not None and max_j < 1:
+        raise ValueError(f"max_j must be at least 1, got {max_j}")
     caps = caps or default_caps()
     limit = d.dim - 1 if max_j is None else min(max_j, d.dim - 1)
     blocks = _subsets(range(1, d.dim + 1), limit)
@@ -702,6 +721,28 @@ def check_stoch_increasing(family: Mapping[tuple, FiniteJointDistribution],
 
 # -- implication audit ---------------------------------------------------------
 
+#: Every property, in audit order, with its checker called on
+#: (d, max_j, variant, caps, st_mode, jobs). A checker ignores the settings
+#: it has no use for; NA reads max_j as its block cap.
+PROPERTIES: dict[str, Callable[..., Verdict]] = {
+    "nlod": lambda d, max_j, variant, caps, st_mode, jobs: check_nlod(d),
+    "nuod": lambda d, max_j, variant, caps, st_mode, jobs: check_nuod(d),
+    "nod": lambda d, max_j, variant, caps, st_mode, jobs: check_nod(d),
+    "na": lambda d, max_j, variant, caps, st_mode, jobs: check_na(d, max_j, caps, jobs),
+    "nsmd": lambda d, max_j, variant, caps, st_mode, jobs: check_nsmd(d, caps),
+    "nrd": lambda d, max_j, variant, caps, st_mode, jobs:
+        check_nrd(d, max_j, caps, st_mode, jobs),
+    "nltd": lambda d, max_j, variant, caps, st_mode, jobs:
+        check_nltd(d, max_j, variant, caps, st_mode, jobs),
+    "nrtd": lambda d, max_j, variant, caps, st_mode, jobs:
+        check_nrtd(d, max_j, variant, caps, st_mode, jobs),
+    "nrd1": lambda d, max_j, variant, caps, st_mode, jobs: check_nrd1(d, caps, st_mode, jobs),
+    "nltd1": lambda d, max_j, variant, caps, st_mode, jobs:
+        check_nltd1(d, variant, caps, st_mode, jobs),
+    "nrtd1": lambda d, max_j, variant, caps, st_mode, jobs:
+        check_nrtd1(d, variant, caps, st_mode, jobs),
+}
+
 #: Implications safe to assert between definitive verdicts. The open
 #: questions (full regression dependence implying the tail forms or
 #: association) are deliberately absent.
@@ -735,22 +776,9 @@ def audit_implications(d: FiniteJointDistribution, max_j: int | None = None,
     verdicts: dict[str, Verdict] = {}
     skipped: dict[str, str] = {}
 
-    runners = {
-        "nlod": lambda: check_nlod(d),
-        "nuod": lambda: check_nuod(d),
-        "nod": lambda: check_nod(d),
-        "na": lambda: check_na(d, max_block=max_j, caps=caps, jobs=jobs),
-        "nsmd": lambda: check_nsmd(d, caps=caps),
-        "nrd": lambda: check_nrd(d, max_j=max_j, caps=caps, st_mode=st_mode, jobs=jobs),
-        "nltd": lambda: check_nltd(d, max_j=max_j, caps=caps, st_mode=st_mode, jobs=jobs),
-        "nrtd": lambda: check_nrtd(d, max_j=max_j, caps=caps, st_mode=st_mode, jobs=jobs),
-        "nrd1": lambda: check_nrd1(d, caps=caps, st_mode=st_mode, jobs=jobs),
-        "nltd1": lambda: check_nltd1(d, caps=caps, st_mode=st_mode, jobs=jobs),
-        "nrtd1": lambda: check_nrtd1(d, caps=caps, st_mode=st_mode, jobs=jobs),
-    }
-    for name, run in runners.items():
+    for name, run in PROPERTIES.items():
         try:
-            verdicts[name] = run()
+            verdicts[name] = run(d, max_j, WEAK, caps, st_mode, jobs)
         except (EnumerationCapExceeded, GridTooLarge) as exc:
             skipped[name] = f"{type(exc).__name__}: {exc}"
 
@@ -793,93 +821,31 @@ class ConjectureReport:
 
 def _scan_conjecture_partition(args):
     d, raised, lowered, pinned, observed, caps, st_mode = args
-    atoms = d.atoms
-    axes = d.support_grid()
+    view = integer_view(d)
+    ctx = _CellContext(d, view, raised + lowered + pinned, caps, st_mode)
+    # a label is the raised thresholds' positions, then the lowered ones',
+    # then the pinned block's ranks
+    tails = [(j - 1, ">=") for j in raised] + [(j - 1, "<=") for j in lowered]
+    labels = _label_masks(view, tails, [j - 1 for j in pinned], sentinel=False)
+    found, pairs = ctx.first_failing_pair(labels)
+    stats = CheckStats(cells=1, conditioning_pairs=pairs, st_checks=ctx.st_checks)
+    if found is None:
+        return None, stats
+    (low, mask_lo), (high, mask_hi) = found
+    grid = d.support_grid()
+    axes = [grid[j - 1] for j in raised + lowered + pinned]
+    cuts = (len(raised), len(raised) + len(lowered))
 
-    # a label is (t_raised, t_lowered, t_pinned) with per-block tuples
-    raised_grid = list(itertools.product(*(axes[j - 1] for j in raised)))
-    lowered_grid = list(itertools.product(*(axes[j - 1] for j in lowered)))
-    pinned_grid = ([x for x, _ in d.marginal(list(pinned)).atoms]
-                   if pinned else [()])
+    def triple(label):
+        point = tuple(ax[p] for ax, p in zip(axes, label))
+        return point[:cuts[0]], point[cuts[0]:cuts[1]], point[cuts[1]:]
 
-    def mask_of(label) -> int:
-        t_r, t_l, t_p = label
-        mask = 0
-        for k, (x, _) in enumerate(atoms):
-            ok = all(x[j - 1] >= t for j, t in zip(raised, t_r))
-            ok = ok and all(x[j - 1] <= t for j, t in zip(lowered, t_l))
-            ok = ok and all(x[j - 1] == t for j, t in zip(pinned, t_p))
-            if ok:
-                mask |= 1 << k
-        return mask
-
-    labels = [
-        (t_r, t_l, t_p)
-        for t_r in raised_grid
-        for t_l in lowered_grid
-        for t_p in pinned_grid
-    ]
-    masks = {}
-    for label in labels:
-        m = mask_of(label)
-        if m:
-            masks[label] = m
-    live = [lab for lab in labels if lab in masks]
-
-    cols = [j - 1 for j in observed]
-
-    def law(mask: int) -> FiniteJointDistribution:
-        merged: dict[Vector, Fraction] = {}
-        total = ZERO
-        m = mask
-        while m:
-            low = m & -m
-            k = low.bit_length() - 1
-            m ^= low
-            x, p = atoms[k]
-            total += p
-            key = tuple(x[c] for c in cols)
-            merged[key] = merged.get(key, ZERO) + p
-        return FiniteJointDistribution(
-            len(cols), tuple(sorted((x, p / total) for x, p in merged.items()))
-        )
-
-    law_cache: dict[int, FiniteJointDistribution] = {}
-    st_cache: dict[tuple[int, int], bool] = {}
-    pairs = 0
-    st_checks = 0
-    for a_pos, low in enumerate(live):
-        for high in live[a_pos + 1:]:
-            flat_low = low[0] + low[1] + low[2]
-            flat_high = high[0] + high[1] + high[2]
-            if not _ext_leq(flat_low, flat_high):
-                continue
-            pairs += 1
-            m_lo, m_hi = masks[low], masks[high]
-            if m_lo == m_hi:
-                continue
-            key = (m_lo, m_hi)
-            cached = st_cache.get(key)
-            if cached is None:
-                for m in (m_lo, m_hi):
-                    if m not in law_cache:
-                        law_cache[m] = law(m)
-                verdict = st_leq(law_cache[m_hi], law_cache[m_lo],
-                                 mode=st_mode, caps=caps)
-                st_checks += 1
-                cached = verdict.holds
-                st_cache[key] = cached
-            if cached:
-                continue
-            law_hi, law_lo = law_cache[m_hi], law_cache[m_lo]
-            violation = st_leq_uppersets(law_hi, law_lo, caps=caps).violation
-            witness = ConjectureWitness(
-                raised=raised, lowered=lowered, pinned=pinned, observed=observed,
-                triple_low=low, triple_high=high, violation=violation,
-            )
-            return witness, CheckStats(cells=1, conditioning_pairs=pairs,
-                                       st_checks=st_checks)
-    return None, CheckStats(cells=1, conditioning_pairs=pairs, st_checks=st_checks)
+    violation = st_leq_uppersets(ctx.law(mask_hi), ctx.law(mask_lo), caps=caps).violation
+    witness = ConjectureWitness(
+        raised=raised, lowered=lowered, pinned=pinned, observed=observed,
+        triple_low=triple(low), triple_high=triple(high), violation=violation,
+    )
+    return witness, stats
 
 
 def check_conjecture(values: Sequence, max_n: int = 5,

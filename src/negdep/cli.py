@@ -21,20 +21,7 @@ import os
 import sys
 import time
 
-from .checks import (
-    check_conjecture,
-    check_na,
-    check_nlod,
-    check_nltd,
-    check_nltd1,
-    check_nod,
-    check_nrd,
-    check_nrd1,
-    check_nrtd,
-    check_nrtd1,
-    check_nsmd,
-    check_nuod,
-)
+from .checks import PROPERTIES, check_conjecture
 from .distributions import from_json_dict, to_json_dict
 from .errors import EnumerationCapExceeded, GridTooLarge, NegdepError, default_caps
 from .fixtures import FIXTURE_IDS, run_fixture
@@ -65,10 +52,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _caps_from(args) -> "Caps":
-    caps = default_caps()
-    if args.caps:
-        caps = caps.with_overrides(args.caps)
-    return caps
+    try:
+        caps = default_caps()
+        return caps.with_overrides(args.caps) if args.caps else caps
+    except ValueError as exc:
+        raise NegdepError(str(exc)) from None
 
 
 def _write_report(report: Report, args) -> None:
@@ -76,31 +64,6 @@ def _write_report(report: Report, args) -> None:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-
-
-def _runner_for(name: str):
-    return {
-        "na": lambda d, kw: check_na(d, max_block=kw["max_j"], caps=kw["caps"],
-                                     jobs=kw["jobs"]),
-        "nod": lambda d, kw: check_nod(d),
-        "nlod": lambda d, kw: check_nlod(d),
-        "nuod": lambda d, kw: check_nuod(d),
-        "nsmd": lambda d, kw: check_nsmd(d, caps=kw["caps"]),
-        "nrd": lambda d, kw: check_nrd(d, max_j=kw["max_j"], caps=kw["caps"],
-                                       st_mode=kw["st_mode"], jobs=kw["jobs"]),
-        "nltd": lambda d, kw: check_nltd(d, max_j=kw["max_j"], variant=kw["variant"],
-                                         caps=kw["caps"], st_mode=kw["st_mode"],
-                                         jobs=kw["jobs"]),
-        "nrtd": lambda d, kw: check_nrtd(d, max_j=kw["max_j"], variant=kw["variant"],
-                                         caps=kw["caps"], st_mode=kw["st_mode"],
-                                         jobs=kw["jobs"]),
-        "nrd1": lambda d, kw: check_nrd1(d, caps=kw["caps"], st_mode=kw["st_mode"],
-                                         jobs=kw["jobs"]),
-        "nltd1": lambda d, kw: check_nltd1(d, variant=kw["variant"], caps=kw["caps"],
-                                           st_mode=kw["st_mode"], jobs=kw["jobs"]),
-        "nrtd1": lambda d, kw: check_nrtd1(d, variant=kw["variant"], caps=kw["caps"],
-                                           st_mode=kw["st_mode"], jobs=kw["jobs"]),
-    }[name]
 
 
 def _cmd_build(args) -> int:
@@ -141,21 +104,18 @@ def _cmd_check(args) -> int:
         return 2
     props = [p.strip().lower() for p in args.props.split(",") if p.strip()]
     caps = _caps_from(args)
-    kw = {"max_j": args.max_j, "variant": args.variant, "caps": caps,
-          "st_mode": args.st_mode, "jobs": args.jobs}
     verdicts = []
     timings = {}
     exit_code = 0
     try:
         for prop in props:
-            try:
-                runner = _runner_for(prop)
-            except KeyError:
+            runner = PROPERTIES.get(prop)
+            if runner is None:
                 print(f"error: unknown property {prop!r}", file=sys.stderr)
                 return 2
             t0 = time.monotonic()
             try:
-                verdict = runner(d, kw)
+                verdict = runner(d, args.max_j, args.variant, caps, args.st_mode, args.jobs)
             except ValueError as exc:  # e.g. a law of dimension 1
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
@@ -260,8 +220,8 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run property checkers on a distribution")
     p_check.add_argument("distribution", help="distribution JSON file")
     p_check.add_argument("--props", default=DEFAULT_PROPS,
-                         help=f"comma-separated properties (default {DEFAULT_PROPS}; "
-                              "also nrd1,nltd1,nrtd1,nlod,nuod)")
+                         help=f"comma-separated properties out of {','.join(PROPERTIES)} "
+                              f"(default {DEFAULT_PROPS})")
     p_check.add_argument("--max-j", type=int, default=None,
                          help="cap the conditioning-block size")
     p_check.add_argument("--variant", choices=("weak", "strict"), default="weak",

@@ -73,7 +73,8 @@ class Caps:
     max_lp_vars: int = 10**5
 
     def with_overrides(self, text: str) -> "Caps":
-        """Apply "upper_sets=N,lp_vars=M" style overrides."""
+        """Apply "upper_sets=N,lp_vars=M" style overrides; each N must be a
+        positive integer."""
         fields = {"upper_sets": "max_upper_sets", "lp_vars": "max_lp_vars"}
         updates = {}
         for item in text.split(","):
@@ -83,7 +84,13 @@ class Caps:
             key, sep, value = item.partition("=")
             if not sep or key.strip() not in fields:
                 raise ValueError(f"bad caps item {item!r}; known keys: {', '.join(fields)}")
-            updates[fields[key.strip()]] = int(value)
+            try:
+                cap = int(value)
+            except ValueError:
+                cap = 0
+            if cap < 1:
+                raise ValueError(f"bad caps item {item!r}; the cap must be a positive integer")
+            updates[fields[key.strip()]] = cap
         return replace(self, **updates)
 
 

@@ -1,0 +1,320 @@
+"""Fraction reference for the regression cells and the conjecture partitions.
+
+This is the conditioning engine as it was before both scans moved onto the
+per-axis ranks of ``integer_view``: labels are tuples of support values, and
+each label's atom mask is built by testing every atom against a Fraction
+``ConditioningEvent`` (or, for the conjecture, against its own threshold
+comparisons). The code below is kept verbatim apart from the module-level
+names; the differential tests compare the rank-bitset engine against it,
+verdict, witness and stats alike.
+"""
+
+import itertools
+from fractions import Fraction
+
+from negdep.checks import (
+    ConjectureWitness,
+    CheckStats,
+    RegressionWitness,
+    Verdict,
+    WEAK,
+    _coordinate_means,
+    _deterministic_upper_violation,
+    _ext_leq,
+    _subsets,
+    _tail_event,
+)
+from negdep.distributions import EQ, LOWER, UPPER, FiniteJointDistribution, Vector
+from negdep.errors import InternalConsistencyError, default_caps
+from negdep.rationals import NEG_INF, POS_INF, Extended
+from negdep.stochorder import (
+    IntegerLaw,
+    RankPacking,
+    integer_coupling,
+    integer_view,
+    masked_law,
+    require_agreement,
+    st_leq,
+    st_leq_uppersets,
+)
+
+ZERO = Fraction(0)
+
+
+def _conditioning_labels(d: FiniteJointDistribution, J: tuple[int, ...],
+                         kind: str) -> list[tuple[Extended, ...]]:
+    """Candidate conditioning points for the block J, in lexicographic order.
+
+    Equality events run over the support of the J-marginal. Tail events run
+    over the per-coordinate support values with an unbounded sentinel (the
+    events depend on a threshold only through its position relative to the
+    support, so this grid is exhaustive); zero-probability labels are skipped
+    by the caller.
+    """
+    if kind == EQ:
+        return [x for x, _ in d.marginal(list(J)).atoms]
+    axes = d.support_grid()
+    grids = []
+    for j in J:
+        values = list(axes[j - 1])
+        grids.append([NEG_INF] + values if kind == UPPER else values + [POS_INF])
+    return list(itertools.product(*grids))
+
+
+class _CellContext:
+    """Per-cell machinery: event masks, cached conditional laws, cached orders.
+
+    The screen runs on integer conditional laws keyed by packed ranks of the
+    observed columns; Fraction conditional laws are built only for verify
+    mode and for the witness search.
+    """
+
+    def __init__(self, d, view, J, kind, variant, caps, st_mode):
+        self.d = d
+        self.J = J
+        self.kind = kind
+        self.variant = variant
+        self.caps = caps
+        self.st_mode = st_mode
+        self.i_max = tuple(j for j in range(1, d.dim + 1) if j not in J)
+        self.cols = [j - 1 for j in self.i_max]
+        self.weights, ranks, sizes = view
+        packing = RankPacking([sizes[c] for c in self.cols])
+        self.guards = packing.guards
+        self.keys = [packing.pack([r[c] for c in self.cols]) for r in ranks]
+        self.int_cache: dict[int, IntegerLaw] = {}
+        self.law_cache: dict[int, FiniteJointDistribution] = {}
+        self.proj_cache: dict[tuple[int, tuple[int, ...]], FiniteJointDistribution] = {}
+        self.st_cache: dict[tuple[int, int], bool] = {}
+        self.st_checks = 0
+        self.upper_sets = 0
+
+    def mask_of(self, label) -> int:
+        event = _tail_event(self.kind, self.variant, self.J, label)
+        mask = 0
+        for k, (x, _) in enumerate(self.d.atoms):
+            if event.matches(x):
+                mask |= 1 << k
+        return mask
+
+    def int_law(self, mask: int) -> IntegerLaw:
+        law = self.int_cache.get(mask)
+        if law is None:
+            law = self.int_cache[mask] = masked_law(mask, self.keys, self.weights)
+        return law
+
+    def law(self, mask: int) -> FiniteJointDistribution:
+        cached = self.law_cache.get(mask)
+        if cached is not None:
+            return cached
+        merged: dict[Vector, Fraction] = {}
+        total = ZERO
+        m = mask
+        atoms = self.d.atoms
+        while m:
+            low = m & -m
+            k = low.bit_length() - 1
+            m ^= low
+            x, p = atoms[k]
+            total += p
+            key = tuple(x[c] for c in self.cols)
+            merged[key] = merged.get(key, ZERO) + p
+        law = FiniteJointDistribution(
+            len(self.cols), tuple(sorted((x, p / total) for x, p in merged.items()))
+        )
+        self.law_cache[mask] = law
+        return law
+
+    def projected(self, mask: int, block: tuple[int, ...]) -> FiniteJointDistribution:
+        if block == self.i_max:
+            return self.law(mask)
+        key = (mask, block)
+        cached = self.proj_cache.get(key)
+        if cached is None:
+            positions = [self.i_max.index(j) + 1 for j in block]
+            cached = self.law(mask).marginal(positions)
+            self.proj_cache[key] = cached
+        return cached
+
+    def st_screen(self, mask_lo: int, mask_hi: int) -> bool:
+        """Does [X_Imax | high] <=st [X_Imax | low]?
+
+        Verify mode also sweeps the upper sets of the Fraction laws and
+        raises if the two oracles disagree.
+        """
+        key = (mask_lo, mask_hi)
+        cached = self.st_cache.get(key)
+        if cached is None:
+            flows, _ = integer_coupling(self.int_law(mask_hi), self.int_law(mask_lo),
+                                        self.guards)
+            cached = flows is not None
+            if self.st_mode == "verify":
+                by_sets = st_leq_uppersets(self.law(mask_hi), self.law(mask_lo),
+                                           caps=self.caps)
+                require_agreement(cached, by_sets.holds)
+                # counted as st_leq reports it: a TRUE verdict is the
+                # coupling's, which examines no upper set
+                if not cached:
+                    self.upper_sets += by_sets.upper_sets_examined
+            self.st_cache[key] = cached
+            self.st_checks += 1
+        return cached
+
+
+def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
+    d, view, J, kind, variant, caps, st_mode = args
+    ctx = _CellContext(d, view, J, kind, variant, caps, st_mode)
+    labels = _conditioning_labels(d, J, kind)
+    masks = {}
+    for label in labels:
+        mask = ctx.mask_of(label)
+        if mask:
+            masks[label] = mask
+    live = [lab for lab in labels if lab in masks]
+
+    pairs_examined = 0
+    for a_pos, low in enumerate(live):
+        for high in live[a_pos + 1:]:
+            if not _ext_leq(low, high):
+                continue
+            pairs_examined += 1
+            mask_lo, mask_hi = masks[low], masks[high]
+            if mask_lo == mask_hi:
+                continue  # identical events, identical conditional laws
+            if ctx.st_screen(mask_lo, mask_hi):
+                continue
+            # violation somewhere; locate the minimal observed block
+            for block in _subsets(ctx.i_max):
+                law_hi = ctx.projected(mask_hi, block)
+                law_lo = ctx.projected(mask_lo, block)
+                sub = st_leq(law_hi, law_lo, mode=st_mode, caps=caps)
+                ctx.st_checks += 1
+                ctx.upper_sets += sub.upper_sets_examined
+                if sub.holds:
+                    continue
+                violation = _deterministic_upper_violation(ctx, law_hi, law_lo)
+                witness = RegressionWitness(
+                    kind=kind, variant=variant, given=J, observed=block,
+                    point_low=low, point_high=high, violation=violation,
+                    mean_low=_coordinate_means(law_lo),
+                    mean_high=_coordinate_means(law_hi),
+                )
+                stats = CheckStats(cells=1, conditioning_pairs=pairs_examined,
+                                   st_checks=ctx.st_checks, upper_sets=ctx.upper_sets)
+                return witness, stats
+            raise InternalConsistencyError(
+                "full-block comparison failed but every sub-block passed"
+            )
+    return None, CheckStats(cells=1, conditioning_pairs=pairs_examined,
+                            st_checks=ctx.st_checks, upper_sets=ctx.upper_sets)
+
+
+def _scan_conjecture_partition(args):
+    d, raised, lowered, pinned, observed, caps, st_mode = args
+    atoms = d.atoms
+    axes = d.support_grid()
+
+    # a label is (t_raised, t_lowered, t_pinned) with per-block tuples
+    raised_grid = list(itertools.product(*(axes[j - 1] for j in raised)))
+    lowered_grid = list(itertools.product(*(axes[j - 1] for j in lowered)))
+    pinned_grid = ([x for x, _ in d.marginal(list(pinned)).atoms]
+                   if pinned else [()])
+
+    def mask_of(label) -> int:
+        t_r, t_l, t_p = label
+        mask = 0
+        for k, (x, _) in enumerate(atoms):
+            ok = all(x[j - 1] >= t for j, t in zip(raised, t_r))
+            ok = ok and all(x[j - 1] <= t for j, t in zip(lowered, t_l))
+            ok = ok and all(x[j - 1] == t for j, t in zip(pinned, t_p))
+            if ok:
+                mask |= 1 << k
+        return mask
+
+    labels = [
+        (t_r, t_l, t_p)
+        for t_r in raised_grid
+        for t_l in lowered_grid
+        for t_p in pinned_grid
+    ]
+    masks = {}
+    for label in labels:
+        m = mask_of(label)
+        if m:
+            masks[label] = m
+    live = [lab for lab in labels if lab in masks]
+
+    cols = [j - 1 for j in observed]
+
+    def law(mask: int) -> FiniteJointDistribution:
+        merged: dict[Vector, Fraction] = {}
+        total = ZERO
+        m = mask
+        while m:
+            low = m & -m
+            k = low.bit_length() - 1
+            m ^= low
+            x, p = atoms[k]
+            total += p
+            key = tuple(x[c] for c in cols)
+            merged[key] = merged.get(key, ZERO) + p
+        return FiniteJointDistribution(
+            len(cols), tuple(sorted((x, p / total) for x, p in merged.items()))
+        )
+
+    law_cache: dict[int, FiniteJointDistribution] = {}
+    st_cache: dict[tuple[int, int], bool] = {}
+    pairs = 0
+    st_checks = 0
+    for a_pos, low in enumerate(live):
+        for high in live[a_pos + 1:]:
+            flat_low = low[0] + low[1] + low[2]
+            flat_high = high[0] + high[1] + high[2]
+            if not _ext_leq(flat_low, flat_high):
+                continue
+            pairs += 1
+            m_lo, m_hi = masks[low], masks[high]
+            if m_lo == m_hi:
+                continue
+            key = (m_lo, m_hi)
+            cached = st_cache.get(key)
+            if cached is None:
+                for m in (m_lo, m_hi):
+                    if m not in law_cache:
+                        law_cache[m] = law(m)
+                verdict = st_leq(law_cache[m_hi], law_cache[m_lo],
+                                 mode=st_mode, caps=caps)
+                st_checks += 1
+                cached = verdict.holds
+                st_cache[key] = cached
+            if cached:
+                continue
+            law_hi, law_lo = law_cache[m_hi], law_cache[m_lo]
+            violation = st_leq_uppersets(law_hi, law_lo, caps=caps).violation
+            witness = ConjectureWitness(
+                raised=raised, lowered=lowered, pinned=pinned, observed=observed,
+                triple_low=low, triple_high=high, violation=violation,
+            )
+            return witness, CheckStats(cells=1, conditioning_pairs=pairs,
+                                       st_checks=st_checks)
+    return None, CheckStats(cells=1, conditioning_pairs=pairs, st_checks=st_checks)
+
+
+def check_regression(d, kind, prop, max_j=None, variant=WEAK, caps=None, st_mode="fast"):
+    """The regression-family checker over the reference cells, run in order."""
+    caps = caps or default_caps()
+    limit = d.dim - 1 if max_j is None else min(max_j, d.dim - 1)
+    view = integer_view(d)
+    total = CheckStats()
+    witness = None
+    for J in _subsets(range(1, d.dim + 1), limit):
+        witness, stats = _scan_regression_cell((d, view, J, kind, variant, caps, st_mode))
+        total = total.plus(stats)
+        if witness is not None:
+            break
+    restricted = limit < d.dim - 1
+    return Verdict(prop, witness is None, witness, total,
+                   definitive=witness is not None or not restricted)
+
+
+REGRESSION_KINDS = (("nrd", EQ), ("nltd", LOWER), ("nrtd", UPPER))

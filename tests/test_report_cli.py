@@ -4,15 +4,18 @@ from fractions import Fraction
 import pytest
 
 from negdep import (
+    audit_implications,
     check_na,
     check_nltd,
     check_nrd,
+    check_nrtd,
     check_nsmd,
     make_pmf,
     to_json_dict,
 )
+from negdep.checks import PROPERTIES
 from negdep.cli import main
-from negdep.errors import Caps
+from negdep.errors import CAPS_ENV_VAR, Caps
 from negdep.report import (
     Report,
     build_check_report,
@@ -170,6 +173,66 @@ class TestCheck:
         main(["check", table1_file, "--props", "nod", "--timing",
               "--jobs", "1", "-o", str(path)])
         assert "timing_ms" in json.loads(path.read_text())
+
+
+class TestPropertyRegistry:
+    def test_cli_accepts_exactly_the_registry_names(self, tmp_path, capsys):
+        path = tmp_path / "law.json"
+        path.write_text(canonical_json(to_json_dict(make_pmf(
+            2, [((0, 1), F(1, 2)), ((1, 0), F(1, 2))]))))
+        for name in PROPERTIES:
+            assert main(["check", str(path), "--props", name, "--jobs", "1"]) in (0, 1)
+        for name in ("nrd2", "nmd", "property", "conjecture"):
+            assert main(["check", str(path), "--props", name, "--jobs", "1"]) == 2
+            assert f"unknown property {name!r}" in capsys.readouterr().err
+
+    def test_audit_verdicts_follow_registry_order(self, table1):
+        report = audit_implications(table1)
+        assert list(report.verdicts) == list(PROPERTIES) == [
+            "nlod", "nuod", "nod", "na", "nsmd", "nrd", "nltd", "nrtd",
+            "nrd1", "nltd1", "nrtd1"]
+        assert all(v.prop == name for name, v in report.verdicts.items())
+
+
+_BAD_CAPS = ("foo", "upper_sets=abc", "upper_sets=0", "lp_vars=-3", "upper_sets=")
+_CAPS_COMMANDS = (["reproduce", "ex-3.2"], ["conjecture", "-n", "2"])
+
+
+class TestBadInputExitCodes:
+    @pytest.mark.parametrize("caps", _BAD_CAPS)
+    def test_bad_caps_flag_exit_two(self, caps, table1_file, capsys):
+        for command in (["check", table1_file, "--props", "nod"], *_CAPS_COMMANDS):
+            assert main([*command, "--caps", caps, "--jobs", "1"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad caps item")
+            assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("caps", _BAD_CAPS)
+    def test_bad_caps_env_var_exit_two(self, caps, table1_file, capsys, monkeypatch):
+        monkeypatch.setenv(CAPS_ENV_VAR, caps)
+        for command in (["check", table1_file, "--props", "nod"], *_CAPS_COMMANDS):
+            assert main([*command, "--jobs", "1"]) == 2
+            assert capsys.readouterr().err.startswith("error: bad caps item")
+
+    def test_cap_values_below_one_rejected(self):
+        for text in ("upper_sets=0", "lp_vars=-1", "upper_sets=1,lp_vars=0"):
+            with pytest.raises(ValueError, match="positive integer"):
+                Caps().with_overrides(text)
+        assert Caps().with_overrides("upper_sets=1, lp_vars=2") == Caps(1, 2)
+
+    @pytest.mark.parametrize("max_j", ["0", "-1"])
+    def test_max_j_below_one_exit_two(self, max_j, table1_file, capsys):
+        for prop in ("na", "nrd", "nltd", "nrtd"):
+            assert main(["check", table1_file, "--props", prop, "--max-j", max_j,
+                         "--jobs", "1"]) == 2
+            assert "must be at least 1" in capsys.readouterr().err
+
+    def test_block_caps_below_one_raise(self, table1):
+        for check in (check_nrd, check_nltd, check_nrtd):
+            with pytest.raises(ValueError, match="max_j"):
+                check(table1, max_j=0)
+        with pytest.raises(ValueError, match="max_block"):
+            check_na(table1, max_block=0)
 
 
 class TestReproduceCli:

@@ -13,7 +13,7 @@ from negdep import (
     st_leq_coupling,
     st_leq_uppersets,
 )
-from negdep.checks import _CellContext
+from negdep.checks import _CellContext, _label_masks
 from negdep.errors import Caps
 from negdep.stochorder import (
     _pack_ranks,
@@ -174,7 +174,7 @@ def parent_law_and_masks(draw):
 
 
 def _cell(d, J):
-    return _CellContext(d, integer_view(d), J, "eq", "weak", Caps(), "fast")
+    return _CellContext(d, integer_view(d), J, Caps(), "fast")
 
 
 class TestIntegerKernel:
@@ -201,7 +201,9 @@ class TestIntegerKernel:
 
     def _holding_case(self, table1):
         ctx = _cell(table1, (1,))
-        lo, hi = ctx.mask_of((F(0),)), ctx.mask_of((F(2),))
+        # the values 0 and 2 of coordinate 1 have ranks 0 and 2
+        masks = dict(_label_masks(integer_view(table1), (), [0], sentinel=False))
+        lo, hi = masks[(0,)], masks[(2,)]
         lx, ly = ctx.int_law(hi), ctx.int_law(lo)
         flows, _ = integer_coupling(lx, ly, ctx.guards)
         assert flows is not None
