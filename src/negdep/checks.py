@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
 from fractions import Fraction
 from operator import add, gt, le, mul, or_
 from typing import Callable, Mapping, Sequence
@@ -65,7 +66,7 @@ from .stochorder import (
     st_leq,
     st_leq_uppersets,
 )
-from .supermodular import GridFunction, supermodular_leq, verify_supermodular_witness
+from .supermodular import GridFunction, orthant_sums, supermodular_leq, verify_supermodular_witness
 from .uppersets import UpperSet, enumerate_upper_index_sets, from_members
 
 ZERO = Fraction(0)
@@ -179,30 +180,6 @@ def _subsets(indices: Sequence[int], max_size: int | None = None) -> list[tuple[
 
 # -- orthant dependence -------------------------------------------------------
 
-def _cumulate(cells: list[int], step: int, size: int, reverse: bool) -> None:
-    """Prefix sums of the flat grid along one axis, or suffix sums if reverse.
-
-    Position k of the axis with stride ``step`` is the run of ``step`` cells
-    at ``k * step`` in every block of ``step * size`` cells. Each position
-    takes in its neighbour's sums one slice at a time: one contiguous slice
-    per block, or one strided slice across the blocks per offset within the
-    run, whichever are fewer.
-    """
-    period = step * size
-    blocks = len(cells) // period
-    for k in (range(size - 2, -1, -1) if reverse else range(1, size)):
-        dst = k * step
-        src = dst + step if reverse else dst - step
-        if blocks <= step:
-            for base in range(0, len(cells), period):
-                lo, hi = base + dst, base + src
-                cells[lo:lo + step] = map(add, cells[lo:lo + step], cells[hi:hi + step])
-        else:
-            for j in range(step):
-                cells[dst + j::period] = map(add, cells[dst + j::period],
-                                             cells[src + j::period])
-
-
 def _orthant_scan(d: FiniteJointDistribution, side: str, view=None) -> Verdict:
     """Compare the joint orthant mass with the product of marginal masses.
 
@@ -236,8 +213,7 @@ def _orthant_scan(d: FiniteJointDistribution, side: str, view=None) -> Verdict:
     cells = [0] * acc
     for r, w in zip(ranks, weights):
         cells[sum(k * step for k, step in zip(r, strides))] += w
-    for step, size in zip(strides, ext_sizes):
-        _cumulate(cells, step, size, upper)
+    orthant_sums(cells, ext_sizes, upper)
 
     # an axis's marginal line runs through the corner that constrains no
     # other axis; the outer products lay the grid out in the same flat order
@@ -274,7 +250,11 @@ def check_nuod(d: FiniteJointDistribution) -> Verdict:
 
 def check_nod(d: FiniteJointDistribution) -> Verdict:
     """Both orthant bounds, on one integer view of the law."""
-    view = integer_view(d)
+    return _check_nod(d)
+
+
+def _check_nod(d: FiniteJointDistribution, view=None) -> Verdict:
+    view = view or integer_view(d)
     lower = _orthant_scan(d, "lower", view)
     if not lower.holds:
         return replace(lower, prop="nod")
@@ -358,11 +338,15 @@ def check_na(d: FiniteJointDistribution, max_block: int | None = None,
     upper-set indicators plus constants, and constants drop out of the
     covariance, so this family of rectangle inequalities is exhaustive.
     """
+    return _check_na(d, max_block, caps, jobs)
+
+
+def _check_na(d, max_block, caps, jobs, view=None) -> Verdict:
     _require_joint(d)
     if max_block is not None and max_block < 1:
         raise ValueError(f"max_block must be at least 1, got {max_block}")
     caps = caps or default_caps()
-    view = integer_view(d)
+    view = view or integer_view(d)
     cells = [(d, view, a1, a2, caps) for a1, a2 in _block_pairs(d.dim, max_block)]
     witness, stats = _run_cells(_scan_association_cell, cells, jobs)
     restricted = max_block is not None and max_block < d.dim - 1
@@ -458,10 +442,10 @@ def _ext_leq(a: Sequence[Extended], b: Sequence[Extended]) -> bool:
 class _CellContext:
     """Per-cell machinery: cached conditional laws, cached orders, the pair loop.
 
-    ``given`` is the conditioning block; the observed block is the rest. The
-    screen runs on integer conditional laws keyed by packed ranks of the
-    observed columns; Fraction conditional laws are built only for verify
-    mode and for the witness search.
+    ``given`` is the conditioning block; the observed block is the rest.
+    Every order is decided on integer conditional laws keyed by packed ranks
+    of the columns compared; Fraction conditional laws are read off them
+    only for verify mode's upper-set sweep and for the witness.
     """
 
     def __init__(self, d, view, given, caps, st_mode):
@@ -469,67 +453,63 @@ class _CellContext:
         self.caps = caps
         self.st_mode = st_mode
         self.i_max = tuple(j for j in range(1, d.dim + 1) if j not in given)
-        self.cols = [j - 1 for j in self.i_max]
-        self.weights, ranks, sizes = view
-        packing = RankPacking([sizes[c] for c in self.cols])
-        self.guards = packing.guards
-        self.keys = [packing.pack([r[c] for c in self.cols]) for r in ranks]
-        self.int_cache: dict[int, IntegerLaw] = {}
-        self.law_cache: dict[int, FiniteJointDistribution] = {}
+        self.weights, self.ranks, self.sizes = view
+        self.blocks: dict[tuple[int, ...], tuple[int, list[int], dict]] = {}
+        self.guards = self.block(self.i_max)[0]
         self.st_cache: dict[tuple[int, int], bool] = {}
         self.st_checks = 0
         self.upper_sets = 0
 
-    def int_law(self, mask: int) -> IntegerLaw:
-        law = self.int_cache.get(mask)
+    def block(self, block: tuple[int, ...]):
+        """The guard bits of the block's rank packing, each atom's packed ranks
+        on the block, and the block's integer laws by mask."""
+        entry = self.blocks.get(block)
+        if entry is None:
+            cols = [j - 1 for j in block]
+            packing = RankPacking([self.sizes[c] for c in cols])
+            keys = [packing.pack([r[c] for c in cols]) for r in self.ranks]
+            entry = self.blocks[block] = (packing.guards, keys, {})
+        return entry
+
+    def int_law(self, mask: int, block: tuple[int, ...] | None = None) -> IntegerLaw:
+        """The law of the block (default: the observed one) given ``mask``."""
+        _, keys, cache = self.block(block or self.i_max)
+        law = cache.get(mask)
         if law is None:
-            law = self.int_cache[mask] = masked_law(mask, self.keys, self.weights)
+            law = cache[mask] = masked_law(mask, keys, self.weights)
         return law
 
-    def law(self, mask: int) -> FiniteJointDistribution:
-        cached = self.law_cache.get(mask)
-        if cached is not None:
-            return cached
-        merged: dict[Vector, Fraction] = {}
-        total = ZERO
-        m = mask
-        atoms = self.d.atoms
-        while m:
-            low = m & -m
-            k = low.bit_length() - 1
-            m ^= low
-            x, p = atoms[k]
-            total += p
-            key = tuple(x[c] for c in self.cols)
-            merged[key] = merged.get(key, ZERO) + p
-        law = FiniteJointDistribution(
-            len(self.cols), tuple(sorted((x, p / total) for x, p in merged.items()))
-        )
-        self.law_cache[mask] = law
-        return law
+    def law(self, mask: int, block: tuple[int, ...] | None = None) -> FiniteJointDistribution:
+        """``int_law`` as a Fraction law on the support values."""
+        block = block or self.i_max
+        law, grid = self.int_law(mask, block), self.d.support_grid()
+        ranks = dict(zip(self.block(block)[1], self.ranks))  # key -> an atom's ranks
+        return FiniteJointDistribution(len(block), tuple(
+            (tuple(grid[j - 1][ranks[key][j - 1]] for j in block), Fraction(w, law.total))
+            for key, w in zip(law.keys, law.weights)))
+
+    def decide(self, mask_lo: int, mask_hi: int, block: tuple[int, ...]) -> bool:
+        """Does [X_block | high] <=st [X_block | low]? Verify mode also sweeps
+        the upper sets of both laws and raises if the two oracles disagree."""
+        hi, lo = self.int_law(mask_hi, block), self.int_law(mask_lo, block)
+        holds = integer_coupling(hi, lo, self.block(block)[0])[0] is not None
+        if self.st_mode == "verify":
+            by_sets = st_leq_uppersets(self.law(mask_hi, block), self.law(mask_lo, block),
+                                       caps=self.caps)
+            require_agreement(holds, by_sets.holds)
+            # counted as st_leq reports it: a TRUE verdict is the coupling's,
+            # which examines no upper set
+            if not holds:
+                self.upper_sets += by_sets.upper_sets_examined
+        self.st_checks += 1
+        return holds
 
     def st_screen(self, mask_lo: int, mask_hi: int) -> bool:
-        """Does [X_Imax | high] <=st [X_Imax | low]?
-
-        Verify mode also sweeps the upper sets of the Fraction laws and
-        raises if the two oracles disagree.
-        """
+        """``decide`` on the observed block, cached per pair of events."""
         key = (mask_lo, mask_hi)
         cached = self.st_cache.get(key)
         if cached is None:
-            flows, _ = integer_coupling(self.int_law(mask_hi), self.int_law(mask_lo),
-                                        self.guards)
-            cached = flows is not None
-            if self.st_mode == "verify":
-                by_sets = st_leq_uppersets(self.law(mask_hi), self.law(mask_lo),
-                                           caps=self.caps)
-                require_agreement(cached, by_sets.holds)
-                # counted as st_leq reports it: a TRUE verdict is the
-                # coupling's, which examines no upper set
-                if not cached:
-                    self.upper_sets += by_sets.upper_sets_examined
-            self.st_cache[key] = cached
-            self.st_checks += 1
+            cached = self.st_cache[key] = self.decide(mask_lo, mask_hi, self.i_max)
         return cached
 
     def first_failing_pair(self, labels: list[tuple[tuple[int, ...], int]]):
@@ -590,28 +570,21 @@ def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
         grids = [axes[c] + (POS_INF,) if kind == LOWER
                  else (NEG_INF,) + axes[c] if kind == UPPER else axes[c] for c in cols]
         # violation somewhere; locate the minimal observed block
-        for block in _subsets(ctx.i_max):
-            positions = [ctx.i_max.index(j) + 1 for j in block]
-            law_hi = ctx.law(mask_hi).marginal(positions)
-            law_lo = ctx.law(mask_lo).marginal(positions)
-            sub = st_leq(law_hi, law_lo, mode=st_mode, caps=caps)
-            ctx.st_checks += 1
-            ctx.upper_sets += sub.upper_sets_examined
-            if sub.holds:
-                continue
-            witness = RegressionWitness(
-                kind=kind, variant=variant, given=J, observed=block,
-                point_low=tuple(g[p] for g, p in zip(grids, low)),
-                point_high=tuple(g[p] for g, p in zip(grids, high)),
-                violation=_deterministic_upper_violation(ctx, law_hi, law_lo),
-                mean_low=_coordinate_means(law_lo),
-                mean_high=_coordinate_means(law_hi),
-            )
-            break
-        else:
+        block = next((b for b in _subsets(ctx.i_max)
+                      if not ctx.decide(mask_lo, mask_hi, b)), None)
+        if block is None:
             raise InternalConsistencyError(
                 "full-block comparison failed but every sub-block passed"
             )
+        law_hi, law_lo = ctx.law(mask_hi, block), ctx.law(mask_lo, block)
+        witness = RegressionWitness(
+            kind=kind, variant=variant, given=J, observed=block,
+            point_low=tuple(g[p] for g, p in zip(grids, low)),
+            point_high=tuple(g[p] for g, p in zip(grids, high)),
+            violation=_deterministic_upper_violation(ctx, law_hi, law_lo),
+            mean_low=_coordinate_means(law_lo),
+            mean_high=_coordinate_means(law_hi),
+        )
     return witness, CheckStats(cells=1, conditioning_pairs=pairs_examined,
                                st_checks=ctx.st_checks, upper_sets=ctx.upper_sets)
 
@@ -639,7 +612,7 @@ def _run_cells(scan: Callable, cells: list, jobs: int):
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _check_regression_family(d, kind, prop, max_j, variant, caps, st_mode, jobs):
+def _check_regression_family(d, kind, prop, max_j, variant, caps, st_mode, jobs, view=None):
     _require_joint(d)
     if variant not in (WEAK, STRICT):
         raise ValueError(f"unknown variant {variant!r}")
@@ -648,7 +621,7 @@ def _check_regression_family(d, kind, prop, max_j, variant, caps, st_mode, jobs)
     caps = caps or default_caps()
     limit = d.dim - 1 if max_j is None else min(max_j, d.dim - 1)
     blocks = _subsets(range(1, d.dim + 1), limit)
-    view = integer_view(d)
+    view = view or integer_view(d)
     cells = [(d, view, J, kind, variant, caps, st_mode) for J in blocks]
     witness, stats = _run_cells(_scan_regression_cell, cells, jobs)
     restricted = limit < d.dim - 1
@@ -709,10 +682,7 @@ def check_stoch_increasing(family: Mapping[tuple, FiniteJointDistribution],
             verdict = st_leq(dist, dist2, mode=st_mode, caps=caps)
             stats_st += 1
             if not verdict.holds:
-                violation = verdict.violation
-                if violation is None:
-                    violation = st_leq_uppersets(dist, dist2, caps=caps).violation
-                witness = MonotonicityWitness(theta, theta2, violation)
+                witness = MonotonicityWitness(theta, theta2, verdict.violation)
                 return Verdict("stoch_increasing", False, witness,
                                CheckStats(conditioning_pairs=pairs, st_checks=stats_st))
     return Verdict("stoch_increasing", True, None,
@@ -721,26 +691,37 @@ def check_stoch_increasing(family: Mapping[tuple, FiniteJointDistribution],
 
 # -- implication audit ---------------------------------------------------------
 
+def _regression_entry(kind: str, prop: str) -> Callable[..., Verdict]:
+    """A PROPERTIES entry; a name ending in 1 conditions on one coordinate at
+    a time, which is definitive, as in ``check_nrd1``."""
+    base = prop.rstrip("1")
+
+    def run(d, view, max_j, variant, caps, st_mode, jobs):
+        v = _check_regression_family(d, kind, base, max_j if base == prop else 1,
+                                     WEAK if kind == EQ else variant, caps, st_mode, jobs, view())
+        return v if base == prop else replace(v, prop=prop, definitive=True)
+    return run
+
+
 #: Every property, in audit order, with its checker called on
-#: (d, max_j, variant, caps, st_mode, jobs). A checker ignores the settings
-#: it has no use for; NA reads max_j as its block cap.
+#: (d, view, max_j, variant, caps, st_mode, jobs), where ``view()`` returns
+#: the law's ``integer_view``, built on first use. A checker ignores the
+#: settings it has no use for; NA reads max_j as its block cap.
 PROPERTIES: dict[str, Callable[..., Verdict]] = {
-    "nlod": lambda d, max_j, variant, caps, st_mode, jobs: check_nlod(d),
-    "nuod": lambda d, max_j, variant, caps, st_mode, jobs: check_nuod(d),
-    "nod": lambda d, max_j, variant, caps, st_mode, jobs: check_nod(d),
-    "na": lambda d, max_j, variant, caps, st_mode, jobs: check_na(d, max_j, caps, jobs),
-    "nsmd": lambda d, max_j, variant, caps, st_mode, jobs: check_nsmd(d, caps),
-    "nrd": lambda d, max_j, variant, caps, st_mode, jobs:
-        check_nrd(d, max_j, caps, st_mode, jobs),
-    "nltd": lambda d, max_j, variant, caps, st_mode, jobs:
-        check_nltd(d, max_j, variant, caps, st_mode, jobs),
-    "nrtd": lambda d, max_j, variant, caps, st_mode, jobs:
-        check_nrtd(d, max_j, variant, caps, st_mode, jobs),
-    "nrd1": lambda d, max_j, variant, caps, st_mode, jobs: check_nrd1(d, caps, st_mode, jobs),
-    "nltd1": lambda d, max_j, variant, caps, st_mode, jobs:
-        check_nltd1(d, variant, caps, st_mode, jobs),
-    "nrtd1": lambda d, max_j, variant, caps, st_mode, jobs:
-        check_nrtd1(d, variant, caps, st_mode, jobs),
+    "nlod": lambda d, view, max_j, variant, caps, st_mode, jobs:
+        _orthant_scan(d, "lower", view()),
+    "nuod": lambda d, view, max_j, variant, caps, st_mode, jobs:
+        _orthant_scan(d, "upper", view()),
+    "nod": lambda d, view, max_j, variant, caps, st_mode, jobs: _check_nod(d, view()),
+    "na": lambda d, view, max_j, variant, caps, st_mode, jobs:
+        _check_na(d, max_j, caps, jobs, view()),
+    "nsmd": lambda d, view, max_j, variant, caps, st_mode, jobs: check_nsmd(d, caps),
+    "nrd": _regression_entry(EQ, "nrd"),
+    "nltd": _regression_entry(LOWER, "nltd"),
+    "nrtd": _regression_entry(UPPER, "nrtd"),
+    "nrd1": _regression_entry(EQ, "nrd1"),
+    "nltd1": _regression_entry(LOWER, "nltd1"),
+    "nrtd1": _regression_entry(UPPER, "nrtd1"),
 }
 
 #: Implications safe to assert between definitive verdicts. The open
@@ -776,9 +757,10 @@ def audit_implications(d: FiniteJointDistribution, max_j: int | None = None,
     verdicts: dict[str, Verdict] = {}
     skipped: dict[str, str] = {}
 
+    view = cache(lambda: integer_view(d))
     for name, run in PROPERTIES.items():
         try:
-            verdicts[name] = run(d, max_j, WEAK, caps, st_mode, jobs)
+            verdicts[name] = run(d, view, max_j, WEAK, caps, st_mode, jobs)
         except (EnumerationCapExceeded, GridTooLarge) as exc:
             skipped[name] = f"{type(exc).__name__}: {exc}"
 
@@ -820,8 +802,7 @@ class ConjectureReport:
 
 
 def _scan_conjecture_partition(args):
-    d, raised, lowered, pinned, observed, caps, st_mode = args
-    view = integer_view(d)
+    d, view, raised, lowered, pinned, observed, caps, st_mode = args
     ctx = _CellContext(d, view, raised + lowered + pinned, caps, st_mode)
     # a label is the raised thresholds' positions, then the lowered ones',
     # then the pinned block's ranks
@@ -867,6 +848,7 @@ def check_conjecture(values: Sequence, max_n: int = 5,
         raise ValueError("need at least two values")
     caps = caps or default_caps()
     d = permutation_distribution(values)
+    view = integer_view(d)
     n = d.dim
 
     partitions = []
@@ -879,7 +861,7 @@ def check_conjecture(values: Sequence, max_n: int = 5,
             continue
         if not (raised or lowered or pinned):
             continue  # nothing to vary
-        partitions.append((d, raised, lowered, pinned, observed, caps, st_mode))
+        partitions.append((d, view, raised, lowered, pinned, observed, caps, st_mode))
 
     witness, stats = _run_cells(_scan_conjecture_partition, partitions, jobs)
     if witness is not None:
@@ -927,17 +909,11 @@ def verify_witness(d: FiniteJointDistribution, verdict: Verdict) -> None:
     w = verdict.witness
     if isinstance(w, OrthantWitness):
         n = d.dim
-        if w.side == "lower":
-            event = lower_event(range(1, n + 1), w.corner, strict=False)
-            prod = ONE
-            for j in range(1, n + 1):
-                prod *= d.marginal([j]).mass_of(lower_event([1], [w.corner[j - 1]]))
-        else:
-            event = upper_event(range(1, n + 1), w.corner, strict=True)
-            prod = ONE
-            for j in range(1, n + 1):
-                prod *= d.marginal([j]).mass_of(upper_event([1], [w.corner[j - 1]]))
-        joint = d.mass_of(event)
+        tail = lower_event if w.side == "lower" else upper_event  # {X <= x} or {X > x}
+        prod = ONE
+        for j in range(1, n + 1):
+            prod *= d.marginal([j]).mass_of(tail([1], [w.corner[j - 1]]))
+        joint = d.mass_of(tail(range(1, n + 1), w.corner))
         if not (joint == w.joint and prod == w.product and joint > prod):
             raise InternalConsistencyError("orthant witness failed re-verification")
         return

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from .checks import PROPERTIES, check_conjecture
 from .distributions import from_json_dict, to_json_dict
@@ -33,6 +34,7 @@ from .report import (
     build_fixture_report,
     canonical_json,
 )
+from .stochorder import integer_view
 from .tournaments import model_spec_from_json, round_robin_distribution, RoundRobinSpec
 from .tournaments import knockout_distribution
 
@@ -107,6 +109,7 @@ def _cmd_check(args) -> int:
     verdicts = []
     timings = {}
     exit_code = 0
+    view = cache(lambda: integer_view(d))
     try:
         for prop in props:
             runner = PROPERTIES.get(prop)
@@ -115,7 +118,7 @@ def _cmd_check(args) -> int:
                 return 2
             t0 = time.monotonic()
             try:
-                verdict = runner(d, args.max_j, args.variant, caps, args.st_mode, args.jobs)
+                verdict = runner(d, view, args.max_j, args.variant, caps, args.st_mode, args.jobs)
             except ValueError as exc:  # e.g. a law of dimension 1
                 print(f"error: {exc}", file=sys.stderr)
                 return 2

@@ -218,24 +218,29 @@ def _require_same_dim(dX, dY):
 
 def st_leq_uppersets(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
                      caps: Caps | None = None) -> StVerdict:
-    """Decide X <=st Y by sweeping every upper set of the union support."""
+    """Decide X <=st Y by sweeping every upper set of the union support, on
+    integer weights compared cross-multiplied; only a violation gets Fractions."""
     _require_same_dim(dX, dY)
     caps = caps or default_caps()
-    px = dX.as_dict()
-    py = dY.as_dict()
+    wx, wy = integer_weights(dX), integer_weights(dY)
+    tx, ty = sum(wx), sum(wy)
+    px = dict(zip((x for x, _ in dX.atoms), wx))
+    py = dict(zip((y for y, _ in dY.atoms), wy))
     points = sorted(set(px) | set(py))
-    zero = Fraction(0)
+    wx = [px.get(p, 0) for p in points]
+    wy = [py.get(p, 0) for p in points]
     examined = 0
     for idx in enumerate_upper_index_sets(points, cap=caps.max_upper_sets):
         examined += 1
-        mass_x = sum((px.get(points[i], zero) for i in idx), zero)
-        mass_y = sum((py.get(points[i], zero) for i in idx), zero)
-        if mass_x > mass_y:
+        mass_x = sum(map(wx.__getitem__, idx))
+        mass_y = sum(map(wy.__getitem__, idx))
+        if mass_x * ty > mass_y * tx:
             members = tuple(points[i] for i in idx)
             return StVerdict(
                 holds=False,
                 method="uppersets",
-                violation=UpperSetViolation(from_members(members), mass_x, mass_y),
+                violation=UpperSetViolation(from_members(members), Fraction(mass_x, tx),
+                                            Fraction(mass_y, ty)),
                 upper_sets_examined=examined,
             )
     return StVerdict(holds=True, method="uppersets", upper_sets_examined=examined)

@@ -15,8 +15,10 @@ maximizing psi as a witness, when it fails.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .distributions import FiniteJointDistribution, Vector
 from .errors import Caps, GridTooLarge, InternalConsistencyError, default_caps
@@ -118,6 +120,35 @@ def _grid_cells(sizes: list[int]) -> list[tuple[int, int, int, int]]:
     return cells
 
 
+def orthant_sums(cells: list[int], sizes: list[int], reverse: bool) -> list[int]:
+    """The flat lex grid summed over every lower orthant, or every upper one
+    if reverse, in place, by prefix (suffix) sums along one axis at a time.
+
+    Position k of the axis with stride ``step`` is the run of ``step`` cells
+    at ``k * step`` in every block of ``step * size`` cells. Each position
+    takes in its neighbour's sums one slice at a time: one contiguous slice
+    per block, or one strided slice across the blocks per offset within the
+    run, whichever are fewer.
+    """
+    step = len(cells)
+    for size in sizes:
+        step //= size
+        period = step * size
+        blocks = len(cells) // period
+        for k in (range(size - 2, -1, -1) if reverse else range(1, size)):
+            dst = k * step
+            src = dst + step if reverse else dst - step
+            if blocks <= step:
+                for base in range(0, len(cells), period):
+                    lo, hi = base + dst, base + src
+                    cells[lo:lo + step] = map(add, cells[lo:lo + step], cells[hi:hi + step])
+            else:
+                for j in range(step):
+                    cells[dst + j::period] = map(add, cells[dst + j::period],
+                                                 cells[src + j::period])
+    return cells
+
+
 def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
                      caps: Caps | None = None) -> SupermodularVerdict:
     """Decide X <=sm Y (all supermodular expectations ordered), exactly.
@@ -125,7 +156,9 @@ def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
     The order holds iff the box LP's optimum is 0, which by LP duality is
     the same as p_Y - p_X being a nonnegative combination of elementary
     transfer vectors delta(x) - delta(x+e_i) - delta(x+e_j) + delta(x+e_i+e_j)
-    (constant functions make the box shift cancel out). The feasibility
+    (constant functions make the box shift cancel out). Orthant indicators
+    are supermodular, so a negative sum of p_Y - p_X over a lower or upper
+    orthant already rules the transfers out. Otherwise the feasibility
     system is solved first — it is far less degenerate — and its certificate
     is re-verified by direct summation; only a failed order runs the box LP,
     to maximize the gap and extract the witness psi.
@@ -147,54 +180,55 @@ def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
     index = {point: k for k, point in enumerate(grid)}
     sizes = [len(ax) for ax in axes]
     cells = _grid_cells(sizes)
-    one = Fraction(1)
 
-    # signed target measure r = p_Y - p_X on the grid
-    r = [Fraction(0)] * len(grid)
-    for x, p in dX.atoms:
-        r[index[x]] -= p
-    for y, q in dY.atoms:
-        r[index[y]] += q
+    # signed target measure r = p_Y - p_X on the grid, as integers over scale
+    scale = math.lcm(*(p.denominator for _, p in dX.atoms + dY.atoms))
+    r = [0] * len(grid)
+    for atoms, sign in ((dX.atoms, -1), (dY.atoms, 1)):
+        for x, p in atoms:
+            r[index[x]] += sign * p.numerator * (scale // p.denominator)
     if sum(r) != 0:
         raise InternalConsistencyError("signed measure does not balance")
 
-    # feasibility: sum of lambda_c * transfer_c == r, lambda >= 0
-    rows: dict[int, dict[int, Fraction]] = {k: {} for k in range(len(grid))}
-    for c, (k, k1, k2, k12) in enumerate(cells):
-        rows[k][c] = rows[k].get(c, Fraction(0)) + one
-        rows[k12][c] = rows[k12].get(c, Fraction(0)) + one
-        rows[k1][c] = rows[k1].get(c, Fraction(0)) - one
-        rows[k2][c] = rows[k2].get(c, Fraction(0)) - one
-    feas = simplex_solve(LinearProgram(
-        num_vars=len(cells),
-        objective={},
-        constraints=(),
-        equalities=[(rows[k], r[k]) for k in range(len(grid))],
-    ))
-    if feas.status == OPTIMAL:
-        # re-check the transfer certificate by direct summation
-        achieved = [Fraction(0)] * len(grid)
-        for c, lam in enumerate(feas.solution):
-            if lam:
-                if lam < 0:
-                    raise InternalConsistencyError("negative transfer coefficient")
-                k, k1, k2, k12 = cells[c]
-                achieved[k] += lam
-                achieved[k12] += lam
-                achieved[k1] -= lam
-                achieved[k2] -= lam
-        if achieved != r:
-            raise InternalConsistencyError("transfer certificate does not reproduce p_Y - p_X")
-        return SupermodularVerdict(True, Fraction(0), None, len(grid))
+    # feasibility: sum of lambda_c * transfer_c == r, lambda >= 0, unless a
+    # negative orthant sum of r rules it out (docs/theory.md section 5)
+    if not any(min(orthant_sums(list(r), sizes, reverse)) < 0 for reverse in (False, True)):
+        target = [Fraction(v, scale) for v in r]
+        rows: dict[int, dict[int, int]] = {k: {} for k in range(len(grid))}
+        for c, cell in enumerate(cells):
+            for k, sign in zip(cell, (1, -1, -1, 1)):
+                rows[k][c] = sign
+        feas = simplex_solve(LinearProgram(
+            num_vars=len(cells),
+            objective={},
+            constraints=(),
+            equalities=[(rows[k], target[k]) for k in range(len(grid))],
+        ))
+        if feas.status == OPTIMAL:
+            # re-check the transfer certificate by direct summation
+            achieved = [Fraction(0)] * len(grid)
+            for c, lam in enumerate(feas.solution):
+                if lam:
+                    if lam < 0:
+                        raise InternalConsistencyError("negative transfer coefficient")
+                    k, k1, k2, k12 = cells[c]
+                    achieved[k] += lam
+                    achieved[k12] += lam
+                    achieved[k1] -= lam
+                    achieved[k2] -= lam
+            if achieved != target:
+                raise InternalConsistencyError(
+                    "transfer certificate does not reproduce p_Y - p_X")
+            return SupermodularVerdict(True, Fraction(0), None, len(grid))
 
     # order violated: maximize the gap over the box-bounded cone for a witness
-    constraints: list[tuple[dict[int, Fraction], Fraction]] = []
+    constraints: list[tuple[dict[int, int], int]] = []
     for k, k1, k2, k12 in cells:
         # -(psi(up12) - psi(up1) - psi(up2) + psi(x)) <= 0
-        constraints.append(({k12: -one, k1: one, k2: one, k: -one}, Fraction(0)))
+        constraints.append(({k12: -1, k1: 1, k2: 1, k: -1}, 0))
     for k in range(len(grid)):
-        constraints.append(({k: one}, Fraction(2)))  # shifted box: 0 <= phi <= 2
-    objective = {k: -v for k, v in enumerate(r) if v}
+        constraints.append(({k: 1}, 2))  # shifted box: 0 <= phi <= 2
+    objective = {k: Fraction(-v, scale) for k, v in enumerate(r) if v}
 
     result: SimplexResult = simplex_solve(
         LinearProgram(num_vars=len(grid), objective=objective, constraints=constraints)

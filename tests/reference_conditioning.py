@@ -4,10 +4,17 @@ This is the conditioning engine as it was before both scans moved onto the
 per-axis ranks of ``integer_view``: labels are tuples of support values, and
 each label's atom mask is built by testing every atom against a Fraction
 ``ConditioningEvent`` (or, for the conjecture, against its own threshold
-comparisons). The code below is kept verbatim apart from the module-level
-names; the differential tests compare the rank-bitset engine against it,
-verdict, witness and stats alike.
+comparisons). Sub-blocks of the witness search are decided by Fraction
+``st_leq`` on marginals of the Fraction conditional laws. The upper-set sweep
+(``st_leq_uppersets``, summing Fractions), the ``st_leq`` that runs it in
+verify mode, and ``_deterministic_upper_violation`` are kept here too, so the
+reference shares no decision code with the engine under test beyond the
+integer coupling kernel. The code below is kept verbatim apart from the
+module-level names; the differential tests compare the rank-bitset engine
+against it, verdict, witness and stats alike.
 """
+
+from __future__ import annotations
 
 import itertools
 from fractions import Fraction
@@ -19,26 +26,87 @@ from negdep.checks import (
     Verdict,
     WEAK,
     _coordinate_means,
-    _deterministic_upper_violation,
     _ext_leq,
     _subsets,
     _tail_event,
 )
 from negdep.distributions import EQ, LOWER, UPPER, FiniteJointDistribution, Vector
-from negdep.errors import InternalConsistencyError, default_caps
+from negdep.errors import Caps, EnumerationCapExceeded, InternalConsistencyError, default_caps
 from negdep.rationals import NEG_INF, POS_INF, Extended
 from negdep.stochorder import (
     IntegerLaw,
     RankPacking,
+    StVerdict,
+    UpperSetViolation,
+    _require_same_dim,
     integer_coupling,
     integer_view,
     masked_law,
     require_agreement,
-    st_leq,
-    st_leq_uppersets,
+    st_leq_coupling,
 )
+from negdep.uppersets import enumerate_upper_index_sets, from_members
 
 ZERO = Fraction(0)
+
+
+def st_leq_uppersets(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
+                     caps: Caps | None = None) -> StVerdict:
+    """Decide X <=st Y by sweeping every upper set of the union support."""
+    _require_same_dim(dX, dY)
+    caps = caps or default_caps()
+    px = dX.as_dict()
+    py = dY.as_dict()
+    points = sorted(set(px) | set(py))
+    zero = Fraction(0)
+    examined = 0
+    for idx in enumerate_upper_index_sets(points, cap=caps.max_upper_sets):
+        examined += 1
+        mass_x = sum((px.get(points[i], zero) for i in idx), zero)
+        mass_y = sum((py.get(points[i], zero) for i in idx), zero)
+        if mass_x > mass_y:
+            members = tuple(points[i] for i in idx)
+            return StVerdict(
+                holds=False,
+                method="uppersets",
+                violation=UpperSetViolation(from_members(members), mass_x, mass_y),
+                upper_sets_examined=examined,
+            )
+    return StVerdict(holds=True, method="uppersets", upper_sets_examined=examined)
+
+
+def st_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
+           mode: str = "fast", caps: Caps | None = None) -> StVerdict:
+    """Decide X <=st Y.
+
+    ``fast`` runs the coupling decider alone; ``verify`` additionally runs
+    the upper-set sweep and treats any disagreement as an internal error.
+    In verify mode a FALSE answer reports the sweep's witness (the first
+    violating upper set in enumeration order).
+    """
+    if mode not in ("fast", "verify"):
+        raise ValueError(f"unknown mode {mode!r}")
+    by_flow = st_leq_coupling(dX, dY)
+    if mode == "fast":
+        return by_flow
+    by_sets = st_leq_uppersets(dX, dY, caps=caps)
+    require_agreement(by_flow.holds, by_sets.holds)
+    return by_flow if by_flow.holds else by_sets
+
+
+def _deterministic_upper_violation(ctx: _CellContext, law_hi, law_lo) -> UpperSetViolation:
+    """First violating upper set in enumeration order, for the witness."""
+    try:
+        verdict = st_leq_uppersets(law_hi, law_lo, caps=ctx.caps)
+        ctx.upper_sets += verdict.upper_sets_examined
+        if not verdict.holds:
+            return verdict.violation
+    except EnumerationCapExceeded:
+        pass
+    verdict = st_leq(law_hi, law_lo, mode="fast")
+    if verdict.holds:
+        raise InternalConsistencyError("screen failed but no violation found")
+    return verdict.violation
 
 
 def _conditioning_labels(d: FiniteJointDistribution, J: tuple[int, ...],

@@ -5,6 +5,7 @@ import pytest
 
 from negdep import EnumerationCapExceeded, check_conjecture, default_caps, make_pmf
 from negdep.checks import _reverify_conjecture_witness, _scan_conjecture_partition
+from negdep.stochorder import integer_view
 
 F = Fraction
 
@@ -53,7 +54,7 @@ def test_partition_scanner_finds_violations_on_dependent_laws():
     # coordinate's lower bound pushes the second coordinate up
     com = make_pmf(2, [((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
     witness, stats = _scan_conjecture_partition(
-        (com, (1,), (), (), (2,), default_caps(), "fast")
+        (com, integer_view(com), (1,), (), (), (2,), default_caps(), "fast")
     )
     assert witness is not None
     assert witness.raised == (1,)

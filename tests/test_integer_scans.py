@@ -1,20 +1,25 @@
 """The integer orthant and association scans against the Fraction reference,
 and against laws that are negatively associated by theorem."""
 
+import json
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from negdep import (
+    audit_implications,
+    check_conjecture,
     check_na,
     check_nlod,
     check_nod,
     check_nuod,
     checks,
+    cli,
     make_pmf,
     permutation_distribution,
     product,
+    to_json_dict,
     verify_witness,
 )
 
@@ -100,3 +105,38 @@ def test_nod_builds_the_integer_view_once(monkeypatch):
     verdict = check_nod(d)
     assert len(calls) == 1
     assert repr(verdict) == repr(ref.check_nod(d))
+
+
+def test_conjecture_builds_the_integer_view_once(monkeypatch):
+    calls = []
+    view = checks.integer_view
+    monkeypatch.setattr(checks, "integer_view", lambda d: calls.append(d) or view(d))
+    report = check_conjecture([0, 1, 1, 2], jobs=1)
+    assert len(calls) == 1
+    assert report.stats.cells > 1
+
+
+def test_audit_builds_one_integer_view_per_law(monkeypatch):
+    calls = []
+    view = checks.integer_view
+    monkeypatch.setattr(checks, "integer_view", lambda d: calls.append(d) or view(d))
+    laws = [permutation_distribution([0, 1, 2]),
+            make_pmf(3, [((0, 0, 1), F(1, 2)), ((1, 1, 1), F(1, 3)), ((1, 2, 0), F(1, 6))])]
+    for d in laws:
+        report = audit_implications(d, jobs=1)
+        assert len(report.verdicts) == len(checks.PROPERTIES)
+    assert calls == laws
+
+
+def test_check_command_builds_the_view_for_the_first_checker_that_reads_it(
+        monkeypatch, tmp_path, capsys):
+    calls = []
+    view = cli.integer_view
+    monkeypatch.setattr(cli, "integer_view", lambda d: calls.append(d) or view(d))
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(to_json_dict(permutation_distribution([0, 1, 2]))))
+    report = str(tmp_path / "report.json")
+    assert cli.main(["check", str(path), "--props", "nsmd", "-o", report]) == 0
+    assert calls == []
+    assert cli.main(["check", str(path), "--props", "nsmd,nlod,nod,nrd1", "-o", report]) == 0
+    assert len(calls) == 1
