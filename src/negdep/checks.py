@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cached_property
 from fractions import Fraction
 from operator import add, gt, le, mul, or_
 from typing import Callable, Mapping, Sequence
@@ -178,9 +179,40 @@ def _subsets(indices: Sequence[int], max_size: int | None = None) -> list[tuple[
     return out
 
 
+class LawCache:
+    """Work shared by the properties decided on one law in one audit or one
+    ``negdep check`` command.
+
+    It holds the law's ``integer_view`` and support grid, each built on first
+    use, the regression cell results keyed by (kind, variant, J) and the
+    orthant verdicts keyed by side. A cell's result also depends on the caps
+    and the st mode, which stay fixed while the cache lives. ``build_view``,
+    when given, is called in place of ``integer_view``.
+    """
+
+    def __init__(self, d: FiniteJointDistribution, build_view: Callable | None = None):
+        self.d = d
+        self._build_view = build_view
+        self.cells: dict[tuple, tuple] = {}
+        self.orthants: dict[str, Verdict] = {}
+
+    @cached_property
+    def view(self):
+        return (self._build_view or integer_view)(self.d)
+
+    @cached_property
+    def grid(self):
+        return self.d.support_grid()
+
+    def __getstate__(self):
+        # a worker process gets the law and the tables built so far, not the
+        # parent's results
+        return dict(vars(self), _build_view=None, cells={}, orthants={})
+
+
 # -- orthant dependence -------------------------------------------------------
 
-def _orthant_scan(d: FiniteJointDistribution, side: str, view=None) -> Verdict:
+def _orthant_scan(work: LawCache, side: str) -> Verdict:
     """Compare the joint orthant mass with the product of marginal masses.
 
     Both sides are step functions jumping only at support values, so the
@@ -196,11 +228,15 @@ def _orthant_scan(d: FiniteJointDistribution, side: str, view=None) -> Verdict:
     Masses are integer weights over the law's common denominator D, so a
     corner fails iff joint * D**(n-1) > product of the marginal weights
     (docs/theory.md section 7). Corners are scanned in flat (lexicographic)
-    order, and the first failing one is the witness. ``view`` is the law's
-    ``integer_view`` when the caller has already built it.
+    order, and the first failing one is the witness. The verdict is kept in
+    ``work``, so a law's scan of each side runs once.
     """
+    cached = work.orthants.get(side)
+    if cached is not None:
+        return cached
+    d = work.d
     _require_joint(d)
-    weights, ranks, sizes = view or integer_view(d)
+    weights, ranks, sizes = work.view
     n = d.dim
     upper = side == "upper"
     ext_sizes = [s + 1 if upper else s for s in sizes]
@@ -230,35 +266,39 @@ def _orthant_scan(d: FiniteJointDistribution, side: str, view=None) -> Verdict:
 
     name = "nlod" if side == "lower" else "nuod"
     if first is None:
-        return Verdict(name, True, None, CheckStats(conditioning_pairs=acc))
-    grid = [(NEG_INF,) + ax if upper else ax for ax in d.support_grid()]
-    corner = tuple(g[first // step % size] for g, step, size in zip(grid, strides, ext_sizes))
-    witness = OrthantWitness(side, corner, Fraction(cells[first], total),
-                             Fraction(products[first], total ** n))
-    return Verdict(name, False, witness, CheckStats(conditioning_pairs=first + 1))
+        verdict = Verdict(name, True, None, CheckStats(conditioning_pairs=acc))
+    else:
+        grid = [(NEG_INF,) + ax if upper else ax for ax in work.grid]
+        corner = tuple(g[first // step % size]
+                       for g, step, size in zip(grid, strides, ext_sizes))
+        witness = OrthantWitness(side, corner, Fraction(cells[first], total),
+                                 Fraction(products[first], total ** n))
+        verdict = Verdict(name, False, witness, CheckStats(conditioning_pairs=first + 1))
+    work.orthants[side] = verdict
+    return verdict
 
 
 def check_nlod(d: FiniteJointDistribution) -> Verdict:
     """P(X <= x) <= prod P(X_i <= x_i) at every corner."""
-    return _orthant_scan(d, "lower")
+    return _orthant_scan(LawCache(d), "lower")
 
 
 def check_nuod(d: FiniteJointDistribution) -> Verdict:
     """P(X > x) <= prod P(X_i > x_i) at every corner."""
-    return _orthant_scan(d, "upper")
+    return _orthant_scan(LawCache(d), "upper")
 
 
 def check_nod(d: FiniteJointDistribution) -> Verdict:
     """Both orthant bounds, on one integer view of the law."""
-    return _check_nod(d)
+    return _check_nod(LawCache(d))
 
 
-def _check_nod(d: FiniteJointDistribution, view=None) -> Verdict:
-    view = view or integer_view(d)
-    lower = _orthant_scan(d, "lower", view)
+def _check_nod(work: LawCache) -> Verdict:
+    """NLOD, then NUOD unless NLOD fails (docs/theory.md section 9)."""
+    lower = _orthant_scan(work, "lower")
     if not lower.holds:
         return replace(lower, prop="nod")
-    upper = _orthant_scan(d, "upper", view)
+    upper = _orthant_scan(work, "upper")
     return Verdict("nod", upper.holds, upper.witness, lower.stats.plus(upper.stats))
 
 
@@ -284,7 +324,8 @@ def _scan_association_cell(args) -> tuple[AssociationWitness | None, CheckStats]
     same order. With D the common denominator, a pair fails iff
     mass12 * D > mass1 * mass2 (docs/theory.md section 3).
     """
-    d, (weights, ranks, _), a1, a2, caps = args
+    work, a1, a2, caps = args
+    weights, ranks, _ = work.view
     cols1 = [j - 1 for j in a1]
     cols2 = [j - 1 for j in a2]
     keys = [(tuple(r[c] for c in cols1), tuple(r[c] for c in cols2)) for r in ranks]
@@ -313,7 +354,7 @@ def _scan_association_cell(args) -> tuple[AssociationWitness | None, CheckStats]
             examined += 1
             mass12 = sum(map(row.__getitem__, idx2))
             if mass12 * total > mass1 * mass2:
-                axes = d.support_grid()
+                axes = work.grid
 
                 def members(support, idx, cols):
                     return from_members([tuple(axes[c][k] for c, k in zip(cols, support[i]))
@@ -338,16 +379,17 @@ def check_na(d: FiniteJointDistribution, max_block: int | None = None,
     upper-set indicators plus constants, and constants drop out of the
     covariance, so this family of rectangle inequalities is exhaustive.
     """
-    return _check_na(d, max_block, caps, jobs)
+    return _check_na(LawCache(d), max_block, caps, jobs)
 
 
-def _check_na(d, max_block, caps, jobs, view=None) -> Verdict:
+def _check_na(work: LawCache, max_block, caps, jobs) -> Verdict:
+    d = work.d
     _require_joint(d)
     if max_block is not None and max_block < 1:
         raise ValueError(f"max_block must be at least 1, got {max_block}")
     caps = caps or default_caps()
-    view = view or integer_view(d)
-    cells = [(d, view, a1, a2, caps) for a1, a2 in _block_pairs(d.dim, max_block)]
+    work.view  # built here once, not in every worker
+    cells = [(work, a1, a2, caps) for a1, a2 in _block_pairs(d.dim, max_block)]
     witness, stats = _run_cells(_scan_association_cell, cells, jobs)
     restricted = max_block is not None and max_block < d.dim - 1
     return Verdict("na", witness is None, witness, stats,
@@ -448,12 +490,12 @@ class _CellContext:
     only for verify mode's upper-set sweep and for the witness.
     """
 
-    def __init__(self, d, view, given, caps, st_mode):
-        self.d = d
+    def __init__(self, work: LawCache, given, caps, st_mode):
+        self.work = work
         self.caps = caps
         self.st_mode = st_mode
-        self.i_max = tuple(j for j in range(1, d.dim + 1) if j not in given)
-        self.weights, self.ranks, self.sizes = view
+        self.weights, self.ranks, self.sizes = work.view
+        self.i_max = tuple(j for j in range(1, len(self.sizes) + 1) if j not in given)
         self.blocks: dict[tuple[int, ...], tuple[int, list[int], dict]] = {}
         self.guards = self.block(self.i_max)[0]
         self.st_cache: dict[tuple[int, int], bool] = {}
@@ -482,7 +524,7 @@ class _CellContext:
     def law(self, mask: int, block: tuple[int, ...] | None = None) -> FiniteJointDistribution:
         """``int_law`` as a Fraction law on the support values."""
         block = block or self.i_max
-        law, grid = self.int_law(mask, block), self.d.support_grid()
+        law, grid = self.int_law(mask, block), self.work.grid
         ranks = dict(zip(self.block(block)[1], self.ranks))  # key -> an atom's ranks
         return FiniteJointDistribution(len(block), tuple(
             (tuple(grid[j - 1][ranks[key][j - 1]] for j in block), Fraction(w, law.total))
@@ -554,19 +596,19 @@ def _coordinate_means(law: FiniteJointDistribution) -> tuple[Fraction, ...]:
 
 
 def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
-    d, view, J, kind, variant, caps, st_mode = args
-    ctx = _CellContext(d, view, J, caps, st_mode)
+    work, J, kind, variant, caps, st_mode = args
+    ctx = _CellContext(work, J, caps, st_mode)
     cols = [j - 1 for j in J]
     if kind == EQ:
-        labels = _label_masks(view, (), cols, sentinel=False)
+        labels = _label_masks(work.view, (), cols, sentinel=False)
     else:
-        labels = _label_masks(view, [(c, _TAIL_OPS[kind, variant]) for c in cols], (),
+        labels = _label_masks(work.view, [(c, _TAIL_OPS[kind, variant]) for c in cols], (),
                               sentinel=True)
     found, pairs_examined = ctx.first_failing_pair(labels)
     witness = None
     if found is not None:
         (low, mask_lo), (high, mask_hi) = found
-        axes = d.support_grid()
+        axes = work.grid
         grids = [axes[c] + (POS_INF,) if kind == LOWER
                  else (NEG_INF,) + axes[c] if kind == UPPER else axes[c] for c in cols]
         # violation somewhere; locate the minimal observed block
@@ -589,30 +631,59 @@ def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
                                st_checks=ctx.st_checks, upper_sets=ctx.upper_sets)
 
 
-def _run_cells(scan: Callable, cells: list, jobs: int):
-    """Run per-cell scans, sequentially or in a process pool.
-
-    The winning witness is the first violating cell in order, and the stats
-    are summed as if the scan had stopped right there, so worker count never
-    changes the outcome.
-    """
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(cells) > 1 else None
-    total = CheckStats()
+def _scan_in_order(scan: Callable, cells: list, jobs: int):
+    """Yield the per-cell scan results in cell order, computed sequentially or
+    in a process pool. Closing the generator stops the pool: cells not yet
+    handed to a worker never start."""
+    if jobs <= 1 or len(cells) <= 1:
+        yield from map(scan, cells)
+        return
+    pool = ProcessPoolExecutor(max_workers=jobs)
     try:
-        results = (map(scan, cells) if pool is None
-                   else pool.map(scan, cells, chunksize=max(1, len(cells) // (4 * jobs))))
-        for witness, stats in results:
-            total = total.plus(stats)
-            if witness is not None:
-                return witness, total
-        return None, total
+        yield from pool.map(scan, cells, chunksize=max(1, len(cells) // (4 * jobs)))
     finally:
-        if pool is not None:
-            # cells not yet handed to a worker never start
-            pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _check_regression_family(d, kind, prop, max_j, variant, caps, st_mode, jobs, view=None):
+def _first_witness(results):
+    """The first witness in cell order, with the stats summed up to its cell,
+    so worker count never changes the outcome."""
+    total = CheckStats()
+    for witness, stats in results:
+        total = total.plus(stats)
+        if witness is not None:
+            return witness, total
+    return None, total
+
+
+def _run_cells(scan: Callable, cells: list, jobs: int):
+    """Run per-cell scans up to the first witness in cell order."""
+    with closing(_scan_in_order(scan, cells, jobs)) as results:
+        return _first_witness(results)
+
+
+def _run_regression_cells(work: LawCache, keys: list, caps, st_mode, jobs: int):
+    """``_run_cells`` over the regression cells ``keys``, reading each result
+    from ``work`` when it is there. Only the missing cells before the first
+    cached witness are scanned, and their results are kept."""
+    done = work.cells
+    todo = []
+    for key in keys:
+        if key not in done:
+            todo.append(key)
+        elif done[key][0] is not None:
+            break
+    cells = [(work, J, kind, variant, caps, st_mode) for kind, variant, J in todo]
+    with closing(_scan_in_order(_scan_regression_cell, cells, jobs)) as fresh:
+        def results():
+            for key in keys:
+                if key not in done:
+                    done[key] = next(fresh)
+                yield done[key]
+        return _first_witness(results())
+
+
+def _check_regression_family(d, kind, prop, max_j, variant, caps, st_mode, jobs, work=None):
     _require_joint(d)
     if variant not in (WEAK, STRICT):
         raise ValueError(f"unknown variant {variant!r}")
@@ -620,10 +691,10 @@ def _check_regression_family(d, kind, prop, max_j, variant, caps, st_mode, jobs,
         raise ValueError(f"max_j must be at least 1, got {max_j}")
     caps = caps or default_caps()
     limit = d.dim - 1 if max_j is None else min(max_j, d.dim - 1)
-    blocks = _subsets(range(1, d.dim + 1), limit)
-    view = view or integer_view(d)
-    cells = [(d, view, J, kind, variant, caps, st_mode) for J in blocks]
-    witness, stats = _run_cells(_scan_regression_cell, cells, jobs)
+    work = work or LawCache(d)
+    work.view  # built here once, not in every worker
+    keys = [(kind, variant, J) for J in _subsets(range(1, d.dim + 1), limit)]
+    witness, stats = _run_regression_cells(work, keys, caps, st_mode, jobs)
     restricted = limit < d.dim - 1
     return Verdict(prop, witness is None, witness, stats,
                    definitive=witness is not None or not restricted)
@@ -696,26 +767,24 @@ def _regression_entry(kind: str, prop: str) -> Callable[..., Verdict]:
     a time, which is definitive, as in ``check_nrd1``."""
     base = prop.rstrip("1")
 
-    def run(d, view, max_j, variant, caps, st_mode, jobs):
-        v = _check_regression_family(d, kind, base, max_j if base == prop else 1,
-                                     WEAK if kind == EQ else variant, caps, st_mode, jobs, view())
+    def run(work, max_j, variant, caps, st_mode, jobs):
+        v = _check_regression_family(work.d, kind, base, max_j if base == prop else 1,
+                                     WEAK if kind == EQ else variant, caps, st_mode, jobs, work)
         return v if base == prop else replace(v, prop=prop, definitive=True)
     return run
 
 
 #: Every property, in audit order, with its checker called on
-#: (d, view, max_j, variant, caps, st_mode, jobs), where ``view()`` returns
-#: the law's ``integer_view``, built on first use. A checker ignores the
-#: settings it has no use for; NA reads max_j as its block cap.
+#: (work, max_j, variant, caps, st_mode, jobs), where ``work`` is the law's
+#: ``LawCache``, shared by every property decided on the law with the same
+#: caps and st mode. A checker ignores the settings it has no use for; NA
+#: reads max_j as its block cap.
 PROPERTIES: dict[str, Callable[..., Verdict]] = {
-    "nlod": lambda d, view, max_j, variant, caps, st_mode, jobs:
-        _orthant_scan(d, "lower", view()),
-    "nuod": lambda d, view, max_j, variant, caps, st_mode, jobs:
-        _orthant_scan(d, "upper", view()),
-    "nod": lambda d, view, max_j, variant, caps, st_mode, jobs: _check_nod(d, view()),
-    "na": lambda d, view, max_j, variant, caps, st_mode, jobs:
-        _check_na(d, max_j, caps, jobs, view()),
-    "nsmd": lambda d, view, max_j, variant, caps, st_mode, jobs: check_nsmd(d, caps),
+    "nlod": lambda work, *_: _orthant_scan(work, "lower"),
+    "nuod": lambda work, *_: _orthant_scan(work, "upper"),
+    "nod": lambda work, *_: _check_nod(work),
+    "na": lambda work, max_j, variant, caps, st_mode, jobs: _check_na(work, max_j, caps, jobs),
+    "nsmd": lambda work, max_j, variant, caps, *_: check_nsmd(work.d, caps),
     "nrd": _regression_entry(EQ, "nrd"),
     "nltd": _regression_entry(LOWER, "nltd"),
     "nrtd": _regression_entry(UPPER, "nrtd"),
@@ -757,10 +826,10 @@ def audit_implications(d: FiniteJointDistribution, max_j: int | None = None,
     verdicts: dict[str, Verdict] = {}
     skipped: dict[str, str] = {}
 
-    view = cache(lambda: integer_view(d))
+    work = LawCache(d)
     for name, run in PROPERTIES.items():
         try:
-            verdicts[name] = run(d, view, max_j, WEAK, caps, st_mode, jobs)
+            verdicts[name] = run(work, max_j, WEAK, caps, st_mode, jobs)
         except (EnumerationCapExceeded, GridTooLarge) as exc:
             skipped[name] = f"{type(exc).__name__}: {exc}"
 
@@ -802,19 +871,18 @@ class ConjectureReport:
 
 
 def _scan_conjecture_partition(args):
-    d, view, raised, lowered, pinned, observed, caps, st_mode = args
-    ctx = _CellContext(d, view, raised + lowered + pinned, caps, st_mode)
+    work, raised, lowered, pinned, observed, caps, st_mode = args
+    ctx = _CellContext(work, raised + lowered + pinned, caps, st_mode)
     # a label is the raised thresholds' positions, then the lowered ones',
     # then the pinned block's ranks
     tails = [(j - 1, ">=") for j in raised] + [(j - 1, "<=") for j in lowered]
-    labels = _label_masks(view, tails, [j - 1 for j in pinned], sentinel=False)
+    labels = _label_masks(work.view, tails, [j - 1 for j in pinned], sentinel=False)
     found, pairs = ctx.first_failing_pair(labels)
     stats = CheckStats(cells=1, conditioning_pairs=pairs, st_checks=ctx.st_checks)
     if found is None:
         return None, stats
     (low, mask_lo), (high, mask_hi) = found
-    grid = d.support_grid()
-    axes = [grid[j - 1] for j in raised + lowered + pinned]
+    axes = [work.grid[j - 1] for j in raised + lowered + pinned]
     cuts = (len(raised), len(raised) + len(lowered))
 
     def triple(label):
@@ -848,7 +916,8 @@ def check_conjecture(values: Sequence, max_n: int = 5,
         raise ValueError("need at least two values")
     caps = caps or default_caps()
     d = permutation_distribution(values)
-    view = integer_view(d)
+    work = LawCache(d)
+    work.view  # built here once, not in every worker
     n = d.dim
 
     partitions = []
@@ -861,7 +930,7 @@ def check_conjecture(values: Sequence, max_n: int = 5,
             continue
         if not (raised or lowered or pinned):
             continue  # nothing to vary
-        partitions.append((d, view, raised, lowered, pinned, observed, caps, st_mode))
+        partitions.append((work, raised, lowered, pinned, observed, caps, st_mode))
 
     witness, stats = _run_cells(_scan_conjecture_partition, partitions, jobs)
     if witness is not None:

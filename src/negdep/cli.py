@@ -20,9 +20,8 @@ import json
 import os
 import sys
 import time
-from functools import cache
 
-from .checks import PROPERTIES, check_conjecture
+from .checks import PROPERTIES, LawCache, check_conjecture
 from .distributions import from_json_dict, to_json_dict
 from .errors import EnumerationCapExceeded, GridTooLarge, NegdepError, default_caps
 from .fixtures import FIXTURE_IDS, run_fixture
@@ -105,11 +104,14 @@ def _cmd_check(args) -> int:
         print(f"error: cannot load distribution: {exc}", file=sys.stderr)
         return 2
     props = [p.strip().lower() for p in args.props.split(",") if p.strip()]
+    if not props:
+        print("error: --props names no property", file=sys.stderr)
+        return 2
     caps = _caps_from(args)
     verdicts = []
     timings = {}
     exit_code = 0
-    view = cache(lambda: integer_view(d))
+    work = LawCache(d, integer_view)
     try:
         for prop in props:
             runner = PROPERTIES.get(prop)
@@ -118,7 +120,7 @@ def _cmd_check(args) -> int:
                 return 2
             t0 = time.monotonic()
             try:
-                verdict = runner(d, view, args.max_j, args.variant, caps, args.st_mode, args.jobs)
+                verdict = runner(work, args.max_j, args.variant, caps, args.st_mode, args.jobs)
             except ValueError as exc:  # e.g. a law of dimension 1
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
@@ -184,7 +186,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     caps = _caps_from(args)
-    if args.values:
+    if args.values is not None:
         values = [v.strip() for v in args.values.split(",") if v.strip()]
     else:
         values = [str(k) for k in range(1, args.n + 1)]
@@ -246,6 +248,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.command != "build" and args.jobs < 1:
+            raise NegdepError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "build":
             return _cmd_build(args)
         if args.command == "check":

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negdep import checks, make_pmf, verify_witness
-from negdep.checks import _scan_conjecture_partition, _tail_masks
+from negdep.checks import LawCache, _scan_conjecture_partition, _tail_masks
 from negdep.errors import default_caps
-from negdep.stochorder import integer_view
 
 from . import reference_conditioning as ref
 
@@ -82,7 +81,7 @@ def test_conjecture_partitions_match_fraction_reference(d, st_mode):
         if not observed or not (raised or lowered or pinned):
             continue
         args = (d, raised, lowered, pinned, observed, caps, st_mode)
-        got = _scan_conjecture_partition((d, integer_view(d)) + args[1:])
+        got = _scan_conjecture_partition((LawCache(d),) + args[1:])
         assert repr(got) == repr(ref._scan_conjecture_partition(args))
         if got[0] is not None:
             checks._reverify_conjecture_witness(d, got[0])
@@ -98,7 +97,7 @@ def test_conjecture_partitions_fail_on_dependent_laws():
     for args in ((d, (1,), (), (), (2, 3), caps, "fast"),
                  (d, (), (2,), (3,), (1,), caps, "verify"),
                  (d, (), (), (1, 2), (3,), caps, "fast")):
-        got = _scan_conjecture_partition((d, integer_view(d)) + args[1:])
+        got = _scan_conjecture_partition((LawCache(d),) + args[1:])
         assert repr(got) == repr(ref._scan_conjecture_partition(args))
         if got[0] is not None:
             failures += 1

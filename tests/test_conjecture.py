@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from negdep import EnumerationCapExceeded, check_conjecture, default_caps, make_pmf
-from negdep.checks import _reverify_conjecture_witness, _scan_conjecture_partition
-from negdep.stochorder import integer_view
+from negdep.checks import LawCache, _reverify_conjecture_witness, _scan_conjecture_partition
 
 F = Fraction
 
@@ -54,7 +53,7 @@ def test_partition_scanner_finds_violations_on_dependent_laws():
     # coordinate's lower bound pushes the second coordinate up
     com = make_pmf(2, [((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
     witness, stats = _scan_conjecture_partition(
-        (com, integer_view(com), (1,), (), (), (2,), default_caps(), "fast")
+        (LawCache(com), (1,), (), (), (2,), default_caps(), "fast")
     )
     assert witness is not None
     assert witness.raised == (1,)

@@ -227,6 +227,21 @@ class TestBadInputExitCodes:
                          "--jobs", "1"]) == 2
             assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("props", ["", ",", " , "])
+    def test_empty_props_exit_two(self, props, table1_file, capsys):
+        assert main(["check", table1_file, "--props", props, "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_two(self, jobs, table1_file, capsys):
+        for command in (["check", table1_file, "--props", "nod"], *_CAPS_COMMANDS):
+            assert main([*command, "--jobs", jobs]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --jobs must be at least 1")
+            assert "Traceback" not in err and err.count("\n") == 1
+
     def test_block_caps_below_one_raise(self, table1):
         for check in (check_nrd, check_nltd, check_nrtd):
             with pytest.raises(ValueError, match="max_j"):
@@ -255,6 +270,12 @@ class TestConjectureCli:
 
     def test_values_flag(self):
         assert main(["conjecture", "--values", "0,0,1", "--jobs", "1"]) == 0
+
+    @pytest.mark.parametrize("values", ["", ",", " ,, "])
+    def test_empty_values_exit_two(self, values, capsys):
+        assert main(["conjecture", "--values", values, "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: need at least two values\n"
 
     def test_guard(self):
         assert main(["conjecture", "-n", "6", "--jobs", "1"]) == 2

@@ -13,7 +13,7 @@ from negdep import (
     st_leq_coupling,
     st_leq_uppersets,
 )
-from negdep.checks import _CellContext, _label_masks
+from negdep.checks import LawCache, _CellContext, _label_masks
 from negdep.errors import Caps
 from negdep.stochorder import (
     _pack_ranks,
@@ -174,7 +174,7 @@ def parent_law_and_masks(draw):
 
 
 def _cell(d, J):
-    return _CellContext(d, integer_view(d), J, Caps(), "fast")
+    return _CellContext(LawCache(d), J, Caps(), "fast")
 
 
 class TestIntegerKernel:
