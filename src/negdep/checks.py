@@ -186,28 +186,21 @@ class LawCache:
     It holds the law's ``integer_view`` and support grid, each built on first
     use, the regression cell results keyed by (kind, variant, J) and the
     orthant verdicts keyed by side. A cell's result also depends on the caps
-    and the st mode, which stay fixed while the cache lives. ``build_view``,
-    when given, is called in place of ``integer_view``.
+    and the st mode, which stay fixed while the cache lives.
     """
 
-    def __init__(self, d: FiniteJointDistribution, build_view: Callable | None = None):
+    def __init__(self, d: FiniteJointDistribution):
         self.d = d
-        self._build_view = build_view
         self.cells: dict[tuple, tuple] = {}
         self.orthants: dict[str, Verdict] = {}
 
     @cached_property
     def view(self):
-        return (self._build_view or integer_view)(self.d)
+        return integer_view(self.d)
 
     @cached_property
     def grid(self):
         return self.d.support_grid()
-
-    def __getstate__(self):
-        # a worker process gets the law and the tables built so far, not the
-        # parent's results
-        return dict(vars(self), _build_view=None, cells={}, orthants={})
 
 
 # -- orthant dependence -------------------------------------------------------
@@ -683,7 +676,8 @@ def _run_regression_cells(work: LawCache, keys: list, caps, st_mode, jobs: int):
         return _first_witness(results())
 
 
-def _check_regression_family(d, kind, prop, max_j, variant, caps, st_mode, jobs, work=None):
+def _check_regression_family(work, kind, prop, max_j, variant, caps, st_mode, jobs):
+    d = work.d
     _require_joint(d)
     if variant not in (WEAK, STRICT):
         raise ValueError(f"unknown variant {variant!r}")
@@ -691,7 +685,6 @@ def _check_regression_family(d, kind, prop, max_j, variant, caps, st_mode, jobs,
         raise ValueError(f"max_j must be at least 1, got {max_j}")
     caps = caps or default_caps()
     limit = d.dim - 1 if max_j is None else min(max_j, d.dim - 1)
-    work = work or LawCache(d)
     work.view  # built here once, not in every worker
     keys = [(kind, variant, J) for J in _subsets(range(1, d.dim + 1), limit)]
     witness, stats = _run_regression_cells(work, keys, caps, st_mode, jobs)
@@ -704,21 +697,23 @@ def check_nrd(d: FiniteJointDistribution, max_j: int | None = None,
               caps: Caps | None = None, st_mode: str = "fast",
               jobs: int = 1) -> Verdict:
     """Conditional laws decrease stochastically in equality conditioning points."""
-    return _check_regression_family(d, EQ, "nrd", max_j, WEAK, caps, st_mode, jobs)
+    return _check_regression_family(LawCache(d), EQ, "nrd", max_j, WEAK, caps, st_mode, jobs)
 
 
 def check_nltd(d: FiniteJointDistribution, max_j: int | None = None,
                variant: str = WEAK, caps: Caps | None = None,
                st_mode: str = "fast", jobs: int = 1) -> Verdict:
     """Same with lower-tail conditioning {X_J <= x_J} (strict variant: <)."""
-    return _check_regression_family(d, LOWER, "nltd", max_j, variant, caps, st_mode, jobs)
+    return _check_regression_family(LawCache(d), LOWER, "nltd", max_j, variant, caps,
+                                    st_mode, jobs)
 
 
 def check_nrtd(d: FiniteJointDistribution, max_j: int | None = None,
                variant: str = WEAK, caps: Caps | None = None,
                st_mode: str = "fast", jobs: int = 1) -> Verdict:
     """Same with upper-tail conditioning {X_J > x_J} (strict variant: >=)."""
-    return _check_regression_family(d, UPPER, "nrtd", max_j, variant, caps, st_mode, jobs)
+    return _check_regression_family(LawCache(d), UPPER, "nrtd", max_j, variant, caps,
+                                    st_mode, jobs)
 
 
 def check_nrd1(d, caps=None, st_mode="fast", jobs=1) -> Verdict:
@@ -768,8 +763,8 @@ def _regression_entry(kind: str, prop: str) -> Callable[..., Verdict]:
     base = prop.rstrip("1")
 
     def run(work, max_j, variant, caps, st_mode, jobs):
-        v = _check_regression_family(work.d, kind, base, max_j if base == prop else 1,
-                                     WEAK if kind == EQ else variant, caps, st_mode, jobs, work)
+        v = _check_regression_family(work, kind, base, max_j if base == prop else 1,
+                                     WEAK if kind == EQ else variant, caps, st_mode, jobs)
         return v if base == prop else replace(v, prop=prop, definitive=True)
     return run
 

@@ -33,7 +33,6 @@ from .report import (
     build_fixture_report,
     canonical_json,
 )
-from .stochorder import integer_view
 from .tournaments import model_spec_from_json, round_robin_distribution, RoundRobinSpec
 from .tournaments import knockout_distribution
 
@@ -49,7 +48,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", help="write the JSON report here")
     p.add_argument("--timing", action="store_true",
                    help="embed wall-clock timings in the report (breaks byte-for-byte "
-                        "reproducibility)")
+                        "reproducibility); in check, a property's time leaves out the "
+                        "cells an earlier property of the same command decided")
 
 
 def _caps_from(args) -> "Caps":
@@ -111,7 +111,7 @@ def _cmd_check(args) -> int:
     verdicts = []
     timings = {}
     exit_code = 0
-    work = LawCache(d, integer_view)
+    work = LawCache(d)
     try:
         for prop in props:
             runner = PROPERTIES.get(prop)

@@ -54,8 +54,8 @@ def test_tail_masks_follow_the_variant_mapping():
 def test_regression_family_matches_fraction_reference(d, st_mode):
     for prop, kind in ref.REGRESSION_KINDS:
         for variant in ("weak", "strict"):
-            got = checks._check_regression_family(d, kind, prop, None, variant, None,
-                                                  st_mode, 1)
+            got = checks._check_regression_family(LawCache(d), kind, prop, None, variant,
+                                                  None, st_mode, 1)
             want = ref.check_regression(d, kind, prop, variant=variant, st_mode=st_mode)
             assert repr(got) == repr(want)
             if not got.holds:
@@ -66,7 +66,8 @@ def test_regression_family_matches_fraction_reference(d, st_mode):
 @given(tied_laws(min_dim=3), st.integers(1, 2))
 def test_block_capped_regression_matches_fraction_reference(d, max_j):
     for prop, kind in ref.REGRESSION_KINDS:
-        got = checks._check_regression_family(d, kind, prop, max_j, "weak", None, "fast", 1)
+        got = checks._check_regression_family(LawCache(d), kind, prop, max_j, "weak", None,
+                                              "fast", 1)
         want = ref.check_regression(d, kind, prop, max_j=max_j)
         assert repr(got) == repr(want)
 

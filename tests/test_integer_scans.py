@@ -131,8 +131,8 @@ def test_audit_builds_one_integer_view_per_law(monkeypatch):
 def test_check_command_builds_the_view_for_the_first_checker_that_reads_it(
         monkeypatch, tmp_path, capsys):
     calls = []
-    view = cli.integer_view
-    monkeypatch.setattr(cli, "integer_view", lambda d: calls.append(d) or view(d))
+    view = checks.integer_view
+    monkeypatch.setattr(checks, "integer_view", lambda d: calls.append(d) or view(d))
     path = tmp_path / "law.json"
     path.write_text(json.dumps(to_json_dict(permutation_distribution([0, 1, 2]))))
     report = str(tmp_path / "report.json")
