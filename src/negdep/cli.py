@@ -8,8 +8,9 @@
     negdep conjecture [--values 1,2,3 | -n N] [...]
 
 Exit codes: 0 = everything holds / matches, 1 = a property fails or a
-fixture mismatches (witness in the report), 2 = usage error, bad input, or
-an enumeration cap was exceeded. The NEGDEP_CAPS environment variable
+fixture mismatches (witness in the report), 2 = usage error, unreadable or
+malformed input, an unwritable -o path, or an enumeration cap was exceeded
+(one stderr line, no traceback). The NEGDEP_CAPS environment variable
 ("upper_sets=N,lp_vars=M") adjusts default caps; --caps overrides on top.
 """
 
@@ -53,11 +54,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _caps_from(args) -> "Caps":
-    try:
-        caps = default_caps()
-        return caps.with_overrides(args.caps) if args.caps else caps
-    except ValueError as exc:
-        raise NegdepError(str(exc)) from None
+    caps = default_caps()
+    return caps.with_overrides(args.caps) if args.caps else caps
 
 
 def _write_report(report: Report, args) -> None:
@@ -68,21 +66,12 @@ def _write_report(report: Report, args) -> None:
 
 
 def _cmd_build(args) -> int:
-    try:
-        with open(args.spec) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read model spec: {exc}", file=sys.stderr)
-        return 2
-    try:
-        spec = model_spec_from_json(obj)
-        if isinstance(spec, RoundRobinSpec):
-            d = round_robin_distribution(spec)
-        else:
-            d = knockout_distribution(spec)
-    except (ValueError, NegdepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.spec) as fh:
+        spec = model_spec_from_json(json.load(fh))
+    if isinstance(spec, RoundRobinSpec):
+        d = round_robin_distribution(spec)
+    else:
+        d = knockout_distribution(spec)
     text = canonical_json(to_json_dict(d))
     with open(args.output, "w") as fh:
         fh.write(text)
@@ -92,55 +81,39 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _load_distribution(path: str):
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))
-
-
 def _cmd_check(args) -> int:
-    try:
-        d = _load_distribution(args.distribution)
-    except (OSError, json.JSONDecodeError, ValueError, NegdepError) as exc:
-        print(f"error: cannot load distribution: {exc}", file=sys.stderr)
-        return 2
+    with open(args.distribution) as fh:
+        d = from_json_dict(json.load(fh))
     props = [p.strip().lower() for p in args.props.split(",") if p.strip()]
     if not props:
-        print("error: --props names no property", file=sys.stderr)
-        return 2
+        raise NegdepError("--props names no property")
     caps = _caps_from(args)
     verdicts = []
     timings = {}
     exit_code = 0
     work = LawCache(d)
+
+    def write_report():
+        _write_report(build_check_report(d, verdicts, caps, settings=_settings(args),
+                                         timings_ms=timings), args)
+
     try:
         for prop in props:
             runner = PROPERTIES.get(prop)
             if runner is None:
-                print(f"error: unknown property {prop!r}", file=sys.stderr)
-                return 2
+                raise NegdepError(f"unknown property {prop!r}")
             t0 = time.monotonic()
-            try:
-                verdict = runner(work, args.max_j, args.variant, caps, args.st_mode, args.jobs)
-            except ValueError as exc:  # e.g. a law of dimension 1
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            verdict = runner(work, args.max_j, args.variant, caps, args.st_mode, args.jobs)
             timings[prop] = (time.monotonic() - t0) * 1000.0
             verdicts.append(verdict)
             mark = "holds" if verdict.holds else "FAILS"
             print(f"{prop}: {mark}  [{timings[prop]:.1f} ms]")
             if not verdict.holds:
                 exit_code = 1
-    except (EnumerationCapExceeded, GridTooLarge) as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        report = build_check_report(
-            d, verdicts, caps,
-            settings=_settings(args), timings_ms=timings,
-        )
-        _write_report(report, args)
-        return 2
-    report = build_check_report(d, verdicts, caps, settings=_settings(args),
-                                timings_ms=timings)
-    _write_report(report, args)
+    except (EnumerationCapExceeded, GridTooLarge):
+        write_report()  # the verdicts decided before the cap
+        raise
+    write_report()
     return exit_code
 
 
@@ -160,14 +133,7 @@ def _cmd_reproduce(args) -> int:
     fixtures = FIXTURE_IDS if args.fixture == "all" else (args.fixture,)
     exit_code = 0
     for fid in fixtures:
-        try:
-            result = run_fixture(fid, caps=caps, jobs=args.jobs, st_mode=args.st_mode)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (EnumerationCapExceeded, GridTooLarge) as exc:
-            print(f"cap exceeded in {fid}: {exc}", file=sys.stderr)
-            return 2
+        result = run_fixture(fid, caps=caps, jobs=args.jobs, st_mode=args.st_mode)
         status = "pass" if result.passed else "FAIL"
         print(f"{fid}: {status}  [{result.timings_ms['total']:.1f} ms]")
         for comp in result.comparisons:
@@ -191,15 +157,8 @@ def _cmd_conjecture(args) -> int:
     else:
         values = [str(k) for k in range(1, args.n + 1)]
     t0 = time.monotonic()
-    try:
-        result = check_conjecture(values, max_n=args.max_n, caps=caps,
-                                  st_mode=args.st_mode, jobs=args.jobs)
-    except (EnumerationCapExceeded, GridTooLarge) as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = check_conjecture(values, max_n=args.max_n, caps=caps,
+                              st_mode=args.st_mode, jobs=args.jobs)
     elapsed = (time.monotonic() - t0) * 1000.0
     report = build_conjecture_report(result, caps, settings=_settings(args),
                                      timings_ms={"total": elapsed})
@@ -247,19 +206,19 @@ def main(argv=None) -> int:
     _add_common_flags(p_conj)
 
     args = parser.parse_args(argv)
+    commands = {"build": _cmd_build, "check": _cmd_check,
+                "reproduce": _cmd_reproduce, "conjecture": _cmd_conjecture}
+    # the one place an exception becomes an exit code: subcommands return
+    # 0 (all hold) or 1 (a property fails); bad input and caps exit 2
     try:
         if args.command != "build" and args.jobs < 1:
             raise NegdepError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "reproduce":
-            return _cmd_reproduce(args)
-        return _cmd_conjecture(args)
-    except NegdepError as exc:
+        return commands[args.command](args)
+    except (EnumerationCapExceeded, GridTooLarge) as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+    except (NegdepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

@@ -297,10 +297,15 @@ def from_json_dict(obj: dict) -> FiniteJointDistribution:
         raise ValueError(f"distribution JSON needs 'dim' and 'atoms': missing {exc}") from exc
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError(f"'dim' must be an integer, got {dim!r}")
+    if not isinstance(raw_atoms, list):
+        raise ValueError(f"'atoms' must be a list, got {raw_atoms!r}")
     entries = []
     for k, atom in enumerate(raw_atoms):
         try:
-            vector = [as_rational(v) for v in atom["x"]]
+            x = atom["x"]
+            if not isinstance(x, list):
+                raise ValueError(f"'x' must be a list, got {x!r}")
+            vector = [as_rational(v) for v in x]
             prob = as_rational(atom["p"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"bad atom #{k}: {exc}") from exc

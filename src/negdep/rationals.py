@@ -19,13 +19,19 @@ Extended = Union[Fraction, float]
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, Fractions and "num/den" strings to Fraction; reject floats."""
+    """Coerce ints, Fractions and "num/den" strings to Fraction; reject floats.
+
+    A malformed string, zero denominators included, raises ``ValueError``.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 

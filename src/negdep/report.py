@@ -178,10 +178,6 @@ class Report:
             payload["timing_ms"] = {k: round(v, 3) for k, v in self.timings_ms.items()}
         return canonical_json(payload)
 
-    @staticmethod
-    def from_json(text: str) -> "Report":
-        return Report(payload=json.loads(text), timings_ms={})
-
 
 def build_check_report(d: FiniteJointDistribution, verdicts: list[Verdict],
                        caps: Caps, settings: dict, timings_ms: dict) -> Report:

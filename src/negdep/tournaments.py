@@ -167,34 +167,29 @@ def knockout_fixed_draw(spec: KnockoutSpec) -> FiniteJointDistribution:
     """Exact law of rounds-won under the fixed bracket."""
     if not isinstance(spec.draw, FixedDraw):
         raise ValueError("spec does not carry a fixed draw")
-    memo: dict[tuple[int, ...], dict] = {}
 
     def run(slots: tuple[int, ...]) -> dict:
         """Map (winner, per-player scores tuple) -> probability for a sub-bracket."""
-        if slots in memo:
-            return memo[slots]
         if len(slots) == 1:
             player = slots[0]
-            out = {(player, ((player, 0),)): ONE}
-        else:
-            half = len(slots) // 2
-            left = run(slots[:half])
-            right = run(slots[half:])
-            out: dict = {}
-            for (wl, sl), pl in left.items():
-                for (wr, sr), pr in right.items():
-                    base = pl * pr
-                    for winner, loser in ((wl, wr), (wr, wl)):
-                        p = spec.beats(winner, loser)
-                        if p == 0:
-                            continue
-                        scores = tuple(sorted(
-                            (player, score + (1 if player == winner else 0))
-                            for player, score in sl + sr
-                        ))
-                        key = (winner, scores)
-                        out[key] = out.get(key, ZERO) + base * p
-        memo[slots] = out
+            return {(player, ((player, 0),)): ONE}
+        half = len(slots) // 2
+        left = run(slots[:half])
+        right = run(slots[half:])
+        out: dict = {}
+        for (wl, sl), pl in left.items():
+            for (wr, sr), pr in right.items():
+                base = pl * pr
+                for winner, loser in ((wl, wr), (wr, wl)):
+                    p = spec.beats(winner, loser)
+                    if p == 0:
+                        continue
+                    scores = tuple(sorted(
+                        (player, score + (1 if player == winner else 0))
+                        for player, score in sl + sr
+                    ))
+                    key = (winner, scores)
+                    out[key] = out.get(key, ZERO) + base * p
         return out
 
     merged: dict[Vector, Fraction] = {}
@@ -289,33 +284,50 @@ def model_spec_to_json(spec) -> dict:
     raise TypeError(f"not a model spec: {spec!r}")
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer; bools and floats are rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def model_spec_from_json(obj: dict):
+    """Parse a model spec; every malformed field raises ``ValueError``."""
     if not isinstance(obj, dict) or "model" not in obj:
         raise ValueError("model spec JSON needs a 'model' field")
     model = obj["model"]
-    if model == "round_robin":
-        try:
-            n = int(obj["n"])
+    if model not in ("round_robin", "knockout"):
+        raise ValueError(f"unknown model {model!r}")
+    try:
+        if model == "round_robin":
             games = {}
-            for entry in obj["pairs"]:
-                pair = (int(entry["i"]), int(entry["j"]))
-                games[pair] = pair_score_law(entry["r"], entry["law"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad round-robin spec: missing field {exc}") from exc
-        return round_robin_spec(n, games)
-    if model == "knockout":
-        try:
-            rounds = int(obj["ell"])
-            matrix = obj["win_prob"]
-            draw_obj = obj["draw"]
-            kind = draw_obj["kind"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad knockout spec: missing field {exc}") from exc
+            for entry in _json_list(obj["pairs"], "'pairs'"):
+                pair = (_json_int(entry["i"], "'i'"), _json_int(entry["j"], "'j'"))
+                if pair in games:
+                    raise ValueError(f"pair {pair} is listed twice")
+                law = [_json_list(item, "a 'law' entry")
+                       for item in _json_list(entry["law"], "'law'")]
+                games[pair] = pair_score_law(entry["r"], law)
+            return round_robin_spec(_json_int(obj["n"], "'n'"), games)
+        draw_obj = obj["draw"]
+        kind = draw_obj["kind"]
         if kind == "fixed":
-            draw = FixedDraw(tuple(int(s) for s in draw_obj["bracket"]))
+            draw = FixedDraw(tuple(_json_int(s, "a bracket entry")
+                                   for s in _json_list(draw_obj["bracket"], "'bracket'")))
         elif kind == "random":
             draw = RandomDraw()
         else:
             raise ValueError(f"unknown draw kind {kind!r}")
-        return knockout_spec(rounds, matrix, draw)
-    raise ValueError(f"unknown model {model!r}")
+        matrix = [_json_list(row, "a 'win_prob' row")
+                  for row in _json_list(obj["win_prob"], "'win_prob'")]
+        return knockout_spec(_json_int(obj["ell"], "'ell'"), matrix, draw)
+    except KeyError as exc:
+        raise ValueError(f"bad {model} spec: missing field {exc}") from exc
+    except TypeError as exc:  # e.g. a float where an exact rational belongs
+        raise ValueError(f"bad {model} spec: {exc}") from exc

@@ -28,7 +28,9 @@ from negdep import (
     product,
     verify_witness,
 )
+from negdep import checks
 from negdep.checks import CheckStats, _run_cells
+from negdep.errors import Caps
 from negdep.rationals import NEG_INF
 from negdep.tournaments import FixedDraw
 
@@ -203,6 +205,19 @@ class TestRegressionFamily:
         assert (w.point_low, w.point_high) == ((F(0),), (F(1),))
         assert w.mean_low == (F(3, 4),)
         assert w.mean_high == (F(5, 6),)
+        verify_witness(table1, verdict)
+
+    def test_upper_set_cap_falls_back_to_the_min_cut_witness(self, table1, monkeypatch):
+        # one upper set is too few for the witness sweep, so the violation is
+        # read off the coupling's min cut instead
+        fallback = []
+        st_leq = checks.st_leq
+        monkeypatch.setattr(checks, "st_leq",
+                            lambda *a, **k: fallback.append(a) or st_leq(*a, **k))
+        verdict = check_nrd(table1, caps=Caps(max_upper_sets=1))
+        assert fallback
+        assert not verdict.holds
+        assert (verdict.witness.given, verdict.witness.observed) == ((1,), (3,))
         verify_witness(table1, verdict)
 
     def test_table1_nrtd_true(self, table1):

@@ -221,6 +221,21 @@ class TestJson:
         with pytest.raises(ValueError):
             from_json_dict({"dim": 1})
 
+    @pytest.mark.parametrize("atoms", [5, None, "x", {"x": ["0"], "p": "1"}])
+    def test_rejects_atoms_that_are_not_a_list(self, atoms):
+        with pytest.raises(ValueError, match="'atoms' must be a list"):
+            from_json_dict({"dim": 1, "atoms": atoms})
+
+    @pytest.mark.parametrize("x", ["01", 0, None, {"0": "1"}])
+    def test_rejects_a_vector_that_is_not_a_list(self, x):
+        # a string would otherwise be read one character per coordinate
+        with pytest.raises(ValueError, match="bad atom #0: 'x' must be a list"):
+            from_json_dict({"dim": 2, "atoms": [{"x": x, "p": "1"}]})
+
+    def test_rejects_a_zero_denominator(self):
+        with pytest.raises(ValueError, match="bad atom #0: zero denominator"):
+            from_json_dict({"dim": 1, "atoms": [{"x": ["0"], "p": "1/0"}]})
+
 
 # -- exact-identity properties -------------------------------------------
 

@@ -10,15 +10,17 @@ from negdep import (
     check_nrd,
     check_nrtd,
     check_nsmd,
+    check_stoch_increasing,
     make_pmf,
     to_json_dict,
 )
-from negdep.checks import PROPERTIES
+from negdep.checks import PROPERTIES, ConjectureReport, LawCache, _scan_conjecture_partition
 from negdep.cli import main
 from negdep.errors import CAPS_ENV_VAR, Caps
+from negdep.fixtures import run_fixture
 from negdep.report import (
-    Report,
     build_check_report,
+    build_conjecture_report,
     canonical_json,
     distribution_digest,
     verdict_json,
@@ -250,6 +252,86 @@ class TestBadInputExitCodes:
             check_na(table1, max_block=0)
 
 
+_MISSING = object()  # stands for an output path inside a directory that does not exist
+_LAW = {"dim": 2, "atoms": [{"x": ["0", "1"], "p": "1/2"}, {"x": ["1", "0"], "p": "1/2"}]}
+_KNOCKOUT = {"model": "knockout", "ell": 1, "win_prob": [["0", "1/2"], ["1/2", "0"]],
+             "draw": {"kind": "fixed", "bracket": [1, 2]}}
+_PAIR = {"i": 1, "j": 2, "r": "1", "law": [["0", "1/2"], ["1", "1/2"]]}
+
+
+def _atom(x, p):
+    return {"dim": 2, "atoms": [{"x": x, "p": p}]}
+
+
+def _knockout(**fields):
+    return {**_KNOCKOUT, **fields}
+
+
+def _round_robin(n=2, **fields):
+    return {"model": "round_robin", "n": n, "pairs": [{**_PAIR, **fields}]}
+
+
+# each JSON object is written to a file and replaced by its path
+_BAD_INPUTS = {
+    "check-atoms-number": ["check", {"dim": 2, "atoms": 5}],
+    "check-atoms-null": ["check", {"dim": 2, "atoms": None}],
+    "check-zero-denominator": ["check", _atom(["0", "1"], "1/0")],
+    "check-vector-string": ["check", _atom("01", "1")],
+    "check-output-dir-missing": ["check", _LAW, "-o", _MISSING],
+    "build-zero-denominator-win-prob": [
+        "build", _knockout(win_prob=[["0", "1/0"], ["1/2", "0"]])],
+    "build-zero-denominator-pair-prob": [
+        "build", _round_robin(law=[["0", "1/0"], ["1", "1/2"]])],
+    "build-float-win-prob": ["build", _knockout(win_prob=[[0, 0.5], [0.5, 0]])],
+    "build-win-prob-number": ["build", _knockout(win_prob=5)],
+    "build-bracket-number": ["build", _knockout(draw={"kind": "fixed", "bracket": 5})],
+    "build-bracket-float": ["build", _knockout(draw={"kind": "fixed", "bracket": [1, 2.0]})],
+    "build-ell-bool": ["build", _knockout(ell=True)],
+    "build-n-float": ["build", _round_robin(n=2.7)],
+    "build-i-bool": ["build", _round_robin(i=True)],
+    "build-j-string": ["build", _round_robin(j="2")],
+    "build-output-dir-missing": ["build", _KNOCKOUT, "-o", _MISSING],
+    "reproduce-output-dir-missing": ["reproduce", "ex-3.2", "-o", _MISSING],
+    "conjecture-zero-denominator": ["conjecture", "--values", "1/0,1"],
+    "conjecture-output-dir-missing": ["conjecture", "-n", "2", "-o", _MISSING],
+}
+
+
+class TestOneErrorLine:
+    @pytest.mark.parametrize("name", list(_BAD_INPUTS))
+    def test_bad_input_exits_two_with_one_error_line(self, name, tmp_path, capsys):
+        argv = []
+        for k, arg in enumerate(_BAD_INPUTS[name]):
+            if arg is _MISSING:
+                arg = str(tmp_path / "missing" / "out.json")
+            elif isinstance(arg, dict):
+                path = tmp_path / f"input{k}.json"
+                path.write_text(json.dumps(arg))
+                arg = str(path)
+            argv.append(arg)
+        if argv[0] == "build":
+            if "-o" not in argv:
+                argv += ["-o", str(tmp_path / "dist.json")]
+        else:
+            argv += ["--jobs", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_cap_in_check_keeps_the_partial_report(self, table1_file, tmp_path, capsys):
+        path = tmp_path / "partial.json"
+        assert main(["check", table1_file, "--props", "nod,na", "--caps", "upper_sets=2",
+                     "--jobs", "1", "-o", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded: ") and err.count("\n") == 1
+        assert [c["property"] for c in json.loads(path.read_text())["checks"]] == ["nod"]
+
+    def test_cap_in_reproduce_exits_two(self, capsys):
+        assert main(["reproduce", "ex-3.3", "--caps", "upper_sets=1", "--jobs", "1"]) == 2
+        assert capsys.readouterr().err.startswith("cap exceeded: ")
+
+
 class TestReproduceCli:
     def test_single_fixture(self, tmp_path):
         path = tmp_path / "rep.json"
@@ -261,6 +343,12 @@ class TestReproduceCli:
 
     def test_unknown_fixture(self):
         assert main(["reproduce", "nope"]) == 2
+
+    @pytest.mark.parametrize("fixture", ["lemma-3.1", "conjecture"])
+    def test_fixture_passes(self, fixture):
+        result = run_fixture(fixture, jobs=1)
+        assert result.passed
+        assert result.comparisons and all(c["ok"] for c in result.comparisons)
 
 
 class TestConjectureCli:
@@ -290,9 +378,9 @@ class TestReportFormat:
         verdicts = [check_nrd(table1), check_na(table1)]
         report = build_check_report(table1, verdicts, Caps(), {"props": "nrd,na"}, {})
         text = report.to_json()
-        again = Report.from_json(text)
-        assert again.payload == report.payload
-        assert canonical_json(again.payload) == text
+        again = json.loads(text)
+        assert again == report.payload
+        assert canonical_json(again) == text
 
     def test_fraction_strings_reparse(self, table1):
         verdict = check_nltd(table1)
@@ -301,6 +389,40 @@ class TestReportFormat:
         assert F(w["mean_low"][0]) == verdict.witness.mean_low[0]
         assert F(w["mean_high"][0]) == verdict.witness.mean_high[0]
         assert F(w["violation"]["p_left"]) == verdict.witness.violation.p_left
+
+    def test_association_witness_serializes(self, tmp_path):
+        path = tmp_path / "comonotone.json"
+        path.write_text(canonical_json(to_json_dict(make_pmf(
+            2, [((0, 0), F(1, 2)), ((1, 1), F(1, 2))]))))
+        report = tmp_path / "report.json"
+        assert main(["check", str(path), "--props", "na", "--jobs", "1",
+                     "-o", str(report)]) == 1
+        w = json.loads(report.read_text())["checks"][0]["witness"]
+        assert w["type"] == "association"
+        assert (w["block1"], w["block2"]) == ([1], [2])
+        assert F(w["p_joint"]) > F(w["p1"]) * F(w["p2"])
+        assert w["upper1"]["minimal"] and w["upper2"]["minimal"]
+
+    def test_monotonicity_witness_serializes(self):
+        family = {(F(0),): make_pmf(1, [((5,), F(1))]), (F(1),): make_pmf(1, [((0,), F(1))])}
+        blob = witness_json(check_stoch_increasing(family).witness)
+        assert blob["type"] == "monotonicity"
+        assert (blob["theta_low"], blob["theta_high"]) == (["0"], ["1"])
+        assert F(blob["violation"]["p_left"]) > F(blob["violation"]["p_right"])
+
+    def test_conjecture_witness_serializes(self):
+        com = make_pmf(2, [((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
+        witness, stats = _scan_conjecture_partition(
+            (LawCache(com), (1,), (), (), (2,), Caps(), "fast"))
+        result = ConjectureReport((F(0), F(1)), False, witness, stats)
+        report = build_conjecture_report(result, Caps(), {}, {})
+        blob = json.loads(report.to_json())["witness"]
+        assert blob == witness_json(witness)
+        assert blob["type"] == "conjecture"
+        assert (blob["raised"], blob["lowered"], blob["pinned"], blob["observed"]) == (
+            [1], [], [], [2])
+        assert blob["triple_low"]["pinned"] == blob["triple_high"]["pinned"] == []
+        assert F(blob["violation"]["p_left"]) > F(blob["violation"]["p_right"])
 
     def test_supermodular_witness_serializes(self):
         com = make_pmf(2, [((0, 0), F(1, 2)), ((1, 1), F(1, 2))])

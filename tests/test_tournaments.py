@@ -188,6 +188,39 @@ class TestModelSpecJson:
         with pytest.raises(ValueError):
             model_spec_from_json({"model": "swiss"})
 
+    @pytest.mark.parametrize("field, value", [
+        ("ell", True), ("ell", 1.0), ("ell", "1"),
+        ("bracket", 5), ("bracket", [1, 2.0]), ("bracket", [True, 2]),
+        ("win_prob", 5), ("win_prob", ["01", "10"]), ("win_prob", [[0, 0.5], [0.5, 0]]),
+        ("win_prob", [["0", "1/0"], ["1/2", "0"]]),
+    ])
+    def test_malformed_knockout_field_rejected(self, field, value):
+        spec = {"model": "knockout", "ell": 1, "win_prob": [["0", "1/2"], ["1/2", "0"]],
+                "draw": {"kind": "fixed", "bracket": [1, 2]}}
+        if field == "bracket":
+            spec["draw"]["bracket"] = value
+        else:
+            spec[field] = value
+        with pytest.raises(ValueError):
+            model_spec_from_json(spec)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.7), ("n", True), ("i", True), ("i", "1"), ("j", 2.0),
+        ("law", 5), ("law", ["01", "11"]), ("law", [["0", "1/0"], ["1", "1/2"]]),
+        ("r", 1.0),
+    ])
+    def test_malformed_round_robin_field_rejected(self, field, value):
+        pair = {"i": 1, "j": 2, "r": "1", "law": [["0", "1/2"], ["1", "1/2"]]}
+        spec = {"model": "round_robin", "n": 2, "pairs": [pair]}
+        (spec if field == "n" else pair)[field] = value
+        with pytest.raises(ValueError):
+            model_spec_from_json(spec)
+
+    def test_round_robin_pair_listed_twice_rejected(self):
+        pair = {"i": 1, "j": 2, "r": "1", "law": [["0", "1/2"], ["1", "1/2"]]}
+        with pytest.raises(ValueError, match="listed twice"):
+            model_spec_from_json({"model": "round_robin", "n": 2, "pairs": [pair, pair]})
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.permutations(list(range(1, 5))))
