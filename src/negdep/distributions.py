@@ -299,14 +299,26 @@ def from_json_dict(obj: dict) -> FiniteJointDistribution:
         raise ValueError(f"'dim' must be an integer, got {dim!r}")
     if not isinstance(raw_atoms, list):
         raise ValueError(f"'atoms' must be a list, got {raw_atoms!r}")
+    parsed: dict[str, Fraction] = {}   # each distinct string is parsed once
+
+    def rational(value) -> Fraction:
+        if isinstance(value, bool):
+            raise TypeError(f"expected an exact rational, got bool: {value!r}")
+        if not isinstance(value, str):
+            return as_rational(value)
+        q = parsed.get(value)
+        if q is None:
+            q = parsed[value] = as_rational(value)
+        return q
+
     entries = []
     for k, atom in enumerate(raw_atoms):
         try:
             x = atom["x"]
             if not isinstance(x, list):
                 raise ValueError(f"'x' must be a list, got {x!r}")
-            vector = [as_rational(v) for v in x]
-            prob = as_rational(atom["p"])
+            vector = [rational(v) for v in x]
+            prob = rational(atom["p"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"bad atom #{k}: {exc}") from exc
         entries.append((vector, prob))

@@ -141,33 +141,112 @@ def check_integer_coupling(flows: Sequence[tuple[int, int, int]], lx: IntegerLaw
         raise InternalConsistencyError("coupling column sums differ from the right law")
 
 
+def _above_masks(lx: IntegerLaw, ly: IntegerLaw, guards: int) -> list[int]:
+    """For each atom i of lx, the bitset of the atoms j of ly with
+    ``lx.keys[i] <= ly.keys[j]`` componentwise (bit j set).
+
+    The guard bits give each axis's field. Per axis, ``above[v]`` is the
+    bitset of the y-atoms whose field is at least v, a suffix OR over the
+    field values (docs/theory.md section 2); an x-atom's bitset is the AND of
+    one such bitset per axis.
+    """
+    tables = []
+    offset = 0
+    g = guards
+    while g:
+        low = g & -g
+        g ^= low
+        top = low.bit_length() - 1
+        if top > offset:                    # a one-value axis has no field bits
+            field = (1 << (top - offset)) - 1
+            values = [(y >> offset) & field for y in ly.keys]
+            above = [0] * (max(values) + 1)
+            for j, v in enumerate(values):
+                above[v] |= 1 << j
+            for v in range(len(above) - 2, -1, -1):
+                above[v] |= above[v + 1]
+            tables.append((offset, field, above))
+        offset = top + 1
+    masks = []
+    for x in lx.keys:
+        m = (1 << len(ly.keys)) - 1
+        for shift, field, above in tables:
+            v = (x >> shift) & field
+            m = m & above[v] if v < len(above) else 0
+        masks.append(m)
+    return masks
+
+
+def _bits(m: int) -> list[int]:
+    """The positions of the set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 def integer_coupling(lx: IntegerLaw, ly: IntegerLaw, guards: int):
     """Decide lx <=st ly by exact transportation feasibility, in integers.
 
     Capacities are cross-multiplied by the other law's total: ``w_x * T_Y``
     on source and x -> y edges, ``w_y * T_X`` on sink edges (docs/theory.md
-    section 2). The order holds iff the flow reaches ``T_X * T_Y``. Returns
-    ``(flows, None)`` with the checked coupling's (i, j, f) triples when it
-    holds, and ``(None, deficient)`` with the indices of the x-atoms on the
-    source side of a minimum cut when it fails.
+    section 2). The order holds iff the flow reaches ``T_X * T_Y``. A
+    first-fit pass routes each x-atom, in key order, to its comparable
+    y-atoms in key order; only if it leaves mass unrouted does Dinic run, on
+    the residual network of that flow. Returns ``(flows, None)`` with the
+    checked coupling's (i, j, f) triples when the order holds, and
+    ``(None, deficient)`` with the indices of the x-atoms reachable from the
+    source in the final residual network when it fails: the source side of
+    the minimal minimum cut, which is the same for every maximum flow.
     """
-    nx = len(lx.keys)
+    nx, ny = len(lx.keys), len(ly.keys)
     tx, ty = lx.total, ly.total
-    edges = [(0, 2 + i, w * ty) for i, w in enumerate(lx.weights)]
-    edges.extend((2 + nx + j, 1, w * tx) for j, w in enumerate(ly.weights))
-    y_guarded = [yj | guards for yj in ly.keys]
-    middle = []
-    for i, (xi, w) in enumerate(zip(lx.keys, lx.weights)):
-        above = [j for j, yg in enumerate(y_guarded) if (yg - xi) & guards == guards]
-        cap = w * ty
-        edges.extend((2 + i, 2 + nx + j, cap) for j in above)
-        middle.extend((i, j) for j in above)
-    value, sent, seen = integer_max_flow(2 + nx + len(ly.keys), edges, 0, 1)
-    if value == tx * ty:
-        flows = [(i, j, f) for (i, j), f in zip(middle, sent[nx + len(ly.keys):]) if f]
-        check_integer_coupling(flows, lx, ly, guards)
-        return flows, None
-    return None, [i for i in range(nx) if seen[2 + i]]
+    masks = _above_masks(lx, ly, guards)
+    supply = [w * ty for w in lx.weights]
+    demand = [w * tx for w in ly.weights]
+    greedy: dict[tuple[int, int], int] = {}
+    open_y = (1 << ny) - 1                  # the y-atoms with demand left
+    short = 0
+    for i, m in enumerate(masks):
+        s = supply[i]
+        m &= open_y
+        while m and s:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            d = demand[j]
+            f = s if s < d else d
+            greedy[i, j] = f
+            demand[j] = d - f
+            s -= f
+            if f == d:
+                open_y ^= low
+        supply[i] = s
+        short += s
+    if short:
+        # forward edges keep their residual capacity; each greedy flow
+        # becomes a y -> x edge that can send it back
+        middle = [(i, j) for i, m in enumerate(masks) for j in _bits(m)]
+        back = list(greedy)
+        edges = [(0, 2 + i, s) for i, s in enumerate(supply)]
+        edges.extend((2 + nx + j, 1, d) for j, d in enumerate(demand))
+        edges.extend((2 + i, 2 + nx + j, lx.weights[i] * ty - greedy.get((i, j), 0))
+                     for i, j in middle)
+        edges.extend((2 + nx + j, 2 + i, greedy[i, j]) for i, j in back)
+        value, sent, seen = integer_max_flow(2 + nx + ny, edges, 0, 1)
+        if value != short:
+            return None, [i for i in range(nx) if seen[2 + i]]
+        sent = sent[nx + ny:]
+        for pair, f in zip(middle, sent):
+            if f:
+                greedy[pair] = greedy.get(pair, 0) + f
+        for pair, f in zip(back, sent[len(middle):]):
+            greedy[pair] -= f
+    flows = sorted((i, j, f) for (i, j), f in greedy.items() if f)
+    check_integer_coupling(flows, lx, ly, guards)
+    return flows, None
 
 
 @dataclass(frozen=True)

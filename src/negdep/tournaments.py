@@ -124,8 +124,13 @@ class KnockoutSpec:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("need at least one round")
+        size = len(self.win_prob)
+        # compare exponents first: 2 ** rounds may be too large to build
+        if self.rounds != size.bit_length() - 1:
+            raise ValueError(f"{self.rounds} rounds need 2^{self.rounds} players, "
+                             f"but the win-probability matrix has {size} rows")
         n = self.n
-        if len(self.win_prob) != n or any(len(row) != n for row in self.win_prob):
+        if size != n or any(len(row) != n for row in self.win_prob):
             raise ValueError(f"win-probability matrix must be {n}x{n}")
         for i in range(n):
             for j in range(n):
@@ -291,6 +296,13 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_rational(value, name: str):
+    """A JSON rational for ``as_rational``; bools are rejected, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an exact rational, got {value!r}")
+    return value
+
+
 def _json_list(value, name: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a list, got {value!r}")
@@ -311,9 +323,10 @@ def model_spec_from_json(obj: dict):
                 pair = (_json_int(entry["i"], "'i'"), _json_int(entry["j"], "'j'"))
                 if pair in games:
                     raise ValueError(f"pair {pair} is listed twice")
-                law = [_json_list(item, "a 'law' entry")
+                law = [[_json_rational(v, "a 'law' entry")
+                        for v in _json_list(item, "a 'law' entry")]
                        for item in _json_list(entry["law"], "'law'")]
-                games[pair] = pair_score_law(entry["r"], law)
+                games[pair] = pair_score_law(_json_rational(entry["r"], "'r'"), law)
             return round_robin_spec(_json_int(obj["n"], "'n'"), games)
         draw_obj = obj["draw"]
         kind = draw_obj["kind"]
@@ -324,7 +337,8 @@ def model_spec_from_json(obj: dict):
             draw = RandomDraw()
         else:
             raise ValueError(f"unknown draw kind {kind!r}")
-        matrix = [_json_list(row, "a 'win_prob' row")
+        matrix = [[_json_rational(p, "a 'win_prob' entry")
+                   for p in _json_list(row, "a 'win_prob' row")]
                   for row in _json_list(obj["win_prob"], "'win_prob'")]
         return knockout_spec(_json_int(obj["ell"], "'ell'"), matrix, draw)
     except KeyError as exc:

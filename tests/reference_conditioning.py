@@ -7,11 +7,15 @@ each label's atom mask is built by testing every atom against a Fraction
 comparisons). Sub-blocks of the witness search are decided by Fraction
 ``st_leq`` on marginals of the Fraction conditional laws. The upper-set sweep
 (``st_leq_uppersets``, summing Fractions), the ``st_leq`` that runs it in
-verify mode, and ``_deterministic_upper_violation`` are kept here too, so the
+verify mode, and ``_deterministic_upper_violation`` are kept here too. So is
+the integer coupling kernel as it was before the comparability bitsets and
+the first-fit warm start: it tests every (x, y) pair against the guard bits
+and runs a cold Dinic search on every call (``integer_coupling`` below). The
 reference shares no decision code with the engine under test beyond the
-integer coupling kernel. The code below is kept verbatim apart from the
-module-level names; the differential tests compare the rank-bitset engine
-against it, verdict, witness and stats alike.
+max-flow engine and ``st_leq_coupling``, which its ``st_leq`` calls on the
+sub-blocks of the witness search. The code below is kept verbatim apart
+from the module-level names; the differential tests compare the rank-bitset
+engine against it, verdict, witness and stats alike.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from negdep.checks import (
 )
 from negdep.distributions import EQ, LOWER, UPPER, FiniteJointDistribution, Vector
 from negdep.errors import Caps, EnumerationCapExceeded, InternalConsistencyError, default_caps
+from negdep.maxflow import integer_max_flow
 from negdep.rationals import NEG_INF, POS_INF, Extended
 from negdep.stochorder import (
     IntegerLaw,
@@ -39,7 +44,7 @@ from negdep.stochorder import (
     StVerdict,
     UpperSetViolation,
     _require_same_dim,
-    integer_coupling,
+    check_integer_coupling,
     integer_view,
     masked_law,
     require_agreement,
@@ -48,6 +53,35 @@ from negdep.stochorder import (
 from negdep.uppersets import enumerate_upper_index_sets, from_members
 
 ZERO = Fraction(0)
+
+
+def integer_coupling(lx: IntegerLaw, ly: IntegerLaw, guards: int):
+    """Decide lx <=st ly by exact transportation feasibility, in integers.
+
+    Capacities are cross-multiplied by the other law's total: ``w_x * T_Y``
+    on source and x -> y edges, ``w_y * T_X`` on sink edges (docs/theory.md
+    section 2). The order holds iff the flow reaches ``T_X * T_Y``. Returns
+    ``(flows, None)`` with the checked coupling's (i, j, f) triples when it
+    holds, and ``(None, deficient)`` with the indices of the x-atoms on the
+    source side of a minimum cut when it fails.
+    """
+    nx = len(lx.keys)
+    tx, ty = lx.total, ly.total
+    edges = [(0, 2 + i, w * ty) for i, w in enumerate(lx.weights)]
+    edges.extend((2 + nx + j, 1, w * tx) for j, w in enumerate(ly.weights))
+    y_guarded = [yj | guards for yj in ly.keys]
+    middle = []
+    for i, (xi, w) in enumerate(zip(lx.keys, lx.weights)):
+        above = [j for j, yg in enumerate(y_guarded) if (yg - xi) & guards == guards]
+        cap = w * ty
+        edges.extend((2 + i, 2 + nx + j, cap) for j in above)
+        middle.extend((i, j) for j in above)
+    value, sent, seen = integer_max_flow(2 + nx + len(ly.keys), edges, 0, 1)
+    if value == tx * ty:
+        flows = [(i, j, f) for (i, j), f in zip(middle, sent[nx + len(ly.keys):]) if f]
+        check_integer_coupling(flows, lx, ly, guards)
+        return flows, None
+    return None, [i for i in range(nx) if seen[2 + i]]
 
 
 def st_leq_uppersets(dX: FiniteJointDistribution, dY: FiniteJointDistribution,

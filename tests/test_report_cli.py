@@ -277,12 +277,16 @@ _BAD_INPUTS = {
     "check-atoms-null": ["check", {"dim": 2, "atoms": None}],
     "check-zero-denominator": ["check", _atom(["0", "1"], "1/0")],
     "check-vector-string": ["check", _atom("01", "1")],
+    "check-bool-atom": ["check", _atom([True, False], True)],
     "check-output-dir-missing": ["check", _LAW, "-o", _MISSING],
     "build-zero-denominator-win-prob": [
         "build", _knockout(win_prob=[["0", "1/0"], ["1/2", "0"]])],
     "build-zero-denominator-pair-prob": [
         "build", _round_robin(law=[["0", "1/0"], ["1", "1/2"]])],
     "build-float-win-prob": ["build", _knockout(win_prob=[[0, 0.5], [0.5, 0]])],
+    "build-bool-win-prob": ["build", _knockout(win_prob=[[False, True], [False, False]])],
+    "build-bool-pair-score": ["build", _round_robin(law=[[False, "1/2"], [True, "1/2"]])],
+    "build-bool-r": ["build", _round_robin(r=True)],
     "build-win-prob-number": ["build", _knockout(win_prob=5)],
     "build-bracket-number": ["build", _knockout(draw={"kind": "fixed", "bracket": 5})],
     "build-bracket-float": ["build", _knockout(draw={"kind": "fixed", "bracket": [1, 2.0]})],
@@ -318,6 +322,14 @@ class TestOneErrorLine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_huge_ell_is_a_size_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_knockout(ell=20000)))
+        assert main(["build", str(spec), "-o", str(tmp_path / "dist.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "win-probability matrix has 2 rows" in err
 
     def test_cap_in_check_keeps_the_partial_report(self, table1_file, tmp_path, capsys):
         path = tmp_path / "partial.json"

@@ -13,9 +13,12 @@ from negdep import (
     st_leq_coupling,
     st_leq_uppersets,
 )
+from negdep import stochorder
 from negdep.checks import LawCache, _CellContext, _label_masks
 from negdep.errors import Caps
 from negdep.stochorder import (
+    IntegerLaw,
+    RankPacking,
     _pack_ranks,
     check_integer_coupling,
     integer_coupling,
@@ -23,6 +26,7 @@ from negdep.stochorder import (
 )
 from negdep.uppersets import componentwise_leq, upper_closure
 
+from . import reference_conditioning as ref
 from .strategies import distribution_pairs, finite_distributions
 
 F = Fraction
@@ -173,6 +177,28 @@ def parent_law_and_masks(draw):
     return d, draw(st.sampled_from([(1,), (2,), (3,), (1, 2), (2, 3)])), draw(masks), draw(masks)
 
 
+@st.composite
+def coupled_laws(draw):
+    """Integer laws on the 3x3 rank grid with Y made from X by moving each
+    piece of mass up, so X <=st Y; first fit often sends a piece too low."""
+    point = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    pieces = draw(st.lists(st.tuples(point, point, st.integers(1, 9)), min_size=1, max_size=8))
+    packing = RankPacking([3, 3])
+    wx: dict[int, int] = {}
+    wy: dict[int, int] = {}
+    for x, step, w in pieces:
+        kx = packing.pack(x)
+        ky = packing.pack([min(2, a + b) for a, b in zip(x, step)])
+        wx[kx] = wx.get(kx, 0) + w
+        wy[ky] = wy.get(ky, 0) + w
+
+    def law(weights):
+        keys = sorted(weights)
+        return IntegerLaw(tuple(keys), tuple(weights[k] for k in keys), sum(weights.values()))
+
+    return law(wx), law(wy), packing.guards
+
+
 def _cell(d, J):
     return _CellContext(LawCache(d), J, Caps(), "fast")
 
@@ -198,6 +224,63 @@ class TestIntegerKernel:
         coupling = st_leq_coupling(dX, dY).coupling
         assert list(coupling.pairs) == expected
         coupling.validate(dX, dY)
+
+    @settings(max_examples=300, deadline=None)
+    @given(parent_law_and_masks())
+    def test_matches_the_guard_test_kernel(self, case):
+        d, J, mask_x, mask_y = case
+        ctx = _cell(d, J)
+        lx, ly = ctx.int_law(mask_x), ctx.int_law(mask_y)
+        flows, deficient = integer_coupling(lx, ly, ctx.guards)
+        ref_flows, ref_deficient = ref.integer_coupling(lx, ly, ctx.guards)
+        assert (flows is None) == (ref_flows is None)
+        assert deficient == ref_deficient
+        if flows is not None:
+            check_integer_coupling(flows, lx, ly, ctx.guards)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coupled_laws())
+    def test_holds_on_laws_made_by_moving_mass_up(self, case):
+        flows, deficient = integer_coupling(*case)
+        assert deficient is None
+        check_integer_coupling(flows, *case)
+        assert ref.integer_coupling(*case)[0] is not None
+
+    @staticmethod
+    def _stuck_case(x_weights):
+        """x-atoms (0,0) and (0,1), y-atoms (0,1) and (1,0) with weight 1.
+
+        First fit sends all of (0,0) to (0,1), the only y-atom above (0,1)."""
+        packing = RankPacking([2, 2])
+        xs = tuple(packing.pack(p) for p in [(0, 0), (0, 1)])
+        ys = tuple(packing.pack(p) for p in [(0, 1), (1, 0)])
+        lx = IntegerLaw(xs, x_weights, sum(x_weights))
+        ly = IntegerLaw(ys, (1, 1), 2)
+        return lx, ly, packing.guards
+
+    def _counting_max_flow(self, monkeypatch):
+        calls = []
+        engine = stochorder.integer_max_flow
+        monkeypatch.setattr(stochorder, "integer_max_flow",
+                            lambda *args: calls.append(args) or engine(*args))
+        return calls
+
+    def test_stuck_first_fit_holds_by_rerouting(self, monkeypatch):
+        calls = self._counting_max_flow(monkeypatch)
+        lx, ly, guards = self._stuck_case((1, 1))
+        flows, deficient = integer_coupling(lx, ly, guards)
+        assert len(calls) == 1
+        # (0,0) moves to (1,0) along the reverse edge of its greedy flow
+        assert flows == [(0, 1, 2), (1, 0, 2)] and deficient is None
+
+    def test_stuck_first_fit_fails_with_the_minimal_cut(self, monkeypatch):
+        calls = self._counting_max_flow(monkeypatch)
+        lx, ly, guards = self._stuck_case((1, 2))
+        flows, deficient = integer_coupling(lx, ly, guards)
+        assert len(calls) == 1
+        # P(X >= (0,1)) = 2/3 > P(Y >= (0,1)) = 1/2
+        assert flows is None and deficient == [1]
+        assert ref.integer_coupling(lx, ly, guards) == (None, [1])
 
     def _holding_case(self, table1):
         ctx = _cell(table1, (1,))
