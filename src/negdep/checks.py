@@ -67,7 +67,12 @@ from .stochorder import (
     st_leq,
     st_leq_uppersets,
 )
-from .supermodular import GridFunction, orthant_sums, supermodular_leq, verify_supermodular_witness
+from .supermodular import (
+    SupermodularWitness,
+    below_independent_copy,
+    orthant_sums,
+    witness_expectations,
+)
 from .uppersets import UpperSet, enumerate_upper_index_sets, from_members
 
 ZERO = Fraction(0)
@@ -122,14 +127,6 @@ class AssociationWitness:
     p_joint: Fraction
     p1: Fraction
     p2: Fraction
-
-
-@dataclass(frozen=True)
-class SupermodularWitness:
-    function: GridFunction
-    gap: Fraction
-    left: Fraction    # E[psi] under the law itself
-    right: Fraction   # E[psi] under its independent copy
 
 
 @dataclass(frozen=True)
@@ -393,20 +390,15 @@ def _check_na(work: LawCache, max_block, caps, jobs) -> Verdict:
 
 def check_nsmd(d: FiniteJointDistribution, caps: Caps | None = None) -> Verdict:
     """Below the independent copy in the supermodular order."""
-    _require_joint(d)
-    perp = independent_copy(d)
-    verdict = supermodular_leq(d, perp, caps=caps)
-    if verdict.holds:
-        return Verdict("nsmd", True, None, CheckStats(conditioning_pairs=verdict.grid_points))
-    values = verdict.witness.as_dict()
-    witness = SupermodularWitness(
-        function=verdict.witness,
-        gap=verdict.gap,
-        left=d.expectation(lambda v: values[v]),
-        right=perp.expectation(lambda v: values[v]),
-    )
-    return Verdict("nsmd", False, witness,
-                   CheckStats(conditioning_pairs=verdict.grid_points))
+    return _check_nsmd(LawCache(d), caps)
+
+
+def _check_nsmd(work: LawCache, caps) -> Verdict:
+    """On the law's integer view, with no independent-copy law (docs/theory.md
+    section 10)."""
+    _require_joint(work.d)
+    points, witness = below_independent_copy(work.view, work.grid, caps)
+    return Verdict("nsmd", witness is None, witness, CheckStats(conditioning_pairs=points))
 
 
 # -- regression-style dependence ----------------------------------------------
@@ -779,7 +771,7 @@ PROPERTIES: dict[str, Callable[..., Verdict]] = {
     "nuod": lambda work, *_: _orthant_scan(work, "upper"),
     "nod": lambda work, *_: _check_nod(work),
     "na": lambda work, max_j, variant, caps, st_mode, jobs: _check_na(work, max_j, caps, jobs),
-    "nsmd": lambda work, max_j, variant, caps, *_: check_nsmd(work.d, caps),
+    "nsmd": lambda work, max_j, variant, caps, *_: _check_nsmd(work, caps),
     "nrd": _regression_entry(EQ, "nrd"),
     "nltd": _regression_entry(LOWER, "nltd"),
     "nrtd": _regression_entry(UPPER, "nrtd"),
@@ -1000,11 +992,8 @@ def verify_witness(d: FiniteJointDistribution, verdict: Verdict) -> None:
             raise InternalConsistencyError("association witness failed re-verification")
         return
     if isinstance(w, SupermodularWitness):
-        verify_supermodular_witness(w.function, d, independent_copy(d))
-        values = w.function.as_dict()
-        left = d.expectation(lambda v: values[v])
-        right = independent_copy(d).expectation(lambda v: values[v])
-        if not (left == w.left and right == w.right and left > right):
+        # the re-check itself requires left > right
+        if witness_expectations(w.function, d, independent_copy(d)) != (w.left, w.right):
             raise InternalConsistencyError("supermodular witness failed re-verification")
         return
     if isinstance(w, RegressionWitness):

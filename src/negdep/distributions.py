@@ -7,8 +7,8 @@ iteration and every downstream enumeration deterministic.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -258,19 +258,35 @@ def independent_copy(d: FiniteJointDistribution) -> FiniteJointDistribution:
 def permutation_distribution(values: Sequence) -> FiniteJointDistribution:
     """Uniform law over all arrangements of the given values.
 
-    Equal values collapse: each distinct arrangement of a multiset carries
-    probability (product of multiplicity factorials) / n!.
+    Equal values collapse: each distinct arrangement of a multiset is
+    enumerated once and carries probability (product of multiplicity
+    factorials) / n!, so the work is the number of atoms, not n!.
     """
-    vals = tuple(as_rational(v) for v in values)
+    vals = sorted(as_rational(v) for v in values)
     if not vals:
         raise EmptyIndexSet("values must be nonempty")
     n = len(vals)
-    counts: dict[Vector, int] = {}
-    for arrangement in itertools.permutations(vals):
-        counts[arrangement] = counts.get(arrangement, 0) + 1
-    factor = Fraction(1, math.factorial(n))
-    merged = {x: c * factor for x, c in counts.items()}
-    return FiniteJointDistribution(n, _sorted_atoms(merged))
+    p = Fraction(math.prod(math.factorial(m) for m in Counter(vals).values()),
+                 math.factorial(n))
+    return FiniteJointDistribution(n, tuple((x, p) for x in _arrangements(vals)))
+
+
+def _arrangements(vals: list[Fraction]):
+    """Each distinct arrangement of the sorted values once, in lexicographic
+    order: the next one swaps the last ascent's left end with the smallest
+    larger value to its right and reverses the tail (Narayana Pandita)."""
+    while True:
+        yield tuple(vals)
+        i = len(vals) - 2
+        while i >= 0 and vals[i] >= vals[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(vals) - 1
+        while vals[j] <= vals[i]:
+            j -= 1
+        vals[i], vals[j] = vals[j], vals[i]
+        vals[i + 1:] = vals[:i:-1]
 
 
 # -- wire format ----------------------------------------------------------

@@ -10,6 +10,13 @@ cone on the grid (see docs/theory.md), and the box -1 <= psi <= 1
 compactifies it. Maximizing E[psi(X)] - E[psi(Y)] over that polytope gives
 exactly 0 when the order holds and a strictly positive gap, with the
 maximizing psi as a witness, when it fails.
+
+One integer core decides the order (:func:`decide_on_grid`): it reads the
+signed measure p_Y - p_X as ints on the flat lexicographic grid over one
+positive scale, and re-checks its answer there by grid position
+(docs/theory.md section 10). Two front ends build that measure: one from two
+laws (:func:`supermodular_leq`), one from a law's integer view against its
+independent copy (:func:`below_independent_copy`).
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
+from typing import Sequence
 
 from .distributions import FiniteJointDistribution, Vector
-from .errors import Caps, GridTooLarge, InternalConsistencyError, default_caps
+from .errors import Caps, GridTooLarge, InternalConsistencyError, UndefinedAtAtom, default_caps
 from .simplex import OPTIMAL, LinearProgram, SimplexResult, simplex_solve
 
 
@@ -44,6 +52,14 @@ class SupermodularVerdict:
     grid_points: int
 
 
+@dataclass(frozen=True)
+class SupermodularWitness:
+    function: GridFunction
+    gap: Fraction
+    left: Fraction    # E[psi] under the law itself
+    right: Fraction   # E[psi] under its independent copy
+
+
 def _union_axes(dX: FiniteJointDistribution,
                 dY: FiniteJointDistribution) -> tuple[tuple[Fraction, ...], ...]:
     gx = dX.support_grid()
@@ -51,56 +67,28 @@ def _union_axes(dX: FiniteJointDistribution,
     return tuple(tuple(sorted(set(a) | set(b))) for a, b in zip(gx, gy))
 
 
-def local_supermodularity_deficits(f: GridFunction):
-    """Yield (point, axis_pair, value) of every adjacent-step inequality."""
-    values = f.as_dict()
-    axes = f.axes
-    dim = len(axes)
-    for pos in itertools.product(*(range(len(ax)) for ax in axes)):
-        x = tuple(axes[a][p] for a, p in enumerate(pos))
-        for a1 in range(dim):
-            if pos[a1] + 1 >= len(axes[a1]):
-                continue
-            for a2 in range(a1 + 1, dim):
-                if pos[a2] + 1 >= len(axes[a2]):
-                    continue
-                up1 = list(x)
-                up1[a1] = axes[a1][pos[a1] + 1]
-                up2 = list(x)
-                up2[a2] = axes[a2][pos[a2] + 1]
-                up12 = list(up1)
-                up12[a2] = axes[a2][pos[a2] + 1]
-                deficit = (values[tuple(up12)] - values[tuple(up1)]
-                           - values[tuple(up2)] + values[x])
-                yield x, (a1 + 1, a2 + 1), deficit
+def _strides(sizes: Sequence[int]) -> tuple[list[int], int]:
+    """Per-axis strides of the flat lex grid, and its number of points."""
+    strides = [0] * len(sizes)
+    acc = 1
+    for a in range(len(sizes) - 1, -1, -1):
+        strides[a] = acc
+        acc *= sizes[a]
+    return strides, acc
 
 
-def verify_supermodular_witness(witness: GridFunction,
-                                dX: FiniteJointDistribution,
-                                dY: FiniteJointDistribution) -> Fraction:
-    """Re-check a witness from scratch; returns the (positive) gap."""
-    values = witness.as_dict()
-    if any(abs(v) > 1 for v in values.values()):
-        raise InternalConsistencyError("witness leaves the [-1, 1] box")
-    for x, pair, deficit in local_supermodularity_deficits(witness):
-        if deficit < 0:
-            raise InternalConsistencyError(
-                f"witness is not supermodular at {x} on axes {pair}"
-            )
-    gap = dX.expectation(lambda v: values[v]) - dY.expectation(lambda v: values[v])
-    if gap <= 0:
-        raise InternalConsistencyError(f"witness gap {gap} is not positive")
-    return gap
+def _grid_size(sizes: Sequence[int], caps: Caps | None) -> int:
+    total = math.prod(sizes)
+    cap = (caps or default_caps()).max_lp_vars
+    if total > cap:
+        raise GridTooLarge(f"product grid has {total} points, over the cap of {cap} LP variables")
+    return total
 
 
 def _grid_cells(sizes: list[int]) -> list[tuple[int, int, int, int]]:
     """All (k, k+e_i, k+e_j, k+e_i+e_j) index quadruples of the lex grid."""
     dim = len(sizes)
-    strides = [0] * dim
-    acc = 1
-    for a in range(dim - 1, -1, -1):
-        strides[a] = acc
-        acc *= sizes[a]
+    strides, acc = _strides(sizes)
     cells = []
     for k in range(acc):
         pos = []
@@ -149,52 +137,72 @@ def orthant_sums(cells: list[int], sizes: list[int], reverse: bool) -> list[int]
     return cells
 
 
-def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
-                     caps: Caps | None = None) -> SupermodularVerdict:
-    """Decide X <=sm Y (all supermodular expectations ordered), exactly.
+def orthant_screen(r: list[int], sizes: list[int]) -> bool:
+    """Whether some lower or upper orthant sum of r is negative, which rules
+    out every transfer certificate (docs/theory.md section 5)."""
+    return any(min(orthant_sums(list(r), sizes, reverse)) < 0 for reverse in (False, True))
+
+
+def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _recheck(sizes: Sequence[int], r: Sequence[int], scale: int,
+             psi: Sequence[int], den: int) -> Fraction:
+    """Re-check psi[k] / den against r[k] / scale = p_Y - p_X on the flat lex
+    grid, by position and in integers: the box, every adjacent-step
+    inequality, one stride loop per axis pair, and a positive gap, which is
+    returned."""
+    if any(abs(v) > den for v in psi):
+        raise InternalConsistencyError("witness leaves the [-1, 1] box")
+    strides, _ = _strides(sizes)
+    for a1, a2 in itertools.combinations(range(len(sizes)), 2):
+        s1, s2 = strides[a1], strides[a2]
+        corners = [0]  # every k with a successor on both axes, ascending
+        for a, (size, step) in enumerate(zip(sizes, strides)):
+            steps = range(size - 1 if a in (a1, a2) else size)
+            corners = [k + i * step for k in corners for i in steps]
+        for k in corners:
+            if psi[k + s1 + s2] - psi[k + s1] - psi[k + s2] + psi[k] < 0:
+                raise InternalConsistencyError(
+                    f"witness is not supermodular at grid position {k} on axes {(a1 + 1, a2 + 1)}"
+                )
+    gap = Fraction(-sum(map(mul, psi, r)), den * scale)
+    if gap <= 0:
+        raise InternalConsistencyError(f"witness gap {gap} is not positive")
+    return gap
+
+
+def decide_on_grid(sizes: list[int], r: list[int],
+                   scale: int) -> tuple[Fraction, list[int] | None, int]:
+    """Decide X <=sm Y on the flat lex grid with the given axis sizes, where
+    ``r[k] / scale`` is p_Y - p_X at grid position k (ints, scale > 0).
+
+    Returns (gap, psi, den). The order holds iff psi is None, and then the
+    gap is 0. Otherwise ``psi[k] / den`` is the box LP's maximizing witness,
+    re-checked by position, and the gap is its positive LP optimum.
 
     The order holds iff the box LP's optimum is 0, which by LP duality is
-    the same as p_Y - p_X being a nonnegative combination of elementary
-    transfer vectors delta(x) - delta(x+e_i) - delta(x+e_j) + delta(x+e_i+e_j)
-    (constant functions make the box shift cancel out). Orthant indicators
-    are supermodular, so a negative sum of p_Y - p_X over a lower or upper
-    orthant already rules the transfers out. Otherwise the feasibility
+    the same as r being a nonnegative combination of elementary transfer
+    vectors delta(x) - delta(x+e_i) - delta(x+e_j) + delta(x+e_i+e_j)
+    (constant functions make the box shift cancel out). A negative orthant
+    sum of r already rules the transfers out. Otherwise the feasibility
     system is solved first — it is far less degenerate — and its certificate
     is re-verified by direct summation; only a failed order runs the box LP,
-    to maximize the gap and extract the witness psi.
+    to maximize the gap and extract the witness psi. Both LPs read r divided
+    by the gcd of its entries, which scales every right-hand side, or every
+    objective coefficient, by one positive factor and so changes no pivot.
     """
-    if dX.dim != dY.dim:
-        raise ValueError(f"dimension mismatch: {dX.dim} vs {dY.dim}")
-    caps = caps or default_caps()
-    axes = _union_axes(dX, dY)
-    total = 1
-    for ax in axes:
-        total *= len(ax)
-    if total > caps.max_lp_vars:
-        raise GridTooLarge(
-            f"product grid has {total} points, over the cap of {caps.max_lp_vars} "
-            "LP variables"
-        )
-
-    grid = list(itertools.product(*axes))
-    index = {point: k for k, point in enumerate(grid)}
-    sizes = [len(ax) for ax in axes]
-    cells = _grid_cells(sizes)
-
-    # signed target measure r = p_Y - p_X on the grid, as integers over scale
-    scale = math.lcm(*(p.denominator for _, p in dX.atoms + dY.atoms))
-    r = [0] * len(grid)
-    for atoms, sign in ((dX.atoms, -1), (dY.atoms, 1)):
-        for x, p in atoms:
-            r[index[x]] += sign * p.numerator * (scale // p.denominator)
     if sum(r) != 0:
         raise InternalConsistencyError("signed measure does not balance")
+    g = math.gcd(*r) or 1
+    target = [v // g for v in r]
+    cells = _grid_cells(sizes)
 
-    # feasibility: sum of lambda_c * transfer_c == r, lambda >= 0, unless a
-    # negative orthant sum of r rules it out (docs/theory.md section 5)
-    if not any(min(orthant_sums(list(r), sizes, reverse)) < 0 for reverse in (False, True)):
-        target = [Fraction(v, scale) for v in r]
-        rows: dict[int, dict[int, int]] = {k: {} for k in range(len(grid))}
+    # feasibility: sum of lambda_c * transfer_c == target, lambda >= 0
+    if not orthant_screen(target, sizes):
+        rows: list[dict[int, int]] = [{} for _ in target]
         for c, cell in enumerate(cells):
             for k, sign in zip(cell, (1, -1, -1, 1)):
                 rows[k][c] = sign
@@ -202,49 +210,164 @@ def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
             num_vars=len(cells),
             objective={},
             constraints=(),
-            equalities=[(rows[k], target[k]) for k in range(len(grid))],
+            equalities=list(zip(rows, target)),
         ))
         if feas.status == OPTIMAL:
             # re-check the transfer certificate by direct summation
-            achieved = [Fraction(0)] * len(grid)
-            for c, lam in enumerate(feas.solution):
-                if lam:
-                    if lam < 0:
+            lam, lam_den = _over_one_denominator(feas.solution)
+            achieved = [0] * len(target)
+            for (k, k1, k2, k12), v in zip(cells, lam):
+                if v:
+                    if v < 0:
                         raise InternalConsistencyError("negative transfer coefficient")
-                    k, k1, k2, k12 = cells[c]
-                    achieved[k] += lam
-                    achieved[k12] += lam
-                    achieved[k1] -= lam
-                    achieved[k2] -= lam
-            if achieved != target:
+                    achieved[k] += v
+                    achieved[k12] += v
+                    achieved[k1] -= v
+                    achieved[k2] -= v
+            if achieved != [v * lam_den for v in target]:
                 raise InternalConsistencyError(
                     "transfer certificate does not reproduce p_Y - p_X")
-            return SupermodularVerdict(True, Fraction(0), None, len(grid))
+            return Fraction(0), None, 1
 
     # order violated: maximize the gap over the box-bounded cone for a witness
     constraints: list[tuple[dict[int, int], int]] = []
     for k, k1, k2, k12 in cells:
         # -(psi(up12) - psi(up1) - psi(up2) + psi(x)) <= 0
         constraints.append(({k12: -1, k1: 1, k2: 1, k: -1}, 0))
-    for k in range(len(grid)):
+    for k in range(len(target)):
         constraints.append(({k: 1}, 2))  # shifted box: 0 <= phi <= 2
-    objective = {k: Fraction(-v, scale) for k, v in enumerate(r) if v}
+    objective = {k: -v for k, v in enumerate(target) if v}
 
     result: SimplexResult = simplex_solve(
-        LinearProgram(num_vars=len(grid), objective=objective, constraints=constraints)
+        LinearProgram(num_vars=len(target), objective=objective, constraints=constraints)
     )
     if result.status != OPTIMAL:
         raise InternalConsistencyError(f"supermodular LP ended {result.status}")
-    gap = result.objective
+    gap = result.objective * g / scale
     if gap <= 0:
         raise InternalConsistencyError(
             f"transfer system infeasible but box LP optimum is {gap}"
         )
 
     # the box shift cancels in the objective, so psi = phi - 1 has the same gap
-    witness = GridFunction(
-        axes=axes,
-        values=tuple((point, result.solution[k] - 1) for k, point in enumerate(grid)),
+    phi, den = _over_one_denominator(result.solution)
+    psi = [v - den for v in phi]
+    if _recheck(sizes, r, scale, psi, den) != gap:
+        raise InternalConsistencyError("witness gap differs from the box LP optimum")
+    return gap, psi, den
+
+
+def _grid_function(axes, psi: list[int], den: int) -> GridFunction:
+    return GridFunction(axes, tuple(zip(itertools.product(*axes),
+                                        (Fraction(v, den) for v in psi))))
+
+
+def _weights_on(axes, d: FiniteJointDistribution) -> tuple[list[int], int]:
+    """The law's probabilities on the flat lex grid of ``axes``, as ints over
+    their common denominator, which is returned with them."""
+    if d.dim != len(axes):
+        raise UndefinedAtAtom(f"a grid of dimension {len(axes)} meets a law of dimension {d.dim}")
+    strides, total = _strides([len(ax) for ax in axes])
+    offsets = [{v: i * step for i, v in enumerate(ax)} for ax, step in zip(axes, strides)]
+    scale = math.lcm(*(p.denominator for _, p in d.atoms))
+    weights = [0] * total
+    for x, p in d.atoms:
+        try:
+            k = sum(offset[v] for offset, v in zip(offsets, x))
+        except KeyError as exc:
+            raise UndefinedAtAtom(f"integrand undefined at {x}") from exc
+        weights[k] += p.numerator * (scale // p.denominator)
+    return weights, scale
+
+
+def _signed_measure(x: tuple[list[int], int], y: tuple[list[int], int]) -> tuple[list[int], int]:
+    """p_Y - p_X as ints over one scale, from each law's (weights, scale)."""
+    (wx, sx), (wy, sy) = x, y
+    scale = math.lcm(sx, sy)
+    return [b * (scale // sy) - a * (scale // sx) for a, b in zip(wx, wy)], scale
+
+
+def witness_expectations(witness: GridFunction, dX: FiniteJointDistribution,
+                         dY: FiniteJointDistribution) -> tuple[Fraction, Fraction]:
+    """Re-check a witness from scratch and return (E[psi(X)], E[psi(Y)]).
+
+    The witness's points must be the lex grid of its axes; psi is then read
+    by position, over one denominator, and checked for the box, every
+    adjacent-step inequality and a positive gap E[psi(X)] - E[psi(Y)].
+    """
+    axes = witness.axes
+    if tuple(x for x, _ in witness.values) != tuple(itertools.product(*axes)):
+        raise InternalConsistencyError("witness points are not the lex grid of its axes")
+    psi, den = _over_one_denominator([v for _, v in witness.values])
+    x, y = _weights_on(axes, dX), _weights_on(axes, dY)
+    _recheck([len(ax) for ax in axes], *_signed_measure(x, y), psi, den)
+    return tuple(Fraction(sum(map(mul, psi, w)), den * scale) for w, scale in (x, y))
+
+
+def verify_supermodular_witness(witness: GridFunction,
+                                dX: FiniteJointDistribution,
+                                dY: FiniteJointDistribution) -> Fraction:
+    """Re-check a witness from scratch; returns the (positive) gap."""
+    left, right = witness_expectations(witness, dX, dY)
+    return left - right
+
+
+def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
+                     caps: Caps | None = None) -> SupermodularVerdict:
+    """Decide X <=sm Y (all supermodular expectations ordered), exactly, on
+    the product grid of both supports (see :func:`decide_on_grid`)."""
+    if dX.dim != dY.dim:
+        raise ValueError(f"dimension mismatch: {dX.dim} vs {dY.dim}")
+    axes = _union_axes(dX, dY)
+    sizes = [len(ax) for ax in axes]
+    total = _grid_size(sizes, caps)
+    r, scale = _signed_measure(_weights_on(axes, dX), _weights_on(axes, dY))
+    gap, psi, den = decide_on_grid(sizes, r, scale)
+    if psi is None:
+        return SupermodularVerdict(True, gap, None, total)
+    return SupermodularVerdict(False, gap, _grid_function(axes, psi, den), total)
+
+
+def independence_grid(view) -> tuple[list[int], list[int], int]:
+    """A law's integer view laid out on the flat lex grid of its support:
+    (cells, products, mass). The law puts cells[k] / mass on grid point k
+    and its independent copy products[k] / mass**dim, the outer product of
+    the marginal lines."""
+    weights, ranks, sizes = view
+    strides, total = _strides(sizes)
+    cells = [0] * total
+    lines = [[0] * size for size in sizes]
+    for rank, w in zip(ranks, weights):
+        cells[sum(map(mul, rank, strides))] += w
+        for line, i in zip(lines, rank):
+            line[i] += w
+    products = [1]
+    for line in lines:
+        products = [p * m for p in products for m in line]
+    return cells, products, sum(weights)
+
+
+def below_independent_copy(view, axes, caps: Caps | None = None
+                           ) -> tuple[int, SupermodularWitness | None]:
+    """The law below its independent copy in the supermodular order (NSMD),
+    decided on its integer view; ``axes`` is its support grid.
+
+    Returns the number of grid points and, when the order fails, the
+    witness. On the grid, r = products - mass**(dim-1) * cells over
+    mass**dim is p_perp - p_X, and E[psi] under the law and under its copy
+    are integer sums over the same grid. The cap is checked before anything
+    grid-sized is built.
+    """
+    total = _grid_size(view[2], caps)
+    cells, products, mass = independence_grid(view)
+    lift = mass ** (len(axes) - 1)
+    r = [p - lift * c for p, c in zip(products, cells)]
+    gap, psi, den = decide_on_grid(view[2], r, lift * mass)
+    if psi is None:
+        return total, None
+    return total, SupermodularWitness(
+        function=_grid_function(axes, psi, den),
+        gap=gap,
+        left=Fraction(sum(map(mul, psi, cells)), den * mass),
+        right=Fraction(sum(map(mul, psi, products)), den * lift * mass),
     )
-    verify_supermodular_witness(witness, dX, dY)
-    return SupermodularVerdict(False, gap, witness, len(grid))

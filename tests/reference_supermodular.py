@@ -1,11 +1,14 @@
-"""Fraction reference for the supermodular order.
+"""Fraction reference for the supermodular order and NSMD.
 
 This is ``supermodular_leq`` as it was before the orthant pre-screen: it
 always solves the transfer system first, with Fraction rows, and runs the
-box LP only when that system is infeasible. It is kept verbatim; the union
-grid, the grid cells, the witness check and the simplex are imported from the
-package, unchanged. The differential tests compare the live decision against
-it, verdict, gap and witness alike.
+box LP only when that system is infeasible. Next to it are the witness check
+as it was before it ran by grid position, on Fraction-keyed dicts, and
+``check_nsmd`` as it was before it ran on the law's integer view, through an
+independent-copy law and ``GridFunction.as_dict``. All three are kept
+verbatim; the union grid, the grid cells and the simplex are imported from
+the package, unchanged. The differential tests compare the live decisions
+against them, verdict, gap, witness and expectations alike.
 """
 
 from __future__ import annotations
@@ -13,16 +16,59 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from negdep.distributions import FiniteJointDistribution
+from negdep.checks import CheckStats, Verdict, _require_joint
+from negdep.distributions import FiniteJointDistribution, independent_copy
 from negdep.errors import Caps, GridTooLarge, InternalConsistencyError, default_caps
 from negdep.simplex import OPTIMAL, LinearProgram, SimplexResult, simplex_solve
 from negdep.supermodular import (
     GridFunction,
     SupermodularVerdict,
+    SupermodularWitness,
     _grid_cells,
     _union_axes,
-    verify_supermodular_witness,
 )
+
+
+def local_supermodularity_deficits(f: GridFunction):
+    """Yield (point, axis_pair, value) of every adjacent-step inequality."""
+    values = f.as_dict()
+    axes = f.axes
+    dim = len(axes)
+    for pos in itertools.product(*(range(len(ax)) for ax in axes)):
+        x = tuple(axes[a][p] for a, p in enumerate(pos))
+        for a1 in range(dim):
+            if pos[a1] + 1 >= len(axes[a1]):
+                continue
+            for a2 in range(a1 + 1, dim):
+                if pos[a2] + 1 >= len(axes[a2]):
+                    continue
+                up1 = list(x)
+                up1[a1] = axes[a1][pos[a1] + 1]
+                up2 = list(x)
+                up2[a2] = axes[a2][pos[a2] + 1]
+                up12 = list(up1)
+                up12[a2] = axes[a2][pos[a2] + 1]
+                deficit = (values[tuple(up12)] - values[tuple(up1)]
+                           - values[tuple(up2)] + values[x])
+                yield x, (a1 + 1, a2 + 1), deficit
+
+
+def verify_supermodular_witness(witness: GridFunction,
+                                dX: FiniteJointDistribution,
+                                dY: FiniteJointDistribution) -> Fraction:
+    """Re-check a witness from scratch; returns the (positive) gap."""
+    values = witness.as_dict()
+    if any(abs(v) > 1 for v in values.values()):
+        raise InternalConsistencyError("witness leaves the [-1, 1] box")
+    for x, pair, deficit in local_supermodularity_deficits(witness):
+        if deficit < 0:
+            raise InternalConsistencyError(
+                f"witness is not supermodular at {x} on axes {pair}"
+            )
+    gap = dX.expectation(lambda v: values[v]) - dY.expectation(lambda v: values[v])
+    if gap <= 0:
+        raise InternalConsistencyError(f"witness gap {gap} is not positive")
+    return gap
 
 
 def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
@@ -121,3 +167,21 @@ def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
     )
     verify_supermodular_witness(witness, dX, dY)
     return SupermodularVerdict(False, gap, witness, len(grid))
+
+
+def check_nsmd(d: FiniteJointDistribution, caps: Caps | None = None) -> Verdict:
+    """Below the independent copy in the supermodular order."""
+    _require_joint(d)
+    perp = independent_copy(d)
+    verdict = supermodular_leq(d, perp, caps=caps)
+    if verdict.holds:
+        return Verdict("nsmd", True, None, CheckStats(conditioning_pairs=verdict.grid_points))
+    values = verdict.witness.as_dict()
+    witness = SupermodularWitness(
+        function=verdict.witness,
+        gap=verdict.gap,
+        left=d.expectation(lambda v: values[v]),
+        right=perp.expectation(lambda v: values[v]),
+    )
+    return Verdict("nsmd", False, witness,
+                   CheckStats(conditioning_pairs=verdict.grid_points))

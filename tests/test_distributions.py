@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +24,7 @@ from negdep import (
     to_json_dict,
     upper_event,
 )
-from negdep.rationals import NEG_INF
+from negdep.rationals import NEG_INF, as_rational
 
 from .strategies import finite_distributions
 
@@ -190,6 +193,33 @@ class TestPermutationDistribution:
         # multiplicity 2**(rounds-k-1) of value k, plus the top value once
         d = permutation_distribution([0, 0, 1, 2])
         assert d == permutation_distribution([2, 1, 0, 0])
+
+    @staticmethod
+    def _all_permutations(values):
+        """The law as the n! loop builds it: every permutation, counted."""
+        vals = tuple(as_rational(v) for v in values)
+        counts = {}
+        for arrangement in itertools.permutations(vals):
+            counts[arrangement] = counts.get(arrangement, 0) + 1
+        factor = F(1, math.factorial(len(vals)))
+        return tuple(sorted((x, c * factor) for x, c in counts.items()))
+
+    def test_distinct_arrangements_match_every_permutation(self):
+        pool = (F(-1), F(0), F(1, 2), F(2))
+        for n in range(1, 7):
+            for values in itertools.combinations_with_replacement(pool, n):
+                for order in (values, values[::-1]):
+                    d = permutation_distribution(order)
+                    assert d.atoms == self._all_permutations(order)
+                    assert repr(d.atoms) == repr(self._all_permutations(order))
+
+    def test_many_repeated_values_build_fast(self):
+        start = time.perf_counter()
+        d = permutation_distribution([0] * 6 + [1] * 6)
+        assert time.perf_counter() - start < 0.5  # the 12! loop takes minutes
+        assert len(d) == 924
+        assert all(p == F(1, 924) for _, p in d.atoms)
+        assert sum(p for _, p in d.atoms) == 1
 
 
 class TestSupportGrid:

@@ -136,7 +136,8 @@ def test_check_command_builds_the_view_for_the_first_checker_that_reads_it(
     path = tmp_path / "law.json"
     path.write_text(json.dumps(to_json_dict(permutation_distribution([0, 1, 2]))))
     report = str(tmp_path / "report.json")
+    # NSMD reads the view too, so it is built by whichever property comes first
     assert cli.main(["check", str(path), "--props", "nsmd", "-o", report]) == 0
-    assert calls == []
-    assert cli.main(["check", str(path), "--props", "nsmd,nlod,nod,nrd1", "-o", report]) == 0
     assert len(calls) == 1
+    assert cli.main(["check", str(path), "--props", "nsmd,nlod,nod,nrd1", "-o", report]) == 0
+    assert len(calls) == 2

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negdep import independent_copy, make_pmf, permutation_distribution, simplex, supermodular
-from negdep.simplex import INFEASIBLE
+from negdep.simplex import INFEASIBLE, SimplexResult
 
 from . import reference_supermodular as ref
 
@@ -55,9 +55,21 @@ def law_pairs(draw):
     return d, draw(small_laws(dim=d.dim, pool=pool[:3] if d.dim <= 3 else pool[:2]))
 
 
+def _up_to_scale(result):
+    """An LP result with its solution divided by its largest entry and its
+    objective reduced to a sign. The live decision reads p_Y - p_X divided by
+    the gcd of its integer entries, so its transfer solutions and box-LP
+    optima are the reference's times one positive factor per LP."""
+    top = max(result.solution or (0,), key=abs)
+    return SimplexResult(
+        result.status,
+        result.objective and F((result.objective > 0) - (result.objective < 0)),
+        result.solution and tuple(v / top if top else v for v in result.solution))
+
+
 def _solves(module, call):
     """Run ``call``; return its result and, for every LP solved through
-    ``module.simplex_solve``, the result and the pivots in order."""
+    ``module.simplex_solve``, the result up to scale and the pivots in order."""
     solves = []
     pivot, solve = simplex._Tableau.pivot, module.simplex_solve
 
@@ -67,8 +79,9 @@ def _solves(module, call):
 
     def recording_solve(lp):
         solves.append([None, []])
-        solves[-1][0] = solve(lp)
-        return solves[-1][0]
+        result = solve(lp)
+        solves[-1][0] = _up_to_scale(result)
+        return result
 
     with mock.patch.object(simplex._Tableau, "pivot", recording_pivot), \
             mock.patch.object(module, "simplex_solve", recording_solve):
