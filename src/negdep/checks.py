@@ -379,7 +379,7 @@ def _check_na(work: LawCache, max_block, caps, jobs) -> Verdict:
         raise ValueError(f"max_block must be at least 1, got {max_block}")
     caps = caps or default_caps()
     work.view  # built here once, not in every worker
-    cells = [(work, a1, a2, caps) for a1, a2 in _block_pairs(d.dim, max_block)]
+    cells = [(pair, (work, *pair, caps)) for pair in _block_pairs(d.dim, max_block)]
     witness, stats = _run_cells(_scan_association_cell, cells, jobs)
     restricted = max_block is not None and max_block < d.dim - 1
     return Verdict("na", witness is None, witness, stats,
@@ -558,7 +558,9 @@ class _CellContext:
 
 
 def _deterministic_upper_violation(ctx: _CellContext, law_hi, law_lo) -> UpperSetViolation:
-    """First violating upper set in enumeration order, for the witness."""
+    """First violating upper set in enumeration order, for the witness of a
+    regression cell or a conjecture partition; past the sweep's cap, the
+    upper set of the coupling's minimal minimum cut."""
     try:
         verdict = st_leq_uppersets(law_hi, law_lo, caps=ctx.caps)
         ctx.upper_sets += verdict.upper_sets_examined
@@ -630,42 +632,31 @@ def _scan_in_order(scan: Callable, cells: list, jobs: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _first_witness(results):
+def _run_cells(scan: Callable, cells: list, jobs: int, done: dict | None = None):
     """The first witness in cell order, with the stats summed up to its cell,
-    so worker count never changes the outcome."""
-    total = CheckStats()
-    for witness, stats in results:
-        total = total.plus(stats)
-        if witness is not None:
-            return witness, total
-    return None, total
+    so worker count never changes the outcome.
 
-
-def _run_cells(scan: Callable, cells: list, jobs: int):
-    """Run per-cell scans up to the first witness in cell order."""
-    with closing(_scan_in_order(scan, cells, jobs)) as results:
-        return _first_witness(results)
-
-
-def _run_regression_cells(work: LawCache, keys: list, caps, st_mode, jobs: int):
-    """``_run_cells`` over the regression cells ``keys``, reading each result
-    from ``work`` when it is there. Only the missing cells before the first
-    cached witness are scanned, and their results are kept."""
-    done = work.cells
+    ``cells`` pairs each cell's key with its scan argument. A result is read
+    from ``done`` by key when it is there; only the missing cells before the
+    first kept witness are scanned, and their results are kept in ``done``.
+    """
+    done = {} if done is None else done
     todo = []
-    for key in keys:
+    for key, args in cells:
         if key not in done:
-            todo.append(key)
+            todo.append(args)
         elif done[key][0] is not None:
             break
-    cells = [(work, J, kind, variant, caps, st_mode) for kind, variant, J in todo]
-    with closing(_scan_in_order(_scan_regression_cell, cells, jobs)) as fresh:
-        def results():
-            for key in keys:
-                if key not in done:
-                    done[key] = next(fresh)
-                yield done[key]
-        return _first_witness(results())
+    total = CheckStats()
+    with closing(_scan_in_order(scan, todo, jobs)) as fresh:
+        for key, _ in cells:
+            if key not in done:
+                done[key] = next(fresh)
+            witness, stats = done[key]
+            total = total.plus(stats)
+            if witness is not None:
+                return witness, total
+    return None, total
 
 
 def _check_regression_family(work, kind, prop, max_j, variant, caps, st_mode, jobs):
@@ -678,8 +669,9 @@ def _check_regression_family(work, kind, prop, max_j, variant, caps, st_mode, jo
     caps = caps or default_caps()
     limit = d.dim - 1 if max_j is None else min(max_j, d.dim - 1)
     work.view  # built here once, not in every worker
-    keys = [(kind, variant, J) for J in _subsets(range(1, d.dim + 1), limit)]
-    witness, stats = _run_regression_cells(work, keys, caps, st_mode, jobs)
+    cells = [((kind, variant, J), (work, J, kind, variant, caps, st_mode))
+             for J in _subsets(range(1, d.dim + 1), limit)]
+    witness, stats = _run_cells(_scan_regression_cell, cells, jobs, work.cells)
     restricted = limit < d.dim - 1
     return Verdict(prop, witness is None, witness, stats,
                    definitive=witness is not None or not restricted)
@@ -709,18 +701,15 @@ def check_nrtd(d: FiniteJointDistribution, max_j: int | None = None,
 
 
 def check_nrd1(d, caps=None, st_mode="fast", jobs=1) -> Verdict:
-    v = check_nrd(d, max_j=1, caps=caps, st_mode=st_mode, jobs=jobs)
-    return replace(v, prop="nrd1", definitive=True)
+    return PROPERTIES["nrd1"](LawCache(d), None, WEAK, caps, st_mode, jobs)
 
 
 def check_nltd1(d, variant=WEAK, caps=None, st_mode="fast", jobs=1) -> Verdict:
-    v = check_nltd(d, max_j=1, variant=variant, caps=caps, st_mode=st_mode, jobs=jobs)
-    return replace(v, prop="nltd1", definitive=True)
+    return PROPERTIES["nltd1"](LawCache(d), None, variant, caps, st_mode, jobs)
 
 
 def check_nrtd1(d, variant=WEAK, caps=None, st_mode="fast", jobs=1) -> Verdict:
-    v = check_nrtd(d, max_j=1, variant=variant, caps=caps, st_mode=st_mode, jobs=jobs)
-    return replace(v, prop="nrtd1", definitive=True)
+    return PROPERTIES["nrtd1"](LawCache(d), None, variant, caps, st_mode, jobs)
 
 
 # -- stochastic monotonicity of a parametrized family --------------------------
@@ -751,7 +740,7 @@ def check_stoch_increasing(family: Mapping[tuple, FiniteJointDistribution],
 
 def _regression_entry(kind: str, prop: str) -> Callable[..., Verdict]:
     """A PROPERTIES entry; a name ending in 1 conditions on one coordinate at
-    a time, which is definitive, as in ``check_nrd1``."""
+    a time, which is definitive."""
     base = prop.rstrip("1")
 
     def run(work, max_j, variant, caps, st_mode, jobs):
@@ -796,12 +785,11 @@ class AuditReport:
     verdicts: dict
     skipped: dict            # property -> reason string
     implications_checked: int
-    exploratory: tuple       # observed (holds, fails) pairs worth a closer look
 
 
 def audit_implications(d: FiniteJointDistribution, max_j: int | None = None,
                        caps: Caps | None = None, st_mode: str = "fast",
-                       jobs: int = 1, explore: bool = False) -> AuditReport:
+                       jobs: int = 1) -> AuditReport:
     """Run every checker and assert the safe implications between them.
 
     A failed implication is a bug in this artifact, not a property of the
@@ -833,18 +821,7 @@ def audit_implications(d: FiniteJointDistribution, max_j: int | None = None,
                     f"{antecedent} holds but {consequent} fails on the same law; "
                     f"witness: {vb.witness}"
                 )
-
-    exploratory = ()
-    if explore:
-        nrd = verdicts.get("nrd")
-        notes = []
-        if nrd is not None and nrd.holds and nrd.definitive:
-            for name in ("nltd", "nrtd", "na"):
-                v = verdicts.get(name)
-                if v is not None and not v.holds:
-                    notes.append(("nrd", name))
-        exploratory = tuple(notes)
-    return AuditReport(verdicts, skipped, checked, exploratory)
+    return AuditReport(verdicts, skipped, checked)
 
 
 # -- mixed-conditioning monotonicity on permutation laws -----------------------
@@ -876,10 +853,10 @@ def _scan_conjecture_partition(args):
         point = tuple(ax[p] for ax, p in zip(axes, label))
         return point[:cuts[0]], point[cuts[0]:cuts[1]], point[cuts[1]:]
 
-    violation = st_leq_uppersets(ctx.law(mask_hi), ctx.law(mask_lo), caps=caps).violation
     witness = ConjectureWitness(
         raised=raised, lowered=lowered, pinned=pinned, observed=observed,
-        triple_low=triple(low), triple_high=triple(high), violation=violation,
+        triple_low=triple(low), triple_high=triple(high),
+        violation=_deterministic_upper_violation(ctx, ctx.law(mask_hi), ctx.law(mask_lo)),
     )
     return witness, stats
 
@@ -917,7 +894,8 @@ def check_conjecture(values: Sequence, max_n: int = 5,
             continue
         if not (raised or lowered or pinned):
             continue  # nothing to vary
-        partitions.append((work, raised, lowered, pinned, observed, caps, st_mode))
+        partitions.append((assignment, (work, raised, lowered, pinned, observed, caps,
+                                         st_mode)))
 
     witness, stats = _run_cells(_scan_conjecture_partition, partitions, jobs)
     if witness is not None:

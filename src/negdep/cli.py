@@ -12,13 +12,14 @@ fixture mismatches (witness in the report), 2 = usage error, unreadable or
 malformed input, an unwritable -o path, or an enumeration cap was exceeded
 (one stderr line, no traceback). The NEGDEP_CAPS environment variable
 ("upper_sets=N,lp_vars=M") adjusts default caps; --caps overrides on top.
+--jobs N scans each property's cells in a pool of N worker processes; the
+default of 1 starts no pool. Verdicts, witnesses and reports never depend on N.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -42,8 +43,9 @@ DEFAULT_PROPS = "na,nod,nsmd,nrd,nltd,nrtd"
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--caps", help="cap overrides, e.g. upper_sets=100000,lp_vars=20000")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel worker processes (default: available cores)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes that share a property's cells (default 1: "
+                        "no pool; results do not depend on it)")
     p.add_argument("--st-mode", choices=("fast", "verify"), default="fast",
                    help="stochastic-order decision: coupling only, or both oracles")
     p.add_argument("-o", "--output", help="write the JSON report here")

@@ -49,11 +49,11 @@ def coin():
 
 def _marking_scan(args):
     """A cell scan that leaves a marker file per cell it runs and finds a
-    witness in cell 0 only; the other cells take a while."""
-    marker_dir, k = args
+    witness in cell ``hit`` only; the other cells take a while."""
+    marker_dir, k, hit = args
     open(os.path.join(marker_dir, f"cell-{k}"), "w").close()
-    if k == 0:
-        return "witness in cell 0", CheckStats(cells=1, conditioning_pairs=3)
+    if k == hit:
+        return f"witness in cell {k}", CheckStats(cells=1, conditioning_pairs=3)
     time.sleep(0.05)
     return None, CheckStats(cells=1, conditioning_pairs=5)
 
@@ -160,12 +160,33 @@ class TestParallelCells:
         for jobs in (1, 2):
             marker_dir = tmp_path / f"jobs-{jobs}"
             marker_dir.mkdir()
-            cells = [(str(marker_dir), k) for k in range(40)]
+            cells = [(k, (str(marker_dir), k, 0)) for k in range(40)]
             runs[jobs] = (_run_cells(_marking_scan, cells, jobs), len(os.listdir(marker_dir)))
         (seq, seq_ran), (par, par_ran) = runs[1], runs[2]
         assert seq == par == ("witness in cell 0", CheckStats(cells=1, conditioning_pairs=3))
         assert seq_ran == 1
         assert par_ran < 40
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_kept_results_are_read_not_rescanned(self, tmp_path, jobs):
+        def run(name, done):
+            marker_dir = tmp_path / name
+            marker_dir.mkdir()
+            cells = [(k, (str(marker_dir), k, 5)) for k in range(12)]
+            return _run_cells(_marking_scan, cells, jobs, done), sorted(os.listdir(marker_dir))
+
+        uncached, _ = run("uncached", None)
+        assert uncached == ("witness in cell 5", CheckStats(cells=6, conditioning_pairs=28))
+        done = {1: (None, CheckStats(cells=1, conditioning_pairs=5)),
+                5: ("witness in cell 5", CheckStats(cells=1, conditioning_pairs=3))}
+        cached, ran = run("cached", done)
+        # cells 1 and 5 are read, nothing after the kept witness runs, and
+        # the sum is the uncached run's
+        assert cached == uncached
+        assert ran == ["cell-0", "cell-2", "cell-3", "cell-4"]
+        assert sorted(done) == [0, 1, 2, 3, 4, 5]
+        again, ran = run("again", done)
+        assert again == uncached and ran == []
 
 
 class TestSupermodularDependence:

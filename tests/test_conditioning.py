@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from negdep import checks, make_pmf, verify_witness
 from negdep.checks import LawCache, _scan_conjecture_partition, _tail_masks
-from negdep.errors import default_caps
+from negdep.errors import Caps, default_caps
 
 from . import reference_conditioning as ref
 
@@ -104,3 +104,14 @@ def test_conjecture_partitions_fail_on_dependent_laws():
             failures += 1
             checks._reverify_conjecture_witness(d, got[0])
     assert failures >= 2
+
+
+def test_conjecture_witness_past_the_sweep_cap_comes_from_the_min_cut():
+    # the partition fails; a sweep capped at one upper set cannot name the
+    # violation, so the witness falls back to the coupling's minimum cut, as
+    # a regression cell's does
+    d = make_pmf(2, [((F(0), F(0)), F(1, 2)), ((F(1), F(1)), F(1, 2))])
+    witness, stats = _scan_conjecture_partition(
+        (LawCache(d), (1,), (), (), (2,), Caps(max_upper_sets=1), "fast"))
+    assert witness is not None and stats.cells == 1
+    checks._reverify_conjecture_witness(d, witness)

@@ -7,7 +7,6 @@ import pytest
 from negdep import (
     EnumerationCapExceeded,
     RandomDraw,
-    audit_implications,
     check_nltd,
     check_nltd1,
     check_nrd,
@@ -69,9 +68,3 @@ def test_caps_bite_in_checkers(table1):
 def test_strictness_variants_agree_on_round_robin(round_robin3):
     assert check_nltd(round_robin3).holds == check_nltd(round_robin3, variant="strict").holds
     assert check_nrtd(round_robin3).holds == check_nrtd(round_robin3, variant="strict").holds
-
-
-def test_audit_explore_mode_runs(table1):
-    report = audit_implications(table1, explore=True)
-    # nrd fails on this law, so no exploratory flags can fire
-    assert report.exploratory == ()

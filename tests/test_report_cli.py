@@ -14,6 +14,7 @@ from negdep import (
     make_pmf,
     to_json_dict,
 )
+from negdep import checks
 from negdep.checks import PROPERTIES, ConjectureReport, LawCache, _scan_conjecture_partition
 from negdep.cli import main
 from negdep.errors import CAPS_ENV_VAR, Caps
@@ -169,6 +170,20 @@ class TestCheck:
                   "--jobs", jobs, "-o", str(path)])
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_default_jobs_start_no_pool(self, table1_file, tmp_path, monkeypatch):
+        pooled = tmp_path / "pooled.json"
+        props = "na,nrd,nltd,nrtd"
+        assert main(["check", table1_file, "--props", props, "--jobs", "2",
+                     "-o", str(pooled)]) == 1
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(checks, "ProcessPoolExecutor", no_pool)
+        default = tmp_path / "default.json"
+        assert main(["check", table1_file, "--props", props, "-o", str(default)]) == 1
+        assert default.read_bytes() == pooled.read_bytes()
 
     def test_timing_flag_embeds_timing(self, table1_file, tmp_path):
         path = tmp_path / "report.json"
