@@ -73,6 +73,7 @@ from .supermodular import (
     orthant_sums,
     witness_expectations,
 )
+from .symmetry import generators, orbit_leaders
 from .uppersets import UpperSet, enumerate_upper_index_sets, from_members
 
 ZERO = Fraction(0)
@@ -180,10 +181,11 @@ class LawCache:
     """Work shared by the properties decided on one law in one audit or one
     ``negdep check`` command.
 
-    It holds the law's ``integer_view`` and support grid, each built on first
-    use, the regression cell results keyed by (kind, variant, J) and the
-    orthant verdicts keyed by side. A cell's result also depends on the caps
-    and the st mode, which stay fixed while the cache lives.
+    It holds the law's ``integer_view``, with the support grid, and the
+    generators of its coordinate automorphisms, each built on first use; the
+    regression cell results keyed by (kind, variant, J) and the orthant
+    verdicts keyed by side. A cell's result also depends on the caps and the
+    st mode, which stay fixed while the cache lives.
     """
 
     def __init__(self, d: FiniteJointDistribution):
@@ -197,7 +199,14 @@ class LawCache:
 
     @cached_property
     def grid(self):
-        return self.d.support_grid()
+        return self.view.axes
+
+    @cached_property
+    def generators(self):
+        return generators(self.view, self.grid)
+
+    def leaders(self, cells):
+        return orbit_leaders(self.generators, cells)
 
 
 # -- orthant dependence -------------------------------------------------------
@@ -379,8 +388,9 @@ def _check_na(work: LawCache, max_block, caps, jobs) -> Verdict:
         raise ValueError(f"max_block must be at least 1, got {max_block}")
     caps = caps or default_caps()
     work.view  # built here once, not in every worker
-    cells = [(pair, (work, *pair, caps)) for pair in _block_pairs(d.dim, max_block)]
-    witness, stats = _run_cells(_scan_association_cell, cells, jobs)
+    pairs = _block_pairs(d.dim, max_block)
+    cells = [(pair, (work, *pair, caps)) for pair in pairs]
+    witness, stats = _run_cells(_scan_association_cell, cells, jobs, None, work.leaders(pairs))
     restricted = max_block is not None and max_block < d.dim - 1
     return Verdict("na", witness is None, witness, stats,
                    definitive=witness is not None or not restricted)
@@ -632,26 +642,32 @@ def _scan_in_order(scan: Callable, cells: list, jobs: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _run_cells(scan: Callable, cells: list, jobs: int, done: dict | None = None):
+def _run_cells(scan: Callable, cells: list, jobs: int, done: dict | None = None,
+               leaders: list[int] | None = None):
     """The first witness in cell order, with the stats summed up to its cell,
     so worker count never changes the outcome.
 
     ``cells`` pairs each cell's key with its scan argument. A result is read
     from ``done`` by key when it is there; only the missing cells before the
     first kept witness are scanned, and their results are kept in ``done``.
+    ``leaders`` gives each cell the index of the earliest cell of its
+    symmetry orbit; only those are scanned, and every other cell takes its
+    leader's result, which is TRUE (docs/theory.md section 11).
     """
     done = {} if done is None else done
+    leaders = leaders or range(len(cells))
     todo = []
-    for key, args in cells:
-        if key not in done:
+    for k, (key, args) in enumerate(cells):
+        if key in done:
+            if done[key][0] is not None:
+                break
+        elif leaders[k] == k:
             todo.append(args)
-        elif done[key][0] is not None:
-            break
     total = CheckStats()
     with closing(_scan_in_order(scan, todo, jobs)) as fresh:
-        for key, _ in cells:
+        for k, (key, _) in enumerate(cells):
             if key not in done:
-                done[key] = next(fresh)
+                done[key] = next(fresh) if leaders[k] == k else done[cells[leaders[k]][0]]
             witness, stats = done[key]
             total = total.plus(stats)
             if witness is not None:
@@ -669,9 +685,10 @@ def _check_regression_family(work, kind, prop, max_j, variant, caps, st_mode, jo
     caps = caps or default_caps()
     limit = d.dim - 1 if max_j is None else min(max_j, d.dim - 1)
     work.view  # built here once, not in every worker
-    cells = [((kind, variant, J), (work, J, kind, variant, caps, st_mode))
-             for J in _subsets(range(1, d.dim + 1), limit)]
-    witness, stats = _run_cells(_scan_regression_cell, cells, jobs, work.cells)
+    blocks = _subsets(range(1, d.dim + 1), limit)
+    cells = [((kind, variant, J), (work, J, kind, variant, caps, st_mode)) for J in blocks]
+    witness, stats = _run_cells(_scan_regression_cell, cells, jobs, work.cells,
+                                work.leaders([(J,) for J in blocks]))
     restricted = limit < d.dim - 1
     return Verdict(prop, witness is None, witness, stats,
                    definitive=witness is not None or not restricted)
@@ -842,23 +859,24 @@ def _scan_conjecture_partition(args):
     tails = [(j - 1, ">=") for j in raised] + [(j - 1, "<=") for j in lowered]
     labels = _label_masks(work.view, tails, [j - 1 for j in pinned], sentinel=False)
     found, pairs = ctx.first_failing_pair(labels)
-    stats = CheckStats(cells=1, conditioning_pairs=pairs, st_checks=ctx.st_checks)
-    if found is None:
-        return None, stats
-    (low, mask_lo), (high, mask_hi) = found
-    axes = [work.grid[j - 1] for j in raised + lowered + pinned]
-    cuts = (len(raised), len(raised) + len(lowered))
+    witness = None
+    if found is not None:
+        (low, mask_lo), (high, mask_hi) = found
+        axes = [work.grid[j - 1] for j in raised + lowered + pinned]
+        cuts = (len(raised), len(raised) + len(lowered))
 
-    def triple(label):
-        point = tuple(ax[p] for ax, p in zip(axes, label))
-        return point[:cuts[0]], point[cuts[0]:cuts[1]], point[cuts[1]:]
+        def triple(label):
+            point = tuple(ax[p] for ax, p in zip(axes, label))
+            return point[:cuts[0]], point[cuts[0]:cuts[1]], point[cuts[1]:]
 
-    witness = ConjectureWitness(
-        raised=raised, lowered=lowered, pinned=pinned, observed=observed,
-        triple_low=triple(low), triple_high=triple(high),
-        violation=_deterministic_upper_violation(ctx, ctx.law(mask_hi), ctx.law(mask_lo)),
-    )
-    return witness, stats
+        witness = ConjectureWitness(
+            raised=raised, lowered=lowered, pinned=pinned, observed=observed,
+            triple_low=triple(low), triple_high=triple(high),
+            violation=_deterministic_upper_violation(ctx, ctx.law(mask_hi), ctx.law(mask_lo)),
+        )
+    # counted after the witness, whose upper-set sweep is work of the cell
+    return witness, CheckStats(cells=1, conditioning_pairs=pairs, st_checks=ctx.st_checks,
+                               upper_sets=ctx.upper_sets)
 
 
 def check_conjecture(values: Sequence, max_n: int = 5,
@@ -894,10 +912,11 @@ def check_conjecture(values: Sequence, max_n: int = 5,
             continue
         if not (raised or lowered or pinned):
             continue  # nothing to vary
-        partitions.append((assignment, (work, raised, lowered, pinned, observed, caps,
-                                         st_mode)))
+        blocks = (raised, lowered, pinned, observed)
+        partitions.append((blocks, (work, *blocks, caps, st_mode)))
 
-    witness, stats = _run_cells(_scan_conjecture_partition, partitions, jobs)
+    witness, stats = _run_cells(_scan_conjecture_partition, partitions, jobs, None,
+                                work.leaders([key for key, _ in partitions]))
     if witness is not None:
         _reverify_conjecture_witness(d, witness)
     return ConjectureReport(tuple(as_rational(v) for v in values),

@@ -53,7 +53,10 @@ class SimplexResult:
 
 
 def _integer_row(coeffs: Mapping[int, Fraction], rhs) -> tuple[dict[int, int], int, int]:
-    """The row times L, the lcm of its denominators: (coefficients, rhs, L)."""
+    """The row times L, the lcm of its denominators: (coefficients, rhs, L).
+    A row already in ints is copied without its zeros, with L = 1."""
+    if type(rhs) is int and all(type(a) is int for a in coeffs.values()):
+        return {c: a for c, a in coeffs.items() if a}, rhs, 1
     items = [(c, a) for c, a in coeffs.items() if a]
     scale = lcm(rhs.denominator, *(a.denominator for _, a in items))
     return ({c: a.numerator * (scale // a.denominator) for c, a in items},

@@ -54,19 +54,18 @@ class RankPacking:
         return sum(r << s for r, s in zip(ranks, self.shifts))
 
 
-def axis_ranks(vectors: Sequence[Vector], dim: int) -> tuple[list[tuple[int, ...]], list[int]]:
+def axis_ranks(vectors: Sequence[Vector], dim: int) -> tuple[list[tuple[int, ...]], tuple]:
     """Each vector's per-axis ranks among the sorted values the vectors take
-    on that axis, and the number of those values per axis."""
-    axes = [sorted({v[a] for v in vectors}) for a in range(dim)]
+    on that axis, and those values per axis."""
+    axes = tuple(tuple(sorted({v[a] for v in vectors})) for a in range(dim))
     rank = [{v: r for r, v in enumerate(ax)} for ax in axes]
-    return ([tuple(rank[a][v[a]] for a in range(dim)) for v in vectors],
-            [len(ax) for ax in axes])
+    return [tuple(rank[a][v[a]] for a in range(dim)) for v in vectors], axes
 
 
 def _pack_ranks(vectors: list[Vector], dim: int) -> tuple[list[int], int]:
     """Packed ranks of the vectors within their own per-axis value sets."""
-    ranks, sizes = axis_ranks(vectors, dim)
-    packing = RankPacking(sizes)
+    ranks, axes = axis_ranks(vectors, dim)
+    packing = RankPacking([len(ax) for ax in axes])
     return [packing.pack(r) for r in ranks], packing.guards
 
 
@@ -93,11 +92,21 @@ def _integer_law(d: FiniteJointDistribution, keys: list[int]) -> IntegerLaw:
     return IntegerLaw(tuple(keys), weights, sum(weights))
 
 
-def integer_view(d: FiniteJointDistribution) -> tuple[tuple[int, ...], list, list[int]]:
+class IntegerView(tuple):
+    """``(weights, ranks, sizes)`` as :func:`integer_view` returns them, with
+    the sorted support values of each axis, the law's support grid, kept as
+    ``axes``."""
+
+    axes: tuple = ()
+
+
+def integer_view(d: FiniteJointDistribution) -> IntegerView:
     """The atoms' integer weights over the law's common denominator, each
     atom's per-axis ranks among the support values, and the axis sizes."""
-    ranks, sizes = axis_ranks([x for x, _ in d.atoms], d.dim)
-    return integer_weights(d), ranks, sizes
+    ranks, axes = axis_ranks([x for x, _ in d.atoms], d.dim)
+    view = IntegerView((integer_weights(d), ranks, [len(ax) for ax in axes]))
+    view.axes = axes
+    return view
 
 
 def masked_law(mask: int, keys: Sequence[int], weights: Sequence[int]) -> IntegerLaw:

@@ -392,13 +392,15 @@ def _scan_conjecture_partition(args):
             if cached:
                 continue
             law_hi, law_lo = law_cache[m_hi], law_cache[m_lo]
-            violation = st_leq_uppersets(law_hi, law_lo, caps=caps).violation
+            sweep = st_leq_uppersets(law_hi, law_lo, caps=caps)
             witness = ConjectureWitness(
                 raised=raised, lowered=lowered, pinned=pinned, observed=observed,
-                triple_low=low, triple_high=high, violation=violation,
+                triple_low=low, triple_high=high, violation=sweep.violation,
             )
-            return witness, CheckStats(cells=1, conditioning_pairs=pairs,
-                                       st_checks=st_checks)
+            # the failed pair's verify-mode sweep and the witness sweep
+            return witness, CheckStats(
+                cells=1, conditioning_pairs=pairs, st_checks=st_checks,
+                upper_sets=verdict.upper_sets_examined + sweep.upper_sets_examined)
     return None, CheckStats(cells=1, conditioning_pairs=pairs, st_checks=st_checks)
 
 

@@ -208,3 +208,25 @@ def test_criterion_11_conjecture_exhaustive():
         report = check_conjecture(values)
         assert report.holds_on_instance, report.witness
     _pass_line(11, "mixed-conditioning monotonicity instances", start, 600.0)
+
+
+def test_criterion_12_random_draw_regression_is_definitive():
+    # the paper's random-draw statement at 8 players with no block cap: the
+    # law is exchangeable, so each block size is one orbit of cells
+    start = time.monotonic()
+    d = knockout_random_draw(equal_strength(3, RandomDraw()))
+    nrd = check_nrd(d)
+    assert nrd.holds and nrd.definitive and nrd.stats.cells == 254
+    _pass_line(12, "random-draw NRD with no block cap", start, 5.0)
+    start = time.monotonic()
+    nrtd = check_nrtd(d)
+    assert nrtd.holds and nrtd.definitive and nrtd.stats.cells == 254
+    _pass_line(12, "random-draw NRTD with no block cap", start, 30.0)
+
+
+def test_criterion_13_fixed_draw_right_tail_is_definitive():
+    start = time.monotonic()
+    d = knockout_fixed_draw(equal_strength(3, FixedDraw(tuple(range(1, 9)))))
+    nrtd = check_nrtd(d)
+    assert nrtd.holds and nrtd.definitive and nrtd.stats.cells == 254
+    _pass_line(13, "fixed-draw NRTD with no block cap", start, 10.0)

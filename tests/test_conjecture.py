@@ -61,3 +61,16 @@ def test_partition_scanner_finds_violations_on_dependent_laws():
     assert witness.violation.p_left > witness.violation.p_right
     _reverify_conjecture_witness(com, witness)  # raises on any defect
     assert stats.conditioning_pairs >= 1
+
+
+def test_a_failing_partition_counts_its_upper_sets():
+    # the witness sweep is counted, as in a regression cell; verify mode adds
+    # the sweep of the failed pair
+    com = make_pmf(2, [((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
+    counts = {}
+    for mode in ("fast", "verify"):
+        witness, stats = _scan_conjecture_partition(
+            (LawCache(com), (1,), (), (), (2,), default_caps(), mode))
+        assert witness is not None
+        counts[mode] = (stats.st_checks, stats.upper_sets)
+    assert counts == {"fast": (1, 2), "verify": (1, 4)}
