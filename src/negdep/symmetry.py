@@ -43,7 +43,7 @@ def is_automorphism(view, axes: Sequence[tuple], perm: Sequence[int]) -> bool:
     law = dict(zip(ranks, weights))
     # the move is injective on the atoms, so equal weights everywhere make it
     # a bijection of the support
-    return all(law.get(move(r)) == w for r, w in zip(ranks, weights))
+    return list(map(law.get, map(move, ranks))) == list(weights)
 
 
 def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[tuple[int, ...]]:
@@ -71,13 +71,16 @@ def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[t
     tables: dict[tuple[int, int], list[int]] = {}
 
     def table(a: int, c: int) -> list[int]:
-        """The 2-D marginal weights of axes (a, c), flattened."""
+        """The 2-D marginal weights of axes (a, c), flattened; the table of
+        (c, a), its transpose, is kept at the same time."""
         t = tables.get((a, c))
         if t is None:
-            t = [0] * (sizes[a] * sizes[c])
+            sa, sc = sizes[a], sizes[c]
+            t = [0] * (sa * sc)
             for x, y, w in zip(columns[a], columns[c], weights):
-                t[x * sizes[c] + y] += w
+                t[x * sc + y] += w
             tables[a, c] = t
+            tables[c, a] = [t[x * sc + y] for y in range(sc) for x in range(sa)]
         return t
 
     # identity first, then ascending, which finds a transposition at once
