@@ -59,13 +59,16 @@ from .rationals import NEG_INF, POS_INF, Extended, as_rational
 from .stochorder import (
     IntegerLaw,
     RankPacking,
+    SupportUnion,
     UpperSetViolation,
+    cut_violation,
     integer_coupling,
     integer_view,
     masked_law,
     require_agreement,
     st_leq,
-    st_leq_uppersets,
+    sweep_violation,
+    support_union,
 )
 from .supermodular import (
     SupermodularWitness,
@@ -198,12 +201,8 @@ class LawCache:
         return integer_view(self.d)
 
     @cached_property
-    def grid(self):
-        return self.view.axes
-
-    @cached_property
     def generators(self):
-        return generators(self.view, self.grid)
+        return generators(self.view, self.view.axes)
 
     def leaders(self, cells):
         return orbit_leaders(self.generators, cells)
@@ -267,7 +266,7 @@ def _orthant_scan(work: LawCache, side: str) -> Verdict:
     if first is None:
         verdict = Verdict(name, True, None, CheckStats(conditioning_pairs=acc))
     else:
-        grid = [(NEG_INF,) + ax if upper else ax for ax in work.grid]
+        grid = [(NEG_INF,) + ax if upper else ax for ax in work.view.axes]
         corner = tuple(g[first // step % size]
                        for g, step, size in zip(grid, strides, ext_sizes))
         witness = OrthantWitness(side, corner, Fraction(cells[first], total),
@@ -353,7 +352,7 @@ def _scan_association_cell(args) -> tuple[AssociationWitness | None, CheckStats]
             examined += 1
             mass12 = sum(map(row.__getitem__, idx2))
             if mass12 * total > mass1 * mass2:
-                axes = work.grid
+                axes = work.view.axes
 
                 def members(support, idx, cols):
                     return from_members([tuple(axes[c][k] for c, k in zip(cols, support[i]))
@@ -407,22 +406,23 @@ def _check_nsmd(work: LawCache, caps) -> Verdict:
     """On the law's integer view, with no independent-copy law (docs/theory.md
     section 10)."""
     _require_joint(work.d)
-    points, witness = below_independent_copy(work.view, work.grid, caps)
+    points, witness = below_independent_copy(work.view, work.view.axes, caps)
     return Verdict("nsmd", witness is None, witness, CheckStats(conditioning_pairs=points))
 
 
 # -- regression-style dependence ----------------------------------------------
 
+#: The comparison of a tail event {X_j op t} by (kind, variant).
+_TAIL_OPS = {(LOWER, WEAK): "<=", (LOWER, STRICT): "<",
+             (UPPER, WEAK): ">", (UPPER, STRICT): ">="}
+
+
 def _tail_event(kind: str, variant: str, indices, thresholds) -> ConditioningEvent:
     if kind == EQ:
         return eq_event(indices, thresholds)
-    if kind == LOWER:
-        return lower_event(indices, thresholds, strict=(variant == STRICT))
-    return upper_event(indices, thresholds, strict=(variant == WEAK))
-
-
-_TAIL_OPS = {(LOWER, WEAK): "<=", (LOWER, STRICT): "<",
-             (UPPER, WEAK): ">", (UPPER, STRICT): ">="}  # as in _tail_event
+    op = _TAIL_OPS[kind, variant]
+    event = lower_event if kind == LOWER else upper_event
+    return event(indices, thresholds, strict=op in ("<", ">"))
 
 
 def _tail_masks(eq: list[int], op: str, sentinel: bool) -> list[int]:
@@ -481,8 +481,8 @@ class _CellContext:
 
     ``given`` is the conditioning block; the observed block is the rest.
     Every order is decided on integer conditional laws keyed by packed ranks
-    of the columns compared; Fraction conditional laws are read off them
-    only for verify mode's upper-set sweep and for the witness.
+    of the columns compared. Verify mode's upper-set sweep and the witness
+    read the same integer weights on the union of two laws' supports.
     """
 
     def __init__(self, work: LawCache, given, caps, st_mode):
@@ -516,14 +516,15 @@ class _CellContext:
             law = cache[mask] = masked_law(mask, keys, self.weights)
         return law
 
-    def law(self, mask: int, block: tuple[int, ...] | None = None) -> FiniteJointDistribution:
-        """``int_law`` as a Fraction law on the support values."""
-        block = block or self.i_max
-        law, grid = self.int_law(mask, block), self.work.grid
-        ranks = dict(zip(self.block(block)[1], self.ranks))  # key -> an atom's ranks
-        return FiniteJointDistribution(len(block), tuple(
-            (tuple(grid[j - 1][ranks[key][j - 1]] for j in block), Fraction(w, law.total))
-            for key, w in zip(law.keys, law.weights)))
+    def union(self, mask_hi: int, mask_lo: int, block: tuple[int, ...]) -> SupportUnion:
+        """The block's laws given ``mask_hi`` (X) and ``mask_lo`` (Y) on the
+        union of their supports, as support values. Packed keys sort like the
+        values they stand for, so the union is in the order of the values."""
+        hi, lo = self.int_law(mask_hi, block), self.int_law(mask_lo, block)
+        u = support_union(dict(zip(hi.keys, hi.weights)), dict(zip(lo.keys, lo.weights)))
+        ranks, axes = dict(zip(self.block(block)[1], self.ranks)), self.work.view.axes
+        return u._replace(points=[tuple(axes[j - 1][ranks[key][j - 1]] for j in block)
+                                  for key in u.points])
 
     def decide(self, mask_lo: int, mask_hi: int, block: tuple[int, ...]) -> bool:
         """Does [X_block | high] <=st [X_block | low]? Verify mode also sweeps
@@ -531,13 +532,13 @@ class _CellContext:
         hi, lo = self.int_law(mask_hi, block), self.int_law(mask_lo, block)
         holds = integer_coupling(hi, lo, self.block(block)[0])[0] is not None
         if self.st_mode == "verify":
-            by_sets = st_leq_uppersets(self.law(mask_hi, block), self.law(mask_lo, block),
-                                       caps=self.caps)
-            require_agreement(holds, by_sets.holds)
+            violation, examined = sweep_violation(self.union(mask_hi, mask_lo, block),
+                                                  self.caps.max_upper_sets)
+            require_agreement(holds, violation is None)
             # counted as st_leq reports it: a TRUE verdict is the coupling's,
             # which examines no upper set
             if not holds:
-                self.upper_sets += by_sets.upper_sets_examined
+                self.upper_sets += examined
         self.st_checks += 1
         return holds
 
@@ -567,29 +568,27 @@ class _CellContext:
         return None, pairs
 
 
-def _deterministic_upper_violation(ctx: _CellContext, law_hi, law_lo) -> UpperSetViolation:
-    """First violating upper set in enumeration order, for the witness of a
-    regression cell or a conjecture partition; past the sweep's cap, the
-    upper set of the coupling's minimal minimum cut."""
+def _deterministic_upper_violation(ctx: _CellContext, mask_lo: int, mask_hi: int, block):
+    """The union of the block's laws given ``mask_hi`` and ``mask_lo``, and
+    its first violating upper set in enumeration order, for the witness of a
+    regression cell or a conjecture partition. Past the sweep's cap, the
+    violation is the upper set of the coupling's minimal minimum cut; scaling
+    every capacity by one constant leaves it unchanged (docs/theory.md
+    section 2)."""
+    u = ctx.union(mask_hi, mask_lo, block)
     try:
-        verdict = st_leq_uppersets(law_hi, law_lo, caps=ctx.caps)
-        ctx.upper_sets += verdict.upper_sets_examined
-        if not verdict.holds:
-            return verdict.violation
+        violation, examined = sweep_violation(u, ctx.caps.max_upper_sets)
+        ctx.upper_sets += examined
+        if violation is not None:
+            return u, violation
     except EnumerationCapExceeded:
         pass
-    verdict = st_leq(law_hi, law_lo, mode="fast")
-    if verdict.holds:
+    hi = ctx.int_law(mask_hi, block)
+    deficient = integer_coupling(hi, ctx.int_law(mask_lo, block), ctx.block(block)[0])[1]
+    if deficient is None:
         raise InternalConsistencyError("screen failed but no violation found")
-    return verdict.violation
-
-
-def _coordinate_means(law: FiniteJointDistribution) -> tuple[Fraction, ...]:
-    means = [ZERO] * law.dim
-    for x, p in law.atoms:
-        for a, v in enumerate(x):
-            means[a] += v * p
-    return tuple(means)
+    xs = [p for p, w in zip(u.points, u.wx) if w]  # the atoms of hi, in key order
+    return u, cut_violation(u, [xs[i] for i in deficient])
 
 
 def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
@@ -605,7 +604,7 @@ def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
     witness = None
     if found is not None:
         (low, mask_lo), (high, mask_hi) = found
-        axes = work.grid
+        axes = work.view.axes
         grids = [axes[c] + (POS_INF,) if kind == LOWER
                  else (NEG_INF,) + axes[c] if kind == UPPER else axes[c] for c in cols]
         # violation somewhere; locate the minimal observed block
@@ -615,14 +614,13 @@ def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
             raise InternalConsistencyError(
                 "full-block comparison failed but every sub-block passed"
             )
-        law_hi, law_lo = ctx.law(mask_hi, block), ctx.law(mask_lo, block)
+        u, violation = _deterministic_upper_violation(ctx, mask_lo, mask_hi, block)
+        mean_high, mean_low = u.means()
         witness = RegressionWitness(
             kind=kind, variant=variant, given=J, observed=block,
             point_low=tuple(g[p] for g, p in zip(grids, low)),
             point_high=tuple(g[p] for g, p in zip(grids, high)),
-            violation=_deterministic_upper_violation(ctx, law_hi, law_lo),
-            mean_low=_coordinate_means(law_lo),
-            mean_high=_coordinate_means(law_hi),
+            violation=violation, mean_low=mean_low, mean_high=mean_high,
         )
     return witness, CheckStats(cells=1, conditioning_pairs=pairs_examined,
                                st_checks=ctx.st_checks, upper_sets=ctx.upper_sets)
@@ -862,7 +860,7 @@ def _scan_conjecture_partition(args):
     witness = None
     if found is not None:
         (low, mask_lo), (high, mask_hi) = found
-        axes = [work.grid[j - 1] for j in raised + lowered + pinned]
+        axes = [work.view.axes[j - 1] for j in raised + lowered + pinned]
         cuts = (len(raised), len(raised) + len(lowered))
 
         def triple(label):
@@ -872,7 +870,7 @@ def _scan_conjecture_partition(args):
         witness = ConjectureWitness(
             raised=raised, lowered=lowered, pinned=pinned, observed=observed,
             triple_low=triple(low), triple_high=triple(high),
-            violation=_deterministic_upper_violation(ctx, ctx.law(mask_hi), ctx.law(mask_lo)),
+            violation=_deterministic_upper_violation(ctx, mask_lo, mask_hi, ctx.i_max)[1],
         )
     # counted after the witness, whose upper-set sweep is work of the cell
     return witness, CheckStats(cells=1, conditioning_pairs=pairs, st_checks=ctx.st_checks,
@@ -926,34 +924,43 @@ def check_conjecture(values: Sequence, max_n: int = 5,
 def _reverify_conjecture_witness(d: FiniteJointDistribution,
                                  w: ConjectureWitness) -> None:
     """Recompute the witness violation from scratch with first principles."""
-    def conditional(triple):
+    def event(triple):
         t_r, t_l, t_p = triple
-        entries: dict[Vector, Fraction] = {}
-        total = ZERO
-        for x, p in d.atoms:
-            if not all(x[j - 1] >= t for j, t in zip(w.raised, t_r)):
-                continue
-            if not all(x[j - 1] <= t for j, t in zip(w.lowered, t_l)):
-                continue
-            if not all(x[j - 1] == t for j, t in zip(w.pinned, t_p)):
-                continue
-            total += p
-            key = tuple(x[j - 1] for j in w.observed)
-            entries[key] = entries.get(key, ZERO) + p
-        if total == 0:
-            raise InternalConsistencyError("witness event has zero probability")
-        return {x: p / total for x, p in entries.items()}
+        return lambda x: (all(x[j - 1] >= t for j, t in zip(w.raised, t_r))
+                          and all(x[j - 1] <= t for j, t in zip(w.lowered, t_l))
+                          and all(x[j - 1] == t for j, t in zip(w.pinned, t_p)))
 
-    law_lo = conditional(w.triple_low)
-    law_hi = conditional(w.triple_high)
-    u = w.violation.upper_set
-    p_hi = sum((p for x, p in law_hi.items() if u.contains(x)), ZERO)
-    p_lo = sum((p for x, p in law_lo.items() if u.contains(x)), ZERO)
-    if not (p_hi == w.violation.p_left and p_lo == w.violation.p_right and p_hi > p_lo):
-        raise InternalConsistencyError("conjecture witness failed re-verification")
+    _recheck_violation(d, w.observed, event(w.triple_low), event(w.triple_high),
+                       w.violation, "conjecture")
 
 
 # -- witness re-verification ----------------------------------------------------
+
+def _recheck_violation(d: FiniteJointDistribution, observed: tuple[int, ...],
+                       low: Callable, high: Callable, violation: UpperSetViolation,
+                       what: str) -> list[dict[Vector, Fraction]]:
+    """The Fraction laws of the observed block given the atom predicates
+    ``low`` and ``high``, built from ``d.atoms``; raises unless the
+    violation's upper set has mass p_left under high and p_right under low,
+    with p_left > p_right."""
+    laws = []
+    for event in (low, high):
+        entries: dict[Vector, Fraction] = {}
+        total = ZERO
+        for x, p in d.atoms:
+            if event(x):
+                total += p
+                key = tuple(x[j - 1] for j in observed)
+                entries[key] = entries.get(key, ZERO) + p
+        if total == 0:
+            raise InternalConsistencyError("witness event has zero probability")
+        laws.append({x: p / total for x, p in entries.items()})
+    u = violation.upper_set
+    p_lo, p_hi = (sum((p for x, p in law.items() if u.contains(x)), ZERO) for law in laws)
+    if not (p_hi == violation.p_left and p_lo == violation.p_right and p_hi > p_lo):
+        raise InternalConsistencyError(f"{what} witness failed re-verification")
+    return laws
+
 
 def verify_witness(d: FiniteJointDistribution, verdict: Verdict) -> None:
     """Re-evaluate a FALSE verdict's witness from scratch; raise if it fails."""
@@ -994,18 +1001,12 @@ def verify_witness(d: FiniteJointDistribution, verdict: Verdict) -> None:
             raise InternalConsistencyError("supermodular witness failed re-verification")
         return
     if isinstance(w, RegressionWitness):
-        ev_lo = _tail_event(w.kind, w.variant, w.given, w.point_low)
-        ev_hi = _tail_event(w.kind, w.variant, w.given, w.point_high)
-        law_lo = d.condition(ev_lo, keep=list(w.observed))
-        law_hi = d.condition(ev_hi, keep=list(w.observed))
-        u = w.violation.upper_set
-        p_hi = sum((p for x, p in law_hi.atoms if u.contains(x)), ZERO)
-        p_lo = sum((p for x, p in law_lo.atoms if u.contains(x)), ZERO)
-        ok = (p_hi == w.violation.p_left and p_lo == w.violation.p_right
-              and p_hi > p_lo
-              and _coordinate_means(law_lo) == w.mean_low
-              and _coordinate_means(law_hi) == w.mean_high)
-        if not ok:
+        low, high = (_tail_event(w.kind, w.variant, w.given, point).matches
+                     for point in (w.point_low, w.point_high))
+        laws = _recheck_violation(d, w.observed, low, high, w.violation, "regression")
+        means = [tuple(sum((x[a] * p for x, p in law.items()), ZERO)
+                       for a in range(len(w.observed))) for law in laws]
+        if means != [w.mean_low, w.mean_high]:
             raise InternalConsistencyError("regression witness failed re-verification")
         return
     raise TypeError(f"no re-verification for witness type {type(w).__name__}")

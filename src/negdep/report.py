@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from .checks import (
     AssociationWitness,
-    CheckStats,
     ConjectureReport,
     ConjectureWitness,
     MonotonicityWitness,
@@ -26,10 +25,7 @@ from .checks import (
 )
 from .distributions import FiniteJointDistribution, to_json_dict
 from .errors import Caps
-from .rationals import format_extended, format_rational
-from .stochorder import UpperSetViolation
-from .supermodular import GridFunction
-from .uppersets import UpperSet
+from .rationals import format_extended
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -43,111 +39,43 @@ def distribution_digest(d: FiniteJointDistribution) -> str:
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
-def _vector(vec) -> list[str]:
-    return [format_rational(v) for v in vec]
+_WITNESS_TYPES = {
+    OrthantWitness: "orthant",
+    AssociationWitness: "association",
+    SupermodularWitness: "supermodular",
+    RegressionWitness: "regression",
+    MonotonicityWitness: "monotonicity",
+    ConjectureWitness: "conjecture",
+}
+#: Fields holding coordinate indices, written as JSON ints.
+_BLOCKS = frozenset({"block1", "block2", "given", "observed", "raised", "lowered", "pinned"})
+_TRIPLE = ("raised", "lowered", "pinned")
 
 
-def _extended_vector(vec) -> list[str]:
-    return [format_extended(v) for v in vec]
-
-
-def _upper_set(u: UpperSet) -> dict:
-    return {"minimal": [_vector(m) for m in u.minimal],
-            "points": [_vector(p) for p in u.points]}
-
-
-def _st_violation(v: UpperSetViolation) -> dict:
-    return {
-        "upper_set": _upper_set(v.upper_set),
-        "p_left": format_rational(v.p_left),
-        "p_right": format_rational(v.p_right),
-    }
-
-
-def _grid_function(f: GridFunction) -> dict:
-    return {
-        "axes": [_vector(ax) for ax in f.axes],
-        "values": [{"x": _vector(x), "value": format_rational(v)} for x, v in f.values],
-    }
+def _encode(value, name: str | None = None):
+    """A witness part as JSON: a dataclass as an object keyed by its field
+    names, a tuple as a list, a string as itself and an exact value or
+    threshold as its ``format_extended`` string, ints included. Coordinate
+    indices, grid-function values and conjecture triples are the exceptions,
+    picked out by field name."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name), f.name) for f in fields(value)}
+    if name in _BLOCKS:
+        return list(value)
+    if name == "values":                    # GridFunction: grid point -> value
+        return [{"x": _encode(x), "value": _encode(v)} for x, v in value]
+    if name in ("triple_low", "triple_high"):
+        return dict(zip(_TRIPLE, map(_encode, value)))
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value if isinstance(value, str) else format_extended(value)
 
 
 def witness_json(w) -> dict:
-    if isinstance(w, OrthantWitness):
-        return {
-            "type": "orthant",
-            "side": w.side,
-            "corner": _extended_vector(w.corner),
-            "joint": format_rational(w.joint),
-            "product": format_rational(w.product),
-        }
-    if isinstance(w, AssociationWitness):
-        return {
-            "type": "association",
-            "block1": list(w.block1),
-            "block2": list(w.block2),
-            "upper1": _upper_set(w.upper1),
-            "upper2": _upper_set(w.upper2),
-            "p_joint": format_rational(w.p_joint),
-            "p1": format_rational(w.p1),
-            "p2": format_rational(w.p2),
-        }
-    if isinstance(w, SupermodularWitness):
-        return {
-            "type": "supermodular",
-            "function": _grid_function(w.function),
-            "gap": format_rational(w.gap),
-            "left": format_rational(w.left),
-            "right": format_rational(w.right),
-        }
-    if isinstance(w, RegressionWitness):
-        return {
-            "type": "regression",
-            "kind": w.kind,
-            "variant": w.variant,
-            "given": list(w.given),
-            "observed": list(w.observed),
-            "point_low": _extended_vector(w.point_low),
-            "point_high": _extended_vector(w.point_high),
-            "violation": _st_violation(w.violation),
-            "mean_low": _vector(w.mean_low),
-            "mean_high": _vector(w.mean_high),
-        }
-    if isinstance(w, MonotonicityWitness):
-        return {
-            "type": "monotonicity",
-            "theta_low": _extended_vector(w.theta_low),
-            "theta_high": _extended_vector(w.theta_high),
-            "violation": _st_violation(w.violation),
-        }
-    if isinstance(w, ConjectureWitness):
-        return {
-            "type": "conjecture",
-            "raised": list(w.raised),
-            "lowered": list(w.lowered),
-            "pinned": list(w.pinned),
-            "observed": list(w.observed),
-            "triple_low": {
-                "raised": _extended_vector(w.triple_low[0]),
-                "lowered": _extended_vector(w.triple_low[1]),
-                "pinned": _vector(w.triple_low[2]),
-            },
-            "triple_high": {
-                "raised": _extended_vector(w.triple_high[0]),
-                "lowered": _extended_vector(w.triple_high[1]),
-                "pinned": _vector(w.triple_high[2]),
-            },
-            "violation": _st_violation(w.violation),
-        }
-    raise TypeError(f"cannot serialize witness {type(w).__name__}")
-
-
-def stats_json(s: CheckStats) -> dict:
-    return {
-        "cells": s.cells,
-        "conditioning_pairs": s.conditioning_pairs,
-        "st_checks": s.st_checks,
-        "upper_sets": s.upper_sets,
-    }
+    tag = _WITNESS_TYPES.get(type(w))
+    if tag is None:
+        raise TypeError(f"cannot serialize witness {type(w).__name__}")
+    return {"type": tag, **_encode(w)}
 
 
 def verdict_json(v: Verdict) -> dict:
@@ -156,7 +84,7 @@ def verdict_json(v: Verdict) -> dict:
         "holds": v.holds,
         "definitive": v.definitive,
         "witness": None if v.witness is None else witness_json(v.witness),
-        "stats": stats_json(v.stats),
+        "stats": asdict(v.stats),
     }
 
 
@@ -197,12 +125,12 @@ def build_conjecture_report(result: ConjectureReport, caps: Caps,
     payload = {
         "artifact_version": ARTIFACT_VERSION,
         "kind": "conjecture",
-        "values": _vector(result.values),
+        "values": _encode(result.values),
         "caps": caps_json(caps),
         "settings": settings,
         "holds_on_instance": result.holds_on_instance,
         "witness": None if result.witness is None else witness_json(result.witness),
-        "stats": stats_json(result.stats),
+        "stats": asdict(result.stats),
     }
     return Report(payload=payload, timings_ms=timings_ms)
 

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 from .distributions import FiniteJointDistribution, Vector
 from .errors import Caps, InternalConsistencyError, default_caps
 from .maxflow import integer_max_flow
-from .uppersets import UpperSet, enumerate_upper_index_sets, from_members, upper_closure
+from .uppersets import UpperSet, componentwise_leq, enumerate_upper_index_sets, from_members
 
 
 class RankPacking:
@@ -304,34 +304,76 @@ def _require_same_dim(dX, dY):
         raise ValueError(f"dimension mismatch: {dX.dim} vs {dY.dim}")
 
 
+class SupportUnion(NamedTuple):
+    """Two laws X and Y as integer weights on the sorted union of their
+    supports: X has mass ``wx[k] / tx`` at ``points[k]``, Y ``wy[k] / ty``."""
+
+    points: list
+    wx: list[int]
+    wy: list[int]
+    tx: int
+    ty: int
+
+    def means(self) -> list[tuple[Fraction, ...]]:
+        """The coordinatewise means of X and of Y."""
+        return [tuple(Fraction(sum(w * p[a] for p, w in zip(self.points, weights)), total)
+                      for a in range(len(self.points[0])))
+                for weights, total in ((self.wx, self.tx), (self.wy, self.ty))]
+
+
+def support_union(px: dict, py: dict) -> SupportUnion:
+    """The ``SupportUnion`` of two laws given as point -> integer weight."""
+    points = sorted(px.keys() | py.keys())
+    return SupportUnion(points, [px.get(p, 0) for p in points],
+                        [py.get(p, 0) for p in points], sum(px.values()), sum(py.values()))
+
+
+def _violation(u: SupportUnion, idx: Sequence[int]) -> UpperSetViolation | None:
+    """The upper set of ``u.points`` at ``idx`` as a violation if X carries
+    more mass there than Y, else None; compared cross-multiplied."""
+    mass_x = sum(map(u.wx.__getitem__, idx))
+    mass_y = sum(map(u.wy.__getitem__, idx))
+    if mass_x * u.ty <= mass_y * u.tx:
+        return None
+    return UpperSetViolation(from_members([u.points[i] for i in idx]),
+                             Fraction(mass_x, u.tx), Fraction(mass_y, u.ty))
+
+
+def sweep_violation(u: SupportUnion, cap: int | None) -> tuple[UpperSetViolation | None, int]:
+    """The first upper set of the union support, in enumeration order, on
+    which X carries more mass than Y (None if there is none), and the number
+    of upper sets examined up to it."""
+    examined = 0
+    for idx in enumerate_upper_index_sets(u.points, cap=cap):
+        examined += 1
+        violation = _violation(u, idx)
+        if violation is not None:
+            return violation, examined
+    return None, examined
+
+
+def cut_violation(u: SupportUnion, deficient: Sequence[Vector]) -> UpperSetViolation:
+    """The upward closure, within the union support, of the deficient
+    x-atoms that ``integer_coupling`` returns: the source side of the minimal
+    minimum cut, which carries more mass under X than under Y."""
+    violation = _violation(u, [k for k, p in enumerate(u.points)
+                               if any(componentwise_leq(g, p) for g in deficient)])
+    if violation is None:
+        raise InternalConsistencyError("min cut did not produce a violating upper set")
+    return violation
+
+
 def st_leq_uppersets(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
                      caps: Caps | None = None) -> StVerdict:
     """Decide X <=st Y by sweeping every upper set of the union support, on
     integer weights compared cross-multiplied; only a violation gets Fractions."""
     _require_same_dim(dX, dY)
     caps = caps or default_caps()
-    wx, wy = integer_weights(dX), integer_weights(dY)
-    tx, ty = sum(wx), sum(wy)
-    px = dict(zip((x for x, _ in dX.atoms), wx))
-    py = dict(zip((y for y, _ in dY.atoms), wy))
-    points = sorted(set(px) | set(py))
-    wx = [px.get(p, 0) for p in points]
-    wy = [py.get(p, 0) for p in points]
-    examined = 0
-    for idx in enumerate_upper_index_sets(points, cap=caps.max_upper_sets):
-        examined += 1
-        mass_x = sum(map(wx.__getitem__, idx))
-        mass_y = sum(map(wy.__getitem__, idx))
-        if mass_x * ty > mass_y * tx:
-            members = tuple(points[i] for i in idx)
-            return StVerdict(
-                holds=False,
-                method="uppersets",
-                violation=UpperSetViolation(from_members(members), Fraction(mass_x, tx),
-                                            Fraction(mass_y, ty)),
-                upper_sets_examined=examined,
-            )
-    return StVerdict(holds=True, method="uppersets", upper_sets_examined=examined)
+    u = support_union(dict(zip((x for x, _ in dX.atoms), integer_weights(dX))),
+                      dict(zip((y for y, _ in dY.atoms), integer_weights(dY))))
+    violation, examined = sweep_violation(u, caps.max_upper_sets)
+    return StVerdict(holds=violation is None, method="uppersets", violation=violation,
+                     upper_sets_examined=examined)
 
 
 def st_leq_coupling(dX: FiniteJointDistribution,
@@ -347,24 +389,14 @@ def st_leq_coupling(dX: FiniteJointDistribution,
     packed, guards = _pack_ranks(xs + ys, dX.dim)
     lx = _integer_law(dX, packed[: len(xs)])
     ly = _integer_law(dY, packed[len(xs):])
-    flows, deficient_idx = integer_coupling(lx, ly, guards)
+    flows, deficient = integer_coupling(lx, ly, guards)
     if flows is not None:
         scale = lx.total * ly.total
         pairs = [(xs[i], ys[j], Fraction(f, scale)) for i, j, f in flows]
         return StVerdict(holds=True, method="coupling", coupling=Coupling(tuple(sorted(pairs))))
-
-    deficient = sorted(xs[i] for i in deficient_idx)
-    ambient = sorted(set(xs) | set(ys))
-    upper = upper_closure(deficient, ambient)
-    p_left = sum((dX.probability(v) for v in upper.points), Fraction(0))
-    p_right = sum((dY.probability(v) for v in upper.points), Fraction(0))
-    if p_left <= p_right:
-        raise InternalConsistencyError("min cut did not produce a violating upper set")
-    return StVerdict(
-        holds=False,
-        method="coupling",
-        violation=UpperSetViolation(upper, p_left, p_right),
-    )
+    u = support_union(dict(zip(xs, lx.weights)), dict(zip(ys, ly.weights)))
+    return StVerdict(holds=False, method="coupling",
+                     violation=cut_violation(u, [xs[i] for i in deficient]))
 
 
 def require_agreement(by_coupling: bool, by_uppersets: bool) -> None:

@@ -50,13 +50,6 @@ def from_members(members: Iterable[Vector]) -> UpperSet:
     return UpperSet(pts, _minimal_elements(pts))
 
 
-def upper_closure(generators: Iterable[Vector], ambient: Iterable[Vector]) -> UpperSet:
-    """Upward closure of the generators within the ambient point set."""
-    gens = list(generators)
-    members = [p for p in ambient if any(componentwise_leq(g, p) for g in gens)]
-    return from_members(members)
-
-
 def enumerate_upper_index_sets(points: Sequence[Vector],
                                cap: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield each upper set as a tuple of indices into ``points``.

@@ -7,15 +7,16 @@ each label's atom mask is built by testing every atom against a Fraction
 comparisons). Sub-blocks of the witness search are decided by Fraction
 ``st_leq`` on marginals of the Fraction conditional laws. The upper-set sweep
 (``st_leq_uppersets``, summing Fractions), the ``st_leq`` that runs it in
-verify mode, and ``_deterministic_upper_violation`` are kept here too. So is
-the integer coupling kernel as it was before the comparability bitsets and
-the first-fit warm start: it tests every (x, y) pair against the guard bits
-and runs a cold Dinic search on every call (``integer_coupling`` below). The
-reference shares no decision code with the engine under test beyond the
-max-flow engine and ``st_leq_coupling``, which its ``st_leq`` calls on the
-sub-blocks of the witness search. The code below is kept verbatim apart
-from the module-level names; the differential tests compare the rank-bitset
-engine against it, verdict, witness and stats alike.
+verify mode, ``_deterministic_upper_violation`` and ``_coordinate_means``
+are kept here too. So is the integer coupling kernel as it was before the
+comparability bitsets and the first-fit warm start: it tests every (x, y)
+pair against the guard bits and runs a cold Dinic search on every call
+(``integer_coupling`` below). The reference shares no decision code with
+the engine under test beyond the max-flow engine and ``st_leq_coupling``,
+which its ``st_leq`` calls on the sub-blocks of the witness search. The
+code below is kept verbatim apart from the module-level names; the
+differential tests compare the rank-bitset engine against it, verdict,
+witness and stats alike.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from negdep.checks import (
     RegressionWitness,
     Verdict,
     WEAK,
-    _coordinate_means,
     _ext_leq,
     _subsets,
     _tail_event,
@@ -141,6 +141,14 @@ def _deterministic_upper_violation(ctx: _CellContext, law_hi, law_lo) -> UpperSe
     if verdict.holds:
         raise InternalConsistencyError("screen failed but no violation found")
     return verdict.violation
+
+
+def _coordinate_means(law: FiniteJointDistribution) -> tuple[Fraction, ...]:
+    means = [ZERO] * law.dim
+    for x, p in law.atoms:
+        for a, v in enumerate(x):
+            means[a] += v * p
+    return tuple(means)
 
 
 def _conditioning_labels(d: FiniteJointDistribution, J: tuple[int, ...],

@@ -232,9 +232,9 @@ class TestRegressionFamily:
         # one upper set is too few for the witness sweep, so the violation is
         # read off the coupling's min cut instead
         fallback = []
-        st_leq = checks.st_leq
-        monkeypatch.setattr(checks, "st_leq",
-                            lambda *a, **k: fallback.append(a) or st_leq(*a, **k))
+        cut_violation = checks.cut_violation
+        monkeypatch.setattr(checks, "cut_violation",
+                            lambda *a: fallback.append(a) or cut_violation(*a))
         verdict = check_nrd(table1, caps=Caps(max_upper_sets=1))
         assert fallback
         assert not verdict.holds

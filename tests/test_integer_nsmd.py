@@ -156,11 +156,11 @@ def test_orthant_screen_fires_exactly_when_nod_fails(d):
 
     everything = range(1, n + 1)
     lower = supermodular.orthant_sums(list(r), sizes, False)
-    for k, corner in enumerate(itertools.product(*work.grid)):
+    for k, corner in enumerate(itertools.product(*work.view.axes)):
         want = _product(d, lower_event, corner) - d.mass_of(lower_event(everything, corner))
         assert F(lower[k], mass ** n) == want
     upper = supermodular.orthant_sums(list(r), sizes, True)
-    thresholds = [(NEG_INF,) + ax[:-1] for ax in work.grid]
+    thresholds = [(NEG_INF,) + ax[:-1] for ax in work.view.axes]
     for k, corner in enumerate(itertools.product(*thresholds)):
         want = _product(d, upper_event, corner) - d.mass_of(upper_event(everything, corner))
         assert F(upper[k], mass ** n) == want

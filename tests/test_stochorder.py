@@ -19,12 +19,14 @@ from negdep.errors import Caps
 from negdep.stochorder import (
     IntegerLaw,
     RankPacking,
+    SupportUnion,
     _pack_ranks,
     check_integer_coupling,
+    cut_violation,
     integer_coupling,
     integer_view,
 )
-from negdep.uppersets import componentwise_leq, upper_closure
+from negdep.uppersets import componentwise_leq
 
 from . import reference_conditioning as ref
 from .strategies import distribution_pairs, finite_distributions
@@ -203,6 +205,16 @@ def _cell(d, J):
     return _CellContext(LawCache(d), J, Caps(), "fast")
 
 
+def _fraction_law(d, J, mask):
+    """The Fraction law of the coordinates outside J given the atoms whose
+    bits are set in ``mask``."""
+    observed = [j - 1 for j in range(1, d.dim + 1) if j not in J]
+    atoms = [(tuple(x[c] for c in observed), p)
+             for k, (x, p) in enumerate(d.atoms) if mask >> k & 1]
+    total = sum(p for _, p in atoms)
+    return make_pmf(len(observed), [(x, p / total) for x, p in atoms])
+
+
 class TestIntegerKernel:
     @settings(max_examples=200, deadline=None)
     @given(parent_law_and_masks())
@@ -210,7 +222,7 @@ class TestIntegerKernel:
         d, J, mask_x, mask_y = case
         ctx = _cell(d, J)
         lx, ly = ctx.int_law(mask_x), ctx.int_law(mask_y)
-        dX, dY = ctx.law(mask_x), ctx.law(mask_y)
+        dX, dY = _fraction_law(d, J, mask_x), _fraction_law(d, J, mask_y)
         flows, _ = integer_coupling(lx, ly, ctx.guards)
         assert (flows is not None) == st_leq_uppersets(dX, dY).holds
         if flows is None:
@@ -308,6 +320,16 @@ class TestIntegerKernel:
 
 
 def test_upper_closure_consistency():
-    ambient = [(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1))]
-    u = upper_closure([(F(0), F(1))], ambient)
-    assert u.points == ((F(0), F(1)), (F(1), F(1)))
+    # the min-cut witness is the upward closure of the deficient atoms in
+    # the union support; here X sits on the deficient atom, Y on (0, 0)
+    def vecs(*tuples):
+        return [tuple(F(v) for v in t) for t in tuples]
+
+    ambient = vecs((0, 0), (0, 1), (1, 0), (1, 1))
+    v = cut_violation(SupportUnion(ambient, [0, 1, 0, 0], [1, 0, 0, 0], 1, 1), vecs((0, 1)))
+    assert v.upper_set.points == ((F(0), F(1)), (F(1), F(1)))
+    # a closure that does not violate the order is an internal error
+    ambient = vecs((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+    with pytest.raises(InternalConsistencyError, match="min cut"):
+        cut_violation(SupportUnion(ambient, [0, 0, 3, 0, 0], [0, 0, 0, 0, 3], 3, 3),
+                      vecs((1, 0)))

@@ -49,7 +49,7 @@ def _on_and_off(run):
 
 def _gens(d):
     work = LawCache(d)
-    return generators(work.view, work.grid)
+    return generators(work.view, work.view.axes)
 
 
 def _inverse_positions(perm):
@@ -151,9 +151,9 @@ def test_exact_check_rejects_what_two_dimensional_pruning_passes():
         assert (d.marginal([a + 1, c + 1])
                 == d.marginal([swap[a] + 1, swap[c] + 1]))
     work = LawCache(d)
-    assert not is_automorphism(work.view, work.grid, swap)
+    assert not is_automorphism(work.view, work.view.axes, swap)
     # any two of X1, X2, X4 determine the third: the group is S_3 on them
-    group = _group(generators(work.view, work.grid), 4)
+    group = _group(generators(work.view, work.view.axes), 4)
     assert len(group) == 6
     assert all(g[2] == 2 for g in group)
 
@@ -161,21 +161,21 @@ def test_exact_check_rejects_what_two_dimensional_pruning_passes():
 def test_exact_check_reads_the_value_tables():
     d = make_pmf(2, [((0, 5), F(1, 2)), ((1, 6), F(1, 2))])
     work = LawCache(d)
-    assert not is_automorphism(work.view, work.grid, (1, 0))
-    assert generators(work.view, work.grid) == []
+    assert not is_automorphism(work.view, work.view.axes, (1, 0))
+    assert generators(work.view, work.view.axes) == []
 
 
 def test_node_budget_keeps_the_generators_found_so_far():
     d = permutation_distribution([0, 1, 2, 3, 4])
     work = LawCache(d)
-    full = generators(work.view, work.grid)
+    full = generators(work.view, work.view.axes)
     assert len(_group(full, 5)) == 120
-    assert generators(work.view, work.grid, budget=0) == []
+    assert generators(work.view, work.view.axes, budget=0) == []
     sizes = []
     for budget in range(1, 40):
-        partial = generators(work.view, work.grid, budget=budget)
+        partial = generators(work.view, work.view.axes, budget=budget)
         assert partial == full[:len(partial)]  # a prefix, so a subgroup
-        assert all(is_automorphism(work.view, work.grid, p) for p in partial)
+        assert all(is_automorphism(work.view, work.view.axes, p) for p in partial)
         sizes.append(len(partial))
     assert sizes == sorted(sizes) and sizes[-1] == len(full)
     assert any(0 < size < len(full) for size in sizes)  # a proper subgroup

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from negdep import EnumerationCapExceeded, count_upper_sets, enumerate_upper_sets
-from negdep.uppersets import from_members, upper_closure
+from negdep.stochorder import SupportUnion, cut_violation
+from negdep.uppersets import from_members
 
 F = Fraction
 
@@ -60,10 +61,14 @@ def test_cap_exceeded():
 
 
 def test_upper_closure():
+    # the min-cut witness is the upward closure of the deficient atoms
+    # within the union support
     ambient = vecs((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
-    u = upper_closure(vecs((1, 0)), ambient)
-    assert u.points == tuple(vecs((1, 0), (1, 1), (2, 2)))
-    assert u.minimal == tuple(vecs((1, 0)))
+    v = cut_violation(SupportUnion(ambient, [0, 0, 3, 0, 0], [2, 0, 0, 0, 1], 3, 3),
+                      vecs((1, 0)))
+    assert v.upper_set.points == tuple(vecs((1, 0), (1, 1), (2, 2)))
+    assert v.upper_set.minimal == tuple(vecs((1, 0)))
+    assert (v.p_left, v.p_right) == (1, F(1, 3))
 
 
 def test_membership_beyond_ambient():
