@@ -31,6 +31,7 @@ from typing import Sequence
 from .distributions import FiniteJointDistribution, Vector
 from .errors import Caps, GridTooLarge, InternalConsistencyError, UndefinedAtAtom, default_caps
 from .simplex import OPTIMAL, LinearProgram, SimplexResult, simplex_solve
+from .symmetry import orbit_roots
 
 
 @dataclass(frozen=True, eq=True)
@@ -108,6 +109,26 @@ def _grid_cells(sizes: list[int]) -> list[tuple[int, int, int, int]]:
     return cells
 
 
+def _point_moves(sizes: list[int], target: list[int],
+                 gens: Sequence[Sequence[int]]) -> list[list[int]]:
+    """For each coordinate permutation, which moves coordinate a to perm[a],
+    the grid position each grid position goes to: the outer sum over the
+    axes of position i times the stride of axis perm[a]. Each permutation
+    must keep the axis sizes and the target."""
+    strides, _ = _strides(sizes)
+    moves = []
+    for perm in gens:
+        if sorted(perm) != list(range(len(sizes))) or [sizes[b] for b in perm] != sizes:
+            raise InternalConsistencyError(f"{perm} does not permute axes of equal sizes")
+        move = [0]
+        for size, b in zip(sizes, perm):
+            move = [m + i * strides[b] for m in move for i in range(size)]
+        if any(target[m] != v for m, v in zip(move, target)):
+            raise InternalConsistencyError(f"{perm} does not keep p_Y - p_X")
+        moves.append(move)
+    return moves
+
+
 def orthant_sums(cells: list[int], sizes: list[int], reverse: bool) -> list[int]:
     """The flat lex grid summed over every lower orthant, or every upper one
     if reverse, in place, by prefix (suffix) sums along one axis at a time.
@@ -174,10 +195,12 @@ def _recheck(sizes: Sequence[int], r: Sequence[int], scale: int,
     return gap
 
 
-def decide_on_grid(sizes: list[int], r: list[int],
-                   scale: int) -> tuple[Fraction, list[int] | None, int]:
+def decide_on_grid(sizes: list[int], r: list[int], scale: int,
+                   gens: Sequence[Sequence[int]] = ()) -> tuple[Fraction, list[int] | None, int]:
     """Decide X <=sm Y on the flat lex grid with the given axis sizes, where
     ``r[k] / scale`` is p_Y - p_X at grid position k (ints, scale > 0).
+    ``gens`` are coordinate permutations that keep r, such as generators of
+    the law's automorphisms; one that does not raises.
 
     Returns (gap, psi, den). The order holds iff psi is None, and then the
     gap is 0. Otherwise ``psi[k] / den`` is the box LP's maximizing witness,
@@ -188,35 +211,51 @@ def decide_on_grid(sizes: list[int], r: list[int],
     vectors delta(x) - delta(x+e_i) - delta(x+e_j) + delta(x+e_i+e_j)
     (constant functions make the box shift cancel out). A negative orthant
     sum of r already rules the transfers out. Otherwise the feasibility
-    system is solved first — it is far less degenerate — and its certificate
-    is re-verified by direct summation; only a failed order runs the box LP,
-    to maximize the gap and extract the witness psi. Both LPs read r divided
-    by the gcd of its entries, which scales every right-hand side, or every
-    objective coefficient, by one positive factor and so changes no pivot.
+    system is solved first — it is far less degenerate — with one row per
+    orbit of grid points and one transfer coefficient per orbit of cells
+    under ``gens`` (docs/theory.md section 11), and its certificate, one
+    coefficient per cell, is re-verified by direct summation; only a failed
+    order runs the box LP, to maximize the gap and extract the witness psi.
+    Both LPs read r divided by the gcd of its entries, which scales every
+    right-hand side, or every objective coefficient, by one positive factor
+    and so changes no pivot.
     """
     if sum(r) != 0:
         raise InternalConsistencyError("signed measure does not balance")
     g = math.gcd(*r) or 1
     target = [v // g for v in r]
     cells = _grid_cells(sizes)
+    moves = _point_moves(sizes, target, gens)
 
-    # feasibility: sum of lambda_c * transfer_c == target, lambda >= 0
+    # feasibility: sum of lambda_c * transfer_c == target, lambda >= 0, with
+    # lambda constant on each cell orbit and one row per point orbit
     if not orthant_screen(target, sizes):
-        rows: list[dict[int, int]] = [{} for _ in target]
-        for c, cell in enumerate(cells):
+        # a cell's corners move to its image's corners; each cell lists its
+        # middle corners larger position (earlier axis) first
+        index = {cell: c for c, cell in enumerate(cells)}
+        cell_roots = orbit_roots(len(cells), [
+            [index[m[k], max(m[k1], m[k2]), min(m[k1], m[k2]), m[k12]]
+             for k, k1, k2, k12 in cells] for m in moves])
+        columns: dict[int, int] = {}
+        column = [columns.setdefault(root, len(columns)) for root in cell_roots]
+        rows = {k: {} for k, root in enumerate(orbit_roots(len(target), moves)) if k == root}
+        for cell, j in zip(cells, column):
             for k, sign in zip(cell, (1, -1, -1, 1)):
-                rows[k][c] = sign
+                row = rows.get(k)
+                if row is not None:
+                    row[j] = row.get(j, 0) + sign
         feas = simplex_solve(LinearProgram(
-            num_vars=len(cells),
+            num_vars=len(columns),
             objective={},
             constraints=(),
-            equalities=list(zip(rows, target)),
+            equalities=[(row, target[k]) for k, row in rows.items()],
         ))
         if feas.status == OPTIMAL:
             # re-check the transfer certificate by direct summation
-            lam, lam_den = _over_one_denominator(feas.solution)
+            mu, lam_den = _over_one_denominator(feas.solution)
             achieved = [0] * len(target)
-            for (k, k1, k2, k12), v in zip(cells, lam):
+            for (k, k1, k2, k12), j in zip(cells, column):
+                v = mu[j]
                 if v:
                     if v < 0:
                         raise InternalConsistencyError("negative transfer coefficient")
@@ -347,7 +386,8 @@ def independence_grid(view) -> tuple[list[int], list[int], int]:
     return cells, products, sum(weights)
 
 
-def below_independent_copy(view, axes, caps: Caps | None = None
+def below_independent_copy(view, axes, caps: Caps | None = None,
+                           gens: Sequence[Sequence[int]] = ()
                            ) -> tuple[int, SupermodularWitness | None]:
     """The law below its independent copy in the supermodular order (NSMD),
     decided on its integer view; ``axes`` is its support grid.
@@ -356,13 +396,14 @@ def below_independent_copy(view, axes, caps: Caps | None = None
     witness. On the grid, r = products - mass**(dim-1) * cells over
     mass**dim is p_perp - p_X, and E[psi] under the law and under its copy
     are integer sums over the same grid. The cap is checked before anything
-    grid-sized is built.
+    grid-sized is built. ``gens``, generators of the law's automorphisms,
+    keep r, so the transfer system is solved on their orbits.
     """
     total = _grid_size(view[2], caps)
     cells, products, mass = independence_grid(view)
     lift = mass ** (len(axes) - 1)
     r = [p - lift * c for p, c in zip(products, cells)]
-    gap, psi, den = decide_on_grid(view[2], r, lift * mass)
+    gap, psi, den = decide_on_grid(view[2], r, lift * mass, gens)
     if psi is None:
         return total, None
     return total, SupermodularWitness(

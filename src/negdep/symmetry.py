@@ -138,6 +138,25 @@ def _orbit(point: int, gens: Sequence[Sequence[int]]) -> set[int]:
     return orbit
 
 
+def orbit_roots(size: int, moves: Sequence[Sequence[int]]) -> list[int]:
+    """For each of ``size`` items, the least item of its orbit, where each
+    move sends item k to ``move[k]``: the classes of a union-find over the
+    moves, each rooted at its least item."""
+    parent = list(range(size))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    for move in moves:
+        for k, m in enumerate(move):
+            a, b = find(k), find(m)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [find(k) for k in range(size)]
+
+
 def orbit_leaders(gens: Sequence[Sequence[int]],
                   cells: Sequence[tuple[tuple[int, ...], ...]]) -> list[int] | None:
     """For each cell, the index of the earliest cell of its orbit, or None
@@ -147,24 +166,14 @@ def orbit_leaders(gens: Sequence[Sequence[int]],
     closed under the group. A permutation maps each block to its sorted
     image. A cell that stands for an unordered pair of blocks is listed in
     one order only, so an image missing from the list is looked up reversed.
-    The orbits are the classes of a union-find over the generators, each
-    rooted at its least index.
     """
     if not gens:
         return None
     index = {cell: k for k, cell in enumerate(cells)}
-    parent = list(range(len(cells)))
 
-    def find(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = k = parent[parent[k]]
-        return k
+    def image(perm: Sequence[int], cell: tuple[tuple[int, ...], ...]) -> int:
+        moved = tuple(tuple(sorted(perm[j - 1] + 1 for j in block)) for block in cell)
+        m = index.get(moved)
+        return index[moved[::-1]] if m is None else m
 
-    for perm in gens:
-        for k, cell in enumerate(cells):
-            image = tuple(tuple(sorted(perm[j - 1] + 1 for j in block)) for block in cell)
-            m = index.get(image)
-            a, b = find(k), find(index[image[::-1]] if m is None else m)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return [find(k) for k in range(len(cells))]
+    return orbit_roots(len(cells), [[image(perm, cell) for cell in cells] for perm in gens])

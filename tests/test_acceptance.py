@@ -18,6 +18,7 @@ from negdep import (
     check_nrd1,
     check_nrtd,
     check_nrtd1,
+    check_nsmd,
     equal_strength,
     independent_copy,
     knockout_fixed_draw,
@@ -230,3 +231,16 @@ def test_criterion_13_fixed_draw_right_tail_is_definitive():
     nrtd = check_nrtd(d)
     assert nrtd.holds and nrtd.definitive and nrtd.stats.cells == 254
     _pass_line(13, "fixed-draw NRTD with no block cap", start, 10.0)
+
+
+def test_criterion_14_nsmd_on_exchangeable_grids():
+    # each law is exchangeable, so the transfer system has one row per orbit
+    # of grid points and one coefficient per orbit of cells
+    for values, points, budget_s in [((0, 1, 2, 3), 256, 1.0),
+                                     ((0, 0, 1, 1, 2, 2), 729, 2.0),
+                                     ((0, 1, 2, 3, 4), 3125, 5.0)]:
+        start = time.monotonic()
+        verdict = check_nsmd(permutation_distribution(list(values)))
+        assert verdict.holds and verdict.definitive
+        assert verdict.stats.conditioning_pairs == points
+        _pass_line(14, f"NSMD of the permutation law of {values}", start, budget_s)

@@ -17,6 +17,7 @@ from negdep import (
     check_conjecture,
     check_na,
     check_nltd,
+    check_nsmd,
     check_nrd,
     check_nrtd,
     equal_strength,
@@ -27,9 +28,11 @@ from negdep import (
     permutation_distribution,
     to_json_dict,
 )
-from negdep import checks
+from negdep import checks, supermodular
 from negdep.checks import LawCache, _subsets
 from negdep.cli import main
+from negdep.errors import InternalConsistencyError
+from negdep.simplex import INFEASIBLE
 from negdep.symmetry import generators, is_automorphism, orbit_leaders
 
 from .strategies import finite_distributions
@@ -292,6 +295,63 @@ def test_first_witness_is_at_an_orbit_leader():
 def test_conjecture_is_unchanged(values, jobs, st_mode):
     on, off = _on_and_off(lambda: check_conjecture(values, jobs=jobs, st_mode=st_mode))
     assert on == off
+
+
+# -- NSMD's transfer system on orbits ------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_laws.filter(lambda d: d.dim >= 3))
+def test_nsmd_is_unchanged_on_planted_symmetry(d):
+    on, off = _on_and_off(lambda: check_nsmd(d))
+    assert repr(on) == repr(off)
+
+
+# exchangeable on {0, 1, 2}^3, found by a seeded search: NOD holds, so no
+# orthant sum is negative, yet the transfer system is infeasible
+EXCHANGEABLE = make_pmf(3, [
+    (x, F(w, 33))
+    for cls, w in {(0, 0, 1): 1, (0, 0, 2): 1, (0, 2, 2): 5, (1, 1, 2): 2, (1, 2, 2): 2}.items()
+    for x in sorted(set(itertools.permutations(cls)))])
+
+
+def _recorded_lps(run):
+    """``run``'s result and, for each LP it solves through supermodular,
+    (number of equality rows, number of variables, status)."""
+    lps = []
+    solve = supermodular.simplex_solve
+
+    def recording(lp):
+        result = solve(lp)
+        lps.append((len(lp.equalities), lp.num_vars, result.status))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(supermodular, "simplex_solve", recording)
+        return run(), lps
+
+
+def test_an_infeasible_orbit_system_falls_through_to_the_box_lp():
+    d = EXCHANGEABLE
+    assert len(_group(_gens(d), 3)) == 6
+    (on, on_lps), (off, off_lps) = _on_and_off(lambda: _recorded_lps(lambda: check_nsmd(d)))
+    # one row per multiset of three grid positions, then the same box LP
+    assert [lp[0] for lp in on_lps] == [10, 0] and [lp[0] for lp in off_lps] == [27, 0]
+    assert on_lps[0][2] == off_lps[0][2] == INFEASIBLE
+    assert on_lps[1:] == off_lps[1:]
+    assert repr(on) == repr(off)
+    assert not on.holds and on.witness.gap == F(6, 1331)
+    checks.verify_witness(d, on)
+
+
+def test_a_permutation_that_moves_the_law_raises():
+    view = LawCache(XOR).view
+    cells, products, mass = supermodular.independence_grid(view)
+    r = [p - mass ** 3 * c for p, c in zip(products, cells)]
+    decide = supermodular.decide_on_grid
+    assert decide(view[2], r, mass ** 4, _gens(XOR)) == decide(view[2], r, mass ** 4)
+    for perm in [(0, 1, 3, 2), (0, 0, 2, 3)]:  # the swap of X3 and X4; not a permutation
+        with pytest.raises(InternalConsistencyError):
+            decide(view[2], r, mass ** 4, [perm])
 
 
 _REPORT_LAWS = {
