@@ -8,8 +8,10 @@ finite product grid spanned by both supports: the adjacent-step inequalities
 over all grid points and coordinate pairs generate the whole supermodular
 cone on the grid (see docs/theory.md), and the box -1 <= psi <= 1
 compactifies it. Maximizing E[psi(X)] - E[psi(Y)] over that polytope gives
-exactly 0 when the order holds and a strictly positive gap, with the
-maximizing psi as a witness, when it fails.
+exactly 0 when the order holds and a strictly positive gap when it fails.
+A failed order is witnessed by the indicator of its most negative orthant
+of p_Y - p_X when it has one, with no LP, and otherwise by the maximizing
+psi (docs/theory.md section 5).
 
 One integer core decides the order (:func:`decide_on_grid`): it reads the
 signed measure p_Y - p_X as ints on the flat lexicographic grid over one
@@ -48,8 +50,8 @@ class GridFunction:
 @dataclass(frozen=True)
 class SupermodularVerdict:
     holds: bool
-    gap: Fraction                 # max of E[psi(X)] - E[psi(Y)]; 0 iff holds
-    witness: GridFunction | None  # maximizing psi when the order fails
+    gap: Fraction                 # E[psi(X)] - E[psi(Y)] of the witness; 0 iff holds
+    witness: GridFunction | None  # psi when the order fails
     grid_points: int
 
 
@@ -158,10 +160,38 @@ def orthant_sums(cells: list[int], sizes: list[int], reverse: bool) -> list[int]
     return cells
 
 
-def orthant_screen(r: list[int], sizes: list[int]) -> bool:
-    """Whether some lower or upper orthant sum of r is negative, which rules
-    out every transfer certificate (docs/theory.md section 5)."""
-    return any(min(orthant_sums(list(r), sizes, reverse)) < 0 for reverse in (False, True))
+def orthant_screen(r: list[int], sizes: list[int]) -> tuple[int, bool, int] | None:
+    """The most negative orthant sum of r, as (sum, reverse, k): the sum over
+    the lower orthant of grid position k, or the upper one if reverse. On a
+    tie a lower orthant wins, then the lowest position. None when no orthant
+    sum is negative; a negative one rules out every transfer certificate
+    (docs/theory.md section 5)."""
+    worst = None
+    for reverse in (False, True):
+        sums = orthant_sums(list(r), sizes, reverse)
+        low = min(sums)
+        if low < 0 and (worst is None or low < worst[0]):
+            worst = (low, reverse, sums.index(low))
+    return worst
+
+
+def _outer_product(lines: Sequence[Sequence[int]]) -> list[int]:
+    """The outer product of one line per axis, on the flat lex grid."""
+    out = [1]
+    for line in lines:
+        out = [p * m for p in out for m in line]
+    return out
+
+
+def _orthant_indicator(sizes: Sequence[int], reverse: bool, k: int) -> list[int]:
+    """1{z <= x}, or 1{z >= x} if reverse, for x at grid position k, as the
+    outer product of one 0/1 line per axis."""
+    strides, _ = _strides(sizes)
+    lines = []
+    for size, step in zip(sizes, strides):
+        i, k = divmod(k, step)
+        lines.append([int(j >= i if reverse else j <= i) for j in range(size)])
+    return _outer_product(lines)
 
 
 def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -203,19 +233,24 @@ def decide_on_grid(sizes: list[int], r: list[int], scale: int,
     the law's automorphisms; one that does not raises.
 
     Returns (gap, psi, den). The order holds iff psi is None, and then the
-    gap is 0. Otherwise ``psi[k] / den`` is the box LP's maximizing witness,
-    re-checked by position, and the gap is its positive LP optimum.
+    gap is 0. Otherwise ``psi[k] / den`` is the witness, re-checked by
+    position, and the gap is its E[psi(X)] - E[psi(Y)] > 0. When some
+    orthant sum of r is negative, psi is the indicator of the most negative
+    orthant (see :func:`orthant_screen`), den is 1 and no LP runs; otherwise
+    psi is the box LP's maximizer and the gap its optimum.
 
     The order holds iff the box LP's optimum is 0, which by LP duality is
     the same as r being a nonnegative combination of elementary transfer
     vectors delta(x) - delta(x+e_i) - delta(x+e_j) + delta(x+e_i+e_j)
     (constant functions make the box shift cancel out). A negative orthant
-    sum of r already rules the transfers out. Otherwise the feasibility
-    system is solved first — it is far less degenerate — with one row per
-    orbit of grid points and one transfer coefficient per orbit of cells
-    under ``gens`` (docs/theory.md section 11), and its certificate, one
-    coefficient per cell, is re-verified by direct summation; only a failed
-    order runs the box LP, to maximize the gap and extract the witness psi.
+    sum of r already rules the transfers out, and the orthant's indicator,
+    which is supermodular and in the box, is the witness. Otherwise the
+    feasibility system is solved first — it is far less degenerate — with
+    one row per orbit of grid points and one transfer coefficient per orbit
+    of cells under ``gens`` (docs/theory.md section 11), and its
+    certificate, one coefficient per cell, is re-verified by direct
+    summation; only a failed order runs the box LP, to maximize the gap and
+    extract the witness psi.
     Both LPs read r divided by the gcd of its entries, which scales every
     right-hand side, or every objective coefficient, by one positive factor
     and so changes no pivot.
@@ -224,51 +259,59 @@ def decide_on_grid(sizes: list[int], r: list[int], scale: int,
         raise InternalConsistencyError("signed measure does not balance")
     g = math.gcd(*r) or 1
     target = [v // g for v in r]
-    cells = _grid_cells(sizes)
-    moves = _point_moves(sizes, target, gens)
+    moves = _point_moves(sizes, target, gens)  # before the screen: a wrong group always raises
+    worst = orthant_screen(target, sizes)
+    if worst is not None:
+        low, reverse, k = worst
+        psi = _orthant_indicator(sizes, reverse, k)
+        gap = Fraction(-low * g, scale)
+        if _recheck(sizes, r, scale, psi, 1) != gap:
+            raise InternalConsistencyError("witness gap differs from the orthant sum")
+        return gap, psi, 1
 
     # feasibility: sum of lambda_c * transfer_c == target, lambda >= 0, with
     # lambda constant on each cell orbit and one row per point orbit
-    if not orthant_screen(target, sizes):
-        # a cell's corners move to its image's corners; each cell lists its
-        # middle corners larger position (earlier axis) first
-        index = {cell: c for c, cell in enumerate(cells)}
-        cell_roots = orbit_roots(len(cells), [
-            [index[m[k], max(m[k1], m[k2]), min(m[k1], m[k2]), m[k12]]
-             for k, k1, k2, k12 in cells] for m in moves])
-        columns: dict[int, int] = {}
-        column = [columns.setdefault(root, len(columns)) for root in cell_roots]
-        rows = {k: {} for k, root in enumerate(orbit_roots(len(target), moves)) if k == root}
-        for cell, j in zip(cells, column):
-            for k, sign in zip(cell, (1, -1, -1, 1)):
-                row = rows.get(k)
-                if row is not None:
-                    row[j] = row.get(j, 0) + sign
-        feas = simplex_solve(LinearProgram(
-            num_vars=len(columns),
-            objective={},
-            constraints=(),
-            equalities=[(row, target[k]) for k, row in rows.items()],
-        ))
-        if feas.status == OPTIMAL:
-            # re-check the transfer certificate by direct summation
-            mu, lam_den = _over_one_denominator(feas.solution)
-            achieved = [0] * len(target)
-            for (k, k1, k2, k12), j in zip(cells, column):
-                v = mu[j]
-                if v:
-                    if v < 0:
-                        raise InternalConsistencyError("negative transfer coefficient")
-                    achieved[k] += v
-                    achieved[k12] += v
-                    achieved[k1] -= v
-                    achieved[k2] -= v
-            if achieved != [v * lam_den for v in target]:
-                raise InternalConsistencyError(
-                    "transfer certificate does not reproduce p_Y - p_X")
-            return Fraction(0), None, 1
+    cells = _grid_cells(sizes)
+    # a cell's corners move to its image's corners; each cell lists its
+    # middle corners larger position (earlier axis) first
+    index = {cell: c for c, cell in enumerate(cells)}
+    cell_roots = orbit_roots(len(cells), [
+        [index[m[k], max(m[k1], m[k2]), min(m[k1], m[k2]), m[k12]]
+         for k, k1, k2, k12 in cells] for m in moves])
+    columns: dict[int, int] = {}
+    column = [columns.setdefault(root, len(columns)) for root in cell_roots]
+    rows = {k: {} for k, root in enumerate(orbit_roots(len(target), moves)) if k == root}
+    for cell, j in zip(cells, column):
+        for k, sign in zip(cell, (1, -1, -1, 1)):
+            row = rows.get(k)
+            if row is not None:
+                row[j] = row.get(j, 0) + sign
+    feas = simplex_solve(LinearProgram(
+        num_vars=len(columns),
+        objective={},
+        constraints=(),
+        equalities=[(row, target[k]) for k, row in rows.items()],
+    ))
+    if feas.status == OPTIMAL:
+        # re-check the transfer certificate by direct summation
+        mu, lam_den = _over_one_denominator(feas.solution)
+        achieved = [0] * len(target)
+        for (k, k1, k2, k12), j in zip(cells, column):
+            v = mu[j]
+            if v:
+                if v < 0:
+                    raise InternalConsistencyError("negative transfer coefficient")
+                achieved[k] += v
+                achieved[k12] += v
+                achieved[k1] -= v
+                achieved[k2] -= v
+        if achieved != [v * lam_den for v in target]:
+            raise InternalConsistencyError(
+                "transfer certificate does not reproduce p_Y - p_X")
+        return Fraction(0), None, 1
 
-    # order violated: maximize the gap over the box-bounded cone for a witness
+    # order violated with no negative orthant sum: maximize the gap over the
+    # box-bounded cone for a witness
     constraints: list[tuple[dict[int, int], int]] = []
     for k, k1, k2, k12 in cells:
         # -(psi(up12) - psi(up1) - psi(up2) + psi(x)) <= 0
@@ -380,10 +423,7 @@ def independence_grid(view) -> tuple[list[int], list[int], int]:
         cells[sum(map(mul, rank, strides))] += w
         for line, i in zip(lines, rank):
             line[i] += w
-    products = [1]
-    for line in lines:
-        products = [p * m for p in products for m in line]
-    return cells, products, sum(weights)
+    return cells, _outer_product(lines), sum(weights)
 
 
 def below_independent_copy(view, axes, caps: Caps | None = None,

@@ -1,14 +1,20 @@
 """Fraction reference for the supermodular order and NSMD.
 
-This is ``supermodular_leq`` as it was before the orthant pre-screen: it
-always solves the transfer system first, with Fraction rows, and runs the
-box LP only when that system is infeasible. Next to it are the witness check
-as it was before it ran by grid position, on Fraction-keyed dicts, and
-``check_nsmd`` as it was before it ran on the law's integer view, through an
-independent-copy law and ``GridFunction.as_dict``. All three are kept
-verbatim; the union grid, the grid cells and the simplex are imported from
-the package, unchanged. The differential tests compare the live decisions
-against them, verdict, gap, witness and expectations alike.
+``supermodular_leq`` always solves the transfer system first, with Fraction
+rows, and decides the order by it alone. A failed order is then witnessed
+by the indicator of the most negative orthant sum of p_Y - p_X, each sum
+taken by enumerating the orthant's points, with a lower orthant before an
+upper one and then the lowest grid position on a tie; only when no orthant
+sum is negative does the box LP run for the witness. The transfer LP and
+the box LP are kept as the separate helpers :func:`transfer_lp` and
+:func:`box_lp`, as they were before the orthant pre-screen. Next to them are
+the witness check as it was before it ran by grid position, on
+Fraction-keyed dicts, and ``check_nsmd`` as it was before it ran on the
+law's integer view, through an independent-copy law and
+``GridFunction.as_dict``. The union grid, the grid cells and the simplex
+are imported from the package, unchanged. The differential tests compare
+the live decisions against them, verdict, gap, witness and expectations
+alike.
 """
 
 from __future__ import annotations
@@ -71,18 +77,10 @@ def verify_supermodular_witness(witness: GridFunction,
     return gap
 
 
-def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
-                     caps: Caps | None = None) -> SupermodularVerdict:
-    """Decide X <=sm Y (all supermodular expectations ordered), exactly.
-
-    The order holds iff the box LP's optimum is 0, which by LP duality is
-    the same as p_Y - p_X being a nonnegative combination of elementary
-    transfer vectors delta(x) - delta(x+e_i) - delta(x+e_j) + delta(x+e_i+e_j)
-    (constant functions make the box shift cancel out). The feasibility
-    system is solved first — it is far less degenerate — and its certificate
-    is re-verified by direct summation; only a failed order runs the box LP,
-    to maximize the gap and extract the witness psi.
-    """
+def signed_measure(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
+                   caps: Caps | None = None):
+    """(axes, grid, cells, r): the union grid in lex order, its local cells
+    and r = p_Y - p_X on it, in Fractions."""
     if dX.dim != dY.dim:
         raise ValueError(f"dimension mismatch: {dX.dim} vs {dY.dim}")
     caps = caps or default_caps()
@@ -98,9 +96,7 @@ def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
 
     grid = list(itertools.product(*axes))
     index = {point: k for k, point in enumerate(grid)}
-    sizes = [len(ax) for ax in axes]
-    cells = _grid_cells(sizes)
-    one = Fraction(1)
+    cells = _grid_cells([len(ax) for ax in axes])
 
     # signed target measure r = p_Y - p_X on the grid
     r = [Fraction(0)] * len(grid)
@@ -110,9 +106,14 @@ def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
         r[index[y]] += q
     if sum(r) != 0:
         raise InternalConsistencyError("signed measure does not balance")
+    return axes, grid, cells, r
 
-    # feasibility: sum of lambda_c * transfer_c == r, lambda >= 0
-    rows: dict[int, dict[int, Fraction]] = {k: {} for k in range(len(grid))}
+
+def transfer_lp(cells, r) -> SimplexResult:
+    """Feasibility of sum of lambda_c * transfer_c == r, lambda >= 0, with
+    the certificate re-checked by direct summation when it is feasible."""
+    one = Fraction(1)
+    rows: dict[int, dict[int, Fraction]] = {k: {} for k in range(len(r))}
     for c, (k, k1, k2, k12) in enumerate(cells):
         rows[k][c] = rows[k].get(c, Fraction(0)) + one
         rows[k12][c] = rows[k12].get(c, Fraction(0)) + one
@@ -122,11 +123,10 @@ def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
         num_vars=len(cells),
         objective={},
         constraints=(),
-        equalities=[(rows[k], r[k]) for k in range(len(grid))],
+        equalities=[(rows[k], r[k]) for k in range(len(r))],
     ))
     if feas.status == OPTIMAL:
-        # re-check the transfer certificate by direct summation
-        achieved = [Fraction(0)] * len(grid)
+        achieved = [Fraction(0)] * len(r)
         for c, lam in enumerate(feas.solution):
             if lam:
                 if lam < 0:
@@ -138,34 +138,79 @@ def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
                 achieved[k2] -= lam
         if achieved != r:
             raise InternalConsistencyError("transfer certificate does not reproduce p_Y - p_X")
-        return SupermodularVerdict(True, Fraction(0), None, len(grid))
+    return feas
 
-    # order violated: maximize the gap over the box-bounded cone for a witness
+
+def box_lp(cells, r) -> tuple[Fraction, list[Fraction]]:
+    """The maximum of E[psi(X)] - E[psi(Y)] over locally supermodular psi in
+    the box [-1, 1], and its maximizing psi."""
+    one = Fraction(1)
     constraints: list[tuple[dict[int, Fraction], Fraction]] = []
     for k, k1, k2, k12 in cells:
         # -(psi(up12) - psi(up1) - psi(up2) + psi(x)) <= 0
         constraints.append(({k12: -one, k1: one, k2: one, k: -one}, Fraction(0)))
-    for k in range(len(grid)):
+    for k in range(len(r)):
         constraints.append(({k: one}, Fraction(2)))  # shifted box: 0 <= phi <= 2
     objective = {k: -v for k, v in enumerate(r) if v}
 
     result: SimplexResult = simplex_solve(
-        LinearProgram(num_vars=len(grid), objective=objective, constraints=constraints)
+        LinearProgram(num_vars=len(r), objective=objective, constraints=constraints)
     )
     if result.status != OPTIMAL:
         raise InternalConsistencyError(f"supermodular LP ended {result.status}")
-    gap = result.objective
+    # the box shift cancels in the objective, so psi = phi - 1 has the same gap
+    return result.objective, [v - 1 for v in result.solution]
+
+
+def in_orthant(z, x, upper: bool) -> bool:
+    """Whether z lies in the lower orthant {z <= x}, or the upper one."""
+    return all(a >= b if upper else a <= b for a, b in zip(z, x))
+
+
+def orthant_sums(grid, r) -> dict[tuple[bool, int], Fraction]:
+    """(upper, k) -> the sum of r over the lower orthant of grid[k], or the
+    upper one, by enumerating the orthant's points."""
+    return {(upper, k): sum((v for z, v in zip(grid, r) if in_orthant(z, x, upper)), Fraction(0))
+            for upper in (False, True) for k, x in enumerate(grid)}
+
+
+def worst_orthant(grid, r) -> tuple[Fraction, bool, int] | None:
+    """(sum, upper, k) of the most negative orthant sum, a lower orthant
+    first and then the lowest k on a tie; None if no sum is negative."""
+    low, upper, k = min((s, upper, k) for (upper, k), s in orthant_sums(grid, r).items())
+    return (low, upper, k) if low < 0 else None
+
+
+def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
+                     caps: Caps | None = None) -> SupermodularVerdict:
+    """Decide X <=sm Y (all supermodular expectations ordered), exactly.
+
+    The order holds iff the box LP's optimum is 0, which by LP duality is
+    the same as p_Y - p_X being a nonnegative combination of elementary
+    transfer vectors delta(x) - delta(x+e_i) - delta(x+e_j) + delta(x+e_i+e_j)
+    (constant functions make the box shift cancel out). The feasibility
+    system decides; a failed order reports the indicator of its most
+    negative orthant, which is supermodular and in the box, or, with no
+    negative orthant sum, the box LP's maximizing psi.
+    """
+    axes, grid, cells, r = signed_measure(dX, dY, caps)
+    if transfer_lp(cells, r).status == OPTIMAL:
+        return SupermodularVerdict(True, Fraction(0), None, len(grid))
+
+    worst = worst_orthant(grid, r)
+    if worst is None:
+        gap, psi = box_lp(cells, r)
+    else:
+        low, upper, k = worst
+        gap = -low
+        psi = [Fraction(int(in_orthant(z, grid[k], upper))) for z in grid]
     if gap <= 0:
         raise InternalConsistencyError(
-            f"transfer system infeasible but box LP optimum is {gap}"
+            f"transfer system infeasible but the witness gap is {gap}"
         )
-
-    # the box shift cancels in the objective, so psi = phi - 1 has the same gap
-    witness = GridFunction(
-        axes=axes,
-        values=tuple((point, result.solution[k] - 1) for k, point in enumerate(grid)),
-    )
-    verify_supermodular_witness(witness, dX, dY)
+    witness = GridFunction(axes=axes, values=tuple(zip(grid, psi)))
+    if verify_supermodular_witness(witness, dX, dY) != gap:
+        raise InternalConsistencyError("witness gap differs from the reported gap")
     return SupermodularVerdict(False, gap, witness, len(grid))
 
 

@@ -33,6 +33,8 @@ from negdep.distributions import to_json_dict
 from negdep.errors import Caps
 from negdep.report import canonical_json, witness_json
 
+from .test_symmetry import EXCHANGEABLE
+
 F = Fraction
 
 ALL_PROPS = ",".join(PROPERTIES)
@@ -71,28 +73,29 @@ CHECK_DIGESTS = {
     ("random_draw", "strict", "verify"):
         (0, "026b47577d0a684ba02a7d243cc5708c8514fbf219c9802506c18fd959a9b1cc"),
     ("counterexample", "weak", "fast"):
-        (1, "e76e23389ad8015175b3cd7dc4be74ce80b068184e485fd64b00ca3cbef3d80a"),
+        (1, "46643aabf61bbf19a0697501ad76793878cdcd4122e8bcdb9406d09ea377cb06"),
     ("counterexample", "weak", "verify"):
-        (1, "e0b2a44c27aa0a0308ef377ef7eaf4efb7f80b497683dbb56e29851222c511fa"),
+        (1, "9b8a35e18fe145c4ac3bb7e0645e8ba96522f126f241efa360aaec62136a668d"),
     ("counterexample", "strict", "fast"):
-        (1, "91d56bcf571427f0b08e438b3521f68d6ca6405488eda215c37fa586ae86d7a4"),
+        (1, "35732ec5c599a173bfcca6778cc7352095d9aa5fc2edc8b8a35e28ade8328ed8"),
     ("counterexample", "strict", "verify"):
-        (1, "f87690ba4265e3514663a9f95b834d238f27b3fac50cff62ef49c6d1be4f1f87"),
+        (1, "d100a1e198f80bdb5e852b33542b609510988872eb103395924949d2e4233ba7"),
     ("comonotone", "weak", "fast"):
-        (1, "5fb4fcb60e774586644bf529754f972d9296e10f0206de6dc0f953981d2178cb"),
+        (1, "5709e8d21d6c1e9399e50c08160f80794015d0cf35d51417db5f584694f387e8"),
     ("comonotone", "weak", "verify"):
-        (1, "e929088df44c8534981572173686ae40509521f0c84300a810ea8505cdd24ed0"),
+        (1, "96e81a5bd4a238ccf256581a0a0d35fca628c28deef889e3118a974e999a3e4d"),
     ("comonotone", "strict", "fast"):
-        (1, "b31315e0e6d61bfb1141ed63949a436b5ca870a2d71e541743f85f3eba964596"),
+        (1, "f3f64de79f59ebfe203425a23367486ff395e4d5736ba6aa5cc0ae79c797dffb"),
     ("comonotone", "strict", "verify"):
-        (1, "1a9a683ef47483361c4ecf6f7cb25eb9d027e6791798724d9a7412ae5ca6df58"),
+        (1, "71ccf6524846553277bc5c3518054e2b32e8404bd9f77b2073df3fc3a4072b88"),
 }
 
 # sha256 of canonical_json(witness_json(w)) for one witness of each type
 WITNESS_DIGESTS = {
     "orthant": "6262d0d56994a1cc5e3a1de581d0a3aa548bc5e2f19862240cb68c1e092b5ef8",
     "association": "5d5079110d31b808b1b73d78b631e67caef25fd09e597076e15660fe1b9b6866",
-    "supermodular": "22a470483f892186014130893a5723f0b4f73811281847c7424a9c98e666503f",
+    "supermodular": "8c588e510d6af1a258040e96c415d6739561a8e36f67abe95825f1159ea0b9a4",
+    "supermodular-box": "b0a9ae759c10dff737957736503a50c16777f3c040dcd119fba7a004a06516fd",
     "regression-eq": "d546b15a083ae6f27aa00dfde867c24030aa194a6ed87678e63092724ade9bd1",
     "regression-upper": "81c5f3dfb1a56db62db9174312051289fe33282ea33df6755723966d41447796",
     "monotonicity": "ba69e4adfa005412f00c1badc2f692152b7c541dff814749076c8974c04e76bc",
@@ -160,6 +163,7 @@ def _witnesses(request):
         "orthant": check_nlod(com2).witness,
         "association": check_na(com2).witness,
         "supermodular": check_nsmd(com2).witness,
+        "supermodular-box": check_nsmd(EXCHANGEABLE).witness,
         "regression-eq": check_nrd(table1).witness,
         "regression-upper": check_nrtd(counterexample).witness,
         "monotonicity": check_stoch_increasing(family).witness,

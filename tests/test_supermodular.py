@@ -33,9 +33,13 @@ class TestSupermodularLeq:
         com = comonotone_pair()
         verdict = supermodular_leq(com, independent_copy(com))
         assert not verdict.holds
-        # E_com[xy] = 1/2 vs E_ind[xy] = 1/4 already violates the order; the
-        # box optimum is the corner function +-1, with gap exactly 1
-        assert verdict.gap == 1
+        # P(X <= (0, 0)) = 1/2 under the law against 1/4 under its copy: the
+        # lower orthant at the origin has sum -1/4, the most negative one (the
+        # upper orthant at (1, 1) ties, and a lower orthant wins), so its
+        # indicator is the witness, with gap 1/4, and no box LP runs. The box
+        # LP's optimum, the corner function +-1, would give gap 1.
+        assert verdict.gap == F(1, 4)
+        assert [v for _, v in verdict.witness.values] == [1, 0, 0, 0]
         gap = verify_supermodular_witness(verdict.witness, com, independent_copy(com))
         assert gap == verdict.gap
 

@@ -1,14 +1,23 @@
 """The supermodular order with its orthant pre-screen against the Fraction
-reference, and against the transfer LP that the pre-screen skips."""
+reference, against the transfer LP that the pre-screen skips, and its
+orthant witness against the box LP that it skips."""
 
 import itertools
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negdep import independent_copy, make_pmf, permutation_distribution, simplex, supermodular
+from negdep import (
+    checks,
+    independent_copy,
+    make_pmf,
+    permutation_distribution,
+    simplex,
+    supermodular,
+)
 from negdep.simplex import INFEASIBLE, SimplexResult
 
 from . import reference_supermodular as ref
@@ -101,16 +110,16 @@ def test_orders_match_fraction_reference(pair):
 
 
 def _assert_screen_is_sound(dX, dY):
-    """If the pre-screen fires, the reference's transfer LP is infeasible and
-    the remaining box LP pivots exactly as the reference's does. Returns
-    whether it fired."""
+    """If the pre-screen fires, the live decision solves no LP and the
+    reference's transfer LP is infeasible, after which the reference takes
+    its witness from the orthant too; otherwise every LP pivots exactly as
+    the reference's does. Returns whether it fired."""
     got, got_solves = _solves(supermodular, lambda: supermodular.supermodular_leq(dX, dY))
     want, want_solves = _solves(ref, lambda: ref.supermodular_leq(dX, dY))
     assert repr(got) == repr(want)
-    fired = len(got_solves) < len(want_solves)
+    fired = not got_solves
     if fired:
-        assert want_solves[0][0].status == INFEASIBLE
-        assert got_solves == want_solves[1:]
+        assert [result.status for result, _ in want_solves] == [INFEASIBLE]
     else:
         assert got_solves == want_solves
     return fired
@@ -145,3 +154,35 @@ def test_orthant_sums_can_pass_where_the_order_fails():
     verdict = supermodular.supermodular_leq(dX, dY)
     assert not verdict.holds and verdict.gap == F(1, 144)
     assert supermodular.verify_supermodular_witness(verdict.witness, dX, dY) == verdict.gap
+
+
+def _no_lp(lp):
+    raise AssertionError("an LP was solved")
+
+
+@pytest.mark.parametrize("d", [
+    make_pmf(4, [((i, i, i, j), F(1, 9)) for i in range(3) for j in range(3)]),
+    make_pmf(2, [((0, 0), F(1, 2)), ((1, 1), F(1, 2))]),
+], ids=["diagonal-iiij", "comonotone"])
+def test_a_screened_law_is_decided_without_any_lp(d):
+    with mock.patch.object(supermodular, "simplex_solve", _no_lp):
+        verdict = checks.check_nsmd(d)
+    assert not verdict.holds
+    checks.verify_witness(d, verdict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAIRS)
+def test_a_screened_witness_is_the_most_negative_orthant(pair):
+    dX, dY = pair
+    got, solves = _solves(supermodular, lambda: supermodular.supermodular_leq(dX, dY))
+    if solves:
+        return
+    _, grid, cells, r = ref.signed_measure(dX, dY)
+    low, upper, k = ref.worst_orthant(grid, r)
+    assert {v for _, v in got.witness.values} <= {0, 1}
+    support = [z for z, v in got.witness.values if v == 1]
+    assert support == [z for z in grid if ref.in_orthant(z, grid[k], upper)]
+    assert sum(v for z, v in zip(grid, r) if z in support) == low == min(
+        ref.orthant_sums(grid, r).values())
+    assert 0 < got.gap == -low <= ref.box_lp(cells, r)[0]
