@@ -17,10 +17,11 @@ Properties:
   stochastically decreasing in the conditioning point; equality, weak lower
   or strict upper conditioning events), plus their single-coordinate forms.
 
-The regression-style checkers screen each conditioning pair on the maximal
-observed block first: the stochastic order is closed under coordinate
-projections, so the full-complement comparison decides the cell and the
-per-subset scan runs only to locate a minimal witness.
+The regression-style checkers screen the cover pairs of each cell's
+conditioning labels on the maximal observed block (``negdep.conditioning``):
+the stochastic order is transitive and closed under coordinate projections,
+so those comparisons decide the cell, and the per-subset scan runs only to
+locate a minimal witness.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from operator import add, gt, le, mul, or_
+from operator import add, gt, mul
 from typing import Callable, Mapping, Sequence
 
+from .conditioning import CellContext, label_masks
 from .distributions import (
     EQ,
     LOWER,
@@ -57,18 +59,12 @@ from .errors import (
 )
 from .rationals import NEG_INF, POS_INF, Extended, as_rational
 from .stochorder import (
-    IntegerLaw,
-    RankPacking,
-    SupportUnion,
     UpperSetViolation,
     cut_violation,
     integer_coupling,
     integer_view,
-    masked_law,
-    require_agreement,
     st_leq,
     sweep_violation,
-    support_union,
 )
 from .supermodular import (
     SupermodularWitness,
@@ -76,7 +72,7 @@ from .supermodular import (
     orthant_sums,
     witness_expectations,
 )
-from .symmetry import generators, orbit_leaders
+from .symmetry import block_orbits, generators, orbit_leaders, stabilizer
 from .uppersets import UpperSet, enumerate_upper_index_sets, from_members
 
 ZERO = Fraction(0)
@@ -93,7 +89,7 @@ class CheckStats:
 
     cells: int = 0                # (I, J) or block-pair cells
     conditioning_pairs: int = 0   # conditioning-point pairs or grid corners
-    st_checks: int = 0
+    st_checks: int = 0            # stochastic orders decided
     upper_sets: int = 0
 
     def plus(self, other: "CheckStats") -> "CheckStats":
@@ -186,15 +182,17 @@ class LawCache:
 
     It holds the law's ``integer_view``, with the support grid, and the
     generators of its coordinate automorphisms, each built on first use; the
-    regression cell results keyed by (kind, variant, J) and the orthant
-    verdicts keyed by side. A cell's result also depends on the caps and the
-    st mode, which stay fixed while the cache lives.
+    regression cell results keyed by (kind, variant, J), the orthant
+    verdicts keyed by side and the orbit maps keyed by observed block. A
+    cell's result also depends on the caps and the st mode, which stay fixed
+    while the cache lives.
     """
 
     def __init__(self, d: FiniteJointDistribution):
         self.d = d
         self.cells: dict[tuple, tuple] = {}
         self.orthants: dict[str, Verdict] = {}
+        self.orbits: dict[tuple, object] = {}
 
     @cached_property
     def view(self):
@@ -206,6 +204,18 @@ class LawCache:
 
     def leaders(self, cells):
         return orbit_leaders(self.generators, cells)
+
+    def orbits_of(self, observed):
+        """The orbits, on the block ``observed``, of the generators that fix
+        every other coordinate (docs/theory.md section 11)."""
+        if not self.generators:
+            return None
+        if observed not in self.orbits:
+            cols = [j - 1 for j in observed]
+            fixed = [c for c in range(self.d.dim) if c not in cols]
+            self.orbits[observed] = block_orbits(
+                self.view, stabilizer(self.generators, fixed), cols)
+        return self.orbits[observed]
 
 
 # -- orthant dependence -------------------------------------------------------
@@ -425,150 +435,11 @@ def _tail_event(kind: str, variant: str, indices, thresholds) -> ConditioningEve
     return event(indices, thresholds, strict=op in ("<", ">"))
 
 
-def _tail_masks(eq: list[int], op: str, sentinel: bool) -> list[int]:
-    """The atom masks of {x op v} for the support values v of one axis, ascending.
-
-    ``eq[r]`` is the mask of the atoms of rank r, so each mask is a prefix
-    (lower tails) or suffix (upper tails) OR of them. With ``sentinel`` the
-    grid also gets the unbounded threshold, whose mask is every atom: +inf
-    after the values for lower tails, -inf before them for upper tails.
-    """
-    s = len(eq)
-    if op in ("<=", "<"):
-        below = list(itertools.accumulate(eq, or_, initial=0))  # below[r]: ranks < r
-        masks = below[1:] if op == "<=" else below[:s]
-        return masks + [below[s]] if sentinel else masks
-    above = list(itertools.accumulate(reversed(eq), or_, initial=0))[::-1]  # ranks >= r
-    masks = above[:s] if op == ">=" else above[1:]
-    return [above[0]] + masks if sentinel else masks
-
-
-def _label_masks(view, tails: Sequence[tuple[int, str]], pinned: Sequence[int],
-                 sentinel: bool) -> list[tuple[tuple[int, ...], int]]:
-    """Every conditioning label with a nonempty event, in lexicographic order,
-    with its atom mask.
-
-    A label holds one grid position per tail axis (``tails`` pairs a column
-    with its comparison) followed by the ranks of the pinned columns. Its
-    mask is the AND of one bitset per tail axis and the bitset of the atoms
-    carrying those pinned ranks (docs/theory.md section 6).
-    """
-    _, ranks, sizes = view
-    axes = []
-    for c, op in tails:
-        eq = [0] * sizes[c]
-        for k, r in enumerate(ranks):
-            eq[r[c]] |= 1 << k
-        axes.append([((p,), m) for p, m in enumerate(_tail_masks(eq, op, sentinel))])
-    groups: dict[tuple[int, ...], int] = {}
-    for k, r in enumerate(ranks):
-        key = tuple(r[c] for c in pinned)
-        groups[key] = groups.get(key, 0) | 1 << k
-    axes.append(sorted(groups.items()))
-    labels = [((), (1 << len(ranks)) - 1)]
-    for axis in axes:
-        labels = [(label + part, mask & bits) for label, mask in labels
-                  for part, bits in axis if mask & bits]
-    return labels
-
-
 def _ext_leq(a: Sequence[Extended], b: Sequence[Extended]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-class _CellContext:
-    """Per-cell machinery: cached conditional laws, cached orders, the pair loop.
-
-    ``given`` is the conditioning block; the observed block is the rest.
-    Every order is decided on integer conditional laws keyed by packed ranks
-    of the columns compared. Verify mode's upper-set sweep and the witness
-    read the same integer weights on the union of two laws' supports.
-    """
-
-    def __init__(self, work: LawCache, given, caps, st_mode):
-        self.work = work
-        self.caps = caps
-        self.st_mode = st_mode
-        self.weights, self.ranks, self.sizes = work.view
-        self.i_max = tuple(j for j in range(1, len(self.sizes) + 1) if j not in given)
-        self.blocks: dict[tuple[int, ...], tuple[int, list[int], dict]] = {}
-        self.guards = self.block(self.i_max)[0]
-        self.st_cache: dict[tuple[int, int], bool] = {}
-        self.st_checks = 0
-        self.upper_sets = 0
-
-    def block(self, block: tuple[int, ...]):
-        """The guard bits of the block's rank packing, each atom's packed ranks
-        on the block, and the block's integer laws by mask."""
-        entry = self.blocks.get(block)
-        if entry is None:
-            cols = [j - 1 for j in block]
-            packing = RankPacking([self.sizes[c] for c in cols])
-            keys = [packing.pack([r[c] for c in cols]) for r in self.ranks]
-            entry = self.blocks[block] = (packing.guards, keys, {})
-        return entry
-
-    def int_law(self, mask: int, block: tuple[int, ...] | None = None) -> IntegerLaw:
-        """The law of the block (default: the observed one) given ``mask``."""
-        _, keys, cache = self.block(block or self.i_max)
-        law = cache.get(mask)
-        if law is None:
-            law = cache[mask] = masked_law(mask, keys, self.weights)
-        return law
-
-    def union(self, mask_hi: int, mask_lo: int, block: tuple[int, ...]) -> SupportUnion:
-        """The block's laws given ``mask_hi`` (X) and ``mask_lo`` (Y) on the
-        union of their supports, as support values. Packed keys sort like the
-        values they stand for, so the union is in the order of the values."""
-        hi, lo = self.int_law(mask_hi, block), self.int_law(mask_lo, block)
-        u = support_union(dict(zip(hi.keys, hi.weights)), dict(zip(lo.keys, lo.weights)))
-        ranks, axes = dict(zip(self.block(block)[1], self.ranks)), self.work.view.axes
-        return u._replace(points=[tuple(axes[j - 1][ranks[key][j - 1]] for j in block)
-                                  for key in u.points])
-
-    def decide(self, mask_lo: int, mask_hi: int, block: tuple[int, ...]) -> bool:
-        """Does [X_block | high] <=st [X_block | low]? Verify mode also sweeps
-        the upper sets of both laws and raises if the two oracles disagree."""
-        hi, lo = self.int_law(mask_hi, block), self.int_law(mask_lo, block)
-        holds = integer_coupling(hi, lo, self.block(block)[0])[0] is not None
-        if self.st_mode == "verify":
-            violation, examined = sweep_violation(self.union(mask_hi, mask_lo, block),
-                                                  self.caps.max_upper_sets)
-            require_agreement(holds, violation is None)
-            # counted as st_leq reports it: a TRUE verdict is the coupling's,
-            # which examines no upper set
-            if not holds:
-                self.upper_sets += examined
-        self.st_checks += 1
-        return holds
-
-    def st_screen(self, mask_lo: int, mask_hi: int) -> bool:
-        """``decide`` on the observed block, cached per pair of events."""
-        key = (mask_lo, mask_hi)
-        cached = self.st_cache.get(key)
-        if cached is None:
-            cached = self.st_cache[key] = self.decide(mask_lo, mask_hi, self.i_max)
-        return cached
-
-    def first_failing_pair(self, labels: list[tuple[tuple[int, ...], int]]):
-        """The first ordered pair of labels, low <= high componentwise, whose
-        conditional law at high is not below the one at low, as
-        ``((low, mask_lo), (high, mask_hi))`` or None, and the number of
-        ordered pairs examined up to it."""
-        pairs = 0
-        for a_pos, (low, mask_lo) in enumerate(labels):
-            for high, mask_hi in labels[a_pos + 1:]:
-                if not all(map(le, low, high)):
-                    continue
-                pairs += 1
-                if mask_lo == mask_hi:
-                    continue  # identical events, identical conditional laws
-                if not self.st_screen(mask_lo, mask_hi):
-                    return ((low, mask_lo), (high, mask_hi)), pairs
-        return None, pairs
-
-
-def _deterministic_upper_violation(ctx: _CellContext, mask_lo: int, mask_hi: int, block):
+def _deterministic_upper_violation(ctx: CellContext, mask_lo: int, mask_hi: int, block):
     """The union of the block's laws given ``mask_hi`` and ``mask_lo``, and
     its first violating upper set in enumeration order, for the witness of a
     regression cell or a conjecture partition. Past the sweep's cap, the
@@ -593,14 +464,14 @@ def _deterministic_upper_violation(ctx: _CellContext, mask_lo: int, mask_hi: int
 
 def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
     work, J, kind, variant, caps, st_mode = args
-    ctx = _CellContext(work, J, caps, st_mode)
+    ctx = CellContext(work, J, caps, st_mode)
     cols = [j - 1 for j in J]
     if kind == EQ:
-        labels = _label_masks(work.view, (), cols, sentinel=False)
+        labels = label_masks(work.view, (), cols, sentinel=False)
     else:
-        labels = _label_masks(work.view, [(c, _TAIL_OPS[kind, variant]) for c in cols], (),
+        labels = label_masks(work.view, [(c, _TAIL_OPS[kind, variant]) for c in cols], (),
                               sentinel=True)
-    found, pairs_examined = ctx.first_failing_pair(labels)
+    found, pairs_examined = ctx.first_failing_pair(labels, kind != EQ)
     witness = None
     if found is not None:
         (low, mask_lo), (high, mask_hi) = found
@@ -609,7 +480,7 @@ def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
                  else (NEG_INF,) + axes[c] if kind == UPPER else axes[c] for c in cols]
         # violation somewhere; locate the minimal observed block
         block = next((b for b in _subsets(ctx.i_max)
-                      if not ctx.decide(mask_lo, mask_hi, b)), None)
+                      if not ctx.tally(ctx.decide(mask_lo, mask_hi, b))), None)
         if block is None:
             raise InternalConsistencyError(
                 "full-block comparison failed but every sub-block passed"
@@ -851,11 +722,11 @@ class ConjectureReport:
 
 def _scan_conjecture_partition(args):
     work, raised, lowered, pinned, observed, caps, st_mode = args
-    ctx = _CellContext(work, raised + lowered + pinned, caps, st_mode)
+    ctx = CellContext(work, raised + lowered + pinned, caps, st_mode)
     # a label is the raised thresholds' positions, then the lowered ones',
     # then the pinned block's ranks
     tails = [(j - 1, ">=") for j in raised] + [(j - 1, "<=") for j in lowered]
-    labels = _label_masks(work.view, tails, [j - 1 for j in pinned], sentinel=False)
+    labels = label_masks(work.view, tails, [j - 1 for j in pinned], sentinel=False)
     found, pairs = ctx.first_failing_pair(labels)
     witness = None
     if found is not None:

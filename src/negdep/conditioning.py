@@ -1,0 +1,218 @@
+"""The conditioning engine shared by the regression cells and the
+conjecture partitions.
+
+A cell conditions on a block J and observes the rest. Its labels are grid
+positions of tail thresholds and ranks of pinned coordinates, each with the
+bitset of the atoms its event holds on (docs/theory.md section 6). A cell
+holds iff the conditional law of the observed block decreases in the usual
+stochastic order along every comparable pair of labels. That order is
+transitive, so only the cover pairs of the labels are decided, each on the
+orbits of J's stabilizer when the law has one (docs/theory.md section 11).
+Only a failing cell walks every pair, in order, on the full laws, so that its
+first failing pair, witness and counts are those of the plain pair loop.
+"""
+
+from __future__ import annotations
+
+import itertools
+from operator import le, or_
+from typing import Sequence
+
+from .stochorder import (
+    IntegerLaw,
+    RankPacking,
+    SupportUnion,
+    integer_coupling,
+    masked_law,
+    require_agreement,
+    support_union,
+    sweep_violation,
+)
+from .uppersets import grid_comparable_pairs, grid_covers, poset_covers
+
+#: The block key of the orbit laws in ``CellContext.blocks``.
+ORBITS = "orbits"
+
+#: A tail grid with more nonempty labels than this takes its unit steps and
+#: prefix sums, which are linear in the grid; a smaller one takes the bitset
+#: pass of ``poset_covers``, which is quadratic but costs less there.
+GRID_LABELS = 512
+
+
+def tail_masks(eq: list[int], op: str, sentinel: bool) -> list[int]:
+    """The atom masks of {x op v} for the support values v of one axis, ascending.
+
+    ``eq[r]`` is the mask of the atoms of rank r, so each mask is a prefix
+    (lower tails) or suffix (upper tails) OR of them. With ``sentinel`` the
+    grid also gets the unbounded threshold, whose mask is every atom: +inf
+    after the values for lower tails, -inf before them for upper tails.
+    """
+    s = len(eq)
+    if op in ("<=", "<"):
+        below = list(itertools.accumulate(eq, or_, initial=0))  # below[r]: ranks < r
+        masks = below[1:] if op == "<=" else below[:s]
+        return masks + [below[s]] if sentinel else masks
+    above = list(itertools.accumulate(reversed(eq), or_, initial=0))[::-1]  # ranks >= r
+    masks = above[:s] if op == ">=" else above[1:]
+    return [above[0]] + masks if sentinel else masks
+
+
+def label_masks(view, tails: Sequence[tuple[int, str]], pinned: Sequence[int],
+                 sentinel: bool) -> list[tuple[tuple[int, ...], int]]:
+    """Every conditioning label with a nonempty event, in lexicographic order,
+    with its atom mask.
+
+    A label holds one grid position per tail axis (``tails`` pairs a column
+    with its comparison) followed by the ranks of the pinned columns. Its
+    mask is the AND of one bitset per tail axis and the bitset of the atoms
+    carrying those pinned ranks (docs/theory.md section 6).
+    """
+    _, ranks, sizes = view
+    axes = []
+    for c, op in tails:
+        eq = [0] * sizes[c]
+        for k, r in enumerate(ranks):
+            eq[r[c]] |= 1 << k
+        axes.append([((p,), m) for p, m in enumerate(tail_masks(eq, op, sentinel))])
+    if pinned:
+        groups: dict[tuple[int, ...], int] = {}
+        for k, r in enumerate(ranks):
+            key = tuple(map(r.__getitem__, pinned))
+            groups[key] = groups.get(key, 0) | 1 << k
+        axes.append(sorted(groups.items()))
+    labels = [((), (1 << len(ranks)) - 1)]
+    for axis in axes:
+        labels = [(label + part, mask & bits) for label, mask in labels
+                  for part, bits in axis if mask & bits]
+    return labels
+
+
+class CellContext:
+    """Per-cell machinery: cached conditional laws, cached orders, the covers
+    and the pair loop.
+
+    ``given`` is the conditioning block; the observed block is the rest.
+    ``work`` is the law's ``checks.LawCache``. Every order is decided on
+    integer conditional laws keyed by packed ranks of the columns compared,
+    or by the orbits of J's stabilizer on the observed block (block
+    ``ORBITS``). Verify mode's upper-set sweep and the witness read the same
+    integer weights on the union of two laws' supports.
+    """
+
+    def __init__(self, work, given, caps, st_mode):
+        self.work = work
+        self.caps = caps
+        self.st_mode = st_mode
+        self.weights, self.ranks, self.sizes = work.view
+        self.i_max = tuple(j for j in range(1, len(self.sizes) + 1) if j not in given)
+        self.blocks: dict[tuple[int, ...] | str, tuple[int, list[int], dict]] = {}
+        self.orbits = work.orbits_of(self.i_max)
+        if self.orbits:
+            self.blocks[ORBITS] = (self.orbits.guards, self.orbits.keys, {})
+        self.st_cache: dict[tuple[int, int], tuple[bool, int]] = {}
+        self.tallied: set[tuple[int, int]] = set()
+        self.st_checks = 0
+        self.upper_sets = 0
+
+    @property
+    def guards(self) -> int:
+        """The guard bits of the observed block's rank packing."""
+        return self.block(self.i_max)[0]
+
+    def block(self, block: tuple[int, ...] | str):
+        """The guard bits of the block's rank packing, each atom's packed ranks
+        on the block, and the block's integer laws by mask; for ``ORBITS``,
+        the same for the orbit keys."""
+        entry = self.blocks.get(block)
+        if entry is None:
+            cols = [j - 1 for j in block]
+            packing = RankPacking([self.sizes[c] for c in cols])
+            keys = [packing.pack(map(r.__getitem__, cols)) for r in self.ranks]
+            entry = self.blocks[block] = (packing.guards, keys, {})
+        return entry
+
+    def int_law(self, mask: int, block: tuple[int, ...] | str | None = None) -> IntegerLaw:
+        """The law of the block (default: the observed one) given ``mask``."""
+        _, keys, cache = self.block(block or self.i_max)
+        law = cache.get(mask)
+        if law is None:
+            law = cache[mask] = masked_law(mask, keys, self.weights)
+        return law
+
+    def union(self, mask_hi: int, mask_lo: int, block: tuple[int, ...]) -> SupportUnion:
+        """The block's laws given ``mask_hi`` (X) and ``mask_lo`` (Y) on the
+        union of their supports, as support values. Packed keys sort like the
+        values they stand for, so the union is in the order of the values."""
+        hi, lo = self.int_law(mask_hi, block), self.int_law(mask_lo, block)
+        u = support_union(dict(zip(hi.keys, hi.weights)), dict(zip(lo.keys, lo.weights)))
+        ranks, axes = dict(zip(self.block(block)[1], self.ranks)), self.work.view.axes
+        return u._replace(points=[tuple(axes[j - 1][ranks[key][j - 1]] for j in block)
+                                  for key in u.points])
+
+    def decide(self, mask_lo: int, mask_hi: int, block: tuple[int, ...],
+               orbits=None) -> tuple[bool, int]:
+        """Does [X_block | high] <=st [X_block | low]? With ``orbits``, J's
+        stabilizer's orbits on the observed block, it is decided on the orbit
+        laws. Verify mode also sweeps the upper sets of the full laws and
+        raises if the two oracles disagree. Returns the verdict and the upper
+        sets its sweep examined, counted as st_leq reports them: a TRUE
+        verdict is the coupling's, which examines no upper set."""
+        key = ORBITS if orbits else block
+        hi, lo = self.int_law(mask_hi, key), self.int_law(mask_lo, key)
+        holds = integer_coupling(hi, lo, self.blocks[key][0],
+                                 orbits and orbits.comparable(hi, lo))[0] is not None
+        if self.st_mode != "verify":
+            return holds, 0
+        violation, examined = sweep_violation(self.union(mask_hi, mask_lo, block),
+                                              self.caps.max_upper_sets)
+        require_agreement(holds, violation is None)
+        return holds, 0 if holds else examined
+
+    def tally(self, decided: tuple[bool, int]) -> bool:
+        """Count one order ``decide`` returned; its verdict."""
+        self.st_checks += 1
+        self.upper_sets += decided[1]
+        return decided[0]
+
+    def st_screen(self, mask_lo: int, mask_hi: int) -> bool:
+        """``decide`` on the observed block, kept per pair of events and
+        counted once per pass over the labels."""
+        key = (mask_lo, mask_hi)
+        decided = self.st_cache.get(key)
+        if decided is None:
+            decided = self.st_cache[key] = self.decide(mask_lo, mask_hi, self.i_max, self.orbits)
+        if key in self.tallied:
+            return decided[0]
+        self.tallied.add(key)
+        return self.tally(decided)
+
+    def first_failing_pair(self, labels: list[tuple[tuple[int, ...], int]], grid=False):
+        """The first ordered pair of labels, low <= high componentwise, whose
+        conditional law at high is not below the one at low, as
+        ``((low, mask_lo), (high, mask_hi))`` or None, and the number of
+        ordered pairs examined up to it.
+
+        The cover pairs of the labels are decided first, on J's stabilizer's
+        orbits: the unit steps of a large tail ``grid``, else the covers of
+        the labels' poset, the same pairs there. The cell holds iff they all do
+        (docs/theory.md section 6). Only if one fails are the pairs walked in
+        order, on the full laws, and counted afresh."""
+        points = [label for label, _ in labels]
+        if grid and len(points) > GRID_LABELS:
+            covers, pairs = grid_covers(points), None
+        else:
+            covers, pairs = poset_covers(points)
+        if all(self.st_screen(labels[a][1], labels[b][1]) for a, b in covers
+               if labels[a][1] != labels[b][1]):
+            return None, grid_comparable_pairs(points) if pairs is None else pairs
+        self.orbits, self.tallied, self.st_checks, self.upper_sets, pairs = None, set(), 0, 0, 0
+        for a_pos, (low, mask_lo) in enumerate(labels):
+            for high, mask_hi in labels[a_pos + 1:]:
+                if not all(map(le, low, high)):
+                    continue
+                pairs += 1
+                if mask_lo == mask_hi:
+                    continue  # identical events, identical conditional laws
+                if not self.st_screen(mask_lo, mask_hi):
+                    return ((low, mask_lo), (high, mask_hi)), pairs
+        return None, pairs

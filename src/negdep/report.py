@@ -27,7 +27,7 @@ from .distributions import FiniteJointDistribution, to_json_dict
 from .errors import Caps
 from .rationals import format_extended
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 
 def canonical_json(payload) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import lshift
 from typing import NamedTuple, Sequence
 
 from .distributions import FiniteJointDistribution, Vector
@@ -51,7 +52,7 @@ class RankPacking:
         self.guards = guards
 
     def pack(self, ranks: Sequence[int]) -> int:
-        return sum(r << s for r, s in zip(ranks, self.shifts))
+        return sum(map(lshift, ranks, self.shifts))
 
 
 def axis_ranks(vectors: Sequence[Vector], dim: int) -> tuple[list[tuple[int, ...]], tuple]:
@@ -127,20 +128,23 @@ def masked_law(mask: int, keys: Sequence[int], weights: Sequence[int]) -> Intege
 
 
 def check_integer_coupling(flows: Sequence[tuple[int, int, int]], lx: IntegerLaw,
-                           ly: IntegerLaw, guards: int) -> None:
+                           ly: IntegerLaw, guards: int,
+                           comparable: Sequence[int] | None = None) -> None:
     """Exact re-check of a coupling of lx below ly, in integers.
 
     ``flows`` holds (i, j, f): mass ``f / (lx.total * ly.total)`` on the pair
     of atom i of lx and atom j of ly. Every mass must be positive on a
     comparable pair, and the row and column sums must be the two laws'
-    weights on that common scale.
+    weights on that common scale. Comparable means componentwise ``<=`` on
+    the keys or, with ``comparable``, bit j set in ``comparable[i]``.
     """
     rows = [0] * len(lx.keys)
     cols = [0] * len(ly.keys)
     for i, j, f in flows:
         if f <= 0:
             raise InternalConsistencyError(f"coupling mass {f} at atoms {(i, j)}")
-        if ((ly.keys[j] | guards) - lx.keys[i]) & guards != guards:
+        if not (((ly.keys[j] | guards) - lx.keys[i]) & guards == guards if comparable is None
+                else comparable[i] >> j & 1):
             raise InternalConsistencyError(f"coupling pair of atoms {(i, j)} is not ordered")
         rows[i] += f
         cols[j] += f
@@ -196,7 +200,8 @@ def _bits(m: int) -> list[int]:
     return out
 
 
-def integer_coupling(lx: IntegerLaw, ly: IntegerLaw, guards: int):
+def integer_coupling(lx: IntegerLaw, ly: IntegerLaw, guards: int,
+                     comparable: Sequence[int] | None = None):
     """Decide lx <=st ly by exact transportation feasibility, in integers.
 
     Capacities are cross-multiplied by the other law's total: ``w_x * T_Y``
@@ -209,10 +214,15 @@ def integer_coupling(lx: IntegerLaw, ly: IntegerLaw, guards: int):
     ``(None, deficient)`` with the indices of the x-atoms reachable from the
     source in the final residual network when it fails: the source side of
     the minimal minimum cut, which is the same for every maximum flow.
+
+    Atom i of lx may send mass to the atoms j of ly whose keys are at least
+    its own componentwise or, when ``comparable`` is given, to those whose
+    bit j is set in ``comparable[i]``. The coupling is re-checked against the
+    same relation.
     """
     nx, ny = len(lx.keys), len(ly.keys)
     tx, ty = lx.total, ly.total
-    masks = _above_masks(lx, ly, guards)
+    masks = _above_masks(lx, ly, guards) if comparable is None else comparable
     supply = [w * ty for w in lx.weights]
     demand = [w * tx for w in ly.weights]
     greedy: dict[tuple[int, int], int] = {}
@@ -254,7 +264,7 @@ def integer_coupling(lx: IntegerLaw, ly: IntegerLaw, guards: int):
         for pair, f in zip(back, sent[len(middle):]):
             greedy[pair] -= f
     flows = sorted((i, j, f) for (i, j), f in greedy.items() if f)
-    check_integer_coupling(flows, lx, ly, guards)
+    check_integer_coupling(flows, lx, ly, guards, comparable)
     return flows, None
 
 

@@ -18,7 +18,9 @@ searched (docs/theory.md section 11).
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from .stochorder import RankPacking
 
 #: Search nodes (one coordinate mapped) allowed per law. Past it the search
 #: stops and keeps the generators found so far, which span a subgroup.
@@ -177,3 +179,99 @@ def orbit_leaders(gens: Sequence[Sequence[int]],
         return index[moved[::-1]] if m is None else m
 
     return orbit_roots(len(cells), [[image(perm, cell) for cell in cells] for perm in gens])
+
+
+def stabilizer(gens: Sequence[Sequence[int]], fixed: Sequence[int]) -> list[Sequence[int]]:
+    """The generators that fix every coordinate in ``fixed``.
+
+    They span a subgroup of the pointwise stabilizer of ``fixed``. For a
+    prefix ``0..k-1`` and the generators :func:`generators` returns, they
+    span all of it: those are the generators found at levels k and deeper
+    (docs/theory.md section 11).
+    """
+    return [g for g in gens if all(g[c] == c for c in fixed)]
+
+
+class BlockOrbits(NamedTuple):
+    """The orbits of a group of coordinate permutations on the projections of
+    a law's atoms onto a block the group maps to itself.
+
+    ``keys[k]`` is the packed key, in the block's own :class:`RankPacking`
+    with guard bits ``guards``, of the orbit of atom k's projection, so a
+    law masked by ``keys`` puts each orbit's total weight on one node. Orbit
+    A has an edge to orbit B iff A's key is at most some point of B
+    componentwise. ``above`` maps each key to the set of keys it has an
+    edge to; it is None when the edges are just componentwise ``<=`` on the
+    keys.
+    """
+
+    keys: tuple[int, ...]
+    guards: int
+    above: dict[int, frozenset[int]] | None
+
+    def comparable(self, lx, ly) -> list[int] | None:
+        """The edges from the orbits of lx to those of ly as one bitset over
+        ly's atoms per atom of lx, for ``integer_coupling``; None when they
+        are componentwise ``<=`` on the keys."""
+        if self.above is None:
+            return None
+        return [sum(1 << j for j, y in enumerate(ly.keys) if y in self.above[x])
+                for x in lx.keys]
+
+
+def _reader(items: Sequence[int]):
+    """``itemgetter(*items)``, returning a tuple even for one item."""
+    get = itemgetter(*items)
+    return get if len(items) > 1 else lambda r: (get(r),)
+
+
+def block_orbits(view, gens: Sequence[Sequence[int]], cols: Sequence[int]) -> BlockOrbits | None:
+    """The orbits of the group spanned by ``gens`` on the atoms' projections
+    onto the (0-based) columns ``cols``, which every generator must map to
+    themselves; None without generators.
+
+    When every generator is a transposition, the group is the product of the
+    symmetric groups on the classes of coordinates they join, and an orbit's
+    key is the projection with its ranks sorted within each class. Then some
+    point of B lies above A's key iff the sorted ranks of each class do, so
+    the edges are componentwise ``<=`` on the keys. Otherwise the orbits are
+    the classes of a union-find over the generators' moves of the projected
+    points, each keyed by its least point, and every edge is tested on the
+    points (docs/theory.md section 11).
+    """
+    if not gens:
+        return None
+    _, ranks, sizes = view
+    packing = RankPacking([sizes[c] for c in cols])
+    guards = packing.guards
+    if all(sum(a != b for a, b in enumerate(g)) == 2 for g in gens):
+        classes: dict[int, list[int]] = {}
+        roots = orbit_roots(len(sizes), gens)
+        for c, shift in zip(cols, packing.shifts):
+            classes.setdefault(roots[c], []).append((c, shift))
+        # each class's columns, read as a tuple, and their fields' shifts;
+        # a class's sorted ranks fill its fields in block order
+        parts = [(_reader(cs), shifts) for cs, shifts in
+                 (zip(*members) for members in classes.values())]
+        keys = []
+        for r in ranks:
+            key = 0
+            for get, shifts in parts:
+                for v, shift in zip(sorted(get(r)), shifts):
+                    key |= v << shift
+            keys.append(key)
+        return BlockOrbits(tuple(keys), guards, None)
+    position = {c: pos for pos, c in enumerate(cols)}
+    projected = list(map(_reader(cols), ranks))
+    points = sorted(set(projected))
+    index = {p: k for k, p in enumerate(points)}
+    # a generator moves coordinate a to g[a], so the moved point reads
+    # column c from the column g sends to c
+    moves = [[index[read(p)] for p in points]
+             for read in (_reader([position[g.index(c)] for c in cols]) for g in gens)]
+    roots = orbit_roots(len(points), moves)
+    packed = [packing.pack(p) for p in points]
+    above = {packed[a]: frozenset(packed[roots[k]] for k, y in enumerate(packed)
+                                  if ((y | guards) - packed[a]) & guards == guards)
+             for a in set(roots)}
+    return BlockOrbits(tuple(packed[roots[index[p]]] for p in projected), guards, above)

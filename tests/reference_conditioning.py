@@ -13,10 +13,12 @@ comparability bitsets and the first-fit warm start: it tests every (x, y)
 pair against the guard bits and runs a cold Dinic search on every call
 (``integer_coupling`` below). The reference shares no decision code with
 the engine under test beyond the max-flow engine and ``st_leq_coupling``,
-which its ``st_leq`` calls on the sub-blocks of the witness search. The
-code below is kept verbatim apart from the module-level names; the
-differential tests compare the rank-bitset engine against it, verdict,
-witness and stats alike.
+which its ``st_leq`` calls on the sub-blocks of the witness search. It walks
+every comparable pair of labels, as the engine did before it decided only
+the cover pairs. The code below is kept verbatim apart from the module-level
+names; the differential tests compare the rank-bitset engine against it,
+verdict, witness and stats alike, up to the orders a TRUE cell no longer
+decides (``tests/test_conditioning.py``).
 """
 
 from __future__ import annotations

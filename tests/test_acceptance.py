@@ -244,3 +244,25 @@ def test_criterion_14_nsmd_on_exchangeable_grids():
         assert verdict.holds and verdict.definitive
         assert verdict.stats.conditioning_pairs == points
         _pass_line(14, f"NSMD of the permutation law of {values}", start, budget_s)
+
+
+def test_criterion_15_random_draw_left_tail_is_definitive():
+    # with criterion 12, all three regression properties of the paper's
+    # random-draw theorem are definitive at 8 players; each cell decides the
+    # cover pairs of its labels on the orbits of its stabilizer
+    start = time.monotonic()
+    d = knockout_random_draw(equal_strength(3, RandomDraw()))
+    nltd = check_nltd(d)
+    assert nltd.holds and nltd.definitive and nltd.stats.cells == 254
+    _pass_line(15, "random-draw NLTD with no block cap", start, 30.0)
+
+
+def test_criterion_16_fixed_draw_strict_right_tail():
+    # strict upper tails {X_J >= t} give many labels with equal events; the
+    # comparable label pairs are still counted in full
+    start = time.monotonic()
+    d = knockout_fixed_draw(equal_strength(3, FixedDraw(tuple(range(1, 9)))))
+    nrtd = check_nrtd(d, variant="strict")
+    assert nrtd.holds and nrtd.definitive and nrtd.stats.cells == 254
+    assert nrtd.stats.conditioning_pairs == 32_990_918
+    _pass_line(16, "fixed-draw strict NRTD with no block cap", start, 5.0)

@@ -57,37 +57,37 @@ LAWS = {
 # every property)
 CHECK_DIGESTS = {
     ("table1", "weak", "fast"):
-        (1, "61fb2b1d7b65949be96c4e1bd38cb4db9551696ce07e4aff8ca612de7ce5bd7e"),
+        (1, "db40d9c36e41275d7cab6b62276ac6043394a5dcbd5126dcfe81257a5da74ca8"),
     ("table1", "weak", "verify"):
-        (1, "63e08dfd48f3649af24c5e152a419e91bf25ad8abb2643515a3ad595a3f43ec7"),
+        (1, "805776952e9fac31e253efbb597d97f136be5cd060363c38b91355939b00ea49"),
     ("table1", "strict", "fast"):
-        (1, "7bc4f057bde6af73c44c8b5d380e0bd05e61c89b777ce560a57b1dd842dceced"),
+        (1, "99e9ac9943f699ad37af733b310e71fe0e10a4e3e6dae404d72b1327247f6696"),
     ("table1", "strict", "verify"):
-        (1, "4bcf96facdfa880c3e591fa456f0e70065a2ba762de86254b69e7dbd1247c965"),
+        (1, "d98a2127946243c724ec8b7a64185878ce895d34a5a1a3897af6f79b0b12a704"),
     ("random_draw", "weak", "fast"):
-        (0, "67c3937f39e7440227a73894ebaa8435fa1eb9be42123f722800084efa9e0040"),
+        (0, "467f196910c97d2d12f0e7d9637f73fc1b25fb4d6c902824109d5919b978d356"),
     ("random_draw", "weak", "verify"):
-        (0, "f676222d07f76d5a8eeb764d0c56ea686b0c3ec3ad03f05ea951f85c86b80fc6"),
+        (0, "f3961c229eb1018751eb08160ae5be9f265da492fd4decdd75e94b646ac2e382"),
     ("random_draw", "strict", "fast"):
-        (0, "cb1fbd967e1873c0252fc971455f0c3eeeb4f6ee3d9cde2d2b4c5c3badbff651"),
+        (0, "9cc0902d51d2ceffbc943bb08f22b74b91d23de6193073ad686236f57811a8e4"),
     ("random_draw", "strict", "verify"):
-        (0, "026b47577d0a684ba02a7d243cc5708c8514fbf219c9802506c18fd959a9b1cc"),
+        (0, "9f50a8bc486ed101d795dee4d5ee26826287ab87dc9d2e4d25b49cff946a4237"),
     ("counterexample", "weak", "fast"):
-        (1, "46643aabf61bbf19a0697501ad76793878cdcd4122e8bcdb9406d09ea377cb06"),
+        (1, "93fc46d7c0ab432a27acaab1a7aacdff4599d81ae8f61c910d166a44ad7c85ab"),
     ("counterexample", "weak", "verify"):
-        (1, "9b8a35e18fe145c4ac3bb7e0645e8ba96522f126f241efa360aaec62136a668d"),
+        (1, "f019320f675a7d38f4971defbf5967f0414f67ba84f98f8e7face2bea3d78ea1"),
     ("counterexample", "strict", "fast"):
-        (1, "35732ec5c599a173bfcca6778cc7352095d9aa5fc2edc8b8a35e28ade8328ed8"),
+        (1, "4a6b8372117f4ce923f8233413650e01f30321d663dcda8f6a45e643e662cb20"),
     ("counterexample", "strict", "verify"):
-        (1, "d100a1e198f80bdb5e852b33542b609510988872eb103395924949d2e4233ba7"),
+        (1, "a609278a09231a709b63ffb62f69f6258bdac3237c3e8dc8410527b9309fac43"),
     ("comonotone", "weak", "fast"):
-        (1, "5709e8d21d6c1e9399e50c08160f80794015d0cf35d51417db5f584694f387e8"),
+        (1, "4866f8ab57161c105b82218a8dede9090e6f2bd04a650da8f6723eaf2ab136a3"),
     ("comonotone", "weak", "verify"):
-        (1, "96e81a5bd4a238ccf256581a0a0d35fca628c28deef889e3118a974e999a3e4d"),
+        (1, "5defcd5d58fa3fe5eb6a084a73e9a6fc019c0bd4607ffc32dd7e20e5320f1698"),
     ("comonotone", "strict", "fast"):
-        (1, "f3f64de79f59ebfe203425a23367486ff395e4d5736ba6aa5cc0ae79c797dffb"),
+        (1, "f3c014badcc2034018fd31e884061cc6619592cfab260d4b6d8a420d831f9e48"),
     ("comonotone", "strict", "verify"):
-        (1, "71ccf6524846553277bc5c3518054e2b32e8404bd9f77b2073df3fc3a4072b88"),
+        (1, "9c393c172297cbc60b2256a43f1ed18ee164a90990b93244e52acc4172d00964"),
 }
 
 # sha256 of canonical_json(witness_json(w)) for one witness of each type
@@ -105,13 +105,13 @@ WITNESS_DIGESTS = {
 
 # st mode -> (exit code, sha256 of `conjecture --values 0,0,1,2`)
 CONJECTURE_DIGESTS = {
-    "fast": (0, "a2559827902d413085d98752e38344f4df0197ec0e5c4b8b7ca3678218ead7eb"),
-    "verify": (0, "832bf6859422f2f332062284ee52d124feeeaacc2b37a625feb621d228837014"),
+    "fast": (0, "e593f13ac8d32915c7a22dbaa2a954817aa2a6c426a85e474685a2e3484b94ae"),
+    "verify": (0, "06dfae75ca678198af1679c7540d3ab512facbf26202eb49140615fbcf6297b8"),
 }
 
 # (exit code, sha256) of the regression properties on the table-1 law with
 # room for one upper set only, so each witness comes from the min cut
-CUT_DIGEST = (1, "2dc7e4876d96cdccc740fed525426aa375463699501c68e654bae3c844ce899a")
+CUT_DIGEST = (1, "f48e65e7fe98878e0d07426a535430d0e253ec3e8a0cf26cc7d602d4b0df61e1")
 
 
 def _sha(blob: bytes) -> str:

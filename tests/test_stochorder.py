@@ -14,7 +14,8 @@ from negdep import (
     st_leq_uppersets,
 )
 from negdep import stochorder
-from negdep.checks import LawCache, _CellContext, _label_masks
+from negdep.checks import LawCache
+from negdep.conditioning import CellContext, label_masks
 from negdep.errors import Caps
 from negdep.stochorder import (
     IntegerLaw,
@@ -202,7 +203,7 @@ def coupled_laws(draw):
 
 
 def _cell(d, J):
-    return _CellContext(LawCache(d), J, Caps(), "fast")
+    return CellContext(LawCache(d), J, Caps(), "fast")
 
 
 def _fraction_law(d, J, mask):
@@ -297,7 +298,7 @@ class TestIntegerKernel:
     def _holding_case(self, table1):
         ctx = _cell(table1, (1,))
         # the values 0 and 2 of coordinate 1 have ranks 0 and 2
-        masks = dict(_label_masks(integer_view(table1), (), [0], sentinel=False))
+        masks = dict(label_masks(integer_view(table1), (), [0], sentinel=False))
         lo, hi = masks[(0,)], masks[(2,)]
         lx, ly = ctx.int_law(hi), ctx.int_law(lo)
         flows, _ = integer_coupling(lx, ly, ctx.guards)

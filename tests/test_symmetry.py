@@ -33,7 +33,7 @@ from negdep.checks import LawCache, _subsets
 from negdep.cli import main
 from negdep.errors import InternalConsistencyError
 from negdep.simplex import INFEASIBLE
-from negdep.symmetry import generators, is_automorphism, orbit_leaders
+from negdep.symmetry import generators, is_automorphism, orbit_leaders, stabilizer
 
 from .strategies import finite_distributions
 
@@ -133,6 +133,18 @@ def test_generators_span_the_whole_group(d):
     brute = {perm for perm in itertools.permutations(range(n))
              if d.permute_coordinates(_inverse_positions(perm)) == d}
     assert _group(_gens(d), n) == brute
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_laws)
+def test_deeper_levels_span_the_stabilizer_of_each_prefix(d):
+    # the generators that fix 0..k-1 are those found at levels k and deeper,
+    # and they span the whole pointwise stabilizer of the prefix
+    n = d.dim
+    group = _group(_gens(d), n)
+    for k in range(n + 1):
+        fixing = {g for g in group if g[:k] == tuple(range(k))}
+        assert _group(stabilizer(_gens(d), range(k)), n) == fixing
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,10 +1,19 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negdep import EnumerationCapExceeded, count_upper_sets, enumerate_upper_sets
 from negdep.stochorder import SupportUnion, cut_violation
-from negdep.uppersets import from_members
+from negdep.uppersets import (
+    componentwise_leq,
+    from_members,
+    grid_comparable_pairs,
+    grid_covers,
+    poset_covers,
+)
 
 F = Fraction
 
@@ -75,3 +84,43 @@ def test_membership_beyond_ambient():
     u = from_members(vecs((1, 1), (2, 2)))
     assert u.contains(tuple(F(v) for v in (5, 5)))
     assert not u.contains(tuple(F(v) for v in (1, 0)))
+
+
+# -- covers and comparable pairs of label grids --------------------------------
+
+@st.composite
+def grid_subsets(draw):
+    """Distinct points of a small grid, in lexicographic order."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    grid = list(itertools.product(*map(range, shape)))
+    return sorted(draw(st.sets(st.sampled_from(grid), min_size=1)))
+
+
+def _comparable(points):
+    return [(a, b) for a in range(len(points)) for b in range(a + 1, len(points))
+            if componentwise_leq(points[a], points[b])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_subsets())
+def test_covers_and_pair_counts_match_brute_force(points):
+    comparable = _comparable(points)
+    covers = [(a, b) for a, b in comparable
+              if not any(componentwise_leq(points[a], points[c])
+                         and componentwise_leq(points[c], points[b])
+                         for c in range(a + 1, b))]
+    assert poset_covers(points) == (covers, len(comparable))
+    assert grid_comparable_pairs(points) == len(comparable)
+    steps = [(a, b) for a, b in comparable
+             if sum(y - x for x, y in zip(points[a], points[b])) == 1]
+    assert sorted(grid_covers(points)) == steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_subsets())
+def test_unit_steps_are_the_covers_of_an_up_set(points):
+    # the nonempty labels of a lower-tail grid are closed upward
+    shape = [max(column) + 1 for column in zip(*points)]
+    up = sorted({q for p in points for q in itertools.product(*map(range, shape))
+                 if componentwise_leq(p, q)})
+    assert sorted(grid_covers(up)) == poset_covers(up)[0]
