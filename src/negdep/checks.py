@@ -42,9 +42,11 @@ from .distributions import (
     UPPER,
     ConditioningEvent,
     FiniteJointDistribution,
+    IntegerView,
     Vector,
     eq_event,
     independent_copy,
+    integer_view,
     lower_event,
     permutation_distribution,
     upper_event,
@@ -62,7 +64,6 @@ from .stochorder import (
     UpperSetViolation,
     cut_violation,
     integer_coupling,
-    integer_view,
     st_leq,
     sweep_violation,
 )
@@ -181,15 +182,17 @@ class LawCache:
     ``negdep check`` command.
 
     It holds the law's ``integer_view``, with the support grid, and the
-    generators of its coordinate automorphisms, each built on first use; the
-    regression cell results keyed by (kind, variant, J), the orthant
-    verdicts keyed by side and the orbit maps keyed by observed block. A
-    cell's result also depends on the caps and the st mode, which stay fixed
-    while the cache lives.
+    generators of its coordinate automorphisms, each built on first use
+    unless a parsed law file brings its view along; the regression cell
+    results keyed by (kind, variant, J), the orthant verdicts keyed by side
+    and the orbit maps keyed by observed block. A cell's result also depends
+    on the caps and the st mode, which stay fixed while the cache lives.
     """
 
-    def __init__(self, d: FiniteJointDistribution):
+    def __init__(self, d: FiniteJointDistribution, view: IntegerView | None = None):
         self.d = d
+        if view is not None:
+            self.view = view
         self.cells: dict[tuple, tuple] = {}
         self.orthants: dict[str, Verdict] = {}
         self.orbits: dict[tuple, object] = {}

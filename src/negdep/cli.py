@@ -24,7 +24,7 @@ import sys
 import time
 
 from .checks import PROPERTIES, LawCache, check_conjecture
-from .distributions import from_json_dict, to_json_dict
+from .distributions import parse_law, to_json_dict
 from .errors import EnumerationCapExceeded, GridTooLarge, NegdepError, default_caps
 from .fixtures import FIXTURE_IDS, run_fixture
 from .rationals import format_rational
@@ -85,7 +85,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_check(args) -> int:
     with open(args.distribution) as fh:
-        d = from_json_dict(json.load(fh))
+        d, view = parse_law(json.load(fh))
     props = [p.strip().lower() for p in args.props.split(",") if p.strip()]
     if not props:
         raise NegdepError("--props names no property")
@@ -93,7 +93,7 @@ def _cmd_check(args) -> int:
     verdicts = []
     timings = {}
     exit_code = 0
-    work = LawCache(d)
+    work = LawCache(d, view)
 
     def write_report():
         _write_report(build_check_report(d, verdicts, caps, settings=_settings(args),

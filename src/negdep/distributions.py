@@ -7,10 +7,12 @@ iteration and every downstream enumeration deterministic.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -220,13 +222,15 @@ def make_pmf(dim: int, entries: Iterable[tuple[Sequence, object]]) -> FiniteJoin
     if dim < 1:
         raise DimMismatch(f"dim must be >= 1, got {dim}")
     merged: dict[Vector, Fraction] = {}
-    for vector, prob in entries:
+    for k, (vector, prob) in enumerate(entries):
         x = tuple(as_rational(v) for v in vector)
         if len(x) != dim:
-            raise DimMismatch(f"support vector {x} has length {len(x)}, expected {dim}")
+            raise DimMismatch(f"bad atom #{k}: vector {json.dumps(list(map(format_rational, x)))} "
+                              f"has length {len(x)}, expected {dim}")
         p = as_rational(prob)
         if p <= 0:
-            raise NonpositiveProbability(f"probability {p} at {x} is not > 0")
+            raise NonpositiveProbability(
+                f"bad atom #{k}: probability {format_rational(p)} is not > 0")
         merged[x] = merged.get(x, ZERO) + p
     if not merged:
         raise MassNotOne("no atoms given")
@@ -289,11 +293,72 @@ def _arrangements(vals: list[Fraction]):
         vals[i + 1:] = vals[:i:-1]
 
 
+# -- integer view -----------------------------------------------------------
+#
+# The checkers read a law through its integer view: integer weights over one
+# common denominator and the per-axis ranks of the atoms' values.
+
+class IntegerView(tuple):
+    """``(weights, ranks, sizes)`` as :func:`integer_view` returns them, with
+    the sorted support values of each axis, the law's support grid, kept as
+    ``axes``."""
+
+    axes: tuple = ()
+
+
+def _rank_column(tokens: Sequence, read: Callable | None = None) -> tuple[tuple, list[int]]:
+    """The sorted distinct values of one column, and each token's rank among
+    them. ``read`` gives a token's value (by default the token is its value);
+    each distinct token is read once, and tokens that read the same value
+    share its rank."""
+    if read is None:
+        table = sorted(set(tokens))
+        rank = {q: r for r, q in enumerate(table)}
+    else:
+        values = {t: read(t) for t in set(tokens)}
+        table = sorted(set(values.values()))
+        at = {q: r for r, q in enumerate(table)}
+        rank = {t: at[q] for t, q in values.items()}
+    return tuple(table), list(map(rank.__getitem__, tokens))
+
+
+def axis_ranks(columns: Iterable[Sequence],
+               read: Callable | None = None) -> tuple[list[tuple[int, ...]], tuple]:
+    """Each row's per-axis ranks among the sorted values its column takes,
+    and those values per axis; ``columns`` holds one sequence per axis."""
+    axes, ranks = zip(*(_rank_column(col, read) for col in columns))
+    return list(zip(*ranks)), axes
+
+
+def _over_common_denominator(probs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The probabilities times the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*(p.denominator for p in probs))
+    return tuple(p.numerator * (scale // p.denominator) for p in probs), scale
+
+
+def integer_weights(d: FiniteJointDistribution) -> tuple[int, ...]:
+    """The atoms' probabilities times their common denominator."""
+    return _over_common_denominator([p for _, p in d.atoms])[0]
+
+
+def _view(weights: tuple[int, ...], ranks: list[tuple[int, ...]], axes: tuple) -> IntegerView:
+    view = IntegerView((weights, ranks, [len(ax) for ax in axes]))
+    view.axes = axes
+    return view
+
+
+def integer_view(d: FiniteJointDistribution) -> IntegerView:
+    """The atoms' integer weights over the law's common denominator, each
+    atom's per-axis ranks among the support values, and the axis sizes."""
+    ranks, axes = axis_ranks(zip(*(x for x, _ in d.atoms)))
+    return _view(integer_weights(d), ranks, axes)
+
+
 # -- wire format ----------------------------------------------------------
 #
 # {"dim": n, "atoms": [{"x": ["0", "1/2", ...], "p": "1/8"}, ...]}
-# Rationals travel as "num/den" strings (bare integers allowed); floats are
-# rejected. Writing emits atoms in lexicographic order.
+# Rationals travel as "num/den" strings (bare integers and exact decimals
+# allowed); floats are rejected. Writing emits atoms in lexicographic order.
 
 def to_json_dict(d: FiniteJointDistribution) -> dict:
     return {
@@ -306,36 +371,93 @@ def to_json_dict(d: FiniteJointDistribution) -> dict:
 
 
 def from_json_dict(obj: dict) -> FiniteJointDistribution:
+    """The law of a distribution file's JSON object."""
+    return parse_law(obj)[0]
+
+
+def parse_law(obj: dict) -> tuple[FiniteJointDistribution, IntegerView]:
+    """Read a distribution file's JSON object into the law and its integer view.
+
+    The atoms are read column by column (see :func:`_read_columns`). Input
+    that reading does not expect, valid or not, is read row by row instead,
+    which raises the error of the first bad atom in file order.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("distribution JSON must be an object with 'dim' and 'atoms', "
+                         f"got {type(obj).__name__}")
     try:
         dim = obj["dim"]
         raw_atoms = obj["atoms"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ValueError(f"distribution JSON needs 'dim' and 'atoms': missing {exc}") from exc
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError(f"'dim' must be an integer, got {dim!r}")
     if not isinstance(raw_atoms, list):
         raise ValueError(f"'atoms' must be a list, got {raw_atoms!r}")
-    parsed: dict[str, Fraction] = {}   # each distinct string is parsed once
+    read = _read_columns(dim, raw_atoms)
+    if read is not None:
+        return read
+    law = _read_rows(dim, raw_atoms)
+    return law, integer_view(law)
 
-    def rational(value) -> Fraction:
-        if isinstance(value, bool):
-            raise TypeError(f"expected an exact rational, got bool: {value!r}")
-        if not isinstance(value, str):
-            return as_rational(value)
-        q = parsed.get(value)
-        if q is None:
-            q = parsed[value] = as_rational(value)
-        return q
 
+#: Token types the column-wise reading takes. Checked on every token, since a
+#: set keeps one of True and 1 (or 1.0 and 1), which are equal.
+_TOKEN_TYPES = {str, int}
+
+
+def _read_columns(dim: int, raw_atoms: list) -> tuple[FiniteJointDistribution, IntegerView] | None:
+    """The law and its view, or None where the row-wise reading must decide.
+
+    Each axis's distinct tokens are read once and ranked, so "1/2", "2/4" and
+    "0.5" share one rank; atoms merge on their rank tuples and sort by them,
+    which is lexicographic order of their vectors.
+    """
+    try:
+        xs = [atom["x"] for atom in raw_atoms]
+        ps = [atom["p"] for atom in raw_atoms]
+    except (TypeError, KeyError):
+        return None
+    if not (xs and dim >= 1 and all(isinstance(x, list) and len(x) == dim for x in xs)
+            and set(map(type, chain(ps, *xs))) <= _TOKEN_TYPES):
+        return None
+    try:
+        ranks, axes = axis_ranks(zip(*xs), as_rational)
+        probs, p_ranks = _rank_column(ps, as_rational)
+    except ValueError:  # a malformed string or a zero denominator
+        return None
+    if probs[0] <= 0:
+        return None
+    merged: dict[tuple[int, ...], Fraction] = {}
+    for r, k in zip(ranks, p_ranks):
+        merged[r] = merged[r] + probs[k] if r in merged else probs[k]
+    keys = sorted(merged)
+    atom_probs = [merged[r] for r in keys]
+    weights, scale = _over_common_denominator(atom_probs)
+    if sum(weights) != scale:
+        return None
+    columns = [map(ax.__getitem__, col) for ax, col in zip(axes, zip(*keys))]
+    law = FiniteJointDistribution(dim, tuple(zip(zip(*columns), atom_probs)))
+    return law, _view(weights, keys, axes)
+
+
+def _exact(value) -> Fraction:
+    if isinstance(value, bool):
+        raise TypeError(f"expected an exact rational, got bool: {value!r}")
+    return as_rational(value)
+
+
+def _read_rows(dim: int, raw_atoms: list) -> FiniteJointDistribution:
+    """The law, read one atom at a time: a token or atom that cannot be read
+    names the first such atom in file order, and then ``make_pmf`` checks the
+    rest in its own order."""
     entries = []
     for k, atom in enumerate(raw_atoms):
         try:
             x = atom["x"]
             if not isinstance(x, list):
                 raise ValueError(f"'x' must be a list, got {x!r}")
-            vector = [rational(v) for v in x]
-            prob = rational(atom["p"])
+            entries.append(([_exact(v) for v in x], _exact(atom["p"])))
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"bad atom #{k}: {exc}") from exc
-        entries.append((vector, prob))
     return make_pmf(dim, entries)

@@ -19,7 +19,8 @@ Extended = Union[Fraction, float]
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, Fractions and "num/den" strings to Fraction; reject floats.
+    """Coerce ints, Fractions and "num/den" or decimal strings to Fraction
+    ("0.5" is exactly 1/2); reject floats.
 
     A malformed string, zero denominators included, raises ``ValueError``.
     """

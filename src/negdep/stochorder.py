@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import lshift
 from typing import NamedTuple, Sequence
 
-from .distributions import FiniteJointDistribution, Vector
+from .distributions import FiniteJointDistribution, Vector, axis_ranks, integer_weights
 from .errors import Caps, InternalConsistencyError, default_caps
 from .maxflow import integer_max_flow
 from .uppersets import UpperSet, componentwise_leq, enumerate_upper_index_sets, from_members
@@ -55,25 +54,11 @@ class RankPacking:
         return sum(map(lshift, ranks, self.shifts))
 
 
-def axis_ranks(vectors: Sequence[Vector], dim: int) -> tuple[list[tuple[int, ...]], tuple]:
-    """Each vector's per-axis ranks among the sorted values the vectors take
-    on that axis, and those values per axis."""
-    axes = tuple(tuple(sorted({v[a] for v in vectors})) for a in range(dim))
-    rank = [{v: r for r, v in enumerate(ax)} for ax in axes]
-    return [tuple(rank[a][v[a]] for a in range(dim)) for v in vectors], axes
-
-
-def _pack_ranks(vectors: list[Vector], dim: int) -> tuple[list[int], int]:
+def _pack_ranks(vectors: list[Vector]) -> tuple[list[int], int]:
     """Packed ranks of the vectors within their own per-axis value sets."""
-    ranks, axes = axis_ranks(vectors, dim)
+    ranks, axes = axis_ranks(zip(*vectors))
     packing = RankPacking([len(ax) for ax in axes])
     return [packing.pack(r) for r in ranks], packing.guards
-
-
-def integer_weights(d: FiniteJointDistribution) -> tuple[int, ...]:
-    """The atoms' probabilities times their common denominator."""
-    scale = lcm(*(p.denominator for _, p in d.atoms))
-    return tuple(p.numerator * (scale // p.denominator) for _, p in d.atoms)
 
 
 class IntegerLaw(NamedTuple):
@@ -91,23 +76,6 @@ class IntegerLaw(NamedTuple):
 def _integer_law(d: FiniteJointDistribution, keys: list[int]) -> IntegerLaw:
     weights = integer_weights(d)
     return IntegerLaw(tuple(keys), weights, sum(weights))
-
-
-class IntegerView(tuple):
-    """``(weights, ranks, sizes)`` as :func:`integer_view` returns them, with
-    the sorted support values of each axis, the law's support grid, kept as
-    ``axes``."""
-
-    axes: tuple = ()
-
-
-def integer_view(d: FiniteJointDistribution) -> IntegerView:
-    """The atoms' integer weights over the law's common denominator, each
-    atom's per-axis ranks among the support values, and the axis sizes."""
-    ranks, axes = axis_ranks([x for x, _ in d.atoms], d.dim)
-    view = IntegerView((integer_weights(d), ranks, [len(ax) for ax in axes]))
-    view.axes = axes
-    return view
 
 
 def masked_law(mask: int, keys: Sequence[int], weights: Sequence[int]) -> IntegerLaw:
@@ -396,7 +364,7 @@ def st_leq_coupling(dX: FiniteJointDistribution,
     _require_same_dim(dX, dY)
     xs = [x for x, _ in dX.atoms]
     ys = [y for y, _ in dY.atoms]
-    packed, guards = _pack_ranks(xs + ys, dX.dim)
+    packed, guards = _pack_ranks(xs + ys)
     lx = _integer_law(dX, packed[: len(xs)])
     ly = _integer_law(dY, packed[len(xs):])
     flows, deficient = integer_coupling(lx, ly, guards)

@@ -36,7 +36,7 @@ from negdep.checks import (
     _subsets,
     _tail_event,
 )
-from negdep.distributions import EQ, LOWER, UPPER, FiniteJointDistribution, Vector
+from negdep.distributions import EQ, LOWER, UPPER, FiniteJointDistribution, Vector, integer_view
 from negdep.errors import Caps, EnumerationCapExceeded, InternalConsistencyError, default_caps
 from negdep.maxflow import integer_max_flow
 from negdep.rationals import NEG_INF, POS_INF, Extended
@@ -47,7 +47,6 @@ from negdep.stochorder import (
     UpperSetViolation,
     _require_same_dim,
     check_integer_coupling,
-    integer_view,
     masked_law,
     require_agreement,
     st_leq_coupling,

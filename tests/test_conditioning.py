@@ -36,8 +36,9 @@ from negdep import (
 )
 from negdep.checks import LawCache, Verdict, _scan_conjecture_partition, _subsets
 from negdep.conditioning import ORBITS, CellContext, label_masks, tail_masks
+from negdep.distributions import integer_view
 from negdep.errors import Caps, InternalConsistencyError, default_caps
-from negdep.stochorder import IntegerLaw, check_integer_coupling, integer_coupling, integer_view
+from negdep.stochorder import IntegerLaw, check_integer_coupling, integer_coupling
 from negdep.symmetry import BlockOrbits
 
 from . import reference_conditioning as ref

@@ -2,10 +2,12 @@ import itertools
 import json
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negdep import (
     DimMismatch,
@@ -24,7 +26,8 @@ from negdep import (
     to_json_dict,
     upper_event,
 )
-from negdep.rationals import NEG_INF, as_rational
+from negdep.distributions import integer_view, parse_law
+from negdep.rationals import NEG_INF, as_rational, format_rational
 
 from .strategies import finite_distributions
 
@@ -265,6 +268,117 @@ class TestJson:
     def test_rejects_a_zero_denominator(self):
         with pytest.raises(ValueError, match="bad atom #0: zero denominator"):
             from_json_dict({"dim": 1, "atoms": [{"x": ["0"], "p": "1/0"}]})
+
+    def test_rejects_a_top_level_list(self):
+        with pytest.raises(ValueError, match="must be an object with 'dim' and 'atoms', got list"):
+            from_json_dict([{"dim": 1, "atoms": []}])
+
+    @pytest.mark.parametrize("column,bad,kind", [
+        ([1, True], 1, "bool"), ([True, 1], 0, "bool"), (["1", True], 1, "bool"),
+        ([1, 1.0], 1, "float"), ([1.0, 1], 0, "float")])
+    def test_rejects_a_bool_or_float_next_to_an_equal_int(self, column, bad, kind):
+        # a set keeps one of True and 1 (or 1.0 and 1): each token is still checked
+        atoms = [{"x": [v], "p": "1/2"} for v in column]
+        with pytest.raises(ValueError, match=f"bad atom #{bad}: expected an exact rational, "
+                                             f"got {kind}"):
+            from_json_dict({"dim": 1, "atoms": atoms})
+
+    def test_rejects_a_bool_probability_next_to_an_equal_int(self):
+        atoms = [{"x": ["0"], "p": 1}, {"x": ["1"], "p": True}]
+        with pytest.raises(ValueError, match="bad atom #1: expected an exact rational, got bool"):
+            from_json_dict({"dim": 1, "atoms": atoms})
+
+    @pytest.mark.parametrize("x", [["0"], ["0", "1", "2"]])
+    def test_rejects_a_short_or_long_vector(self, x):
+        atoms = [{"x": ["0", "0"], "p": "1/2"}, {"x": x, "p": "1/2"}]
+        with pytest.raises(DimMismatch, match=rf"bad atom #1: vector .* has length {len(x)}, "
+                                              "expected 2"):
+            from_json_dict({"dim": 2, "atoms": atoms})
+
+    def test_rejects_no_atoms(self):
+        with pytest.raises(MassNotOne, match="no atoms given"):
+            from_json_dict({"dim": 2, "atoms": []})
+
+    def test_rejects_dim_below_one_before_the_atoms(self):
+        with pytest.raises(DimMismatch, match="dim must be >= 1"):
+            from_json_dict({"dim": 0, "atoms": [{"x": [], "p": "1"}]})
+
+    @pytest.mark.parametrize("p", ["0", "-1/2", 0, "-0.5"])
+    def test_rejects_a_probability_that_is_not_positive(self, p):
+        atoms = [{"x": ["0"], "p": "1"}, {"x": ["1"], "p": p}]
+        with pytest.raises(NonpositiveProbability, match="bad atom #1: probability"):
+            from_json_dict({"dim": 1, "atoms": atoms})
+
+    def test_rejects_a_mass_other_than_one(self):
+        atoms = [{"x": ["0"], "p": "1/2"}, {"x": ["0.5"], "p": "1"}]
+        with pytest.raises(MassNotOne, match="sum to 3/2"):
+            from_json_dict({"dim": 1, "atoms": atoms})
+
+    def test_names_the_first_bad_atom_in_file_order(self):
+        atoms = [{"x": ["0", "0"], "p": "1/4"}, {"x": ["0", "1"], "p": "1/0"},
+                 {"x": ["x", "1"], "p": "1/4"}, {"x": ["1", "1"], "p": 0.25}]
+        with pytest.raises(ValueError, match="bad atom #1: zero denominator"):
+            from_json_dict({"dim": 2, "atoms": atoms})
+
+    def test_an_unreadable_token_comes_before_a_wrong_length(self):
+        atoms = [{"x": ["0"], "p": "1/2"}, {"x": ["1", 0.5], "p": "1/2"}]
+        with pytest.raises(ValueError, match="bad atom #1: expected an exact rational, got float"):
+            from_json_dict({"dim": 2, "atoms": atoms})
+
+    def test_a_wrong_length_and_a_nonpositive_probability_come_in_file_order(self):
+        atoms = [{"x": ["0", "0"], "p": "-1/2"}, {"x": ["1"], "p": "3/2"}]
+        with pytest.raises(NonpositiveProbability, match="bad atom #0"):
+            from_json_dict({"dim": 2, "atoms": atoms})
+
+    def test_aliases_and_duplicate_vectors_merge(self):
+        atoms = [{"x": ["1/2", 1], "p": "1/4"}, {"x": ["0.5", "1"], "p": "0.25"},
+                 {"x": ["2/4", "2/2"], "p": "1/2"}, {"x": ["-1", "0"], "p": "0"}]
+        with pytest.raises(NonpositiveProbability):
+            from_json_dict({"dim": 2, "atoms": atoms})
+        assert from_json_dict({"dim": 2, "atoms": atoms[:3]}) == make_pmf(2, [((F(1, 2), 1), 1)])
+
+
+# -- non-canonical wire input ---------------------------------------------
+
+def _spellings(q: Fraction) -> list:
+    """Wire tokens that read as q: "num/den", the same over twice the
+    denominator, a decimal where one is exact, and a bare int for integers."""
+    out = [format_rational(q), f"{2 * q.numerator}/{2 * q.denominator}"]
+    if 10 ** 6 % q.denominator == 0:
+        out.append(str(Decimal(q.numerator) / Decimal(q.denominator)))
+    if q.denominator == 1:
+        out += [q.numerator, f"{q.numerator}.0"]
+    return out
+
+
+@st.composite
+def noncanonical_files(draw):
+    """A law and a distribution file for it with shuffled atoms, one atom
+    split into two entries, and each token spelled in any of its ways."""
+    d = draw(finite_distributions(min_dim=1, max_dim=3, max_atoms=6,
+                                  values=[F(0), F(1), F(2), F(1, 2), F(-1), F(-3, 4)]))
+    entries = list(d.atoms)
+    k = draw(st.integers(0, len(entries) - 1))
+    x, p = entries[k]
+    cut = draw(st.sampled_from([F(1, 2), F(1, 3), F(3, 4)]))
+    entries[k:k + 1] = [(x, p * cut), (x, p * (1 - cut))]
+    entries = draw(st.permutations(entries))
+    spell = lambda q: draw(st.sampled_from(_spellings(q)))  # noqa: E731
+    atoms = [{"x": [spell(v) for v in x], "p": spell(p)} for x, p in entries]
+    return d, {"dim": d.dim, "atoms": atoms}
+
+
+@settings(max_examples=200, deadline=None)
+@given(noncanonical_files())
+def test_parse_law_reads_noncanonical_files_as_make_pmf_does(case):
+    d, obj = case
+    expected = make_pmf(obj["dim"], [([as_rational(v) for v in a["x"]], as_rational(a["p"]))
+                                      for a in obj["atoms"]])
+    law, view = parse_law(json.loads(json.dumps(obj)))
+    assert law == expected == d
+    reference = integer_view(expected)
+    assert view == reference and view.axes == reference.axes
+    assert list(map(type, view)) == list(map(type, reference))
 
 
 # -- exact-identity properties -------------------------------------------

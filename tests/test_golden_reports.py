@@ -11,6 +11,7 @@ in CHANGES.md.
 import hashlib
 import json
 from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,39 @@ def test_check_report_bytes(law, variant, st_mode, request, tmp_path, no_env_cap
     code = main(["check", str(path), "--props", ALL_PROPS, "--variant", variant,
                  "--st-mode", st_mode, "-o", str(out)])
     assert (code, _sha(out.read_bytes())) == CHECK_DIGESTS[law, variant, st_mode]
+
+
+def _noncanonical(d) -> dict:
+    """A file for d that no writer would produce: the first atom split in two
+    entries at either end, the other atoms reversed, and each value over twice
+    its denominator, as a decimal or, in a checkerboard, as a JSON int."""
+    (x0, p0), *rest = d.atoms
+    entries = [(x0, p0 / 4), *reversed(rest), (x0, 3 * p0 / 4)]
+
+    def spell(q, bare=False):
+        if q.denominator == 1 and bare:
+            return q.numerator
+        if 10 ** 6 % q.denominator == 0 and q.denominator > 1:
+            return str(Decimal(q.numerator) / Decimal(q.denominator))
+        return f"{2 * q.numerator}/{2 * q.denominator}"
+
+    return {"dim": d.dim,
+            "atoms": [{"x": [spell(v, (i + j) % 2) for j, v in enumerate(x)], "p": spell(p)}
+                      for i, (x, p) in enumerate(entries)]}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_noncanonical_file_report_bytes(jobs, request, tmp_path, no_env_caps):
+    d = LAWS["table1"](request)
+    got = []
+    for name, obj in (("canonical", to_json_dict(d)), ("noncanonical", _noncanonical(d))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / f"{name}.report.json"
+        code = main(["check", str(path), "--props", ALL_PROPS, "--jobs", jobs, "-o", str(out)])
+        got.append((code, out.read_bytes()))
+    assert got[1] == got[0]
+    assert (got[1][0], _sha(got[1][1])) == CHECK_DIGESTS["table1", "weak", "fast"]
 
 
 def test_cut_fallback_report_bytes(request, tmp_path, no_env_caps):

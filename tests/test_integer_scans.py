@@ -16,6 +16,7 @@ from negdep import (
     check_nuod,
     checks,
     cli,
+    distributions,
     make_pmf,
     permutation_distribution,
     product,
@@ -128,16 +129,22 @@ def test_audit_builds_one_integer_view_per_law(monkeypatch):
     assert calls == laws
 
 
-def test_check_command_builds_the_view_for_the_first_checker_that_reads_it(
-        monkeypatch, tmp_path, capsys):
-    calls = []
+def test_check_command_reads_the_view_with_the_law(monkeypatch, tmp_path, capsys):
+    calls, caches = [], []
     view = checks.integer_view
-    monkeypatch.setattr(checks, "integer_view", lambda d: calls.append(d) or view(d))
+    for module in (checks, distributions):
+        monkeypatch.setattr(module, "integer_view", lambda d: calls.append(d) or view(d))
+    monkeypatch.setattr(cli, "LawCache",
+                        lambda d, v: caches.append(checks.LawCache(d, v)) or caches[-1])
+    law = permutation_distribution([0, 1, 2])
+    obj = to_json_dict(law)
+    # the first atom split in two entries, one with its values spelled another way
+    obj["atoms"][0]["p"] = "1/12"
+    obj["atoms"].append({"x": [0, "2/2", "2.0"], "p": "2/24"})
     path = tmp_path / "law.json"
-    path.write_text(json.dumps(to_json_dict(permutation_distribution([0, 1, 2]))))
+    path.write_text(json.dumps(obj))
     report = str(tmp_path / "report.json")
-    # NSMD reads the view too, so it is built by whichever property comes first
-    assert cli.main(["check", str(path), "--props", "nsmd", "-o", report]) == 0
-    assert len(calls) == 1
+    # every one of these reads the view, which the parser built with the law
     assert cli.main(["check", str(path), "--props", "nsmd,nlod,nod,nrd1", "-o", report]) == 0
-    assert len(calls) == 2
+    assert calls == []
+    assert caches[0].view == view(law) and caches[0].view.axes == view(law).axes

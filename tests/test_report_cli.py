@@ -157,6 +157,22 @@ class TestCheck:
         assert main(["check", str(path), "--props", "nod", "--jobs", "1"]) == 2
         assert "'dim' must be an integer" in capsys.readouterr().err
 
+    def test_top_level_list_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"dim": 1, "atoms": [{"x": ["0"], "p": "1"}]}]))
+        assert main(["check", str(path), "--props", "nod", "--jobs", "1"]) == 2
+        assert capsys.readouterr().err == ("error: distribution JSON must be an object with "
+                                           "'dim' and 'atoms', got list\n")
+
+    def test_short_vector_exit_two(self, tmp_path, capsys):
+        atoms = [{"x": ["0", "0"], "p": "1/4"}, {"x": ["0", "1"], "p": "1/4"},
+                 {"x": ["1"], "p": "1/2"}]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"dim": 2, "atoms": atoms}))
+        assert main(["check", str(path), "--props", "nod", "--jobs", "1"]) == 2
+        assert capsys.readouterr().err == ('error: bad atom #2: vector ["1"] has length 1, '
+                                           "expected 2\n")
+
     def test_cap_exceeded_exit_two(self, table1_file):
         code = main(["check", table1_file, "--props", "nsmd",
                      "--caps", "lp_vars=10", "--jobs", "1"])

@@ -16,6 +16,7 @@ from negdep import (
 from negdep import stochorder
 from negdep.checks import LawCache
 from negdep.conditioning import CellContext, label_masks
+from negdep.distributions import integer_view
 from negdep.errors import Caps
 from negdep.stochorder import (
     IntegerLaw,
@@ -25,7 +26,6 @@ from negdep.stochorder import (
     check_integer_coupling,
     cut_violation,
     integer_coupling,
-    integer_view,
 )
 from negdep.uppersets import componentwise_leq
 
@@ -156,7 +156,7 @@ class TestRankPacking:
         # 40,000 distinct values on one axis: past the old 16-bit field limit
         rng = random.Random(7)
         vectors = [(F(k, 3), F(rng.randrange(5)), F(-k % 11)) for k in range(40_000)]
-        packed, guards = _pack_ranks(vectors, 3)
+        packed, guards = _pack_ranks(vectors)
         pairs = [(rng.randrange(len(vectors)), rng.randrange(len(vectors)))
                  for _ in range(4000)]
         # near-diagonal pairs, where the wide axis alone does not decide
@@ -168,7 +168,7 @@ class TestRankPacking:
 
     def test_packed_order_is_lexicographic(self):
         vectors = sorted({(F(a), F(b, 2)) for a in range(-2, 3) for b in range(6)})
-        packed, _ = _pack_ranks(vectors, 2)
+        packed, _ = _pack_ranks(vectors)
         assert packed == sorted(packed)
 
 
