@@ -67,14 +67,18 @@ from .stochorder import (
     st_leq,
     sweep_violation,
 )
-from .supermodular import (
-    SupermodularWitness,
-    below_independent_copy,
-    orthant_sums,
-    witness_expectations,
-)
+from .supermodular import SupermodularWitness, below_independent_copy, witness_expectations
 from .symmetry import block_orbits, generators, orbit_leaders, stabilizer
-from .uppersets import UpperSet, enumerate_upper_index_sets, from_members
+from .uppersets import (
+    UpperSet,
+    componentwise_leq,
+    enumerate_upper_index_sets,
+    from_members,
+    grid_strides,
+    orthant_sums,
+    outer_product,
+    scatter,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -229,62 +233,52 @@ def _orthant_scan(work: LawCache, side: str) -> Verdict:
     Both sides are step functions jumping only at support values, so the
     per-axis corner grid is exhaustive; the upper side additionally needs a
     "no constraint" sentinel per axis (threshold below every support value).
-    Cumulative sums keep the scan linear in the grid size.
+    Both scan the support grid, by prefix or suffix sums along each axis.
 
     Lower side, axis positions k = 0..s-1: corner value axes[k], cell mass
-    P(rank <= k). Upper side, positions k = 0..s: corner value -inf for
+    P(rank <= k). Upper side, positions k = 0..s-1: corner value -inf for
     k = 0 and axes[k-1] for k >= 1 (the event {X > axes[k-1]} holds iff
-    rank >= k), cell mass P(rank >= k).
+    rank >= k), cell mass P(rank >= k). The upper corners at axes[s-1]
+    bound an empty event and never fail, so they are not built, but
+    corners are counted on the grid that has them, of prod (s_i + 1)
+    corners (docs/theory.md section 7).
 
     Masses are integer weights over the law's common denominator D, so a
-    corner fails iff joint * D**(n-1) > product of the marginal weights
-    (docs/theory.md section 7). Corners are scanned in flat (lexicographic)
-    order, and the first failing one is the witness. The verdict is kept in
-    ``work``, so a law's scan of each side runs once.
+    corner fails iff joint * D**(n-1) > product of the marginal weights.
+    Corners are scanned in flat (lexicographic) order, and the first
+    failing one is the witness. The verdict is kept in ``work``, so a law's
+    scan of each side runs once.
     """
     cached = work.orthants.get(side)
     if cached is not None:
         return cached
     d = work.d
     _require_joint(d)
-    weights, ranks, sizes = work.view
-    n = d.dim
+    weights, _, sizes = work.view
     upper = side == "upper"
-    ext_sizes = [s + 1 if upper else s for s in sizes]
-
-    strides = [0] * n
-    acc = 1
-    for a in range(n - 1, -1, -1):
-        strides[a] = acc
-        acc *= ext_sizes[a]
-    cells = [0] * acc
-    for r, w in zip(ranks, weights):
-        cells[sum(k * step for k, step in zip(r, strides))] += w
-    orthant_sums(cells, ext_sizes, upper)
-
-    # an axis's marginal line runs through the corner that constrains no
-    # other axis; the outer products lay the grid out in the same flat order
-    products = [1]
-    for step, size in zip(strides, ext_sizes):
-        base = 0 if upper else acc - 1 - (size - 1) * step
-        line = cells[base:base + size * step:step]
-        products = [p * m for p in products for m in line]
+    cells, lines = scatter(work.view)
+    orthant_sums(cells, sizes, upper)
+    products = outer_product([list(itertools.accumulate(line[::-1]))[::-1] if upper
+                              else list(itertools.accumulate(line)) for line in lines])
     total = sum(weights)
-    scale = total ** (n - 1)
+    scale = total ** (d.dim - 1)
     first = next(itertools.compress(
         itertools.count(),
         map(gt, map(mul, cells, itertools.repeat(scale)), products)), None)
 
     name = "nlod" if side == "lower" else "nuod"
+    counted, corners = grid_strides([s + upper for s in sizes])
     if first is None:
-        verdict = Verdict(name, True, None, CheckStats(conditioning_pairs=acc))
+        verdict = Verdict(name, True, None, CheckStats(conditioning_pairs=corners))
     else:
-        grid = [(NEG_INF,) + ax if upper else ax for ax in work.view.axes]
-        corner = tuple(g[first // step % size]
-                       for g, step, size in zip(grid, strides, ext_sizes))
-        witness = OrthantWitness(side, corner, Fraction(cells[first], total),
-                                 Fraction(products[first], total ** n))
-        verdict = Verdict(name, False, witness, CheckStats(conditioning_pairs=first + 1))
+        strides, _ = grid_strides(sizes)
+        position = [first // step % size for step, size in zip(strides, sizes)]
+        grids = [(NEG_INF,) + ax if upper else ax for ax in work.view.axes]
+        witness = OrthantWitness(side, tuple(g[k] for g, k in zip(grids, position)),
+                                 Fraction(cells[first], total),
+                                 Fraction(products[first], total ** d.dim))
+        verdict = Verdict(name, False, witness,
+                          CheckStats(conditioning_pairs=sum(map(mul, position, counted)) + 1))
     work.orthants[side] = verdict
     return verdict
 
@@ -438,10 +432,6 @@ def _tail_event(kind: str, variant: str, indices, thresholds) -> ConditioningEve
     return event(indices, thresholds, strict=op in ("<", ">"))
 
 
-def _ext_leq(a: Sequence[Extended], b: Sequence[Extended]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _deterministic_upper_violation(ctx: CellContext, mask_lo: int, mask_hi: int, block):
     """The union of the block's laws given ``mask_hi`` and ``mask_lo``, and
     its first violating upper set in enumeration order, for the witness of a
@@ -589,15 +579,21 @@ def check_nrtd(d: FiniteJointDistribution, max_j: int | None = None,
                                     st_mode, jobs)
 
 
-def check_nrd1(d, caps=None, st_mode="fast", jobs=1) -> Verdict:
+def check_nrd1(d: FiniteJointDistribution, caps: Caps | None = None,
+               st_mode: str = "fast", jobs: int = 1) -> Verdict:
+    """NRD conditioning on one coordinate at a time, which is definitive."""
     return PROPERTIES["nrd1"](LawCache(d), None, WEAK, caps, st_mode, jobs)
 
 
-def check_nltd1(d, variant=WEAK, caps=None, st_mode="fast", jobs=1) -> Verdict:
+def check_nltd1(d: FiniteJointDistribution, variant: str = WEAK,
+                caps: Caps | None = None, st_mode: str = "fast", jobs: int = 1) -> Verdict:
+    """NLTD conditioning on one coordinate at a time, which is definitive."""
     return PROPERTIES["nltd1"](LawCache(d), None, variant, caps, st_mode, jobs)
 
 
-def check_nrtd1(d, variant=WEAK, caps=None, st_mode="fast", jobs=1) -> Verdict:
+def check_nrtd1(d: FiniteJointDistribution, variant: str = WEAK,
+                caps: Caps | None = None, st_mode: str = "fast", jobs: int = 1) -> Verdict:
+    """NRTD conditioning on one coordinate at a time, which is definitive."""
     return PROPERTIES["nrtd1"](LawCache(d), None, variant, caps, st_mode, jobs)
 
 
@@ -612,7 +608,7 @@ def check_stoch_increasing(family: Mapping[tuple, FiniteJointDistribution],
     stats_st = 0
     for k, (theta, dist) in enumerate(items):
         for theta2, dist2 in items[k + 1:]:
-            if not _ext_leq(theta, theta2):
+            if not componentwise_leq(theta, theta2):
                 continue
             pairs += 1
             verdict = st_leq(dist, dist2, mode=st_mode, caps=caps)

@@ -14,9 +14,8 @@ first failing pair, witness and counts are those of the plain pair loop.
 
 from __future__ import annotations
 
-import itertools
-from operator import le, or_
-from typing import Sequence
+from operator import itemgetter, le
+from typing import Iterable, Sequence
 
 from .stochorder import (
     IntegerLaw,
@@ -28,7 +27,7 @@ from .stochorder import (
     support_union,
     sweep_violation,
 )
-from .uppersets import grid_comparable_pairs, grid_covers, poset_covers
+from .uppersets import at_or_above, grid_comparable_pairs, grid_covers, poset_covers
 
 #: The block key of the orbit laws in ``CellContext.blocks``.
 ORBITS = "orbits"
@@ -39,21 +38,20 @@ ORBITS = "orbits"
 GRID_LABELS = 512
 
 
-def tail_masks(eq: list[int], op: str, sentinel: bool) -> list[int]:
+def tail_masks(column: Iterable[int], size: int, op: str, sentinel: bool) -> list[int]:
     """The atom masks of {x op v} for the support values v of one axis, ascending.
 
-    ``eq[r]`` is the mask of the atoms of rank r, so each mask is a prefix
-    (lower tails) or suffix (upper tails) OR of them. With ``sentinel`` the
-    grid also gets the unbounded threshold, whose mask is every atom: +inf
-    after the values for lower tails, -inf before them for upper tails.
+    ``column[k]`` is the rank of atom k among the axis's ``size`` values.
+    Upper tails read the at-or-above bitsets of the ranks, and lower tails
+    their complements. With ``sentinel`` the grid also gets the unbounded
+    threshold, whose mask is every atom: +inf after the values for lower
+    tails, -inf before them for upper tails.
     """
-    s = len(eq)
+    above = at_or_above(column, size)  # above[r]: ranks >= r; above[0]: every atom
     if op in ("<=", "<"):
-        below = list(itertools.accumulate(eq, or_, initial=0))  # below[r]: ranks < r
-        masks = below[1:] if op == "<=" else below[:s]
-        return masks + [below[s]] if sentinel else masks
-    above = list(itertools.accumulate(reversed(eq), or_, initial=0))[::-1]  # ranks >= r
-    masks = above[:s] if op == ">=" else above[1:]
+        masks = [above[0] ^ m for m in (above[1:] if op == "<=" else above[:size])]
+        return masks + [above[0]] if sentinel else masks
+    masks = above[:size] if op == ">=" else above[1:]
     return [above[0]] + masks if sentinel else masks
 
 
@@ -70,10 +68,8 @@ def label_masks(view, tails: Sequence[tuple[int, str]], pinned: Sequence[int],
     _, ranks, sizes = view
     axes = []
     for c, op in tails:
-        eq = [0] * sizes[c]
-        for k, r in enumerate(ranks):
-            eq[r[c]] |= 1 << k
-        axes.append([((p,), m) for p, m in enumerate(tail_masks(eq, op, sentinel))])
+        masks = tail_masks(map(itemgetter(c), ranks), sizes[c], op, sentinel)
+        axes.append([((p,), m) for p, m in enumerate(masks)])
     if pinned:
         groups: dict[tuple[int, ...], int] = {}
         for k, r in enumerate(ranks):

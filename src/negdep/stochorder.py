@@ -23,7 +23,13 @@ from typing import NamedTuple, Sequence
 from .distributions import FiniteJointDistribution, Vector, axis_ranks, integer_weights
 from .errors import Caps, InternalConsistencyError, default_caps
 from .maxflow import integer_max_flow
-from .uppersets import UpperSet, componentwise_leq, enumerate_upper_index_sets, from_members
+from .uppersets import (
+    UpperSet,
+    at_or_above,
+    componentwise_leq,
+    enumerate_upper_index_sets,
+    from_members,
+)
 
 
 class RankPacking:
@@ -126,35 +132,22 @@ def _above_masks(lx: IntegerLaw, ly: IntegerLaw, guards: int) -> list[int]:
     """For each atom i of lx, the bitset of the atoms j of ly with
     ``lx.keys[i] <= ly.keys[j]`` componentwise (bit j set).
 
-    The guard bits give each axis's field. Per axis, ``above[v]`` is the
-    bitset of the y-atoms whose field is at least v, a suffix OR over the
-    field values (docs/theory.md section 2); an x-atom's bitset is the AND of
-    one such bitset per axis.
+    The guard bits give each axis's field. An x-atom's bitset is the AND
+    over the axes of the y-atoms whose field is at least its own, read from
+    the axis's ``at_or_above`` table (docs/theory.md section 2), which
+    covers every value the field can hold.
     """
-    tables = []
+    masks = [(1 << len(ly.keys)) - 1] * len(lx.keys)
     offset = 0
-    g = guards
-    while g:
-        low = g & -g
-        g ^= low
+    while guards:
+        low = guards & -guards
+        guards ^= low
         top = low.bit_length() - 1
         if top > offset:                    # a one-value axis has no field bits
             field = (1 << (top - offset)) - 1
-            values = [(y >> offset) & field for y in ly.keys]
-            above = [0] * (max(values) + 1)
-            for j, v in enumerate(values):
-                above[v] |= 1 << j
-            for v in range(len(above) - 2, -1, -1):
-                above[v] |= above[v + 1]
-            tables.append((offset, field, above))
+            above = at_or_above([(y >> offset) & field for y in ly.keys], field + 1)
+            masks = [m & above[(x >> offset) & field] for m, x in zip(masks, lx.keys)]
         offset = top + 1
-    masks = []
-    for x in lx.keys:
-        m = (1 << len(ly.keys)) - 1
-        for shift, field, above in tables:
-            v = (x >> shift) & field
-            m = m & above[v] if v < len(above) else 0
-        masks.append(m)
     return masks
 
 

@@ -27,13 +27,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from .distributions import FiniteJointDistribution, Vector
 from .errors import Caps, GridTooLarge, InternalConsistencyError, UndefinedAtAtom, default_caps
 from .simplex import OPTIMAL, LinearProgram, SimplexResult, simplex_solve
 from .symmetry import orbit_roots
+from .uppersets import grid_strides, orthant_sums, outer_product, scatter
 
 
 @dataclass(frozen=True, eq=True)
@@ -70,16 +71,6 @@ def _union_axes(dX: FiniteJointDistribution,
     return tuple(tuple(sorted(set(a) | set(b))) for a, b in zip(gx, gy))
 
 
-def _strides(sizes: Sequence[int]) -> tuple[list[int], int]:
-    """Per-axis strides of the flat lex grid, and its number of points."""
-    strides = [0] * len(sizes)
-    acc = 1
-    for a in range(len(sizes) - 1, -1, -1):
-        strides[a] = acc
-        acc *= sizes[a]
-    return strides, acc
-
-
 def _grid_size(sizes: Sequence[int], caps: Caps | None) -> int:
     total = math.prod(sizes)
     cap = (caps or default_caps()).max_lp_vars
@@ -91,7 +82,7 @@ def _grid_size(sizes: Sequence[int], caps: Caps | None) -> int:
 def _grid_cells(sizes: list[int]) -> list[tuple[int, int, int, int]]:
     """All (k, k+e_i, k+e_j, k+e_i+e_j) index quadruples of the lex grid."""
     dim = len(sizes)
-    strides, acc = _strides(sizes)
+    strides, acc = grid_strides(sizes)
     cells = []
     for k in range(acc):
         pos = []
@@ -117,7 +108,7 @@ def _point_moves(sizes: list[int], target: list[int],
     the grid position each grid position goes to: the outer sum over the
     axes of position i times the stride of axis perm[a]. Each permutation
     must keep the axis sizes and the target."""
-    strides, _ = _strides(sizes)
+    strides, _ = grid_strides(sizes)
     moves = []
     for perm in gens:
         if sorted(perm) != list(range(len(sizes))) or [sizes[b] for b in perm] != sizes:
@@ -129,35 +120,6 @@ def _point_moves(sizes: list[int], target: list[int],
             raise InternalConsistencyError(f"{perm} does not keep p_Y - p_X")
         moves.append(move)
     return moves
-
-
-def orthant_sums(cells: list[int], sizes: list[int], reverse: bool) -> list[int]:
-    """The flat lex grid summed over every lower orthant, or every upper one
-    if reverse, in place, by prefix (suffix) sums along one axis at a time.
-
-    Position k of the axis with stride ``step`` is the run of ``step`` cells
-    at ``k * step`` in every block of ``step * size`` cells. Each position
-    takes in its neighbour's sums one slice at a time: one contiguous slice
-    per block, or one strided slice across the blocks per offset within the
-    run, whichever are fewer.
-    """
-    step = len(cells)
-    for size in sizes:
-        step //= size
-        period = step * size
-        blocks = len(cells) // period
-        for k in (range(size - 2, -1, -1) if reverse else range(1, size)):
-            dst = k * step
-            src = dst + step if reverse else dst - step
-            if blocks <= step:
-                for base in range(0, len(cells), period):
-                    lo, hi = base + dst, base + src
-                    cells[lo:lo + step] = map(add, cells[lo:lo + step], cells[hi:hi + step])
-            else:
-                for j in range(step):
-                    cells[dst + j::period] = map(add, cells[dst + j::period],
-                                                 cells[src + j::period])
-    return cells
 
 
 def orthant_screen(r: list[int], sizes: list[int]) -> tuple[int, bool, int] | None:
@@ -175,23 +137,15 @@ def orthant_screen(r: list[int], sizes: list[int]) -> tuple[int, bool, int] | No
     return worst
 
 
-def _outer_product(lines: Sequence[Sequence[int]]) -> list[int]:
-    """The outer product of one line per axis, on the flat lex grid."""
-    out = [1]
-    for line in lines:
-        out = [p * m for p in out for m in line]
-    return out
-
-
 def _orthant_indicator(sizes: Sequence[int], reverse: bool, k: int) -> list[int]:
     """1{z <= x}, or 1{z >= x} if reverse, for x at grid position k, as the
     outer product of one 0/1 line per axis."""
-    strides, _ = _strides(sizes)
+    strides, _ = grid_strides(sizes)
     lines = []
     for size, step in zip(sizes, strides):
         i, k = divmod(k, step)
         lines.append([int(j >= i if reverse else j <= i) for j in range(size)])
-    return _outer_product(lines)
+    return outer_product(lines)
 
 
 def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -207,7 +161,7 @@ def _recheck(sizes: Sequence[int], r: Sequence[int], scale: int,
     returned."""
     if any(abs(v) > den for v in psi):
         raise InternalConsistencyError("witness leaves the [-1, 1] box")
-    strides, _ = _strides(sizes)
+    strides, _ = grid_strides(sizes)
     for a1, a2 in itertools.combinations(range(len(sizes)), 2):
         s1, s2 = strides[a1], strides[a2]
         corners = [0]  # every k with a successor on both axes, ascending
@@ -349,7 +303,7 @@ def _weights_on(axes, d: FiniteJointDistribution) -> tuple[list[int], int]:
     their common denominator, which is returned with them."""
     if d.dim != len(axes):
         raise UndefinedAtAtom(f"a grid of dimension {len(axes)} meets a law of dimension {d.dim}")
-    strides, total = _strides([len(ax) for ax in axes])
+    strides, total = grid_strides([len(ax) for ax in axes])
     offsets = [{v: i * step for i, v in enumerate(ax)} for ax, step in zip(axes, strides)]
     scale = math.lcm(*(p.denominator for _, p in d.atoms))
     weights = [0] * total
@@ -415,15 +369,8 @@ def independence_grid(view) -> tuple[list[int], list[int], int]:
     (cells, products, mass). The law puts cells[k] / mass on grid point k
     and its independent copy products[k] / mass**dim, the outer product of
     the marginal lines."""
-    weights, ranks, sizes = view
-    strides, total = _strides(sizes)
-    cells = [0] * total
-    lines = [[0] * size for size in sizes]
-    for rank, w in zip(ranks, weights):
-        cells[sum(map(mul, rank, strides))] += w
-        for line, i in zip(lines, rank):
-            line[i] += w
-    return cells, _outer_product(lines), sum(weights)
+    cells, lines = scatter(view)
+    return cells, outer_product(lines), sum(view[0])
 
 
 def below_independent_copy(view, axes, caps: Caps | None = None,

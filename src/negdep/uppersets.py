@@ -5,12 +5,16 @@ walks the points in decreasing lexicographic order (a linear extension of the
 componentwise order runs the other way, so all dominators of a point are
 decided before it) and emits every upward-closed subset exactly once, in a
 fixed order starting from the empty set and ending at the full set.
+
+The module also holds the one copy of the kernels on grids of small ints
+that the checkers share: the at-or-above bitsets of a column, the covers of
+a point set, and the flat lexicographic grid with its strides, the scatter
+of an integer view, orthant sums and outer products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -22,14 +26,26 @@ def componentwise_leq(x: Sequence, y: Sequence) -> bool:
     return all(a <= b for a, b in zip(x, y))
 
 
+def at_or_above(column: Iterable[int], size: int) -> list[int]:
+    """``above[v]`` for v in 0..size: the bitset of the positions k with
+    ``column[k] >= v`` (bit k set), a suffix OR over the values, which must
+    lie in ``range(size)``; ``above[size]`` is 0. The points at or above a
+    query point componentwise are the AND over the axes of one such bitset."""
+    above = [0] * (size + 1)
+    for k, v in enumerate(column):
+        above[v] |= 1 << k
+    for v in range(size - 1, -1, -1):
+        above[v] |= above[v + 1]
+    return above
+
+
 def poset_covers(points: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], int]:
     """The cover pairs of distinct points of small nonnegative ints, given in
     lexicographic order, as index pairs ``(a, b)`` with ``points[b]`` covering
     ``points[a]`` componentwise, ascending; and the number of comparable
     pairs ``a < b``.
 
-    ``up[a]`` is the bitset of the points at or above point a: the AND over
-    the axes of the points whose value there is at least a's. Lexicographic
+    ``up[a]`` is the bitset of the points at or above point a. Lexicographic
     order extends the componentwise one, so the lowest bit left in
     ``up[a]`` once a is dropped is a cover of a, and dropping everything at
     or above it leaves the next cover lowest (docs/theory.md section 6).
@@ -40,12 +56,8 @@ def poset_covers(points: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]]
         return list(zip(range(n - 1), range(1, n))), n * (n - 1) // 2
     up = [(1 << n) - 1] * n
     for column in zip(*points):
-        at_least = [0] * (max(column) + 2)
-        for k, v in enumerate(column):
-            at_least[v] |= 1 << k
-        for v in range(len(at_least) - 2, -1, -1):
-            at_least[v] |= at_least[v + 1]
-        up = [u & at_least[v] for u, v in zip(up, column)]
+        above = at_or_above(column, max(column) + 1)
+        up = [u & above[v] for u, v in zip(up, column)]
     covers = []
     for a, u in enumerate(up):
         u ^= 1 << a
@@ -56,12 +68,72 @@ def poset_covers(points: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]]
     return covers, sum(u.bit_count() for u in up) - len(up)
 
 
-def _grid(points: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """The smallest grid ``range(s_0) x ... x range(s_{d-1})`` holding the
-    points, as its per-axis sizes and row-major strides."""
-    shape = [max(column) + 1 for column in zip(*points)]
-    strides = list(accumulate([1] + shape[:0:-1], mul))[::-1]
-    return shape, strides
+# -- the flat lexicographic grid ------------------------------------------------
+#
+# A grid range(s_0) x ... x range(s_{d-1}) is held as one flat list in
+# lexicographic (row-major) order: point (i_0, ..., i_{d-1}) sits at position
+# sum_a i_a * stride_a, the last axis with stride 1.
+
+def grid_strides(sizes: Sequence[int]) -> tuple[list[int], int]:
+    """Per-axis strides of the flat lex grid, and its number of points."""
+    strides = [0] * len(sizes)
+    acc = 1
+    for a in range(len(sizes) - 1, -1, -1):
+        strides[a] = acc
+        acc *= sizes[a]
+    return strides, acc
+
+
+def scatter(view) -> tuple[list[int], list[list[int]]]:
+    """An integer view ``(weights, ranks, sizes)`` laid out on the flat lex
+    grid of its ranks: ``cells[k]`` is the weight at grid point k and
+    ``lines[a][i]`` the weight of rank i on axis a, its marginal line."""
+    weights, ranks, sizes = view
+    strides, total = grid_strides(sizes)
+    cells = [0] * total
+    lines = [[0] * size for size in sizes]
+    for rank, w in zip(ranks, weights):
+        cells[sum(map(mul, rank, strides))] += w
+        for line, i in zip(lines, rank):
+            line[i] += w
+    return cells, lines
+
+
+def orthant_sums(cells: list[int], sizes: Sequence[int], reverse: bool) -> list[int]:
+    """The flat lex grid summed over every lower orthant, or every upper one
+    if reverse, in place, by prefix (suffix) sums along one axis at a time.
+
+    Position k of the axis with stride ``step`` is the run of ``step`` cells
+    at ``k * step`` in every block of ``step * size`` cells. Each position
+    takes in its neighbour's sums one slice at a time: one contiguous slice
+    per block, or one strided slice across the blocks per offset within the
+    run, whichever are fewer.
+    """
+    step = len(cells)
+    for size in sizes:
+        step //= size
+        period = step * size
+        blocks = len(cells) // period
+        for k in (range(size - 2, -1, -1) if reverse else range(1, size)):
+            dst = k * step
+            src = dst + step if reverse else dst - step
+            if blocks <= step:
+                for base in range(0, len(cells), period):
+                    lo, hi = base + dst, base + src
+                    cells[lo:lo + step] = map(add, cells[lo:lo + step], cells[hi:hi + step])
+            else:
+                for j in range(step):
+                    cells[dst + j::period] = map(add, cells[dst + j::period],
+                                                 cells[src + j::period])
+    return cells
+
+
+def outer_product(lines: Sequence[Sequence[int]]) -> list[int]:
+    """The outer product of one line per axis, on the flat lex grid."""
+    out = [1]
+    for line in lines:
+        out = [p * m for p in out for m in line]
+    return out
 
 
 def grid_covers(points: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -69,7 +141,8 @@ def grid_covers(points: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     lexicographic order, as index pairs ``(a, b)``, ascending. They are the
     cover pairs when the points are interval closed in the grid, as the
     nonempty labels of a tail grid are (docs/theory.md section 6)."""
-    shape, strides = _grid(points)
+    shape = [max(column) + 1 for column in zip(*points)]
+    strides, _ = grid_strides(shape)
     flat = [sum(map(mul, p, strides)) for p in points]
     index = dict(zip(flat, range(len(points))))
     # the last axis has the shortest stride, so its step comes first
@@ -81,29 +154,13 @@ def grid_covers(points: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
 
 def grid_comparable_pairs(points: Sequence[Sequence[int]]) -> int:
     """The number of pairs of distinct grid points with ``a <= b``
-    componentwise, by prefix sums over the grid (dominance counting).
-
-    ``cells[f]`` ends as the number of points at or below grid point f. An
-    axis with stride ``step`` and size ``size`` is summed along either each
-    of its ``step`` residues at once or each of its outer blocks at once,
-    whichever takes fewer slices.
-    """
-    shape, strides = _grid(points)
-    total = shape[0] * strides[0] if points else 0
-    cells = [0] * total
-    flat = [sum(map(mul, p, strides)) for p in points]
-    for f in flat:
-        cells[f] = 1
-    for size, step in zip(shape, strides):
-        block = size * step
-        for k in range(step, block, step):
-            if step <= total // block:
-                for r in range(k, k + step):
-                    cells[r::block] = map(add, cells[r::block], cells[r - step::block])
-            else:
-                for lo in range(k, total, block):
-                    cells[lo:lo + step] = map(add, cells[lo:lo + step], cells[lo - step:lo])
-    return sum(map(cells.__getitem__, flat)) - len(flat)
+    componentwise (dominance counting): the lower-orthant sums of the
+    points' indicator count the points at or below each grid point, and
+    summed over the points they count each point with itself too."""
+    shape = [max(column) + 1 for column in zip(*points)]
+    indicator, _ = scatter(([1] * len(points), points, shape))
+    below = orthant_sums(list(indicator), shape, False)
+    return sum(map(mul, indicator, below)) - len(points)
 
 
 @dataclass(frozen=True)

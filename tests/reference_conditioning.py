@@ -32,7 +32,6 @@ from negdep.checks import (
     RegressionWitness,
     Verdict,
     WEAK,
-    _ext_leq,
     _subsets,
     _tail_event,
 )
@@ -51,7 +50,7 @@ from negdep.stochorder import (
     require_agreement,
     st_leq_coupling,
 )
-from negdep.uppersets import enumerate_upper_index_sets, from_members
+from negdep.uppersets import componentwise_leq, enumerate_upper_index_sets, from_members
 
 ZERO = Fraction(0)
 
@@ -286,7 +285,7 @@ def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
     pairs_examined = 0
     for a_pos, low in enumerate(live):
         for high in live[a_pos + 1:]:
-            if not _ext_leq(low, high):
+            if not componentwise_leq(low, high):
                 continue
             pairs_examined += 1
             mask_lo, mask_hi = masks[low], masks[high]
@@ -381,7 +380,7 @@ def _scan_conjecture_partition(args):
         for high in live[a_pos + 1:]:
             flat_low = low[0] + low[1] + low[2]
             flat_high = high[0] + high[1] + high[2]
-            if not _ext_leq(flat_low, flat_high):
+            if not componentwise_leq(flat_low, flat_high):
                 continue
             pairs += 1
             m_lo, m_hi = masks[low], masks[high]

@@ -160,13 +160,13 @@ def tied_laws(draw, min_dim=2, max_dim=4):
 
 def test_tail_masks_follow_the_variant_mapping():
     # ranks 0, 1, 2 hold atoms {0}, {1, 2}, {3}
-    eq = [0b0001, 0b0110, 0b1000]
-    assert tail_masks(eq, "<=", sentinel=True) == [0b0001, 0b0111, 0b1111, 0b1111]
-    assert tail_masks(eq, "<", sentinel=True) == [0b0000, 0b0001, 0b0111, 0b1111]
-    assert tail_masks(eq, ">", sentinel=True) == [0b1111, 0b1110, 0b1000, 0b0000]
-    assert tail_masks(eq, ">=", sentinel=True) == [0b1111, 0b1111, 0b1110, 0b1000]
-    assert tail_masks(eq, ">=", sentinel=False) == [0b1111, 0b1110, 0b1000]
-    assert tail_masks(eq, "<=", sentinel=False) == [0b0001, 0b0111, 0b1111]
+    ranks = [0, 1, 1, 2]
+    assert tail_masks(ranks, 3, "<=", sentinel=True) == [0b0001, 0b0111, 0b1111, 0b1111]
+    assert tail_masks(ranks, 3, "<", sentinel=True) == [0b0000, 0b0001, 0b0111, 0b1111]
+    assert tail_masks(ranks, 3, ">", sentinel=True) == [0b1111, 0b1110, 0b1000, 0b0000]
+    assert tail_masks(ranks, 3, ">=", sentinel=True) == [0b1111, 0b1111, 0b1110, 0b1000]
+    assert tail_masks(ranks, 3, ">=", sentinel=False) == [0b1111, 0b1110, 0b1000]
+    assert tail_masks(ranks, 3, "<=", sentinel=False) == [0b0001, 0b0111, 0b1111]
     # weak upper tails are the strict events {X > t}, strict ones {X >= t}
     assert checks._TAIL_OPS == {("lower", "weak"): "<=", ("lower", "strict"): "<",
                                 ("upper", "weak"): ">", ("upper", "strict"): ">="}

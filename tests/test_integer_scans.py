@@ -2,12 +2,15 @@
 and against laws that are negatively associated by theorem."""
 
 import json
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from negdep import (
+    NEG_INF,
+    FixedDraw,
     audit_implications,
     check_conjecture,
     check_na,
@@ -17,6 +20,8 @@ from negdep import (
     checks,
     cli,
     distributions,
+    equal_strength,
+    knockout_fixed_draw,
     make_pmf,
     permutation_distribution,
     product,
@@ -148,3 +153,38 @@ def test_check_command_reads_the_view_with_the_law(monkeypatch, tmp_path, capsys
     assert cli.main(["check", str(path), "--props", "nsmd,nlod,nod,nrd1", "-o", report]) == 0
     assert calls == []
     assert caches[0].view == view(law) and caches[0].view.axes == view(law).axes
+
+
+def test_orthant_scans_sum_the_support_grid_only(monkeypatch):
+    # the upper side reads position 0 as the -inf corner and builds no
+    # sentinel row, yet counts its corners as on the grid that has one
+    sums = []
+    kernel = checks.orthant_sums
+    monkeypatch.setattr(checks, "orthant_sums",
+                        lambda cells, sizes, reverse: sums.append(len(cells))
+                        or kernel(cells, sizes, reverse))
+    laws = (knockout_fixed_draw(equal_strength(3, FixedDraw(tuple(range(1, 9))))),
+            permutation_distribution(range(6)))
+    for d in laws:
+        sizes = [len(axis) for axis in d.support_grid()]
+        for checker, counted in ((check_nlod, sizes), (check_nuod, [s + 1 for s in sizes])):
+            sums.clear()
+            verdict = checker(d)
+            assert sums == [math.prod(sizes)]
+            assert verdict.holds and verdict.stats.conditioning_pairs == math.prod(counted)
+
+
+def test_nuod_counts_the_sentinel_corners_before_its_witness():
+    # X_2 is independent of (X_1, X_3), which are positively dependent: the
+    # first failing upper corner is (X_1 > -1/2, X_3 > 1/3), at position 13
+    # of the 3 x 3 x 4 sentinel grid, after the six corners with X_2 > 1 or
+    # X_3 > 5/2, whose events are empty; it is position 7 of the support grid
+    rows = [((x1, x2, x3), F(w, 8)) for x2 in (0, 1)
+            for (x1, x3), w in (((F(-1, 2), F(1, 3)), 2), ((F(2), F(1)), 1),
+                                ((F(2), F(5, 2)), 1))]
+    d = make_pmf(3, rows)
+    got, want = check_nuod(d), ref.check_nuod(d)
+    assert repr(got) == repr(want)
+    assert got.witness.corner == (F(-1, 2), NEG_INF, F(1, 3))
+    assert got.stats.conditioning_pairs == 14
+    assert repr(check_nod(d)) == repr(ref.check_nod(d))

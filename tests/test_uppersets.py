@@ -1,13 +1,16 @@
+import functools
 import itertools
 from fractions import Fraction
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negdep import EnumerationCapExceeded, count_upper_sets, enumerate_upper_sets
-from negdep.stochorder import SupportUnion, cut_violation
+from negdep.stochorder import IntegerLaw, RankPacking, SupportUnion, _above_masks, cut_violation
 from negdep.uppersets import (
+    at_or_above,
     componentwise_leq,
     from_members,
     grid_comparable_pairs,
@@ -124,3 +127,41 @@ def test_unit_steps_are_the_covers_of_an_up_set(points):
     up = sorted({q for p in points for q in itertools.product(*map(range, shape))
                  if componentwise_leq(p, q)})
     assert sorted(grid_covers(up)) == poset_covers(up)[0]
+
+
+@st.composite
+def points_and_queries(draw):
+    """Points in a small grid with a one-value axis, kept below the top value
+    of every longer axis, and query points that may sit above them all."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    shape[draw(st.integers(0, len(shape) - 1))] = 1
+    points = draw(st.lists(st.tuples(*(st.integers(0, max(s - 2, 0)) for s in shape)),
+                           min_size=1, max_size=12))
+    queries = draw(st.lists(st.tuples(*(st.integers(0, s - 1) for s in shape)),
+                            min_size=1, max_size=8))
+    return shape, points, queries + [tuple(s - 1 for s in shape)]
+
+
+def _brute_above(points, q):
+    return sum(1 << j for j, p in enumerate(points) if componentwise_leq(q, p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points_and_queries())
+def test_at_or_above_bitsets_match_brute_force(case):
+    shape, points, queries = case
+    tables = [at_or_above(column, size) for column, size in zip(zip(*points), shape)]
+    for table, size in zip(tables, shape):
+        assert len(table) == size + 1 and table[size] == 0
+    for q in queries + [tuple(shape)]:  # shape itself reads every table's last entry
+        assert functools.reduce(and_, map(list.__getitem__, tables, q)) == _brute_above(points, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points_and_queries())
+def test_coupling_masks_match_brute_force(case):
+    shape, points, queries = case
+    packing = RankPacking(shape)
+    laws = [IntegerLaw(tuple(map(packing.pack, xs)), (1,) * len(xs), len(xs))
+            for xs in (queries, points)]
+    assert _above_masks(*laws, packing.guards) == [_brute_above(points, q) for q in queries]
