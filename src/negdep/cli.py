@@ -97,7 +97,7 @@ def _cmd_check(args) -> int:
 
     def write_report():
         _write_report(build_check_report(d, verdicts, caps, settings=_settings(args),
-                                         timings_ms=timings), args)
+                                         timings_ms=timings, view=view), args)
 
     try:
         for prop in props:

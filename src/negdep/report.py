@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from fractions import Fraction
 
 from .checks import (
     AssociationWitness,
@@ -23,9 +24,9 @@ from .checks import (
     SupermodularWitness,
     Verdict,
 )
-from .distributions import FiniteJointDistribution, to_json_dict
+from .distributions import FiniteJointDistribution, IntegerView, to_json_dict
 from .errors import Caps
-from .rationals import format_extended
+from .rationals import format_extended, format_rational
 
 ARTIFACT_VERSION = "0.2.0"
 
@@ -34,9 +35,27 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def distribution_digest(d: FiniteJointDistribution) -> str:
-    blob = canonical_json(to_json_dict(d)).encode()
-    return "sha256:" + hashlib.sha256(blob).hexdigest()
+def distribution_digest(d: FiniteJointDistribution, view: IntegerView | None = None) -> str:
+    """The sha256 of the law's canonical text, ``canonical_json(to_json_dict(d))``.
+
+    Given the law's integer view, the text is joined from strings formatted
+    once each: every value-table entry, and every distinct weight w as
+    w / sum(weights). The view's rows are in atom order, and the strings hold
+    only digits, "-" and "/", which JSON writes as they are. Without a view
+    the law is serialised, which costs less than building its view.
+    """
+    if view is None:
+        text = canonical_json(to_json_dict(d))
+    else:
+        weights, ranks, _ = view
+        total = sum(weights)
+        heads = {w: f'{{"p":"{format_rational(Fraction(w, total))}","x":['
+                 for w in set(weights)}
+        tables = [[f'"{format_rational(v)}"' for v in axis] for axis in view.axes]
+        atoms = ",".join(heads[w] + ",".join(map(list.__getitem__, tables, r)) + "]}"
+                         for w, r in zip(weights, ranks))
+        text = f'{{"atoms":[{atoms}],"dim":{d.dim}}}\n'
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 _WITNESS_TYPES = {
@@ -108,11 +127,12 @@ class Report:
 
 
 def build_check_report(d: FiniteJointDistribution, verdicts: list[Verdict],
-                       caps: Caps, settings: dict, timings_ms: dict) -> Report:
+                       caps: Caps, settings: dict, timings_ms: dict,
+                       view: IntegerView | None = None) -> Report:
     payload = {
         "artifact_version": ARTIFACT_VERSION,
         "kind": "check",
-        "input_digest": distribution_digest(d),
+        "input_digest": distribution_digest(d, view),
         "caps": caps_json(caps),
         "settings": settings,
         "checks": [verdict_json(v) for v in verdicts],

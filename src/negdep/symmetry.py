@@ -31,8 +31,10 @@ class _OverBudget(Exception):
     pass
 
 
-def is_automorphism(view, axes: Sequence[tuple], perm: Sequence[int]) -> bool:
-    """Exactly: does moving coordinate a to ``perm[a]`` preserve the law?"""
+def is_automorphism(view, axes: Sequence[tuple], perm: Sequence[int],
+                    law: dict | None = None) -> bool:
+    """Exactly: does moving coordinate a to ``perm[a]`` preserve the law?
+    ``law`` is the view's ``rank tuple -> weight`` dict, if the caller keeps it."""
     weights, ranks, _ = view
     if sorted(perm) != list(range(len(axes))) or len(axes) < 2:
         return False
@@ -42,7 +44,8 @@ def is_automorphism(view, axes: Sequence[tuple], perm: Sequence[int]) -> bool:
     for a, b in enumerate(perm):
         inverse[b] = a
     move = itemgetter(*inverse)  # the moved atom reads axis b from axis inverse[b]
-    law = dict(zip(ranks, weights))
+    if law is None:
+        law = dict(zip(ranks, weights))
     # the move is injective on the atoms, so equal weights everywhere make it
     # a bijection of the support
     return list(map(law.get, map(move, ranks))) == list(weights)
@@ -55,9 +58,10 @@ def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[t
     The stabilizer levels are searched deepest first. Level i looks for maps
     that fix 0..i-1 and send i to each t > i of its colour that the
     generators found so far cannot already reach from i (orbit closure), so
-    the symmetric group on n coordinates takes n - 1 searches. A failed
-    search also rules out the orbit of t. Past ``budget`` nodes the
-    generators found so far are returned.
+    the symmetric group on n coordinates takes n - 1 searches. Each search
+    first checks the transposition (i t) exactly, and walks the 2-D tables
+    only when that fails. A failed search also rules out the orbit of t.
+    Past ``budget`` nodes the generators found so far are returned.
     """
     weights, ranks, sizes = view
     n = len(sizes)
@@ -71,6 +75,7 @@ def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[t
         return []
     columns = list(zip(*ranks))
     tables: dict[tuple[int, int], list[int]] = {}
+    law = dict(zip(ranks, weights))
 
     def table(a: int, c: int) -> list[int]:
         """The 2-D marginal weights of axes (a, c), flattened; the table of
@@ -78,10 +83,7 @@ def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[t
         t = tables.get((a, c))
         if t is None:
             sa, sc = sizes[a], sizes[c]
-            t = [0] * (sa * sc)
-            for x, y, w in zip(columns[a], columns[c], weights):
-                t[x * sc + y] += w
-            tables[a, c] = t
+            t = tables[a, c] = _marginal_table(columns[a], columns[c], weights, sa, sc)
             tables[c, a] = [t[x * sc + y] for y in range(sc) for x in range(sa)]
         return t
 
@@ -93,7 +95,7 @@ def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[t
     def extend(perm: list[int], used: set[int], j: int, first: int | None) -> bool:
         nonlocal nodes
         if j == n:
-            return is_automorphism(view, axes, perm)
+            return is_automorphism(view, axes, perm, law)
         for b in choices[j] if first is None else (first,):
             if b in used:
                 continue
@@ -117,15 +119,34 @@ def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[t
             for t in range(i + 1, n):
                 if colours[t] != colours[i] or t in reached or t in ruled_out:
                     continue
-                perm = list(range(i))
-                if extend(perm, set(perm), i, t):
-                    found.append(tuple(perm))
-                    reached = _orbit(i, found)
+                perm = list(range(n))
+                perm[i], perm[t] = t, i
+                if is_automorphism(view, axes, perm, law):
+                    # the transposition is the search's first leaf, and its
+                    # path costs n - i nodes (docs/theory.md section 11)
+                    nodes -= n - i
+                    if nodes < 0:
+                        raise _OverBudget
                 else:
-                    ruled_out |= _orbit(t, found)
+                    perm = list(range(i))
+                    if not extend(perm, set(perm), i, t):
+                        ruled_out |= _orbit(t, found)
+                        continue
+                found.append(tuple(perm))
+                reached = _orbit(i, found)
     except _OverBudget:
         pass
     return found
+
+
+def _marginal_table(xs: Sequence[int], ys: Sequence[int], weights: Sequence[int],
+                    sx: int, sy: int) -> list[int]:
+    """The 2-D marginal weights of two rank columns with ``sx`` and ``sy``
+    values, flattened row by row."""
+    t = [0] * (sx * sy)
+    for x, y, w in zip(xs, ys, weights):
+        t[x * sy + y] += w
+    return t
 
 
 def _orbit(point: int, gens: Sequence[Sequence[int]]) -> set[int]:

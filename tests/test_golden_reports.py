@@ -34,7 +34,7 @@ from negdep.distributions import to_json_dict
 from negdep.errors import Caps
 from negdep.report import canonical_json, witness_json
 
-from .test_symmetry import EXCHANGEABLE
+from .test_symmetry import EXCHANGEABLE, _eight_player
 
 F = Fraction
 
@@ -91,6 +91,15 @@ CHECK_DIGESTS = {
         (1, "9c393c172297cbc60b2256a43f1ed18ee164a90990b93244e52acc4172d00964"),
 }
 
+# draw -> (flags, exit code, sha256 of the `check` report): the 8-player
+# laws and the commands of the benchmark's regression workload
+EIGHT_PLAYER_DIGESTS = {
+    "fixed": (["--props", "nrtd", "--max-j", "1"], 0,
+              "134b342a0fa153dcd7402d2d7a2e666f104fa0f299858fb465bc54d52ade975d"),
+    "random": (["--props", "nrd1"], 0,
+               "25b5c985958b2122a6ce0a92cd1b48288f304e18f390cbbcf7e3443940668621"),
+}
+
 # sha256 of canonical_json(witness_json(w)) for one witness of each type
 WITNESS_DIGESTS = {
     "orthant": "6262d0d56994a1cc5e3a1de581d0a3aa548bc5e2f19862240cb68c1e092b5ef8",
@@ -132,6 +141,16 @@ def test_check_report_bytes(law, variant, st_mode, request, tmp_path, no_env_cap
     code = main(["check", str(path), "--props", ALL_PROPS, "--variant", variant,
                  "--st-mode", st_mode, "-o", str(out)])
     assert (code, _sha(out.read_bytes())) == CHECK_DIGESTS[law, variant, st_mode]
+
+
+@pytest.mark.parametrize("draw", sorted(EIGHT_PLAYER_DIGESTS))
+def test_eight_player_report_bytes(draw, tmp_path, no_env_caps):
+    flags, code, digest = EIGHT_PLAYER_DIGESTS[draw]
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(to_json_dict(_eight_player(draw))))
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), *flags, "--jobs", "1", "-o", str(out)]) == code
+    assert _sha(out.read_bytes()) == digest
 
 
 def _noncanonical(d) -> dict:

@@ -1,7 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negdep import (
     audit_implications,
@@ -17,6 +20,7 @@ from negdep import (
 from negdep import checks
 from negdep.checks import PROPERTIES, ConjectureReport, LawCache, _scan_conjecture_partition
 from negdep.cli import main
+from negdep.distributions import integer_view, parse_law
 from negdep.errors import CAPS_ENV_VAR, Caps
 from negdep.fixtures import run_fixture
 from negdep.report import (
@@ -29,6 +33,8 @@ from negdep.report import (
 )
 
 from .conftest import TABLE1_ROWS
+from .strategies import finite_distributions
+from .test_golden_reports import _noncanonical
 
 F = Fraction
 
@@ -410,6 +416,37 @@ class TestConjectureCli:
 
     def test_guard(self):
         assert main(["conjecture", "-n", "6", "--jobs", "1"]) == 2
+
+
+# negative, integer and fractional values
+_DIGEST_VALUES = [F(0), F(1), F(-1), F(12), F(-7), F(1, 2), F(-3, 4), F(5, 3)]
+
+digest_laws = st.one_of(
+    finite_distributions(min_dim=1, max_dim=5, max_atoms=8, values=_DIGEST_VALUES),
+    finite_distributions(min_dim=1, max_dim=5, max_atoms=1, values=_DIGEST_VALUES))
+
+
+def _canonical_digest(d) -> str:
+    return "sha256:" + hashlib.sha256(canonical_json(to_json_dict(d)).encode()).hexdigest()
+
+
+@settings(max_examples=150, deadline=None)
+@given(digest_laws)
+def test_digest_from_the_view_is_the_digest_of_the_canonical_text(d):
+    assert distribution_digest(d, integer_view(d)) == _canonical_digest(d)
+    assert distribution_digest(d) == _canonical_digest(d)
+    assert distribution_digest(*parse_law(_noncanonical(d))) == _canonical_digest(d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(finite_distributions(min_dim=2, max_dim=5, max_atoms=8, values=_DIGEST_VALUES))
+def test_check_digests_the_canonical_text_of_a_noncanonical_file(tmp_path_factory, d):
+    # atoms shuffled, split and spelled anew: one law, one digest
+    path = tmp_path_factory.mktemp("law") / "law.json"
+    path.write_text(json.dumps(_noncanonical(d)))
+    out = path.with_suffix(".report.json")
+    assert main(["check", str(path), "--props", "nlod", "-o", str(out)]) in (0, 1)
+    assert json.loads(out.read_text())["input_digest"] == _canonical_digest(d)
 
 
 class TestReportFormat:

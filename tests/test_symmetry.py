@@ -1,6 +1,7 @@
 """Coordinate automorphisms and orbit skipping: every verdict, witness, stat
 and report byte is what the checkers give when every cell is scanned."""
 
+import functools
 import itertools
 import json
 import random
@@ -28,13 +29,14 @@ from negdep import (
     permutation_distribution,
     to_json_dict,
 )
-from negdep import checks, supermodular
+from negdep import checks, supermodular, symmetry
 from negdep.checks import LawCache, _subsets
 from negdep.cli import main
 from negdep.errors import InternalConsistencyError
 from negdep.simplex import INFEASIBLE
 from negdep.symmetry import generators, is_automorphism, orbit_leaders, stabilizer
 
+from . import reference_symmetry
 from .strategies import finite_distributions
 
 F = Fraction
@@ -208,6 +210,71 @@ def test_a_symmetric_group_yields_one_transposition_per_level():
     # transpositions of neighbours, found deepest level first
     d = permutation_distribution([0, 0, 1, 2, 3])
     assert _gens(d) == [(0, 1, 2, 4, 3), (0, 1, 3, 2, 4), (0, 2, 1, 3, 4), (1, 0, 2, 3, 4)]
+
+
+# -- the search against the reference search -------------------------------------
+
+@functools.cache
+def _eight_player(draw):
+    if draw == "fixed":
+        return knockout_fixed_draw(equal_strength(3, FixedDraw(tuple(range(1, 9)))))
+    return knockout_random_draw(equal_strength(3, RandomDraw()))
+
+
+def _assert_reference_generators(d):
+    view = LawCache(d).view
+    assert generators(view, view.axes) == reference_symmetry.generators(view, view.axes)
+    for budget in range(41):
+        assert (generators(view, view.axes, budget)
+                == reference_symmetry.generators(view, view.axes, budget)), budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(symmetric_laws,
+                 finite_distributions(min_dim=2, max_dim=4, max_atoms=6, values=_POOL)))
+def test_generators_match_the_reference_at_every_budget(d):
+    _assert_reference_generators(d)
+
+
+@pytest.mark.parametrize("law", [
+    lambda: XOR,
+    lambda: permutation_distribution([0, 1, 2, 3, 4]),
+    lambda: permutation_distribution([0, 0, 1, 2, 3]),
+    lambda: permutation_distribution([0, 1, 1, 2]),
+    lambda: _eight_player("fixed"),
+    lambda: _eight_player("random"),
+], ids=["xor", "perm-01234", "perm-00123", "perm-0112", "fixed-draw-8", "random-draw-8"])
+def test_generators_match_the_reference_on_named_laws(law):
+    _assert_reference_generators(law())
+
+
+def _counted_search(monkeypatch, d):
+    """The generators of d, and how many 2-D tables and exact checks the
+    search made to find them."""
+    counts = {"tables": 0, "checks": 0}
+    for name, key in (("_marginal_table", "tables"), ("is_automorphism", "checks")):
+        def counting(*args, _call=getattr(symmetry, name), _key=key):
+            counts[_key] += 1
+            return _call(*args)
+        monkeypatch.setattr(symmetry, name, counting)
+    view = LawCache(d).view
+    return generators(view, view.axes), counts
+
+
+def test_the_random_draw_law_needs_no_table_search(monkeypatch):
+    # the law is exchangeable: level i's first target, i + 1, is a
+    # transposition, so each of the 7 levels makes one exact check and the
+    # 2-D tables are never read
+    gens, counts = _counted_search(monkeypatch, _eight_player("random"))
+    assert len(gens) == 7
+    assert counts == {"tables": 0, "checks": 7}
+
+
+def test_a_block_swap_still_walks_the_tables(monkeypatch):
+    # the fixed draw's swaps of whole sub-brackets are not transpositions
+    gens, counts = _counted_search(monkeypatch, _eight_player("fixed"))
+    assert len(_group(gens, 8)) == 128
+    assert counts["tables"] > 0
 
 
 # -- orbits ---------------------------------------------------------------------
