@@ -24,7 +24,7 @@ from .checks import (
     SupermodularWitness,
     Verdict,
 )
-from .distributions import FiniteJointDistribution, IntegerView, to_json_dict
+from .distributions import FiniteJointDistribution, IntegerView
 from .errors import Caps
 from .rationals import format_extended, format_rational
 
@@ -35,26 +35,22 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def distribution_digest(d: FiniteJointDistribution, view: IntegerView | None = None) -> str:
-    """The sha256 of the law's canonical text, ``canonical_json(to_json_dict(d))``.
+def distribution_digest(d: FiniteJointDistribution, view: IntegerView) -> str:
+    """The sha256 of the law's canonical text, ``canonical_json(to_json_dict(d))``,
+    joined from its integer view.
 
-    Given the law's integer view, the text is joined from strings formatted
-    once each: every value-table entry, and every distinct weight w as
-    w / sum(weights). The view's rows are in atom order, and the strings hold
-    only digits, "-" and "/", which JSON writes as they are. Without a view
-    the law is serialised, which costs less than building its view.
+    Every value-table entry and every distinct weight w, as w / sum(weights),
+    is formatted once. The view's rows are in atom order, and the strings
+    hold only digits, "-" and "/", which JSON writes as they are.
     """
-    if view is None:
-        text = canonical_json(to_json_dict(d))
-    else:
-        weights, ranks, _ = view
-        total = sum(weights)
-        heads = {w: f'{{"p":"{format_rational(Fraction(w, total))}","x":['
-                 for w in set(weights)}
-        tables = [[f'"{format_rational(v)}"' for v in axis] for axis in view.axes]
-        atoms = ",".join(heads[w] + ",".join(map(list.__getitem__, tables, r)) + "]}"
-                         for w, r in zip(weights, ranks))
-        text = f'{{"atoms":[{atoms}],"dim":{d.dim}}}\n'
+    weights, ranks, _ = view
+    total = sum(weights)
+    heads = {w: f'{{"p":"{format_rational(Fraction(w, total))}","x":['
+             for w in set(weights)}
+    tables = [[f'"{format_rational(v)}"' for v in axis] for axis in view.axes]
+    atoms = ",".join(heads[w] + ",".join(map(list.__getitem__, tables, r)) + "]}"
+                     for w, r in zip(weights, ranks))
+    text = f'{{"atoms":[{atoms}],"dim":{d.dim}}}\n'
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -128,7 +124,7 @@ class Report:
 
 def build_check_report(d: FiniteJointDistribution, verdicts: list[Verdict],
                        caps: Caps, settings: dict, timings_ms: dict,
-                       view: IntegerView | None = None) -> Report:
+                       view: IntegerView) -> Report:
     payload = {
         "artifact_version": ARTIFACT_VERSION,
         "kind": "check",

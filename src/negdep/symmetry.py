@@ -17,7 +17,7 @@ searched (docs/theory.md section 11).
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import NamedTuple, Sequence
 
 from .stochorder import RankPacking
@@ -31,11 +31,9 @@ class _OverBudget(Exception):
     pass
 
 
-def is_automorphism(view, axes: Sequence[tuple], perm: Sequence[int],
-                    law: dict | None = None) -> bool:
-    """Exactly: does moving coordinate a to ``perm[a]`` preserve the law?
-    ``law`` is the view's ``rank tuple -> weight`` dict, if the caller keeps it."""
-    weights, ranks, _ = view
+def is_automorphism(law: dict, axes: Sequence[tuple], perm: Sequence[int]) -> bool:
+    """Exactly: does moving coordinate a to ``perm[a]`` preserve the law,
+    given as its integer view's ``rank tuple -> weight`` dict?"""
     if sorted(perm) != list(range(len(axes))) or len(axes) < 2:
         return False
     if any(axes[a] != axes[b] for a, b in enumerate(perm)):
@@ -44,11 +42,9 @@ def is_automorphism(view, axes: Sequence[tuple], perm: Sequence[int],
     for a, b in enumerate(perm):
         inverse[b] = a
     move = itemgetter(*inverse)  # the moved atom reads axis b from axis inverse[b]
-    if law is None:
-        law = dict(zip(ranks, weights))
     # the move is injective on the atoms, so equal weights everywhere make it
-    # a bijection of the support
-    return list(map(law.get, map(move, ranks))) == list(weights)
+    # a bijection of the support; the first unequal weight decides
+    return all(map(eq, map(law.get, map(move, law)), law.values()))
 
 
 def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[tuple[int, ...]]:
@@ -59,9 +55,10 @@ def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[t
     that fix 0..i-1 and send i to each t > i of its colour that the
     generators found so far cannot already reach from i (orbit closure), so
     the symmetric group on n coordinates takes n - 1 searches. Each search
-    first checks the transposition (i t) exactly, and walks the 2-D tables
-    only when that fails. A failed search also rules out the orbit of t.
-    Past ``budget`` nodes the generators found so far are returned.
+    first checks the transposition (i t) exactly, and walks the 2-D tables,
+    skipping that leaf, only when it fails. A failed search also rules out
+    the orbit of t. Past ``budget`` nodes the generators found so far are
+    returned.
     """
     weights, ranks, sizes = view
     n = len(sizes)
@@ -91,11 +88,12 @@ def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[t
     choices = [sorted((b for b in range(n) if colours[b] == colours[j]),
                       key=lambda b, j=j: (b != j, b)) for j in range(n)]
     nodes = budget
+    probe: list[int] = []  # the transposition tried ahead of each search
 
     def extend(perm: list[int], used: set[int], j: int, first: int | None) -> bool:
         nonlocal nodes
         if j == n:
-            return is_automorphism(view, axes, perm, law)
+            return perm != probe and is_automorphism(law, axes, perm)
         for b in choices[j] if first is None else (first,):
             if b in used:
                 continue
@@ -119,9 +117,9 @@ def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[t
             for t in range(i + 1, n):
                 if colours[t] != colours[i] or t in reached or t in ruled_out:
                     continue
-                perm = list(range(n))
-                perm[i], perm[t] = t, i
-                if is_automorphism(view, axes, perm, law):
+                perm = probe = list(range(n))
+                probe[i], probe[t] = t, i
+                if is_automorphism(law, axes, probe):
                     # the transposition is the search's first leaf, and its
                     # path costs n - i nodes (docs/theory.md section 11)
                     nodes -= n - i

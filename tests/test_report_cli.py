@@ -434,7 +434,6 @@ def _canonical_digest(d) -> str:
 @given(digest_laws)
 def test_digest_from_the_view_is_the_digest_of_the_canonical_text(d):
     assert distribution_digest(d, integer_view(d)) == _canonical_digest(d)
-    assert distribution_digest(d) == _canonical_digest(d)
     assert distribution_digest(*parse_law(_noncanonical(d))) == _canonical_digest(d)
 
 
@@ -451,12 +450,14 @@ def test_check_digests_the_canonical_text_of_a_noncanonical_file(tmp_path_factor
 
 class TestReportFormat:
     def test_digest_stable(self, table1):
-        assert distribution_digest(table1) == distribution_digest(table1)
-        assert distribution_digest(table1).startswith("sha256:")
+        view = integer_view(table1)
+        assert distribution_digest(table1, view) == distribution_digest(table1, view)
+        assert distribution_digest(table1, view).startswith("sha256:")
 
     def test_round_trip(self, table1):
         verdicts = [check_nrd(table1), check_na(table1)]
-        report = build_check_report(table1, verdicts, Caps(), {"props": "nrd,na"}, {})
+        report = build_check_report(table1, verdicts, Caps(), {"props": "nrd,na"}, {},
+                                    integer_view(table1))
         text = report.to_json()
         again = json.loads(text)
         assert again == report.payload

@@ -57,6 +57,12 @@ def _gens(d):
     return generators(work.view, work.view.axes)
 
 
+def _law(view):
+    """The view's ``rank tuple -> weight`` dict, as ``is_automorphism`` takes it."""
+    weights, ranks, _ = view
+    return dict(zip(ranks, weights))
+
+
 def _inverse_positions(perm):
     """1-based coordinates for ``permute_coordinates``: the law of Y with
     Y[perm[a]] = X[a]."""
@@ -168,7 +174,7 @@ def test_exact_check_rejects_what_two_dimensional_pruning_passes():
         assert (d.marginal([a + 1, c + 1])
                 == d.marginal([swap[a] + 1, swap[c] + 1]))
     work = LawCache(d)
-    assert not is_automorphism(work.view, work.view.axes, swap)
+    assert not is_automorphism(_law(work.view), work.view.axes, swap)
     # any two of X1, X2, X4 determine the third: the group is S_3 on them
     group = _group(generators(work.view, work.view.axes), 4)
     assert len(group) == 6
@@ -178,7 +184,7 @@ def test_exact_check_rejects_what_two_dimensional_pruning_passes():
 def test_exact_check_reads_the_value_tables():
     d = make_pmf(2, [((0, 5), F(1, 2)), ((1, 6), F(1, 2))])
     work = LawCache(d)
-    assert not is_automorphism(work.view, work.view.axes, (1, 0))
+    assert not is_automorphism(_law(work.view), work.view.axes, (1, 0))
     assert generators(work.view, work.view.axes) == []
 
 
@@ -192,7 +198,7 @@ def test_node_budget_keeps_the_generators_found_so_far():
     for budget in range(1, 40):
         partial = generators(work.view, work.view.axes, budget=budget)
         assert partial == full[:len(partial)]  # a prefix, so a subgroup
-        assert all(is_automorphism(work.view, work.view.axes, p) for p in partial)
+        assert all(is_automorphism(_law(work.view), work.view.axes, p) for p in partial)
         sizes.append(len(partial))
     assert sizes == sorted(sizes) and sizes[-1] == len(full)
     assert any(0 < size < len(full) for size in sizes)  # a proper subgroup
@@ -249,32 +255,48 @@ def test_generators_match_the_reference_on_named_laws(law):
 
 
 def _counted_search(monkeypatch, d):
-    """The generators of d, and how many 2-D tables and exact checks the
-    search made to find them."""
+    """The generators of d, how many 2-D tables and exact checks the search
+    made to find them, and the maps it checked, in order."""
     counts = {"tables": 0, "checks": 0}
-    for name, key in (("_marginal_table", "tables"), ("is_automorphism", "checks")):
-        def counting(*args, _call=getattr(symmetry, name), _key=key):
-            counts[_key] += 1
-            return _call(*args)
-        monkeypatch.setattr(symmetry, name, counting)
+    checked = []
+
+    def count_tables(*args, _call=symmetry._marginal_table):
+        counts["tables"] += 1
+        return _call(*args)
+
+    def count_checks(law, axes, perm, _call=symmetry.is_automorphism):
+        counts["checks"] += 1
+        checked.append(tuple(perm))
+        return _call(law, axes, perm)
+
+    monkeypatch.setattr(symmetry, "_marginal_table", count_tables)
+    monkeypatch.setattr(symmetry, "is_automorphism", count_checks)
     view = LawCache(d).view
-    return generators(view, view.axes), counts
+    return generators(view, view.axes), counts, checked
 
 
 def test_the_random_draw_law_needs_no_table_search(monkeypatch):
     # the law is exchangeable: level i's first target, i + 1, is a
     # transposition, so each of the 7 levels makes one exact check and the
     # 2-D tables are never read
-    gens, counts = _counted_search(monkeypatch, _eight_player("random"))
+    gens, counts, _ = _counted_search(monkeypatch, _eight_player("random"))
     assert len(gens) == 7
     assert counts == {"tables": 0, "checks": 7}
 
 
 def test_a_block_swap_still_walks_the_tables(monkeypatch):
     # the fixed draw's swaps of whole sub-brackets are not transpositions
-    gens, counts = _counted_search(monkeypatch, _eight_player("fixed"))
+    gens, counts, _ = _counted_search(monkeypatch, _eight_player("fixed"))
     assert len(_group(gens, 8)) == 128
     assert counts["tables"] > 0
+
+
+def test_a_failed_probe_is_not_checked_again_at_its_leaf(monkeypatch):
+    # on the XOR law the swap (2 3) passes every 2-D table, so the table
+    # search reaches it as a leaf after the probe has rejected it
+    _, _, checked = _counted_search(monkeypatch, XOR)
+    assert (0, 1, 3, 2) in checked
+    assert len(set(checked)) == len(checked)
 
 
 # -- orbits ---------------------------------------------------------------------
