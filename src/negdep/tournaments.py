@@ -11,22 +11,46 @@
   a fixed bracket (slots 2k-1 and 2k meet, winners of adjacent slot pairs
   meet next) or re-randomized uniformly over perfect matchings each round.
 
-Everything is enumerated exactly; zero-probability branches are dropped.
+All three laws are one chain on score vectors with int weights: a round robin
+steps once per game, a knockout once per round, and the two draws differ only
+in the matchings a round allows (docs/theory.md section 12). Everything is
+exact; zero-probability branches are dropped.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .distributions import FiniteJointDistribution, Vector, _sorted_atoms
+from .distributions import FiniteJointDistribution
 from .errors import SupportOutOfRange
 from .rationals import as_rational, format_rational
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+# -- the score chain ---------------------------------------------------------
+
+def _score_law(n: int, steps: Iterable[Callable], scale: int = 1) -> FiniteJointDistribution:
+    """Law of the score vector that a chain of steps reaches from all zeros.
+
+    A step maps a state to its (successor, int weight) pairs; states hold the
+    scores times ``scale`` (docs/theory.md section 12).
+    """
+    state = {(0,) * n: 1}
+    for step in steps:
+        merged: dict[tuple[int, ...], int] = {}
+        for scores, weight in state.items():
+            for successor, w in step(scores):
+                merged[successor] = merged.get(successor, 0) + weight * w
+        state = merged
+    total = sum(state.values())
+    # one Fraction per distinct score and weight, shared by the atoms
+    value = {s: Fraction(s, scale) for s in set().union(*state)}
+    prob = {w: Fraction(w, total) for w in set(state.values())}
+    return FiniteJointDistribution(n, tuple((tuple(map(value.get, scores)), prob[w])
+                                            for scores, w in sorted(state.items())))
 
 
 # -- round robin -----------------------------------------------------------
@@ -41,7 +65,7 @@ class PairScoreLaw:
     def __post_init__(self):
         if self.total <= 0:
             raise SupportOutOfRange(f"pair total {self.total} must be positive")
-        mass = ZERO
+        mass = 0
         for value, prob in self.law:
             if not (0 <= value <= self.total):
                 raise SupportOutOfRange(
@@ -85,20 +109,28 @@ def round_robin_spec(n: int, games: dict[tuple[int, int], PairScoreLaw]) -> Roun
 
 
 def round_robin_distribution(spec: RoundRobinSpec) -> FiniteJointDistribution:
-    """Joint law of the total scores; every atom sums to the sum of pair totals."""
-    pairs = [pair for pair, _ in spec.games]
-    laws = [law for _, law in spec.games]
-    merged: dict[Vector, Fraction] = {}
-    for combo in itertools.product(*(law.law for law in laws)):
-        scores = [ZERO] * spec.n
-        prob = ONE
-        for (i, j), law, (value, p) in zip(pairs, laws, combo):
-            scores[i - 1] += value
-            scores[j - 1] += law.total - value
-            prob *= p
-        key = tuple(scores)
-        merged[key] = merged.get(key, ZERO) + prob
-    return FiniteJointDistribution(spec.n, _sorted_atoms(merged))
+    """Joint law of the total scores; every atom sums to the sum of pair totals.
+
+    One chain step per game, on scores times the lcm of their denominators."""
+    scale = math.lcm(*(q.denominator for _, law in spec.games
+                       for q in (law.total, *(v for v, _ in law.law))))
+    return _score_law(spec.n, (_game_step(i - 1, j - 1, law, scale)
+                               for (i, j), law in spec.games), scale)
+
+
+def _game_step(i: int, j: int, law: PairScoreLaw, scale: int) -> Callable:
+    """Player i scores v and j total - v, with weight p times the law's lcm."""
+    lcm = math.lcm(*(p.denominator for _, p in law.law))
+    total = int(law.total * scale)
+    moves = [(int(v * scale), int(p * lcm)) for v, p in law.law]
+
+    def step(scores):
+        for v, w in moves:
+            successor = list(scores)
+            successor[i] += v
+            successor[j] += total - v
+            yield tuple(successor), w
+    return step
 
 
 # -- knockout ---------------------------------------------------------------
@@ -149,9 +181,6 @@ class KnockoutSpec:
     def n(self) -> int:
         return 2 ** self.rounds
 
-    def beats(self, i: int, j: int) -> Fraction:
-        return self.win_prob[i - 1][j - 1]
-
 
 def knockout_spec(rounds: int, win_prob: Sequence[Sequence], draw) -> KnockoutSpec:
     matrix = tuple(tuple(as_rational(p) for p in row) for row in win_prob)
@@ -163,7 +192,7 @@ def equal_strength(rounds: int, draw) -> KnockoutSpec:
     n = 2 ** rounds
     half = Fraction(1, 2)
     matrix = tuple(
-        tuple(ZERO if i == j else half for j in range(n)) for i in range(n)
+        tuple(Fraction(0) if i == j else half for j in range(n)) for i in range(n)
     )
     return KnockoutSpec(rounds, matrix, draw)
 
@@ -172,36 +201,16 @@ def knockout_fixed_draw(spec: KnockoutSpec) -> FiniteJointDistribution:
     """Exact law of rounds-won under the fixed bracket."""
     if not isinstance(spec.draw, FixedDraw):
         raise ValueError("spec does not carry a fixed draw")
+    # in bracket order, adjacent players with r wins won sibling sub-brackets
+    return _knockout_law(spec, [slot - 1 for slot in spec.draw.bracket],
+                         lambda players: (tuple(zip(players[::2], players[1::2])),))
 
-    def run(slots: tuple[int, ...]) -> dict:
-        """Map (winner, per-player scores tuple) -> probability for a sub-bracket."""
-        if len(slots) == 1:
-            player = slots[0]
-            return {(player, ((player, 0),)): ONE}
-        half = len(slots) // 2
-        left = run(slots[:half])
-        right = run(slots[half:])
-        out: dict = {}
-        for (wl, sl), pl in left.items():
-            for (wr, sr), pr in right.items():
-                base = pl * pr
-                for winner, loser in ((wl, wr), (wr, wl)):
-                    p = spec.beats(winner, loser)
-                    if p == 0:
-                        continue
-                    scores = tuple(sorted(
-                        (player, score + (1 if player == winner else 0))
-                        for player, score in sl + sr
-                    ))
-                    key = (winner, scores)
-                    out[key] = out.get(key, ZERO) + base * p
-        return out
 
-    merged: dict[Vector, Fraction] = {}
-    for (_, scores), prob in run(spec.draw.bracket).items():
-        vector = tuple(Fraction(score) for _, score in scores)  # sorted by player
-        merged[vector] = merged.get(vector, ZERO) + prob
-    return FiniteJointDistribution(spec.n, _sorted_atoms(merged))
+def knockout_random_draw(spec: KnockoutSpec) -> FiniteJointDistribution:
+    """Exact law of rounds-won when every round's pairing is uniformly random."""
+    if not isinstance(spec.draw, RandomDraw):
+        raise ValueError("spec does not carry a random draw")
+    return _knockout_law(spec, range(spec.n), _perfect_matchings)
 
 
 def _perfect_matchings(players: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -216,42 +225,32 @@ def _perfect_matchings(players: tuple[int, ...]) -> Iterator[tuple[tuple[int, in
             yield ((first, players[k]),) + sub
 
 
-def knockout_random_draw(spec: KnockoutSpec) -> FiniteJointDistribution:
-    """Exact law of rounds-won when every round's pairing is uniformly random.
-
-    After round k the survivors are exactly the players with k wins, so the
-    score vector is a sufficient state and mixtures merge as we go.
-    """
-    if not isinstance(spec.draw, RandomDraw):
-        raise ValueError("spec does not carry a random draw")
+def _knockout_law(spec: KnockoutSpec, order: Sequence[int],
+                  pairings: Callable) -> FiniteJointDistribution:
+    """One chain step per round: the players with r wins, listed in ``order``
+    (0-based), meet as each matching ``pairings`` gives, and each choice of
+    winners weighs the product of its win probabilities, each times the lcm
+    of the matrix's denominators."""
     n = spec.n
-    state: dict[tuple[int, ...], Fraction] = {(0,) * n: ONE}
-    for rnd in range(1, spec.rounds + 1):
-        target = rnd - 1
-        next_state: dict[tuple[int, ...], Fraction] = {}
-        for scores, prob in sorted(state.items()):
-            survivors = tuple(i for i in range(1, n + 1) if scores[i - 1] == target)
-            matchings = list(_perfect_matchings(survivors))
-            matching_prob = Fraction(1, len(matchings))
-            for matching in matchings:
-                base = prob * matching_prob
-                # every way to pick one winner per match
-                for winners in itertools.product(*(((a, b), (b, a)) for a, b in matching)):
-                    p = base
-                    for winner, loser in winners:
-                        p *= spec.beats(winner, loser)
-                        if p == 0:
-                            break
-                    if p == 0:
-                        continue
-                    new_scores = list(scores)
-                    for winner, _ in winners:
-                        new_scores[winner - 1] += 1
-                    key = tuple(new_scores)
-                    next_state[key] = next_state.get(key, ZERO) + p
-        state = next_state
-    merged = {tuple(Fraction(s) for s in scores): p for scores, p in state.items()}
-    return FiniteJointDistribution(n, _sorted_atoms(merged))
+    lcm = math.lcm(*(p.denominator for row in spec.win_prob for p in row))
+    beats = [[int(p * lcm) for p in row] for row in spec.win_prob]
+
+    def round_step(r: int) -> Callable:
+        def step(scores):
+            survivors = tuple(i for i in order if scores[i] == r)
+            for matching in pairings(survivors):
+                duels = [[(w, beats[w][l]) for w, l in ((a, b), (b, a)) if beats[w][l]]
+                         for a, b in matching]
+                for winners in itertools.product(*duels):
+                    successor = list(scores)
+                    weight = 1
+                    for w, q in winners:
+                        successor[w] += 1
+                        weight *= q
+                    yield tuple(successor), weight
+        return step
+
+    return _score_law(n, map(round_step, range(spec.rounds)))
 
 
 def knockout_distribution(spec: KnockoutSpec) -> FiniteJointDistribution:

@@ -3,6 +3,7 @@ and time budget, printing one pass line each. Run with `pytest -s
 tests/test_acceptance.py` to see the lines as they complete."""
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -31,6 +32,7 @@ from negdep import (
     st_leq_uppersets,
     supermodular_leq,
 )
+from negdep.cli import main
 from negdep.errors import Caps
 from negdep.fixtures import dominance_spec, run_fixture, three_player_spec
 from negdep.supermodular import verify_supermodular_witness
@@ -266,3 +268,17 @@ def test_criterion_16_fixed_draw_strict_right_tail():
     assert nrtd.holds and nrtd.definitive and nrtd.stats.cells == 254
     assert nrtd.stats.conditioning_pairs == 32_990_918
     _pass_line(16, "fixed-draw strict NRTD with no block cap", start, 5.0)
+
+
+def test_criterion_17_five_player_round_robin_build(tmp_path):
+    # 3^10 combinations of pair outcomes, but only 3,081 score vectors
+    pair = {"r": "2", "law": [["0", "1/4"], ["1", "1/2"], ["2", "1/4"]]}
+    spec = {"model": "round_robin", "n": 5,
+            "pairs": [{"i": i, "j": j, **pair} for i, j in itertools.combinations(range(1, 6), 2)]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "law.json"
+    start = time.monotonic()
+    assert main(["build", str(tmp_path / "spec.json"), "-o", str(out)]) == 0
+    law = json.loads(out.read_text())
+    assert law["dim"] == 5 and len(law["atoms"]) == 3081
+    _pass_line(17, "5-player round robin build", start, 3.0)

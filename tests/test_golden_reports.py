@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from negdep import (
+    FixedDraw,
     RandomDraw,
     check_na,
     check_nlod,
@@ -25,13 +26,18 @@ from negdep import (
     check_nsmd,
     check_stoch_increasing,
     equal_strength,
+    knockout_distribution,
     knockout_random_draw,
     make_pmf,
+    pair_score_law,
+    round_robin_distribution,
+    round_robin_spec,
 )
 from negdep.checks import PROPERTIES, LawCache, _scan_conjecture_partition
 from negdep.cli import main
 from negdep.distributions import to_json_dict
 from negdep.errors import Caps
+from negdep.fixtures import dominance_spec, three_player_spec
 from negdep.report import canonical_json, witness_json
 
 from .test_symmetry import EXCHANGEABLE, _eight_player
@@ -124,8 +130,46 @@ CONJECTURE_DIGESTS = {
 CUT_DIGEST = (1, "f48e65e7fe98878e0d07426a535430d0e253ec3e8a0cf26cc7d602d4b0df61e1")
 
 
+def _five_player_round_robin():
+    # every pair has total 2 and law {0: 1/4, 1: 1/2, 2: 1/4}; 3,081 atoms
+    law = pair_score_law(2, [(0, F(1, 4)), (1, F(1, 2)), (2, F(1, 4))])
+    return round_robin_spec(5, {(i, j): law for i in range(1, 6) for j in range(i + 1, 6)})
+
+
+# law -> sha256 of canonical_json(to_json_dict(d)) for the law a builder
+# makes: each fixture's law (thm-3.3 builds the law of thm-3.2), the
+# 8-player random draw and a 5-player round robin
+BUILT_LAWS = {
+    "ex-2.1": (lambda: round_robin_distribution(three_player_spec()),
+               "3c049cffb117293182632bd54da017d6e9519c9e98bb86854337dd534acac11b"),
+    "ex-3.1": (lambda: knockout_distribution(dominance_spec(F(1), F(1), RandomDraw())),
+               "5376c37de4cf0f9933d03028f2b7153e2f54f1db862bad8754d557ada9da537a"),
+    "ex-3.2": (lambda: knockout_distribution(
+                   dominance_spec(F(1, 2), F(1, 2), FixedDraw((1, 2, 3, 4)))),
+               "b28122d76039d06ac99a0891df22dcd16480808744c603acbc6c1de1ba5a0eb9"),
+    "ex-3.3": (lambda: knockout_distribution(equal_strength(2, FixedDraw((1, 2, 3, 4)))),
+               "d1f7e614556d138813464ed69fab44a25123bd5d373ec2e606439b09ece1ace4"),
+    "thm-3.1": (lambda: knockout_distribution(equal_strength(2, RandomDraw())),
+                "c2581d81dc870f429528c4d676ace2ffc922c8afd80a2c4a577c3d4a53f19e9f"),
+    "thm-3.2": (lambda: knockout_distribution(equal_strength(3, FixedDraw(tuple(range(1, 9))))),
+                "72624d526f027e3f1478bc213c901f4f29bd1c3949a702a2bd941c61981e92e7"),
+    "eight-player-random": (
+        lambda: knockout_distribution(equal_strength(3, RandomDraw())),
+        "4a15a9e942465e5cc4f6b8d476459b2066cf479b2389b8cc8eae976d960b84f9"),
+    "five-player-round-robin": (
+        lambda: round_robin_distribution(_five_player_round_robin()),
+        "c5a77f194ad489da68f2135adf164f4249be384eed38456e3d13f80efd4d56d9"),
+}
+
+
 def _sha(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("law", sorted(BUILT_LAWS))
+def test_built_law_bytes(law):
+    build, digest = BUILT_LAWS[law]
+    assert _sha(canonical_json(to_json_dict(build())).encode()) == digest
 
 
 @pytest.fixture

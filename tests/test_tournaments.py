@@ -21,6 +21,7 @@ from negdep import (
     round_robin_spec,
 )
 
+from . import reference_tournaments as reference
 from .conftest import dominance_knockout_spec, three_player_round_robin_spec
 
 F = Fraction
@@ -230,3 +231,72 @@ def test_equal_strength_bracket_is_a_relabeling(bracket):
     reference = knockout_fixed_draw(equal_strength(2, FixedDraw((1, 2, 3, 4))))
     slot_of_player = tuple(bracket.index(k) + 1 for k in range(1, 5))
     assert d == reference.permute_coordinates(slot_of_player)
+
+
+# -- the score chain against the frozen enumerations ---------------------------
+
+# win probabilities: rationals, with 0 and 1 drawn often
+_WIN_PROB = st.one_of(st.sampled_from([F(0), F(1)]),
+                      st.fractions(min_value=0, max_value=1, max_denominator=7))
+
+
+@st.composite
+def knockout_specs(draw, rounds, fixed):
+    n = 2 ** draw(rounds)
+    matrix = [[F(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        matrix[i][j] = draw(_WIN_PROB)
+        matrix[j][i] = 1 - matrix[i][j]
+    bracket = FixedDraw(tuple(draw(st.permutations(range(1, n + 1))))) if fixed else RandomDraw()
+    return knockout_spec(n.bit_length() - 1, matrix, bracket)
+
+
+@st.composite
+def round_robin_specs(draw):
+    n = draw(st.integers(2, 4))
+    games = {}
+    for pair in itertools.combinations(range(1, n + 1), 2):
+        total = draw(st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6))
+        values = draw(st.lists(st.fractions(min_value=0, max_value=total, max_denominator=6),
+                               min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
+        games[pair] = pair_score_law(total, [(v, F(w, sum(weights)))
+                                             for v, w in zip(values, weights)])
+    return round_robin_spec(n, games)
+
+
+def _assert_same_atoms(got, expected):
+    # same atoms in the same order, every entry a Fraction of the same value
+    assert got.dim == expected.dim
+    assert repr(got.atoms) == repr(expected.atoms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(knockout_specs(st.integers(1, 3), fixed=True))
+def test_fixed_draw_chain_matches_the_reference(spec):
+    _assert_same_atoms(knockout_fixed_draw(spec), reference.knockout_fixed_draw(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(knockout_specs(st.integers(1, 2), fixed=False))
+def test_random_draw_chain_matches_the_reference(spec):
+    _assert_same_atoms(knockout_random_draw(spec), reference.knockout_random_draw(spec))
+
+
+@settings(max_examples=4, deadline=None)
+@given(knockout_specs(st.just(3), fixed=False))
+def test_eight_player_random_draw_chain_matches_the_reference(spec):
+    _assert_same_atoms(knockout_random_draw(spec), reference.knockout_random_draw(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(round_robin_specs())
+def test_round_robin_chain_matches_the_reference(spec):
+    _assert_same_atoms(round_robin_distribution(spec), reference.round_robin_distribution(spec))
+
+
+@pytest.mark.parametrize("build, other", [(knockout_fixed_draw, RandomDraw()),
+                                          (knockout_random_draw, FixedDraw((1, 2)))])
+def test_builder_rejects_the_other_draw(build, other):
+    with pytest.raises(ValueError, match="does not carry"):
+        build(equal_strength(1, other))
