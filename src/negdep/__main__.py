@@ -1,0 +1,8 @@
+"""``python -m negdep``: the ``negdep`` command, with its exit codes."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -60,13 +60,7 @@ from .errors import (
     default_caps,
 )
 from .rationals import NEG_INF, POS_INF, Extended, as_rational
-from .stochorder import (
-    UpperSetViolation,
-    cut_violation,
-    integer_coupling,
-    st_leq,
-    sweep_violation,
-)
+from .stochorder import UpperSetViolation, st_leq
 from .supermodular import SupermodularWitness, below_independent_copy, witness_expectations
 from .symmetry import block_orbits, generators, orbit_leaders, stabilizer
 from .uppersets import (
@@ -95,7 +89,7 @@ class CheckStats:
     cells: int = 0                # (I, J) or block-pair cells
     conditioning_pairs: int = 0   # conditioning-point pairs or grid corners
     st_checks: int = 0            # stochastic orders decided
-    upper_sets: int = 0
+    upper_sets: int = 0           # upper sets NA's scan enumerated
 
     def plus(self, other: "CheckStats") -> "CheckStats":
         return CheckStats(
@@ -432,29 +426,6 @@ def _tail_event(kind: str, variant: str, indices, thresholds) -> ConditioningEve
     return event(indices, thresholds, strict=op in ("<", ">"))
 
 
-def _deterministic_upper_violation(ctx: CellContext, mask_lo: int, mask_hi: int, block):
-    """The union of the block's laws given ``mask_hi`` and ``mask_lo``, and
-    its first violating upper set in enumeration order, for the witness of a
-    regression cell or a conjecture partition. Past the sweep's cap, the
-    violation is the upper set of the coupling's minimal minimum cut; scaling
-    every capacity by one constant leaves it unchanged (docs/theory.md
-    section 2)."""
-    u = ctx.union(mask_hi, mask_lo, block)
-    try:
-        violation, examined = sweep_violation(u, ctx.caps.max_upper_sets)
-        ctx.upper_sets += examined
-        if violation is not None:
-            return u, violation
-    except EnumerationCapExceeded:
-        pass
-    hi = ctx.int_law(mask_hi, block)
-    deficient = integer_coupling(hi, ctx.int_law(mask_lo, block), ctx.block(block)[0])[1]
-    if deficient is None:
-        raise InternalConsistencyError("screen failed but no violation found")
-    xs = [p for p, w in zip(u.points, u.wx) if w]  # the atoms of hi, in key order
-    return u, cut_violation(u, [xs[i] for i in deficient])
-
-
 def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
     work, J, kind, variant, caps, st_mode = args
     ctx = CellContext(work, J, caps, st_mode)
@@ -478,7 +449,7 @@ def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
             raise InternalConsistencyError(
                 "full-block comparison failed but every sub-block passed"
             )
-        u, violation = _deterministic_upper_violation(ctx, mask_lo, mask_hi, block)
+        u, violation = ctx.witness(mask_lo, mask_hi, block)
         mean_high, mean_low = u.means()
         witness = RegressionWitness(
             kind=kind, variant=variant, given=J, observed=block,
@@ -487,7 +458,7 @@ def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
             violation=violation, mean_low=mean_low, mean_high=mean_high,
         )
     return witness, CheckStats(cells=1, conditioning_pairs=pairs_examined,
-                               st_checks=ctx.st_checks, upper_sets=ctx.upper_sets)
+                               st_checks=ctx.st_checks)
 
 
 def _scan_in_order(scan: Callable, cells: list, jobs: int):
@@ -740,11 +711,9 @@ def _scan_conjecture_partition(args):
         witness = ConjectureWitness(
             raised=raised, lowered=lowered, pinned=pinned, observed=observed,
             triple_low=triple(low), triple_high=triple(high),
-            violation=_deterministic_upper_violation(ctx, mask_lo, mask_hi, ctx.i_max)[1],
+            violation=ctx.witness(mask_lo, mask_hi, ctx.i_max)[1],
         )
-    # counted after the witness, whose upper-set sweep is work of the cell
-    return witness, CheckStats(cells=1, conditioning_pairs=pairs, st_checks=ctx.st_checks,
-                               upper_sets=ctx.upper_sets)
+    return witness, CheckStats(cells=1, conditioning_pairs=pairs, st_checks=ctx.st_checks)
 
 
 def check_conjecture(values: Sequence, max_n: int = 5,

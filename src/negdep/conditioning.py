@@ -17,10 +17,13 @@ from __future__ import annotations
 from operator import itemgetter, le
 from typing import Iterable, Sequence
 
+from .errors import InternalConsistencyError
 from .stochorder import (
     IntegerLaw,
     RankPacking,
     SupportUnion,
+    UpperSetViolation,
+    cut_violation,
     integer_coupling,
     masked_law,
     require_agreement,
@@ -84,8 +87,8 @@ def label_masks(view, tails: Sequence[tuple[int, str]], pinned: Sequence[int],
 
 
 class CellContext:
-    """Per-cell machinery: cached conditional laws, cached orders, the covers
-    and the pair loop.
+    """Per-cell machinery: cached conditional laws, cached orders, the covers,
+    the pair loop and the witness.
 
     ``given`` is the conditioning block; the observed block is the rest.
     ``work`` is the law's ``checks.LawCache``. Every order is decided on
@@ -105,10 +108,10 @@ class CellContext:
         self.orbits = work.orbits_of(self.i_max)
         if self.orbits:
             self.blocks[ORBITS] = (self.orbits.guards, self.orbits.keys, {})
-        self.st_cache: dict[tuple[int, int], tuple[bool, int]] = {}
+        self.st_cache: dict[tuple[int, int], bool] = {}
+        self.cuts: dict[tuple[tuple[int, ...], int, int], list[int]] = {}
         self.tallied: set[tuple[int, int]] = set()
         self.st_checks = 0
-        self.upper_sets = 0
 
     @property
     def guards(self) -> int:
@@ -146,41 +149,57 @@ class CellContext:
                                   for key in u.points])
 
     def decide(self, mask_lo: int, mask_hi: int, block: tuple[int, ...],
-               orbits=None) -> tuple[bool, int]:
+               orbits=None) -> bool:
         """Does [X_block | high] <=st [X_block | low]? With ``orbits``, J's
         stabilizer's orbits on the observed block, it is decided on the orbit
         laws. Verify mode also sweeps the upper sets of the full laws and
-        raises if the two oracles disagree. Returns the verdict and the upper
-        sets its sweep examined, counted as st_leq reports them: a TRUE
-        verdict is the coupling's, which examines no upper set."""
+        raises if the two oracles disagree. An order that fails on the full
+        laws keeps its minimum cut in ``cuts``, for ``witness``."""
         key = ORBITS if orbits else block
         hi, lo = self.int_law(mask_hi, key), self.int_law(mask_lo, key)
-        holds = integer_coupling(hi, lo, self.blocks[key][0],
-                                 orbits and orbits.comparable(hi, lo))[0] is not None
-        if self.st_mode != "verify":
-            return holds, 0
-        violation, examined = sweep_violation(self.union(mask_hi, mask_lo, block),
-                                              self.caps.max_upper_sets)
-        require_agreement(holds, violation is None)
-        return holds, 0 if holds else examined
+        flows, deficient = integer_coupling(hi, lo, self.blocks[key][0],
+                                            orbits and orbits.comparable(hi, lo))
+        if deficient is not None and not orbits:
+            self.cuts[block, mask_lo, mask_hi] = deficient
+        if self.st_mode == "verify":
+            violation, _ = sweep_violation(self.union(mask_hi, mask_lo, block),
+                                           self.caps.max_upper_sets)
+            require_agreement(flows is not None, violation is None)
+        return flows is not None
 
-    def tally(self, decided: tuple[bool, int]) -> bool:
+    def witness(self, mask_lo: int, mask_hi: int,
+                block: tuple[int, ...]) -> tuple[SupportUnion, UpperSetViolation]:
+        """The union of the block's laws given ``mask_hi`` and ``mask_lo``, and
+        the upward closure of the x-atoms the residual network reached when
+        ``decide`` found the order failing on those full laws: the source side
+        of the minimal minimum cut, the same for every maximum flow
+        (docs/theory.md section 2)."""
+        deficient = self.cuts.get((block, mask_lo, mask_hi))
+        if deficient is None:
+            raise InternalConsistencyError(f"no failed order on block {block} to name")
+        u = self.union(mask_hi, mask_lo, block)
+        xs = [p for p, w in zip(u.points, u.wx) if w]  # the atoms of hi, in key order
+        return u, cut_violation(u, [xs[i] for i in deficient])
+
+    def tally(self, holds: bool) -> bool:
         """Count one order ``decide`` returned; its verdict."""
         self.st_checks += 1
-        self.upper_sets += decided[1]
-        return decided[0]
+        return holds
 
     def st_screen(self, mask_lo: int, mask_hi: int) -> bool:
         """``decide`` on the observed block, kept per pair of events and
-        counted once per pass over the labels."""
+        counted once per pass over the labels. A failure on the orbits is not
+        kept, so the pair walk decides it again on the full laws, for its cut."""
         key = (mask_lo, mask_hi)
-        decided = self.st_cache.get(key)
-        if decided is None:
-            decided = self.st_cache[key] = self.decide(mask_lo, mask_hi, self.i_max, self.orbits)
+        holds = self.st_cache.get(key)
+        if holds is None:
+            holds = self.decide(mask_lo, mask_hi, self.i_max, self.orbits)
+            if holds or not self.orbits:
+                self.st_cache[key] = holds
         if key in self.tallied:
-            return decided[0]
+            return holds
         self.tallied.add(key)
-        return self.tally(decided)
+        return self.tally(holds)
 
     def first_failing_pair(self, labels: list[tuple[tuple[int, ...], int]], grid=False):
         """The first ordered pair of labels, low <= high componentwise, whose
@@ -201,7 +220,7 @@ class CellContext:
         if all(self.st_screen(labels[a][1], labels[b][1]) for a, b in covers
                if labels[a][1] != labels[b][1]):
             return None, grid_comparable_pairs(points) if pairs is None else pairs
-        self.orbits, self.tallied, self.st_checks, self.upper_sets, pairs = None, set(), 0, 0, 0
+        self.orbits, self.tallied, self.st_checks, pairs = None, set(), 0, 0
         for a_pos, (low, mask_lo) in enumerate(labels):
             for high, mask_hi in labels[a_pos + 1:]:
                 if not all(map(le, low, high)):

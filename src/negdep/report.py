@@ -28,7 +28,7 @@ from .distributions import FiniteJointDistribution, IntegerView
 from .errors import Caps
 from .rationals import format_extended, format_rational
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 
 def canonical_json(payload) -> str:

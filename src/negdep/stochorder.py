@@ -9,8 +9,11 @@ Two independent algorithms answer "X <=st Y":
   decided by exact max-flow (polynomial; the default).
 
 Agreement of the two is a package invariant; ``mode="verify"`` checks it on
-every call. Either failure mode yields an upper set U with P(X in U) >
-P(Y in U), re-checkable by direct summation.
+every call. A FALSE answer names one upper set U with P(X in U) > P(Y in U),
+re-checkable by direct summation: the upward closure of the source side of
+the coupling network's minimal minimum cut. That set depends on the two laws
+alone, not on a cap, a mode or the maximum flow found (docs/theory.md
+section 2); the sweep is a brute-force oracle and names no witness.
 """
 
 from __future__ import annotations
@@ -385,14 +388,12 @@ def st_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
 
     ``fast`` runs the coupling decider alone; ``verify`` additionally runs
     the upper-set sweep and treats any disagreement as an internal error.
-    In verify mode a FALSE answer reports the sweep's witness (the first
-    violating upper set in enumeration order).
+    Both modes return the coupling's verdict, so a FALSE answer names the
+    min-cut upper set in either.
     """
     if mode not in ("fast", "verify"):
         raise ValueError(f"unknown mode {mode!r}")
     by_flow = st_leq_coupling(dX, dY)
-    if mode == "fast":
-        return by_flow
-    by_sets = st_leq_uppersets(dX, dY, caps=caps)
-    require_agreement(by_flow.holds, by_sets.holds)
-    return by_flow if by_flow.holds else by_sets
+    if mode == "verify":
+        require_agreement(by_flow.holds, st_leq_uppersets(dX, dY, caps=caps).holds)
+    return by_flow

@@ -7,17 +7,21 @@ each label's atom mask is built by testing every atom against a Fraction
 comparisons). Sub-blocks of the witness search are decided by Fraction
 ``st_leq`` on marginals of the Fraction conditional laws. The upper-set sweep
 (``st_leq_uppersets``, summing Fractions), the ``st_leq`` that runs it in
-verify mode, ``_deterministic_upper_violation`` and ``_coordinate_means``
-are kept here too. So is the integer coupling kernel as it was before the
-comparability bitsets and the first-fit warm start: it tests every (x, y)
-pair against the guard bits and runs a cold Dinic search on every call
-(``integer_coupling`` below). The reference shares no decision code with
-the engine under test beyond the max-flow engine and ``st_leq_coupling``,
-which its ``st_leq`` calls on the sub-blocks of the witness search. It walks
-every comparable pair of labels, as the engine did before it decided only
-the cover pairs. The code below is kept verbatim apart from the module-level
-names; the differential tests compare the rank-bitset engine against it,
-verdict, witness and stats alike, up to the orders a TRUE cell no longer
+verify mode to check the coupling's verdict, ``_deterministic_upper_violation``
+and ``_coordinate_means`` are kept here too. So is the integer coupling
+kernel as it was before the comparability bitsets and the first-fit warm
+start: it tests every (x, y) pair against the guard bits and runs a cold
+Dinic search on every call (``integer_coupling`` below). The reference
+shares no decision code with the engine under test beyond the max-flow
+engine and ``st_leq_coupling``, which its ``st_leq`` calls on the sub-blocks
+of the witness search and on the witness's two laws. It walks every
+comparable pair of labels, as the engine did before it decided only the
+cover pairs. Every witness, of a regression cell or a conjecture partition
+and in either st mode, is the violation fast ``st_leq`` names on the
+Fraction laws: the upward closure of the coupling's minimal minimum cut.
+Apart from that witness rule and the module-level names, the code below is
+kept verbatim. The differential tests compare the rank-bitset engine against
+it, verdict, witness and stats alike, up to the orders a TRUE cell no longer
 decides (``tests/test_conditioning.py``).
 """
 
@@ -36,7 +40,7 @@ from negdep.checks import (
     _tail_event,
 )
 from negdep.distributions import EQ, LOWER, UPPER, FiniteJointDistribution, Vector, integer_view
-from negdep.errors import Caps, EnumerationCapExceeded, InternalConsistencyError, default_caps
+from negdep.errors import Caps, InternalConsistencyError, default_caps
 from negdep.maxflow import integer_max_flow
 from negdep.rationals import NEG_INF, POS_INF, Extended
 from negdep.stochorder import (
@@ -115,28 +119,19 @@ def st_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
 
     ``fast`` runs the coupling decider alone; ``verify`` additionally runs
     the upper-set sweep and treats any disagreement as an internal error.
-    In verify mode a FALSE answer reports the sweep's witness (the first
-    violating upper set in enumeration order).
+    Both modes return the coupling's verdict.
     """
     if mode not in ("fast", "verify"):
         raise ValueError(f"unknown mode {mode!r}")
     by_flow = st_leq_coupling(dX, dY)
-    if mode == "fast":
-        return by_flow
-    by_sets = st_leq_uppersets(dX, dY, caps=caps)
-    require_agreement(by_flow.holds, by_sets.holds)
-    return by_flow if by_flow.holds else by_sets
+    if mode == "verify":
+        by_sets = st_leq_uppersets(dX, dY, caps=caps)
+        require_agreement(by_flow.holds, by_sets.holds)
+    return by_flow
 
 
-def _deterministic_upper_violation(ctx: _CellContext, law_hi, law_lo) -> UpperSetViolation:
-    """First violating upper set in enumeration order, for the witness."""
-    try:
-        verdict = st_leq_uppersets(law_hi, law_lo, caps=ctx.caps)
-        ctx.upper_sets += verdict.upper_sets_examined
-        if not verdict.holds:
-            return verdict.violation
-    except EnumerationCapExceeded:
-        pass
+def _deterministic_upper_violation(law_hi, law_lo) -> UpperSetViolation:
+    """The min-cut upper set of the failed coupling, for the witness."""
     verdict = st_leq(law_hi, law_lo, mode="fast")
     if verdict.holds:
         raise InternalConsistencyError("screen failed but no violation found")
@@ -197,7 +192,6 @@ class _CellContext:
         self.proj_cache: dict[tuple[int, tuple[int, ...]], FiniteJointDistribution] = {}
         self.st_cache: dict[tuple[int, int], bool] = {}
         self.st_checks = 0
-        self.upper_sets = 0
 
     def mask_of(self, label) -> int:
         event = _tail_event(self.kind, self.variant, self.J, label)
@@ -262,10 +256,6 @@ class _CellContext:
                 by_sets = st_leq_uppersets(self.law(mask_hi), self.law(mask_lo),
                                            caps=self.caps)
                 require_agreement(cached, by_sets.holds)
-                # counted as st_leq reports it: a TRUE verdict is the
-                # coupling's, which examines no upper set
-                if not cached:
-                    self.upper_sets += by_sets.upper_sets_examined
             self.st_cache[key] = cached
             self.st_checks += 1
         return cached
@@ -299,10 +289,9 @@ def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
                 law_lo = ctx.projected(mask_lo, block)
                 sub = st_leq(law_hi, law_lo, mode=st_mode, caps=caps)
                 ctx.st_checks += 1
-                ctx.upper_sets += sub.upper_sets_examined
                 if sub.holds:
                     continue
-                violation = _deterministic_upper_violation(ctx, law_hi, law_lo)
+                violation = _deterministic_upper_violation(law_hi, law_lo)
                 witness = RegressionWitness(
                     kind=kind, variant=variant, given=J, observed=block,
                     point_low=low, point_high=high, violation=violation,
@@ -310,13 +299,13 @@ def _scan_regression_cell(args) -> tuple[RegressionWitness | None, CheckStats]:
                     mean_high=_coordinate_means(law_hi),
                 )
                 stats = CheckStats(cells=1, conditioning_pairs=pairs_examined,
-                                   st_checks=ctx.st_checks, upper_sets=ctx.upper_sets)
+                                   st_checks=ctx.st_checks)
                 return witness, stats
             raise InternalConsistencyError(
                 "full-block comparison failed but every sub-block passed"
             )
     return None, CheckStats(cells=1, conditioning_pairs=pairs_examined,
-                            st_checks=ctx.st_checks, upper_sets=ctx.upper_sets)
+                            st_checks=ctx.st_checks)
 
 
 def _scan_conjecture_partition(args):
@@ -399,16 +388,12 @@ def _scan_conjecture_partition(args):
                 st_cache[key] = cached
             if cached:
                 continue
-            law_hi, law_lo = law_cache[m_hi], law_cache[m_lo]
-            sweep = st_leq_uppersets(law_hi, law_lo, caps=caps)
             witness = ConjectureWitness(
                 raised=raised, lowered=lowered, pinned=pinned, observed=observed,
-                triple_low=low, triple_high=high, violation=sweep.violation,
+                triple_low=low, triple_high=high,
+                violation=st_leq(law_cache[m_hi], law_cache[m_lo], "fast").violation,
             )
-            # the failed pair's verify-mode sweep and the witness sweep
-            return witness, CheckStats(
-                cells=1, conditioning_pairs=pairs, st_checks=st_checks,
-                upper_sets=verdict.upper_sets_examined + sweep.upper_sets_examined)
+            return witness, CheckStats(cells=1, conditioning_pairs=pairs, st_checks=st_checks)
     return None, CheckStats(cells=1, conditioning_pairs=pairs, st_checks=st_checks)
 
 

@@ -28,7 +28,7 @@ from negdep import (
     product,
     verify_witness,
 )
-from negdep import checks
+from negdep import conditioning
 from negdep.checks import CheckStats, _run_cells
 from negdep.errors import Caps
 from negdep.rationals import NEG_INF
@@ -229,16 +229,17 @@ class TestRegressionFamily:
         verify_witness(table1, verdict)
 
     def test_upper_set_cap_falls_back_to_the_min_cut_witness(self, table1, monkeypatch):
-        # one upper set is too few for the witness sweep, so the violation is
-        # read off the coupling's min cut instead
-        fallback = []
-        cut_violation = checks.cut_violation
-        monkeypatch.setattr(checks, "cut_violation",
-                            lambda *a: fallback.append(a) or cut_violation(*a))
+        # the witness is read off the coupling's min cut, so room for one
+        # upper set only still names the default-cap witness
+        cuts = []
+        cut_violation = conditioning.cut_violation
+        monkeypatch.setattr(conditioning, "cut_violation",
+                            lambda *a: cuts.append(a) or cut_violation(*a))
         verdict = check_nrd(table1, caps=Caps(max_upper_sets=1))
-        assert fallback
+        assert cuts
         assert not verdict.holds
         assert (verdict.witness.given, verdict.witness.observed) == ((1,), (3,))
+        assert repr(verdict.witness) == repr(check_nrd(table1).witness)
         verify_witness(table1, verdict)
 
     def test_table1_nrtd_true(self, table1):

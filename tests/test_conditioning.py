@@ -322,9 +322,8 @@ def test_conjecture_partitions_fail_on_dependent_laws():
 
 
 def test_conjecture_witness_past_the_sweep_cap_comes_from_the_min_cut():
-    # the partition fails; a sweep capped at one upper set cannot name the
-    # violation, so the witness falls back to the coupling's minimum cut, as
-    # a regression cell's does
+    # the partition fails; its witness is the coupling's minimum cut, as a
+    # regression cell's is, so a cap of one upper set does not stop it
     d = make_pmf(2, [((F(0), F(0)), F(1, 2)), ((F(1), F(1)), F(1, 2))])
     witness, stats = _scan_conjecture_partition(
         (LawCache(d), (1,), (), (), (2,), Caps(max_upper_sets=1), "fast"))

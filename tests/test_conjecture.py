@@ -64,13 +64,16 @@ def test_partition_scanner_finds_violations_on_dependent_laws():
 
 
 def test_a_failing_partition_counts_its_upper_sets():
-    # the witness sweep is counted, as in a regression cell; verify mode adds
-    # the sweep of the failed pair
+    # none: the witness is the min-cut upper set, which enumerates no upper
+    # set, and verify mode's sweep only checks the verdict; both modes name
+    # the same witness
     com = make_pmf(2, [((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
-    counts = {}
+    counts, witnesses = {}, {}
     for mode in ("fast", "verify"):
         witness, stats = _scan_conjecture_partition(
             (LawCache(com), (1,), (), (), (2,), default_caps(), mode))
         assert witness is not None
         counts[mode] = (stats.st_checks, stats.upper_sets)
-    assert counts == {"fast": (1, 2), "verify": (1, 4)}
+        witnesses[mode] = witness
+    assert counts == {"fast": (1, 0), "verify": (1, 0)}
+    assert witnesses["verify"] == witnesses["fast"]

@@ -64,46 +64,46 @@ LAWS = {
 # every property)
 CHECK_DIGESTS = {
     ("table1", "weak", "fast"):
-        (1, "db40d9c36e41275d7cab6b62276ac6043394a5dcbd5126dcfe81257a5da74ca8"),
+        (1, "45859e22baf54fe28265b1ca27367844e480e8979e818c73fe93e8a446478021"),
     ("table1", "weak", "verify"):
-        (1, "805776952e9fac31e253efbb597d97f136be5cd060363c38b91355939b00ea49"),
+        (1, "f58bff4f1c275f5b837b7ad3fb11b1d803802771defd5d6c232b23e1a655b2f9"),
     ("table1", "strict", "fast"):
-        (1, "99e9ac9943f699ad37af733b310e71fe0e10a4e3e6dae404d72b1327247f6696"),
+        (1, "53391c4fd817e36c4e5270ef906efb47f02d013379e01125fefa4df357927345"),
     ("table1", "strict", "verify"):
-        (1, "d98a2127946243c724ec8b7a64185878ce895d34a5a1a3897af6f79b0b12a704"),
+        (1, "320dff2389c5ab670467ff97733e0f263a57408095629bc18f5323fa431e7978"),
     ("random_draw", "weak", "fast"):
-        (0, "467f196910c97d2d12f0e7d9637f73fc1b25fb4d6c902824109d5919b978d356"),
+        (0, "aeee3cde2f4bc1a6140b97c0d10bf36448a46435a487bf9cb8b8a23e97b28c58"),
     ("random_draw", "weak", "verify"):
-        (0, "f3961c229eb1018751eb08160ae5be9f265da492fd4decdd75e94b646ac2e382"),
+        (0, "ded5f96f2f2c0193eb998e978d484309b199a7cd5c30b06d8a2b94e30b9906ca"),
     ("random_draw", "strict", "fast"):
-        (0, "9cc0902d51d2ceffbc943bb08f22b74b91d23de6193073ad686236f57811a8e4"),
+        (0, "0c3e87c6fc18a01fd9b4b9ed93a6fc3ac9a6bcac206fbe129c2f4cc21a294a38"),
     ("random_draw", "strict", "verify"):
-        (0, "9f50a8bc486ed101d795dee4d5ee26826287ab87dc9d2e4d25b49cff946a4237"),
+        (0, "a2a4eaffe04fbd187be5fade70e028c50e23bab7f616fc90e3b2f016b911e92c"),
     ("counterexample", "weak", "fast"):
-        (1, "93fc46d7c0ab432a27acaab1a7aacdff4599d81ae8f61c910d166a44ad7c85ab"),
+        (1, "acab0c62906ab6b70a4546938c14a60ac1f55bde13b9c674299ca9f7f03d0f2a"),
     ("counterexample", "weak", "verify"):
-        (1, "f019320f675a7d38f4971defbf5967f0414f67ba84f98f8e7face2bea3d78ea1"),
+        (1, "1acc4df5ca0df772923f5f0d9848c6375151a3c632cc652443b5a0435119a887"),
     ("counterexample", "strict", "fast"):
-        (1, "4a6b8372117f4ce923f8233413650e01f30321d663dcda8f6a45e643e662cb20"),
+        (1, "a2b78fc39ea90807e5a35edec18beed594ff8220b06ca8acd10c4ae6ec6e3dce"),
     ("counterexample", "strict", "verify"):
-        (1, "a609278a09231a709b63ffb62f69f6258bdac3237c3e8dc8410527b9309fac43"),
+        (1, "0544c4ff23a307827c83c5bf92859615b40a9b1e6bbbb48d0f0a4a1b43104a2e"),
     ("comonotone", "weak", "fast"):
-        (1, "4866f8ab57161c105b82218a8dede9090e6f2bd04a650da8f6723eaf2ab136a3"),
+        (1, "8d358e0b3d190aa0cd1604b6d3c2d1de84b5365ec7a8fd329f402b6f705cbf37"),
     ("comonotone", "weak", "verify"):
-        (1, "5defcd5d58fa3fe5eb6a084a73e9a6fc019c0bd4607ffc32dd7e20e5320f1698"),
+        (1, "71f00c1354d563897fd1be6e088601a9891cb2d47bd6137858709a47e9b5b00f"),
     ("comonotone", "strict", "fast"):
-        (1, "f3c014badcc2034018fd31e884061cc6619592cfab260d4b6d8a420d831f9e48"),
+        (1, "01b0644f10d719bbe75d7c25c7dfc19aec9abb2adc874529fa24481fcfb3310a"),
     ("comonotone", "strict", "verify"):
-        (1, "9c393c172297cbc60b2256a43f1ed18ee164a90990b93244e52acc4172d00964"),
+        (1, "278f1d9d1ba88a2186f3b5c545c87aa1494736cbd0e6ddcd75537bb930b407f3"),
 }
 
 # draw -> (flags, exit code, sha256 of the `check` report): the 8-player
 # laws and the commands of the benchmark's regression workload
 EIGHT_PLAYER_DIGESTS = {
     "fixed": (["--props", "nrtd", "--max-j", "1"], 0,
-              "134b342a0fa153dcd7402d2d7a2e666f104fa0f299858fb465bc54d52ade975d"),
+              "c74b58c77c57801ed05c21eae3d4714b4c23d580765f209672ecfc0f5e22d513"),
     "random": (["--props", "nrd1"], 0,
-               "25b5c985958b2122a6ce0a92cd1b48288f304e18f390cbbcf7e3443940668621"),
+               "9497e70ac257ec395f6aa7b9ed7d388e19a4f9f911714f4c4eb3d00f04907c0d"),
 }
 
 # sha256 of canonical_json(witness_json(w)) for one witness of each type
@@ -121,13 +121,13 @@ WITNESS_DIGESTS = {
 
 # st mode -> (exit code, sha256 of `conjecture --values 0,0,1,2`)
 CONJECTURE_DIGESTS = {
-    "fast": (0, "e593f13ac8d32915c7a22dbaa2a954817aa2a6c426a85e474685a2e3484b94ae"),
-    "verify": (0, "06dfae75ca678198af1679c7540d3ab512facbf26202eb49140615fbcf6297b8"),
+    "fast": (0, "da862f85d092e713d9102b6960d525c02861e89174d9048063f0c4e1d2d17d94"),
+    "verify": (0, "83b3b0fef45f411574342a7380e4ae7ca666805d1878e6e04d508add9c6147f0"),
 }
 
 # (exit code, sha256) of the regression properties on the table-1 law with
-# room for one upper set only, so each witness comes from the min cut
-CUT_DIGEST = (1, "f48e65e7fe98878e0d07426a535430d0e253ec3e8a0cf26cc7d602d4b0df61e1")
+# room for one upper set only; each witness is still the min cut's
+CUT_DIGEST = (1, "d3a2e15ed9e86ae558daf7dff8c7b6b9c083670edb9b0f9ae02c3db46bb6db24")
 
 
 def _five_player_round_robin():
@@ -237,6 +237,15 @@ def test_cut_fallback_report_bytes(request, tmp_path, no_env_caps):
     code = main(["check", str(path), "--props", "nrd,nltd,nrtd,nrd1,nltd1,nrtd1",
                  "--caps", "upper_sets=1", "-o", str(out)])
     assert (code, _sha(out.read_bytes())) == CUT_DIGEST
+    # the cap moves no witness: the report differs from the default-cap one
+    # in its caps field only
+    default = tmp_path / "default.json"
+    assert main(["check", str(path), "--props", "nrd,nltd,nrtd,nrd1,nltd1,nrtd1",
+                 "-o", str(default)]) == code
+    got, want = json.loads(out.read_bytes()), json.loads(default.read_bytes())
+    assert got.pop("caps")["upper_sets"] == 1
+    want.pop("caps")
+    assert got == want
 
 
 @pytest.mark.parametrize("st_mode", sorted(CONJECTURE_DIGESTS))

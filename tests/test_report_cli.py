@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import negdep
 from negdep import (
     audit_implications,
     check_na,
@@ -392,6 +397,23 @@ class TestReproduceCli:
 
     def test_unknown_fixture(self):
         assert main(["reproduce", "nope"]) == 2
+
+    def test_python_dash_m_keeps_the_exit_codes(self, tmp_path):
+        # ``python -m negdep`` is the ``negdep`` command: 0 on a passing
+        # fixture, 2 with one error line on a law file that is not there
+        env = {k: v for k, v in os.environ.items() if k != CAPS_ENV_VAR}
+        src = str(Path(negdep.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "negdep", *args], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        passed = run("reproduce", "ex-2.1")
+        assert (passed.returncode, passed.stdout.split(":")[0]) == (0, "ex-2.1")
+        missing = run("check", str(tmp_path / "missing.json"))
+        assert missing.returncode == 2
+        assert missing.stderr.startswith("error: ") and missing.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("fixture", ["lemma-3.1", "conjecture"])
     def test_fixture_passes(self, fixture):

@@ -98,6 +98,16 @@ class TestAgreementAndInvariants:
     def test_verify_mode_smoke(self, table1):
         assert st_leq(table1, table1, mode="verify").holds
 
+    def test_verify_mode_returns_the_fast_witness(self):
+        # the sweep's first violating upper set is {3}; both modes name the
+        # min-cut set {2, 3}
+        hi = make_pmf(1, [((2,), F(1, 2)), ((3,), F(1, 2))])
+        lo = delta(1)
+        fast, verify = st_leq(hi, lo, mode="fast"), st_leq(hi, lo, mode="verify")
+        assert not fast.holds and verify == fast
+        assert fast.violation.upper_set.minimal == ((F(2),),)
+        assert st_leq_uppersets(hi, lo).violation.upper_set.minimal == ((F(3),),)
+
     def test_unknown_mode(self, table1):
         with pytest.raises(ValueError):
             st_leq(table1, table1, mode="typo")
