@@ -138,15 +138,17 @@ class CellContext:
             law = cache[mask] = masked_law(mask, keys, self.weights)
         return law
 
-    def union(self, mask_hi: int, mask_lo: int, block: tuple[int, ...]) -> SupportUnion:
+    def union(self, mask_hi: int, mask_lo: int,
+              block: tuple[int, ...]) -> tuple[SupportUnion, list[int]]:
         """The block's laws given ``mask_hi`` (X) and ``mask_lo`` (Y) on the
-        union of their supports, as support values. Packed keys sort like the
-        values they stand for, so the union is in the order of the values."""
+        union of their supports, as support values, and each point's packed
+        key. Packed keys sort like the values they stand for, so the union is
+        in the order of the values."""
         hi, lo = self.int_law(mask_hi, block), self.int_law(mask_lo, block)
         u = support_union(dict(zip(hi.keys, hi.weights)), dict(zip(lo.keys, lo.weights)))
         ranks, axes = dict(zip(self.block(block)[1], self.ranks)), self.work.view.axes
         return u._replace(points=[tuple(axes[j - 1][ranks[key][j - 1]] for j in block)
-                                  for key in u.points])
+                                  for key in u.points]), u.points
 
     def decide(self, mask_lo: int, mask_hi: int, block: tuple[int, ...],
                orbits=None) -> bool:
@@ -162,7 +164,7 @@ class CellContext:
         if deficient is not None and not orbits:
             self.cuts[block, mask_lo, mask_hi] = deficient
         if self.st_mode == "verify":
-            violation, _ = sweep_violation(self.union(mask_hi, mask_lo, block),
+            violation, _ = sweep_violation(self.union(mask_hi, mask_lo, block)[0],
                                            self.caps.max_upper_sets)
             require_agreement(flows is not None, violation is None)
         return flows is not None
@@ -177,9 +179,9 @@ class CellContext:
         deficient = self.cuts.get((block, mask_lo, mask_hi))
         if deficient is None:
             raise InternalConsistencyError(f"no failed order on block {block} to name")
-        u = self.union(mask_hi, mask_lo, block)
-        xs = [p for p, w in zip(u.points, u.wx) if w]  # the atoms of hi, in key order
-        return u, cut_violation(u, [xs[i] for i in deficient])
+        u, keys = self.union(mask_hi, mask_lo, block)
+        hi = self.int_law(mask_hi, block)
+        return u, cut_violation(u, keys, self.block(block)[0], [hi.keys[i] for i in deficient])
 
     def tally(self, holds: bool) -> bool:
         """Count one order ``decide`` returned; its verdict."""

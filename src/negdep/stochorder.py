@@ -29,7 +29,6 @@ from .maxflow import integer_max_flow
 from .uppersets import (
     UpperSet,
     at_or_above,
-    componentwise_leq,
     enumerate_upper_index_sets,
     from_members,
 )
@@ -302,14 +301,18 @@ def support_union(px: dict, py: dict) -> SupportUnion:
                         [py.get(p, 0) for p in points], sum(px.values()), sum(py.values()))
 
 
-def _violation(u: SupportUnion, idx: Sequence[int]) -> UpperSetViolation | None:
-    """The upper set of ``u.points`` at ``idx`` as a violation if X carries
-    more mass there than Y, else None; compared cross-multiplied."""
+def _violation(u: SupportUnion, idx: Sequence[int],
+               minimal: tuple[Vector, ...] | None = None) -> UpperSetViolation | None:
+    """The upper set of ``u.points`` at ``idx``, ascending, as a violation if
+    X carries more mass there than Y, else None; compared cross-multiplied.
+    ``minimal`` holds its minimal points when the caller knows them."""
     mass_x = sum(map(u.wx.__getitem__, idx))
     mass_y = sum(map(u.wy.__getitem__, idx))
     if mass_x * u.ty <= mass_y * u.tx:
         return None
-    return UpperSetViolation(from_members([u.points[i] for i in idx]),
+    points = [u.points[i] for i in idx]
+    return UpperSetViolation(from_members(points) if minimal is None
+                             else UpperSet(tuple(points), minimal),
                              Fraction(mass_x, u.tx), Fraction(mass_y, u.ty))
 
 
@@ -326,12 +329,24 @@ def sweep_violation(u: SupportUnion, cap: int | None) -> tuple[UpperSetViolation
     return None, examined
 
 
-def cut_violation(u: SupportUnion, deficient: Sequence[Vector]) -> UpperSetViolation:
+def cut_violation(u: SupportUnion, keys: Sequence[int], guards: int,
+                  deficient: Sequence[int]) -> UpperSetViolation:
     """The upward closure, within the union support, of the deficient
     x-atoms that ``integer_coupling`` returns: the source side of the minimal
-    minimum cut, which carries more mass under X than under Y."""
-    violation = _violation(u, [k for k, p in enumerate(u.points)
-                               if any(componentwise_leq(g, p) for g in deficient)])
+    minimum cut, which carries more mass under X than under Y.
+
+    ``keys[k]`` is the packed rank key of ``u.points[k]``, with guard bits
+    ``guards``, and ``deficient`` holds the keys of the deficient atoms. The
+    closure and its minimal elements, those of the deficient atoms, are
+    found on the keys by the guard test; keys sort like the points."""
+    lows: list[int] = []
+    for x in sorted(deficient):
+        if not any(((x | guards) - q) & guards == guards for q in lows):
+            lows.append(x)
+    idx = [k for k, y in enumerate(keys) if any(((y | guards) - x) & guards == guards
+                                                for x in lows)]
+    lows_set = set(lows)
+    violation = _violation(u, idx, tuple(u.points[k] for k in idx if keys[k] in lows_set))
     if violation is None:
         raise InternalConsistencyError("min cut did not produce a violating upper set")
     return violation
@@ -368,9 +383,11 @@ def st_leq_coupling(dX: FiniteJointDistribution,
         scale = lx.total * ly.total
         pairs = [(xs[i], ys[j], Fraction(f, scale)) for i, j, f in flows]
         return StVerdict(holds=True, method="coupling", coupling=Coupling(tuple(sorted(pairs))))
-    u = support_union(dict(zip(xs, lx.weights)), dict(zip(ys, ly.weights)))
-    return StVerdict(holds=False, method="coupling",
-                     violation=cut_violation(u, [xs[i] for i in deficient]))
+    keyed = support_union(dict(zip(lx.keys, lx.weights)), dict(zip(ly.keys, ly.weights)))
+    point = dict(zip(packed, xs + ys))
+    u = keyed._replace(points=[point[key] for key in keyed.points])
+    return StVerdict(holds=False, method="coupling", violation=cut_violation(
+        u, keyed.points, guards, [lx.keys[i] for i in deficient]))
 
 
 def require_agreement(by_coupling: bool, by_uppersets: bool) -> None:

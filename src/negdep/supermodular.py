@@ -18,23 +18,28 @@ signed measure p_Y - p_X as ints on the flat lexicographic grid over one
 positive scale, and re-checks its answer there by grid position
 (docs/theory.md section 10). Two front ends build that measure: one from two
 laws (:func:`supermodular_leq`), one from a law's integer view against its
-independent copy (:func:`below_independent_copy`).
+independent copy (:func:`below_independent_copy`). The second first tries a
+sufficient certificate with no LP, a chain of one-coordinate maximum-weight
+closures, each one minimum cut (:func:`closure_chain_holds`, docs/theory.md
+section 13).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .distributions import FiniteJointDistribution, Vector
 from .errors import Caps, GridTooLarge, InternalConsistencyError, UndefinedAtAtom, default_caps
+from .maxflow import integer_max_flow
 from .simplex import OPTIMAL, LinearProgram, SimplexResult, simplex_solve
 from .symmetry import orbit_roots
-from .uppersets import grid_strides, orthant_sums, outer_product, scatter
+from .uppersets import grid_strides, orthant_sums, outer_product, poset_covers, scatter
 
 
 @dataclass(frozen=True, eq=True)
@@ -209,20 +214,36 @@ def decide_on_grid(sizes: list[int], r: list[int], scale: int,
     right-hand side, or every objective coefficient, by one positive factor
     and so changes no pivot.
     """
+    found, solve = _screen(sizes, r, scale, gens)
+    return found or solve()
+
+
+def _screen(sizes: list[int], r: list[int], scale: int, gens: Sequence[Sequence[int]]
+            ) -> tuple[tuple[Fraction, list[int], int] | None, Callable[[], tuple] | None]:
+    """The steps of :func:`decide_on_grid` before any LP: the balance, the
+    gcd, the check of ``gens`` and the orthant screen. Returns the screened
+    answer, or None when every orthant sum is nonnegative, and a callable
+    that solves the transfer system and, if it fails, the box LP."""
     if sum(r) != 0:
         raise InternalConsistencyError("signed measure does not balance")
     g = math.gcd(*r) or 1
     target = [v // g for v in r]
     moves = _point_moves(sizes, target, gens)  # before the screen: a wrong group always raises
     worst = orthant_screen(target, sizes)
-    if worst is not None:
-        low, reverse, k = worst
-        psi = _orthant_indicator(sizes, reverse, k)
-        gap = Fraction(-low * g, scale)
-        if _recheck(sizes, r, scale, psi, 1) != gap:
-            raise InternalConsistencyError("witness gap differs from the orthant sum")
-        return gap, psi, 1
+    if worst is None:
+        return None, functools.partial(_solve_lps, sizes, r, scale, g, target, moves)
+    low, reverse, k = worst
+    psi = _orthant_indicator(sizes, reverse, k)
+    gap = Fraction(-low * g, scale)
+    if _recheck(sizes, r, scale, psi, 1) != gap:
+        raise InternalConsistencyError("witness gap differs from the orthant sum")
+    return (gap, psi, 1), None
 
+
+def _solve_lps(sizes: list[int], r: list[int], scale: int, g: int, target: list[int],
+               moves: list[list[int]]) -> tuple[Fraction, list[int] | None, int]:
+    """The transfer system on the orbits of ``moves`` and, if it has no
+    solution, the box LP with its witness, for ``target = r / g``."""
     # feasibility: sum of lambda_c * transfer_c == target, lambda >= 0, with
     # lambda constant on each cell orbit and one row per point orbit
     cells = _grid_cells(sizes)
@@ -364,6 +385,78 @@ def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
     return SupermodularVerdict(False, gap, _grid_function(axes, psi, den), total)
 
 
+def closure_excess(weights: Sequence[int], covers: Sequence[tuple[int, int]]) -> int:
+    """The largest total weight of an upper set of the points 0..m-1, given
+    their integer ``weights`` and the cover pairs ``(a, b)``, b above a, that
+    generate their order; at least 0, the empty set's.
+
+    One minimum cut gives it (Picard 1976): an edge from the source to each
+    point of positive weight, one from each point of negative weight to the
+    sink, each with the weight's size as capacity, and one along each cover,
+    with the sum P of the positive weights as capacity, which no minimum cut
+    can afford. The answer is P minus the maximum flow. The flow is re-checked
+    in integers, every edge within its capacity and every point conserving
+    it, so its value bounds each upper set's weight by P minus it; and the
+    cut's point side must be an upper set of exactly that weight
+    (docs/theory.md section 13).
+    """
+    m = len(weights)
+    positive = sum(w for w in weights if w > 0)
+    if not positive:
+        return 0
+    src, dst = m, m + 1
+    edges = [(a, b, positive) for a, b in covers]
+    edges += [(src, k, w) if w > 0 else (k, dst, -w) for k, w in enumerate(weights) if w]
+    value, sent, side = integer_max_flow(m + 2, edges, src, dst)
+    net = [0] * (m + 2)
+    for (u, v, cap), f in zip(edges, sent):
+        if not 0 <= f <= cap:
+            raise InternalConsistencyError(f"flow {f} on edge {(u, v)} of capacity {cap}")
+        net[u] -= f
+        net[v] += f
+    if any(net[:m]):
+        raise InternalConsistencyError("closure flow is not conserved at a point")
+    if -net[src] != value:
+        raise InternalConsistencyError(f"closure flow has value {-net[src]}, not {value}")
+    if any(side[a] and not side[b] for a, b in covers):
+        raise InternalConsistencyError("minimum cut side is not an upper set")
+    if sum(w for w, inside in zip(weights, side) if inside) != positive - value:
+        raise InternalConsistencyError("minimum cut side does not weigh P minus the flow")
+    return positive - value
+
+
+def closure_chain_holds(view) -> bool:
+    """A sufficient condition, in polynomial time, for a law to lie below its
+    independent copy in the supermodular order, on its integer view.
+
+    For each coordinate j = 2..n and each threshold t of X_j below its
+    largest value, no upper set U of the support of X_<j = (X_1..X_{j-1})
+    may have P(X_<j in U, X_j > t) > P(X_<j in U) P(X_j > t). With atom
+    weights over their total T, point z of that support gets the weight
+    w(z, X_j > t) T - w(z) W_t, where W_t is the weight of {X_j > t}, and
+    the condition is that the largest upper-set weight (:func:`closure_excess`)
+    is 0. Every NA law passes; a law that fails is not decided
+    (docs/theory.md section 13).
+    """
+    weights, ranks, sizes = view
+    total = sum(weights)
+    for c in range(1, len(sizes)):  # X_j is column c, and z = X_<j its first c ranks
+        by_prefix: dict[tuple[int, ...], list[int]] = {}  # z -> weight of each rank of X_j
+        for rank, w in zip(ranks, weights):
+            by_prefix.setdefault(rank[:c], [0] * sizes[c])[rank[c]] += w
+        points = sorted(by_prefix)
+        covers, _ = poset_covers(points)
+        lines = [by_prefix[z] for z in points]
+        mass = [sum(line) for line in lines]
+        tails = [0] * len(points)  # weight of each z with X_j at rank >= v: X_j > t, t of rank v-1
+        for v in range(sizes[c] - 1, 0, -1):
+            tails = [a + line[v] for a, line in zip(tails, lines)]
+            above = sum(tails)
+            if closure_excess([a * total - w * above for a, w in zip(tails, mass)], covers):
+                return False
+    return True
+
+
 def independence_grid(view) -> tuple[list[int], list[int], int]:
     """A law's integer view laid out on the flat lex grid of its support:
     (cells, products, mass). The law puts cells[k] / mass on grid point k
@@ -385,12 +478,20 @@ def below_independent_copy(view, axes, caps: Caps | None = None,
     are integer sums over the same grid. The cap is checked before anything
     grid-sized is built. ``gens``, generators of the law's automorphisms,
     keep r, so the transfer system is solved on their orbits.
+
+    The steps of :func:`decide_on_grid` before any LP run first, unchanged.
+    When the orthant screen passes and :func:`closure_chain_holds`, the
+    order holds with no LP; otherwise the transfer system and the box LP
+    decide, as in :func:`decide_on_grid`.
     """
     total = _grid_size(view[2], caps)
     cells, products, mass = independence_grid(view)
     lift = mass ** (len(axes) - 1)
     r = [p - lift * c for p, c in zip(products, cells)]
-    gap, psi, den = decide_on_grid(view[2], r, lift * mass, gens)
+    found, solve = _screen(view[2], r, lift * mass, gens)
+    if found is None and closure_chain_holds(view):
+        return total, None
+    gap, psi, den = found or solve()
     if psi is None:
         return total, None
     return total, SupermodularWitness(

@@ -31,7 +31,9 @@ from negdep import (
     st_leq_coupling,
     st_leq_uppersets,
     supermodular_leq,
+    to_json_dict,
 )
+from negdep.checks import SAFE_IMPLICATIONS
 from negdep.cli import main
 from negdep.errors import Caps
 from negdep.fixtures import dominance_spec, run_fixture, three_player_spec
@@ -282,3 +284,33 @@ def test_criterion_17_five_player_round_robin_build(tmp_path):
     law = json.loads(out.read_text())
     assert law["dim"] == 5 and len(law["atoms"]) == 3081
     _pass_line(17, "5-player round robin build", start, 3.0)
+
+
+def test_criterion_18_nsmd_on_the_eight_player_laws(tmp_path, capsys):
+    # both laws are NA, and the chain of one-coordinate closures certifies
+    # NSMD on them with no LP; the transfer system on their 4^8-point grid
+    # did not finish
+    laws = {
+        "fixed draw": knockout_fixed_draw(equal_strength(3, FixedDraw(tuple(range(1, 9))))),
+        "random draw": knockout_random_draw(equal_strength(3, RandomDraw())),
+    }
+    for label, d in laws.items():
+        start = time.monotonic()
+        verdict = check_nsmd(d)
+        assert verdict.holds and verdict.definitive
+        assert verdict.stats.conditioning_pairs == 65536
+        report = audit_implications(d, max_j=1)
+        nsmd = report.verdicts["nsmd"]
+        assert nsmd.holds and nsmd.definitive and "nsmd" not in report.skipped
+        assert report.verdicts["nod"].holds  # so the audit checked ("nsmd", "nod")
+        assert report.implications_checked == sum(
+            a in report.verdicts and b in report.verdicts
+            and report.verdicts[a].holds and report.verdicts[a].definitive
+            for a, b in SAFE_IMPLICATIONS)
+        if label == "fixed draw":
+            path = tmp_path / "law.json"
+            path.write_text(json.dumps(to_json_dict(d)))
+            assert main(["check", str(path), "--props", "nlod,nuod,nod,nsmd", "--jobs", "1",
+                         "-o", str(tmp_path / "report.json")]) == 0
+            capsys.readouterr()
+        _pass_line(18, f"{label} NSMD, audit and check", start, 10.0)

@@ -28,35 +28,9 @@ from negdep.supermodular import GridFunction
 
 from . import reference_supermodular as ref
 from .conftest import TABLE1_ROWS
+from .strategies import grid_laws as laws
 
 F = Fraction
-
-# negative and non-integer values, so grid positions, not values, matter
-_VALUES = [F(-2), F(-1, 2), F(0), F(1, 3), F(1), F(5, 2)]
-
-
-@st.composite
-def laws(draw):
-    """Laws of dimension 2-4 with 1-3 values per axis and 1-10 atoms. The
-    columns are left as drawn, put in one order (positive dependence), put
-    in opposite orders (negative dependence in dimension 2), or replaced by
-    the independent copy (the order holds with equality)."""
-    dim = draw(st.integers(2, 4))
-    axes = [draw(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=3, unique=True))
-            for _ in range(dim)]
-    size = draw(st.integers(1, 10))
-    columns = [draw(st.lists(st.sampled_from(ax), min_size=size, max_size=size))
-               for ax in axes]
-    kind = draw(st.sampled_from(["random", "same-order", "opposite-order", "copy"]))
-    if kind == "same-order":
-        columns = [sorted(column) for column in columns]
-    elif kind == "opposite-order":
-        columns = [sorted(column, reverse=a > 0) for a, column in enumerate(columns)]
-    weights = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
-    total = sum(weights)
-    d = make_pmf(dim, [(x, F(w, total)) for x, w in zip(zip(*columns), weights)])
-    return independent_copy(d) if kind == "copy" else d
-
 
 # 81-point grids, which the strategy seldom reaches: one FALSE, one TRUE
 _DIAGONAL = make_pmf(4, [((i, i, i, j), F(1, 9)) for i in range(3) for j in range(3)])

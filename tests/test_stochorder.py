@@ -337,10 +337,13 @@ def test_upper_closure_consistency():
         return [tuple(F(v) for v in t) for t in tuples]
 
     ambient = vecs((0, 0), (0, 1), (1, 0), (1, 1))
-    v = cut_violation(SupportUnion(ambient, [0, 1, 0, 0], [1, 0, 0, 0], 1, 1), vecs((0, 1)))
+    keys, guards = _pack_ranks(ambient)
+    v = cut_violation(SupportUnion(ambient, [0, 1, 0, 0], [1, 0, 0, 0], 1, 1),
+                      keys, guards, [keys[1]])
     assert v.upper_set.points == ((F(0), F(1)), (F(1), F(1)))
     # a closure that does not violate the order is an internal error
     ambient = vecs((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+    keys, guards = _pack_ranks(ambient)
     with pytest.raises(InternalConsistencyError, match="min cut"):
         cut_violation(SupportUnion(ambient, [0, 0, 3, 0, 0], [0, 0, 0, 0, 3], 3, 3),
-                      vecs((1, 0)))
+                      keys, guards, [keys[2]])

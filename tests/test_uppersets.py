@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negdep import EnumerationCapExceeded, count_upper_sets, enumerate_upper_sets
-from negdep.stochorder import IntegerLaw, RankPacking, SupportUnion, _above_masks, cut_violation
+from negdep.stochorder import (
+    IntegerLaw,
+    RankPacking,
+    SupportUnion,
+    _above_masks,
+    _pack_ranks,
+    cut_violation,
+)
 from negdep.uppersets import (
     at_or_above,
     componentwise_leq,
@@ -76,8 +83,9 @@ def test_upper_closure():
     # the min-cut witness is the upward closure of the deficient atoms
     # within the union support
     ambient = vecs((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+    keys, guards = _pack_ranks(ambient)
     v = cut_violation(SupportUnion(ambient, [0, 0, 3, 0, 0], [2, 0, 0, 0, 1], 3, 3),
-                      vecs((1, 0)))
+                      keys, guards, [keys[2]])
     assert v.upper_set.points == tuple(vecs((1, 0), (1, 1), (2, 2)))
     assert v.upper_set.minimal == tuple(vecs((1, 0)))
     assert (v.p_left, v.p_right) == (1, F(1, 3))
