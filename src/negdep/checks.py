@@ -62,7 +62,13 @@ from .errors import (
 from .rationals import NEG_INF, POS_INF, Extended, as_rational
 from .stochorder import UpperSetViolation, st_leq
 from .supermodular import SupermodularWitness, below_independent_copy, witness_expectations
-from .symmetry import block_orbits, generators, orbit_leaders, stabilizer
+from .symmetry import (
+    block_orbits,
+    generators,
+    least_failing_corner,
+    orbit_leaders,
+    stabilizer,
+)
 from .uppersets import (
     UpperSet,
     componentwise_leq,
@@ -240,8 +246,10 @@ def _orthant_scan(work: LawCache, side: str) -> Verdict:
     Masses are integer weights over the law's common denominator D, so a
     corner fails iff joint * D**(n-1) > product of the marginal weights.
     Corners are scanned in flat (lexicographic) order, and the first
-    failing one is the witness. The verdict is kept in ``work``, so a law's
-    scan of each side runs once.
+    failing one is the witness. A law with automorphisms visits one corner
+    per orbit instead, by :func:`negdep.symmetry.least_failing_corner`,
+    which finds the same first failing corner with no grid. The verdict is
+    kept in ``work``, so a law's scan of each side runs once.
     """
     cached = work.orthants.get(side)
     if cached is not None:
@@ -250,27 +258,31 @@ def _orthant_scan(work: LawCache, side: str) -> Verdict:
     _require_joint(d)
     weights, _, sizes = work.view
     upper = side == "upper"
-    cells, lines = scatter(work.view)
-    orthant_sums(cells, sizes, upper)
-    products = outer_product([list(itertools.accumulate(line[::-1]))[::-1] if upper
-                              else list(itertools.accumulate(line)) for line in lines])
     total = sum(weights)
-    scale = total ** (d.dim - 1)
-    first = next(itertools.compress(
-        itertools.count(),
-        map(gt, map(mul, cells, itertools.repeat(scale)), products)), None)
+    if work.generators:
+        first = least_failing_corner(work.view, work.generators, upper)
+    else:
+        cells, lines = scatter(work.view)
+        orthant_sums(cells, sizes, upper)
+        products = outer_product([list(itertools.accumulate(line[::-1]))[::-1] if upper
+                                  else list(itertools.accumulate(line)) for line in lines])
+        scale = total ** (d.dim - 1)
+        k = next(itertools.compress(
+            itertools.count(),
+            map(gt, map(mul, cells, itertools.repeat(scale)), products)), None)
+        strides, _ = grid_strides(sizes)
+        first = None if k is None else (
+            [k // step % size for step, size in zip(strides, sizes)], cells[k], products[k])
 
     name = "nlod" if side == "lower" else "nuod"
     counted, corners = grid_strides([s + upper for s in sizes])
     if first is None:
         verdict = Verdict(name, True, None, CheckStats(conditioning_pairs=corners))
     else:
-        strides, _ = grid_strides(sizes)
-        position = [first // step % size for step, size in zip(strides, sizes)]
+        position, joint, product = first
         grids = [(NEG_INF,) + ax if upper else ax for ax in work.view.axes]
         witness = OrthantWitness(side, tuple(g[k] for g, k in zip(grids, position)),
-                                 Fraction(cells[first], total),
-                                 Fraction(products[first], total ** d.dim))
+                                 Fraction(joint, total), Fraction(product, total ** d.dim))
         verdict = Verdict(name, False, witness,
                           CheckStats(conditioning_pairs=sum(map(mul, position, counted)) + 1))
     work.orthants[side] = verdict

@@ -38,7 +38,7 @@ from .distributions import FiniteJointDistribution, Vector
 from .errors import Caps, GridTooLarge, InternalConsistencyError, UndefinedAtAtom, default_caps
 from .maxflow import integer_max_flow
 from .simplex import OPTIMAL, LinearProgram, SimplexResult, simplex_solve
-from .symmetry import orbit_roots
+from .symmetry import is_automorphism, orbit_roots
 from .uppersets import grid_strides, orthant_sums, outer_product, poset_covers, scatter
 
 
@@ -214,24 +214,27 @@ def decide_on_grid(sizes: list[int], r: list[int], scale: int,
     right-hand side, or every objective coefficient, by one positive factor
     and so changes no pivot.
     """
-    found, solve = _screen(sizes, r, scale, gens)
-    return found or solve()
+    found, solve = _screen(sizes, r, scale)
+    if found is None:
+        return solve(gens)
+    _point_moves(sizes, r, gens)  # the screen decided, yet a wrong group still raises
+    return found
 
 
-def _screen(sizes: list[int], r: list[int], scale: int, gens: Sequence[Sequence[int]]
-            ) -> tuple[tuple[Fraction, list[int], int] | None, Callable[[], tuple] | None]:
+def _screen(sizes: list[int], r: list[int], scale: int
+            ) -> tuple[tuple[Fraction, list[int], int] | None, Callable[..., tuple] | None]:
     """The steps of :func:`decide_on_grid` before any LP: the balance, the
-    gcd, the check of ``gens`` and the orthant screen. Returns the screened
-    answer, or None when every orthant sum is nonnegative, and a callable
-    that solves the transfer system and, if it fails, the box LP."""
+    gcd and the orthant screen. Returns the screened answer, or None when
+    every orthant sum is nonnegative, and a callable that takes the
+    coordinate permutations that keep r, solves the transfer system on
+    their orbits and, if it fails, the box LP."""
     if sum(r) != 0:
         raise InternalConsistencyError("signed measure does not balance")
     g = math.gcd(*r) or 1
     target = [v // g for v in r]
-    moves = _point_moves(sizes, target, gens)  # before the screen: a wrong group always raises
     worst = orthant_screen(target, sizes)
     if worst is None:
-        return None, functools.partial(_solve_lps, sizes, r, scale, g, target, moves)
+        return None, functools.partial(_solve_lps, sizes, r, scale, g, target)
     low, reverse, k = worst
     psi = _orthant_indicator(sizes, reverse, k)
     gap = Fraction(-low * g, scale)
@@ -241,9 +244,11 @@ def _screen(sizes: list[int], r: list[int], scale: int, gens: Sequence[Sequence[
 
 
 def _solve_lps(sizes: list[int], r: list[int], scale: int, g: int, target: list[int],
-               moves: list[list[int]]) -> tuple[Fraction, list[int] | None, int]:
-    """The transfer system on the orbits of ``moves`` and, if it has no
-    solution, the box LP with its witness, for ``target = r / g``."""
+               gens: Sequence[Sequence[int]]) -> tuple[Fraction, list[int] | None, int]:
+    """The transfer system on the orbits of ``gens`` and, if it has no
+    solution, the box LP with its witness, for ``target = r / g``. A
+    permutation that does not keep ``target`` raises."""
+    moves = _point_moves(sizes, target, gens)
     # feasibility: sum of lambda_c * transfer_c == target, lambda >= 0, with
     # lambda constant on each cell orbit and one row per point orbit
     cells = _grid_cells(sizes)
@@ -477,7 +482,11 @@ def below_independent_copy(view, axes, caps: Caps | None = None,
     mass**dim is p_perp - p_X, and E[psi] under the law and under its copy
     are integer sums over the same grid. The cap is checked before anything
     grid-sized is built. ``gens``, generators of the law's automorphisms,
-    keep r, so the transfer system is solved on their orbits.
+    keep r, so the transfer system is solved on their orbits. Each is
+    checked on the atoms by :func:`negdep.symmetry.is_automorphism` before
+    the screen, so one that moves the law raises whatever decides; the
+    grid moves of the orbits are built, and checked again, only when the
+    transfer system runs.
 
     The steps of :func:`decide_on_grid` before any LP run first, unchanged.
     When the orthant screen passes and :func:`closure_chain_holds`, the
@@ -485,13 +494,17 @@ def below_independent_copy(view, axes, caps: Caps | None = None,
     decide, as in :func:`decide_on_grid`.
     """
     total = _grid_size(view[2], caps)
+    law = dict(zip(view[1], view[0]))
+    for perm in gens:  # before the screen: a wrong group always raises
+        if not is_automorphism(law, axes, perm):
+            raise InternalConsistencyError(f"{perm} is not an automorphism of the law")
     cells, products, mass = independence_grid(view)
     lift = mass ** (len(axes) - 1)
     r = [p - lift * c for p, c in zip(products, cells)]
-    found, solve = _screen(view[2], r, lift * mass, gens)
+    found, solve = _screen(view[2], r, lift * mass)
     if found is None and closure_chain_holds(view):
         return total, None
-    gap, psi, den = found or solve()
+    gap, psi, den = found or solve(gens)
     if psi is None:
         return total, None
     return total, SupermodularWitness(

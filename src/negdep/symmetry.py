@@ -1,5 +1,5 @@
 """Coordinate automorphisms of a finite law, and the orbits they induce on the
-cells a checker scans.
+cells and orthant corners a checker scans.
 
 A permutation ``perm`` of the (0-based) coordinates is an automorphism of the
 law of X when the vector Y with ``Y[perm[a]] = X[a]`` has the law of X. On the
@@ -17,10 +17,12 @@ searched (docs/theory.md section 11).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import eq, itemgetter
 from typing import NamedTuple, Sequence
 
 from .stochorder import RankPacking
+from .uppersets import at_or_above
 
 #: Search nodes (one coordinate mapped) allowed per law. Past it the search
 #: stops and keeps the generators found so far, which span a subgroup.
@@ -209,6 +211,84 @@ def stabilizer(gens: Sequence[Sequence[int]], fixed: Sequence[int]) -> list[Sequ
     (docs/theory.md section 11).
     """
     return [g for g in gens if all(g[c] == c for c in fixed)]
+
+
+def least_failing_corner(view, gens: Sequence[Sequence[int]], upper: bool
+                         ) -> tuple[list[int], int, int] | None:
+    """The lexicographically first corner of the support grid at which the
+    orthant bound fails, as (its position on each axis, J, prod M_i), or
+    None when the bound holds at every corner. Position k of axis i is the
+    event {rank <= k}, or {rank >= k} if upper; J is the weight of the
+    joint event, M_i that of axis i's, and the bound fails when
+    J * D**(n-1) > prod M_i, with D the total weight.
+
+    ``gens`` must be automorphisms of the law, and only the corners that no
+    generator moves to a lexicographically smaller corner are visited: J
+    and the product are constant on an orbit, so the first failing corner
+    is the least of its orbit (docs/theory.md section 7). A depth-first
+    walk fixes axis 0, then axis 1, and so on, keeping the AND of the
+    axes' event bitsets over the atoms. A subtree whose bitset is empty has
+    J = 0 and holds, and a branch is cut as soon as some generator g puts
+    g.x below x.
+    """
+    weights, ranks, sizes = view
+    n = len(sizes)
+    scale = sum(weights) ** (n - 1)
+    full = (1 << len(weights)) - 1
+    events, margins = [], []
+    for column, size in zip(zip(*ranks), sizes):
+        above = at_or_above(column, size)
+        line = [0] * size
+        for v, w in zip(column, weights):
+            line[v] += w
+        if upper:
+            events.append(above[:size])
+            margins.append(list(accumulate(line[::-1]))[::-1])
+        else:
+            events.append([full ^ bits for bits in above[1:]])
+            margins.append(list(accumulate(line)))
+    classes: dict[int, int] = {}  # weight -> its atoms; J is their weighted popcount
+    for k, w in enumerate(weights):
+        classes[w] = classes.get(w, 0) | 1 << k
+    # (g.x)[b] = x[inverse[b]], and both are fixed once axis ready[b] is
+    plans = []
+    for g in gens:
+        inverse = [0] * n
+        for a, b in enumerate(g):
+            inverse[b] = a
+        plans.append((inverse, [max(b, inverse[b]) for b in range(n)], 0))
+    x = [0] * n
+
+    def walk(a: int, mask: int, product: int, pending: list) -> tuple | None:
+        """Axes 0..a-1 are fixed at x[:a]. ``pending`` holds each generator
+        not yet known to put g.x above x, as (inverse, ready, p): g.x and
+        x agree before position p."""
+        for v, (event, margin) in enumerate(zip(events[a], margins[a])):
+            inside = mask & event
+            if not inside:
+                continue
+            x[a] = v
+            kept = []
+            for inverse, ready, p in pending:
+                while p < n and ready[p] <= a and x[inverse[p]] == x[p]:
+                    p += 1
+                if p == n or ready[p] > a:
+                    kept.append((inverse, ready, p))
+                elif x[inverse[p]] < x[p]:
+                    break  # g.x < x: not the least corner of its orbit
+                # otherwise g.x > x for every corner below, and g is dropped
+            else:
+                if a + 1 < n:
+                    found = walk(a + 1, inside, product * margin, kept)
+                    if found:
+                        return found
+                    continue
+                joint = sum(w * (inside & bits).bit_count() for w, bits in classes.items())
+                if joint * scale > product * margin:
+                    return list(x), joint, product * margin
+        return None
+
+    return walk(0, full, 1, plans)
 
 
 class BlockOrbits(NamedTuple):

@@ -15,6 +15,7 @@ from negdep import (
     check_conjecture,
     check_nltd,
     check_nltd1,
+    check_nod,
     check_nrd,
     check_nrd1,
     check_nrtd,
@@ -314,3 +315,23 @@ def test_criterion_18_nsmd_on_the_eight_player_laws(tmp_path, capsys):
                          "-o", str(tmp_path / "report.json")]) == 0
             capsys.readouterr()
         _pass_line(18, f"{label} NSMD, audit and check", start, 10.0)
+
+
+def test_criterion_19_nod_on_one_corner_per_orbit():
+    # the permutation law of 0..7 has 8! atoms and 8^8 corners on each side;
+    # its group is S_8, so the walk visits at most the sorted corners, and it
+    # builds no flat grid
+    start = time.monotonic()
+    verdict = check_nod(permutation_distribution(range(8)))
+    assert verdict.holds and verdict.definitive
+    assert verdict.stats.conditioning_pairs == 8 ** 8 + 9 ** 8
+    _pass_line(19, "NOD of the permutation law of 0..7", start, 10.0)
+    laws = {
+        "fixed draw": lambda: knockout_fixed_draw(equal_strength(3, FixedDraw(tuple(range(1, 9))))),
+        "random draw": lambda: knockout_random_draw(equal_strength(3, RandomDraw())),
+    }
+    for label, build in laws.items():
+        start = time.monotonic()
+        verdict = check_nod(build())
+        assert verdict.holds and verdict.definitive
+        _pass_line(19, f"{label} NOD", start, 1.0)

@@ -455,6 +455,27 @@ def test_a_permutation_that_moves_the_law_raises():
             decide(view[2], r, mass ** 4, [perm])
 
 
+# two independent bits of unequal bias: the orthant screen passes and the
+# chain of closures holds, so no grid move is ever built, yet their swap
+# moves the law
+BIASED = make_pmf(2, [((a, b), F(1 + a, 3) * F(1 + 2 * b, 4)) for a in (0, 1) for b in (0, 1)])
+
+
+@pytest.mark.parametrize("d, perms", [(XOR, [(0, 1, 3, 2), (0, 0, 2, 3)]),
+                                      (BIASED, [(1, 0), (0, 0)])])
+def test_nsmd_raises_on_a_permutation_that_moves_the_law(d, perms):
+    # XOR fails NOD, so the orthant screen decides it; BIASED passes the
+    # screen and the chain: neither runs the transfer system
+    view = LawCache(d).view
+    cells, products, mass = supermodular.independence_grid(view)
+    r = [p - mass ** (d.dim - 1) * c for p, c in zip(products, cells)]
+    screened = supermodular.orthant_screen(r, view[2]) is not None
+    assert screened == (d is XOR) and supermodular.closure_chain_holds(view) == (d is BIASED)
+    for perm in perms:
+        with pytest.raises(InternalConsistencyError):
+            supermodular.below_independent_copy(view, view.axes, None, [perm])
+
+
 _REPORT_LAWS = {
     "fixed-draw-4": knockout_fixed_draw(equal_strength(2, FixedDraw((1, 2, 3, 4)))),
     "random-draw-4": knockout_random_draw(equal_strength(2, RandomDraw())),
