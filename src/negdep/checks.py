@@ -32,7 +32,7 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from operator import add, gt, mul
+from operator import add, mul
 from typing import Callable, Mapping, Sequence
 
 from .conditioning import CellContext, label_masks
@@ -75,9 +75,6 @@ from .uppersets import (
     enumerate_upper_index_sets,
     from_members,
     grid_strides,
-    orthant_sums,
-    outer_product,
-    scatter,
 )
 
 ZERO = Fraction(0)
@@ -233,23 +230,22 @@ def _orthant_scan(work: LawCache, side: str) -> Verdict:
     Both sides are step functions jumping only at support values, so the
     per-axis corner grid is exhaustive; the upper side additionally needs a
     "no constraint" sentinel per axis (threshold below every support value).
-    Both scan the support grid, by prefix or suffix sums along each axis.
 
-    Lower side, axis positions k = 0..s-1: corner value axes[k], cell mass
-    P(rank <= k). Upper side, positions k = 0..s-1: corner value -inf for
+    Lower side, axis positions k = 0..s-1: corner value axes[k], event
+    {rank <= k}. Upper side, positions k = 0..s-1: corner value -inf for
     k = 0 and axes[k-1] for k >= 1 (the event {X > axes[k-1]} holds iff
-    rank >= k), cell mass P(rank >= k). The upper corners at axes[s-1]
-    bound an empty event and never fail, so they are not built, but
+    rank >= k). The upper corners at axes[s-1] bound an empty event and
+    never fail, so they are not visited, but
     corners are counted on the grid that has them, of prod (s_i + 1)
     corners (docs/theory.md section 7).
 
     Masses are integer weights over the law's common denominator D, so a
     corner fails iff joint * D**(n-1) > product of the marginal weights.
-    Corners are scanned in flat (lexicographic) order, and the first
-    failing one is the witness. A law with automorphisms visits one corner
-    per orbit instead, by :func:`negdep.symmetry.least_failing_corner`,
-    which finds the same first failing corner with no grid. The verdict is
-    kept in ``work``, so a law's scan of each side runs once.
+    The witness is the lexicographically first failing corner, found by
+    :func:`negdep.symmetry.least_failing_corner` with one corner per orbit
+    of the law's automorphisms (each corner its own orbit when it has none)
+    and no grid. The verdict is kept in ``work``, so a law's scan of each
+    side runs once.
     """
     cached = work.orthants.get(side)
     if cached is not None:
@@ -259,21 +255,7 @@ def _orthant_scan(work: LawCache, side: str) -> Verdict:
     weights, _, sizes = work.view
     upper = side == "upper"
     total = sum(weights)
-    if work.generators:
-        first = least_failing_corner(work.view, work.generators, upper)
-    else:
-        cells, lines = scatter(work.view)
-        orthant_sums(cells, sizes, upper)
-        products = outer_product([list(itertools.accumulate(line[::-1]))[::-1] if upper
-                                  else list(itertools.accumulate(line)) for line in lines])
-        scale = total ** (d.dim - 1)
-        k = next(itertools.compress(
-            itertools.count(),
-            map(gt, map(mul, cells, itertools.repeat(scale)), products)), None)
-        strides, _ = grid_strides(sizes)
-        first = None if k is None else (
-            [k // step % size for step, size in zip(strides, sizes)], cells[k], products[k])
-
+    first = least_failing_corner(work.view, work.generators, upper)
     name = "nlod" if side == "lower" else "nuod"
     counted, corners = grid_strides([s + upper for s in sizes])
     if first is None:

@@ -222,14 +222,14 @@ def least_failing_corner(view, gens: Sequence[Sequence[int]], upper: bool
     joint event, M_i that of axis i's, and the bound fails when
     J * D**(n-1) > prod M_i, with D the total weight.
 
-    ``gens`` must be automorphisms of the law, and only the corners that no
-    generator moves to a lexicographically smaller corner are visited: J
-    and the product are constant on an orbit, so the first failing corner
-    is the least of its orbit (docs/theory.md section 7). A depth-first
-    walk fixes axis 0, then axis 1, and so on, keeping the AND of the
-    axes' event bitsets over the atoms. A subtree whose bitset is empty has
-    J = 0 and holds, and a branch is cut as soon as some generator g puts
-    g.x below x.
+    ``gens`` must be automorphisms of the law, possibly none, and only the
+    corners that no generator moves to a lexicographically smaller corner
+    are visited: J and the product are constant on an orbit, so the first
+    failing corner is the least of its orbit (docs/theory.md section 7). A
+    depth-first walk fixes axis 0, then axis 1, and so on, keeping the AND
+    of the axes' event bitsets over the atoms. A subtree whose bitset is
+    empty has J = 0 and holds, and a branch is cut as soon as some
+    generator g puts g.x below x.
     """
     weights, ranks, sizes = view
     n = len(sizes)

@@ -9,7 +9,9 @@ fixed order starting from the empty set and ending at the full set.
 The module also holds the one copy of the kernels on grids of small ints
 that the checkers share: the at-or-above bitsets of a column, the covers of
 a point set, and the flat lexicographic grid with its strides, the scatter
-of an integer view, orthant sums and outer products.
+of an integer view, orthant sums and outer products. NSMD's screen and the
+label counts use the flat grid; the orthant scans walk the corners instead
+(docs/theory.md section 7).
 """
 
 from __future__ import annotations

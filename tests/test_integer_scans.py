@@ -1,10 +1,13 @@
 """The integer orthant and association scans against the Fraction reference,
 and against laws that are negatively associated by theorem."""
 
+import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +31,7 @@ from negdep import (
     to_json_dict,
     verify_witness,
 )
+from negdep.checks import LawCache
 
 from . import reference_scans as ref
 from .strategies import finite_distributions
@@ -155,26 +159,61 @@ def test_check_command_reads_the_view_with_the_law(monkeypatch, tmp_path, capsys
     assert caches[0].view == view(law) and caches[0].view.axes == view(law).axes
 
 
-def test_orthant_scans_sum_the_support_grid_only(monkeypatch):
+@pytest.mark.parametrize("orbits", [True, False], ids=["orbit-walk", "trivial-group"])
+def test_orthant_scans_count_the_extended_grid(orbits, monkeypatch):
     # the upper side reads position 0 as the -inf corner and builds no
     # sentinel row, yet counts its corners as on the grid that has one.
-    # Both laws have automorphisms, which the flat scan is run without; with
-    # them, no grid is built at all (tests/test_orbit_orthant.py)
-    monkeypatch.setattr(checks, "generators", lambda view, axes: [])
-    sums = []
-    kernel = checks.orthant_sums
-    monkeypatch.setattr(checks, "orthant_sums",
-                        lambda cells, sizes, reverse: sums.append(len(cells))
-                        or kernel(cells, sizes, reverse))
+    # Both laws have automorphisms; without them the walk visits every
+    # corner the empty-event pruning leaves, and counts the same grid
+    if not orbits:
+        monkeypatch.setattr(checks, "generators", lambda view, axes: [])
     laws = (knockout_fixed_draw(equal_strength(3, FixedDraw(tuple(range(1, 9))))),
             permutation_distribution(range(6)))
     for d in laws:
         sizes = [len(axis) for axis in d.support_grid()]
         for checker, counted in ((check_nlod, sizes), (check_nuod, [s + 1 for s in sizes])):
-            sums.clear()
             verdict = checker(d)
-            assert sums == [math.prod(sizes)]
             assert verdict.holds and verdict.stats.conditioning_pairs == math.prod(counted)
+
+
+def _weighted_permutations(n, weight):
+    """The permutations of 0..n-1, each with mass proportional to weight(x)."""
+    perms = list(itertools.permutations(range(n)))
+    weights = [weight(x) for x in perms]
+    total = sum(weights)
+    return make_pmf(n, [(x, F(w, total)) for x, w in zip(perms, weights)])
+
+
+def _skewed(x):
+    return 1 + sum(i * v for i, v in enumerate(x)) % 7
+
+
+def test_orthant_scans_without_automorphisms_build_no_grid(monkeypatch):
+    # 6**6 = 46,656 lower corners and no automorphism; a grid of one int
+    # per corner would peak at about 2.8 MiB a side
+    d = _weighted_permutations(6, _skewed)
+    work = LawCache(d)
+    assert work.generators == []
+    monkeypatch.setattr(checks, "integer_view", lambda law: work.view)
+    for checker, reference in ((check_nlod, ref.check_nlod), (check_nuod, ref.check_nuod)):
+        tracemalloc.start()
+        try:
+            got = checker(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+        assert got.holds and repr(got) == repr(reference(d))
+
+
+def test_orthant_witnesses_without_automorphisms_match_the_reference():
+    # the skewed weights plus a heavy event {X_1 < X_2 < X_3}: both sides fail
+    d = _weighted_permutations(6, lambda x: _skewed(x) + 30 * (x[0] < x[1] < x[2]))
+    assert LawCache(d).generators == []
+    for checker, reference in ((check_nlod, ref.check_nlod), (check_nuod, ref.check_nuod)):
+        got = checker(d)
+        assert not got.holds and repr(got) == repr(reference(d))
+        verify_witness(d, got)
 
 
 def test_nuod_counts_the_sentinel_corners_before_its_witness():
