@@ -29,6 +29,7 @@ from .stochorder import (
     require_agreement,
     support_union,
     sweep_violation,
+    tail_order,
 )
 from .uppersets import at_or_above, grid_comparable_pairs, grid_covers, poset_covers
 
@@ -154,29 +155,50 @@ class CellContext:
                orbits=None) -> bool:
         """Does [X_block | high] <=st [X_block | low]? With ``orbits``, J's
         stabilizer's orbits on the observed block, it is decided on the orbit
-        laws. Verify mode also sweeps the upper sets of the full laws and
-        raises if the two oracles disagree. An order that fails on the full
-        laws keeps its minimum cut in ``cuts``, for ``witness``."""
-        key = ORBITS if orbits else block
-        hi, lo = self.int_law(mask_hi, key), self.int_law(mask_lo, key)
-        flows, deficient = integer_coupling(hi, lo, self.blocks[key][0],
-                                            orbits and orbits.comparable(hi, lo))
-        if deficient is not None and not orbits:
-            self.cuts[block, mask_lo, mask_hi] = deficient
+        laws. On the full laws a block of several coordinates is FALSE at its
+        first failing one-coordinate marginal, with no coupling built
+        (docs/theory.md section 14). Verify mode also sweeps the upper sets
+        of the full laws and raises if the two oracles disagree. An order
+        that ``min_cut`` finds failing keeps its cut in ``cuts``, for
+        ``witness``."""
+        if orbits:
+            hi, lo = self.int_law(mask_hi, ORBITS), self.int_law(mask_lo, ORBITS)
+            holds = integer_coupling(hi, lo, orbits.guards,
+                                     orbits.comparable(hi, lo))[0] is not None
+        elif len(block) > 1 and not all(self.decide(mask_lo, mask_hi, (j,)) for j in block):
+            holds = False
+        else:
+            holds = self.min_cut(mask_lo, mask_hi, block) is None
         if self.st_mode == "verify":
             violation, _ = sweep_violation(self.union(mask_hi, mask_lo, block)[0],
                                            self.caps.max_upper_sets)
-            require_agreement(flows is not None, violation is None)
-        return flows is not None
+            require_agreement(holds, violation is None)
+        return holds
+
+    def min_cut(self, mask_lo: int, mask_hi: int, block: tuple[int, ...]) -> list[int] | None:
+        """The x-atoms (indices into the law given ``mask_hi``) on the source
+        side of the minimal minimum cut of the order on the block's full laws,
+        or None if it holds: by tail sums on one coordinate, else by the
+        coupling network. A cut depends on the two laws alone, so it is kept
+        in ``cuts`` and not found twice."""
+        key = (block, mask_lo, mask_hi)
+        deficient = self.cuts.get(key)
+        if deficient is None:
+            hi, lo = self.int_law(mask_hi, block), self.int_law(mask_lo, block)
+            deficient = (tail_order(hi, lo) if len(block) == 1
+                         else integer_coupling(hi, lo, self.block(block)[0])[1])
+            if deficient is not None:
+                self.cuts[key] = deficient
+        return deficient
 
     def witness(self, mask_lo: int, mask_hi: int,
                 block: tuple[int, ...]) -> tuple[SupportUnion, UpperSetViolation]:
         """The union of the block's laws given ``mask_hi`` and ``mask_lo``, and
-        the upward closure of the x-atoms the residual network reached when
-        ``decide`` found the order failing on those full laws: the source side
-        of the minimal minimum cut, the same for every maximum flow
-        (docs/theory.md section 2)."""
-        deficient = self.cuts.get((block, mask_lo, mask_hi))
+        the upward closure of the x-atoms on the source side of the minimal
+        minimum cut of the order on those full laws, the same for every
+        maximum flow (docs/theory.md section 2). It is the cut ``decide``
+        kept, or, when a marginal refuted the order first, ``min_cut``'s."""
+        deficient = self.min_cut(mask_lo, mask_hi, block)
         if deficient is None:
             raise InternalConsistencyError(f"no failed order on block {block} to name")
         u, keys = self.union(mask_hi, mask_lo, block)

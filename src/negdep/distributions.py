@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -310,15 +311,20 @@ def _rank_column(tokens: Sequence, read: Callable | None = None) -> tuple[tuple,
     """The sorted distinct values of one column, and each token's rank among
     them. ``read`` gives a token's value (by default the token is its value);
     each distinct token is read once, and tokens that read the same value
-    share its rank."""
+    share its rank. Without ``read`` the tokens are rationals, keyed by
+    ``(numerator, denominator)`` so that no Fraction is hashed; each value
+    keeps its first token, as a set would."""
     if read is None:
-        table = sorted(set(tokens))
-        rank = {q: r for r, q in enumerate(table)}
-    else:
-        values = {t: read(t) for t in set(tokens)}
-        table = sorted(set(values.values()))
-        at = {q: r for r, q in enumerate(table)}
-        rank = {t: at[q] for t, q in values.items()}
+        keys = list(zip(map(attrgetter("numerator"), tokens),
+                        map(attrgetter("denominator"), tokens)))
+        first = dict(zip(reversed(keys), reversed(tokens)))
+        table = sorted(first.values())
+        at = {(q.numerator, q.denominator): r for r, q in enumerate(table)}
+        return tuple(table), list(map(at.__getitem__, keys))
+    values = {t: read(t) for t in set(tokens)}
+    table = sorted(set(values.values()))
+    at = {q: r for r, q in enumerate(table)}
+    rank = {t: at[q] for t, q in values.items()}
     return tuple(table), list(map(rank.__getitem__, tokens))
 
 
@@ -330,15 +336,15 @@ def axis_ranks(columns: Iterable[Sequence],
     return list(zip(*ranks)), axes
 
 
-def _over_common_denominator(probs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """The probabilities times the lcm of their denominators, and that lcm."""
-    scale = math.lcm(*(p.denominator for p in probs))
-    return tuple(p.numerator * (scale // p.denominator) for p in probs), scale
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The rationals times the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
 def integer_weights(d: FiniteJointDistribution) -> tuple[int, ...]:
     """The atoms' probabilities times their common denominator."""
-    return _over_common_denominator([p for _, p in d.atoms])[0]
+    return over_common_denominator([p for _, p in d.atoms])[0]
 
 
 def _view(weights: tuple[int, ...], ranks: list[tuple[int, ...]], axes: tuple) -> IntegerView:
@@ -433,7 +439,7 @@ def _read_columns(dim: int, raw_atoms: list) -> tuple[FiniteJointDistribution, I
         merged[r] = merged[r] + probs[k] if r in merged else probs[k]
     keys = sorted(merged)
     atom_probs = [merged[r] for r in keys]
-    weights, scale = _over_common_denominator(atom_probs)
+    weights, scale = over_common_denominator(atom_probs)
     if sum(weights) != scale:
         return None
     columns = [map(ax.__getitem__, col) for ax, col in zip(axes, zip(*keys))]

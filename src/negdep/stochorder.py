@@ -13,17 +13,25 @@ every call. A FALSE answer names one upper set U with P(X in U) > P(Y in U),
 re-checkable by direct summation: the upward closure of the source side of
 the coupling network's minimal minimum cut. That set depends on the two laws
 alone, not on a cap, a mode or the maximum flow found (docs/theory.md
-section 2); the sweep is a brute-force oracle and names no witness.
+section 2); the sweep is a brute-force oracle and names no witness. On one
+axis, ``tail_order`` finds the same cut from tail sums, with no network
+(docs/theory.md section 14).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lshift
+from operator import lshift, mul
 from typing import NamedTuple, Sequence
 
-from .distributions import FiniteJointDistribution, Vector, axis_ranks, integer_weights
+from .distributions import (
+    FiniteJointDistribution,
+    Vector,
+    axis_ranks,
+    integer_weights,
+    over_common_denominator,
+)
 from .errors import Caps, InternalConsistencyError, default_caps
 from .maxflow import integer_max_flow
 from .uppersets import (
@@ -231,6 +239,33 @@ def integer_coupling(lx: IntegerLaw, ly: IntegerLaw, guards: int,
     return flows, None
 
 
+def tail_order(lx: IntegerLaw, ly: IntegerLaw) -> list[int] | None:
+    """Decide lx <=st ly on one axis by its tail sums, in integers.
+
+    Both laws are keyed by the ranks of one axis. The order holds iff
+    ``W_X(>= t) * T_Y <= W_Y(>= t) * T_X`` at every threshold t of lx's
+    support; the thresholds are scanned from the top. Returns None when it
+    holds, else the indices of the lx atoms at or above the largest
+    threshold where the excess is greatest: the deficient set
+    ``integer_coupling`` returns for the same laws (docs/theory.md
+    section 14).
+    """
+    tx, ty = lx.total, ly.total
+    above_x = above_y = best = 0
+    cut = None
+    j = len(ly.keys)
+    for i in range(len(lx.keys) - 1, -1, -1):
+        t = lx.keys[i]
+        above_x += lx.weights[i]
+        while j and ly.keys[j - 1] >= t:
+            j -= 1
+            above_y += ly.weights[j]
+        excess = above_x * ty - above_y * tx
+        if excess > best:
+            best, cut = excess, i
+    return None if cut is None else list(range(cut, len(lx.keys)))
+
+
 @dataclass(frozen=True)
 class Coupling:
     """Joint mass on pairs (x, y) with x <= y, certifying X <=st Y."""
@@ -288,9 +323,11 @@ class SupportUnion(NamedTuple):
     ty: int
 
     def means(self) -> list[tuple[Fraction, ...]]:
-        """The coordinatewise means of X and of Y."""
-        return [tuple(Fraction(sum(w * p[a] for p, w in zip(self.points, weights)), total)
-                      for a in range(len(self.points[0])))
+        """The coordinatewise means of X and of Y, summed in integers: each
+        axis's values times the lcm of their denominators."""
+        columns = [over_common_denominator(values) for values in zip(*self.points)]
+        return [tuple(Fraction(sum(map(mul, weights, nums)), total * scale)
+                      for nums, scale in columns)
                 for weights, total in ((self.wx, self.tx), (self.wy, self.ty))]
 
 

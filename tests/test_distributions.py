@@ -26,7 +26,7 @@ from negdep import (
     to_json_dict,
     upper_event,
 )
-from negdep.distributions import integer_view, parse_law
+from negdep.distributions import axis_ranks, integer_view, parse_law
 from negdep.rationals import NEG_INF, as_rational, format_rational
 
 from .strategies import finite_distributions
@@ -419,3 +419,21 @@ def test_independent_copy_preserves_margins(d):
 @given(finite_distributions(min_dim=2, max_dim=2, max_atoms=4))
 def test_negation_is_involutive(d):
     assert d.negate().negate() == d
+
+
+# ints next to the equal Fractions, so a value's first token must be kept
+_TOKENS = [0, Fraction(0), 1, Fraction(1), Fraction(1, 2), Fraction(-3, 2), -1, Fraction(-1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_TOKENS), min_size=3, max_size=3), min_size=1,
+                max_size=12))
+def test_axis_ranks_rank_rationals_as_their_sorted_set_does(rows):
+    columns = list(zip(*rows))
+    ranks, axes = axis_ranks(columns)
+    expected = []
+    for column in columns:
+        table = sorted(set(column))
+        expected.append((table, [table.index(t) for t in column]))
+    assert [(list(ax), list(col)) for ax, col in zip(axes, zip(*ranks))] == expected
+    assert [list(map(type, ax)) for ax in axes] == [list(map(type, t)) for t, _ in expected]

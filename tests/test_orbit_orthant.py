@@ -17,6 +17,7 @@ from negdep import (
     RandomDraw,
     check_nlod,
     check_nod,
+    check_nsmd,
     check_nuod,
     checks,
     equal_strength,
@@ -24,6 +25,7 @@ from negdep import (
     knockout_random_draw,
     make_pmf,
     permutation_distribution,
+    supermodular,
     symmetry,
     uppersets,
     verify_witness,
@@ -93,10 +95,19 @@ def symmetrized_laws(draw):
 
 
 def _no_flat_grid(monkeypatch):
+    # ``supermodular`` binds ``scatter`` at import, so both names are patched
     def scatter(view):
         raise AssertionError("the flat grid was built")
 
     monkeypatch.setattr(uppersets, "scatter", scatter)
+    monkeypatch.setattr(supermodular, "scatter", scatter)
+
+
+def test_the_flat_grid_guard_fires_on_nsmd(monkeypatch):
+    # a positive control: NSMD lays the law out on the flat grid
+    _no_flat_grid(monkeypatch)
+    with pytest.raises(AssertionError, match="the flat grid was built"):
+        check_nsmd(permutation_distribution([0, 1, 2]))
 
 
 def _assert_reference_scans(d):
