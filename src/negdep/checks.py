@@ -401,7 +401,7 @@ def _check_nsmd(work: LawCache, caps) -> Verdict:
     """On the law's integer view, with no independent-copy law (docs/theory.md
     section 10)."""
     _require_joint(work.d)
-    points, witness = below_independent_copy(work.view, work.view.axes, caps, work.generators)
+    points, witness = below_independent_copy(work.view, work.view.axes, caps)
     return Verdict("nsmd", witness is None, witness, CheckStats(conditioning_pairs=points))
 
 

@@ -26,7 +26,6 @@ from .checks import (
     check_nsmd,
 )
 from .distributions import (
-    FiniteJointDistribution,
     eq_event,
     lower_event,
     make_pmf,

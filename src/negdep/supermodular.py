@@ -21,24 +21,24 @@ laws (:func:`supermodular_leq`), one from a law's integer view against its
 independent copy (:func:`below_independent_copy`). The second first tries a
 sufficient certificate with no LP, a chain of one-coordinate maximum-weight
 closures, each one minimum cut (:func:`closure_chain_holds`, docs/theory.md
-section 13).
+section 13). Past the screen and the chain, both front ends solve the same
+transfer system, one row per grid point and one unknown per cell; the law's
+automorphisms play no part in it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .distributions import FiniteJointDistribution, Vector
 from .errors import Caps, GridTooLarge, InternalConsistencyError, UndefinedAtAtom, default_caps
 from .maxflow import integer_max_flow
 from .simplex import OPTIMAL, LinearProgram, SimplexResult, simplex_solve
-from .symmetry import is_automorphism, orbit_roots
 from .uppersets import grid_strides, orthant_sums, outer_product, poset_covers, scatter
 
 
@@ -107,26 +107,6 @@ def _grid_cells(sizes: list[int]) -> list[tuple[int, int, int, int]]:
     return cells
 
 
-def _point_moves(sizes: list[int], target: list[int],
-                 gens: Sequence[Sequence[int]]) -> list[list[int]]:
-    """For each coordinate permutation, which moves coordinate a to perm[a],
-    the grid position each grid position goes to: the outer sum over the
-    axes of position i times the stride of axis perm[a]. Each permutation
-    must keep the axis sizes and the target."""
-    strides, _ = grid_strides(sizes)
-    moves = []
-    for perm in gens:
-        if sorted(perm) != list(range(len(sizes))) or [sizes[b] for b in perm] != sizes:
-            raise InternalConsistencyError(f"{perm} does not permute axes of equal sizes")
-        move = [0]
-        for size, b in zip(sizes, perm):
-            move = [m + i * strides[b] for m in move for i in range(size)]
-        if any(target[m] != v for m, v in zip(move, target)):
-            raise InternalConsistencyError(f"{perm} does not keep p_Y - p_X")
-        moves.append(move)
-    return moves
-
-
 def orthant_screen(r: list[int], sizes: list[int]) -> tuple[int, bool, int] | None:
     """The most negative orthant sum of r, as (sum, reverse, k): the sum over
     the lower orthant of grid position k, or the upper one if reverse. On a
@@ -184,12 +164,10 @@ def _recheck(sizes: Sequence[int], r: Sequence[int], scale: int,
     return gap
 
 
-def decide_on_grid(sizes: list[int], r: list[int], scale: int,
-                   gens: Sequence[Sequence[int]] = ()) -> tuple[Fraction, list[int] | None, int]:
+def decide_on_grid(sizes: list[int], r: list[int],
+                   scale: int) -> tuple[Fraction, list[int] | None, int]:
     """Decide X <=sm Y on the flat lex grid with the given axis sizes, where
     ``r[k] / scale`` is p_Y - p_X at grid position k (ints, scale > 0).
-    ``gens`` are coordinate permutations that keep r, such as generators of
-    the law's automorphisms; one that does not raises.
 
     Returns (gap, psi, den). The order holds iff psi is None, and then the
     gap is 0. Otherwise ``psi[k] / den`` is the witness, re-checked by
@@ -205,79 +183,60 @@ def decide_on_grid(sizes: list[int], r: list[int], scale: int,
     sum of r already rules the transfers out, and the orthant's indicator,
     which is supermodular and in the box, is the witness. Otherwise the
     feasibility system is solved first — it is far less degenerate — with
-    one row per orbit of grid points and one transfer coefficient per orbit
-    of cells under ``gens`` (docs/theory.md section 11), and its
-    certificate, one coefficient per cell, is re-verified by direct
-    summation; only a failed order runs the box LP, to maximize the gap and
-    extract the witness psi.
+    one row per grid point and one transfer coefficient per cell, and its
+    certificate is re-verified by direct summation; only a failed order
+    runs the box LP, to maximize the gap and extract the witness psi.
     Both LPs read r divided by the gcd of its entries, which scales every
     right-hand side, or every objective coefficient, by one positive factor
     and so changes no pivot.
     """
-    found, solve = _screen(sizes, r, scale)
-    if found is None:
-        return solve(gens)
-    _point_moves(sizes, r, gens)  # the screen decided, yet a wrong group still raises
-    return found
+    return _screen(sizes, r, scale) or _solve_lps(sizes, r, scale)
 
 
-def _screen(sizes: list[int], r: list[int], scale: int
-            ) -> tuple[tuple[Fraction, list[int], int] | None, Callable[..., tuple] | None]:
+def _screen(sizes: list[int], r: list[int],
+            scale: int) -> tuple[Fraction, list[int], int] | None:
     """The steps of :func:`decide_on_grid` before any LP: the balance, the
-    gcd and the orthant screen. Returns the screened answer, or None when
-    every orthant sum is nonnegative, and a callable that takes the
-    coordinate permutations that keep r, solves the transfer system on
-    their orbits and, if it fails, the box LP."""
+    gcd and the orthant screen. Returns the answer of the most negative
+    orthant, or None when every orthant sum is nonnegative."""
     if sum(r) != 0:
         raise InternalConsistencyError("signed measure does not balance")
     g = math.gcd(*r) or 1
     target = [v // g for v in r]
     worst = orthant_screen(target, sizes)
     if worst is None:
-        return None, functools.partial(_solve_lps, sizes, r, scale, g, target)
+        return None
     low, reverse, k = worst
     psi = _orthant_indicator(sizes, reverse, k)
     gap = Fraction(-low * g, scale)
     if _recheck(sizes, r, scale, psi, 1) != gap:
         raise InternalConsistencyError("witness gap differs from the orthant sum")
-    return (gap, psi, 1), None
+    return gap, psi, 1
 
 
-def _solve_lps(sizes: list[int], r: list[int], scale: int, g: int, target: list[int],
-               gens: Sequence[Sequence[int]]) -> tuple[Fraction, list[int] | None, int]:
-    """The transfer system on the orbits of ``gens`` and, if it has no
-    solution, the box LP with its witness, for ``target = r / g``. A
-    permutation that does not keep ``target`` raises."""
-    moves = _point_moves(sizes, target, gens)
+def _solve_lps(sizes: list[int], r: list[int],
+               scale: int) -> tuple[Fraction, list[int] | None, int]:
+    """The transfer system and, if it has no solution, the box LP with its
+    witness, on ``r / g`` for the gcd g of r's entries."""
+    g = math.gcd(*r) or 1
+    target = [v // g for v in r]
     # feasibility: sum of lambda_c * transfer_c == target, lambda >= 0, with
-    # lambda constant on each cell orbit and one row per point orbit
+    # one row per grid point and one unknown per cell
     cells = _grid_cells(sizes)
-    # a cell's corners move to its image's corners; each cell lists its
-    # middle corners larger position (earlier axis) first
-    index = {cell: c for c, cell in enumerate(cells)}
-    cell_roots = orbit_roots(len(cells), [
-        [index[m[k], max(m[k1], m[k2]), min(m[k1], m[k2]), m[k12]]
-         for k, k1, k2, k12 in cells] for m in moves])
-    columns: dict[int, int] = {}
-    column = [columns.setdefault(root, len(columns)) for root in cell_roots]
-    rows = {k: {} for k, root in enumerate(orbit_roots(len(target), moves)) if k == root}
-    for cell, j in zip(cells, column):
+    rows: list[dict[int, int]] = [{} for _ in target]
+    for j, cell in enumerate(cells):
         for k, sign in zip(cell, (1, -1, -1, 1)):
-            row = rows.get(k)
-            if row is not None:
-                row[j] = row.get(j, 0) + sign
+            rows[k][j] = sign
     feas = simplex_solve(LinearProgram(
-        num_vars=len(columns),
+        num_vars=len(cells),
         objective={},
         constraints=(),
-        equalities=[(row, target[k]) for k, row in rows.items()],
+        equalities=list(zip(rows, target)),
     ))
     if feas.status == OPTIMAL:
         # re-check the transfer certificate by direct summation
         mu, lam_den = _over_one_denominator(feas.solution)
         achieved = [0] * len(target)
-        for (k, k1, k2, k12), j in zip(cells, column):
-            v = mu[j]
+        for (k, k1, k2, k12), v in zip(cells, mu):
             if v:
                 if v < 0:
                     raise InternalConsistencyError("negative transfer coefficient")
@@ -471,9 +430,8 @@ def independence_grid(view) -> tuple[list[int], list[int], int]:
     return cells, outer_product(lines), sum(view[0])
 
 
-def below_independent_copy(view, axes, caps: Caps | None = None,
-                           gens: Sequence[Sequence[int]] = ()
-                           ) -> tuple[int, SupermodularWitness | None]:
+def below_independent_copy(view, axes,
+                           caps: Caps | None = None) -> tuple[int, SupermodularWitness | None]:
     """The law below its independent copy in the supermodular order (NSMD),
     decided on its integer view; ``axes`` is its support grid.
 
@@ -481,12 +439,7 @@ def below_independent_copy(view, axes, caps: Caps | None = None,
     witness. On the grid, r = products - mass**(dim-1) * cells over
     mass**dim is p_perp - p_X, and E[psi] under the law and under its copy
     are integer sums over the same grid. The cap is checked before anything
-    grid-sized is built. ``gens``, generators of the law's automorphisms,
-    keep r, so the transfer system is solved on their orbits. Each is
-    checked on the atoms by :func:`negdep.symmetry.is_automorphism` before
-    the screen, so one that moves the law raises whatever decides; the
-    grid moves of the orbits are built, and checked again, only when the
-    transfer system runs.
+    grid-sized is built.
 
     The steps of :func:`decide_on_grid` before any LP run first, unchanged.
     When the orthant screen passes and :func:`closure_chain_holds`, the
@@ -494,17 +447,13 @@ def below_independent_copy(view, axes, caps: Caps | None = None,
     decide, as in :func:`decide_on_grid`.
     """
     total = _grid_size(view[2], caps)
-    law = dict(zip(view[1], view[0]))
-    for perm in gens:  # before the screen: a wrong group always raises
-        if not is_automorphism(law, axes, perm):
-            raise InternalConsistencyError(f"{perm} is not an automorphism of the law")
     cells, products, mass = independence_grid(view)
     lift = mass ** (len(axes) - 1)
     r = [p - lift * c for p, c in zip(products, cells)]
-    found, solve = _screen(view[2], r, lift * mass)
+    found = _screen(view[2], r, lift * mass)
     if found is None and closure_chain_holds(view):
         return total, None
-    gap, psi, den = found or solve(gens)
+    gap, psi, den = found or _solve_lps(view[2], r, lift * mass)
     if psi is None:
         return total, None
     return total, SupermodularWitness(

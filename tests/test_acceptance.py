@@ -239,8 +239,8 @@ def test_criterion_13_fixed_draw_right_tail_is_definitive():
 
 
 def test_criterion_14_nsmd_on_exchangeable_grids():
-    # each law is exchangeable, so the transfer system has one row per orbit
-    # of grid points and one coefficient per orbit of cells
+    # each law is a permutation law, so NA, and the chain of one-coordinate
+    # closures certifies NSMD with no LP
     for values, points, budget_s in [((0, 1, 2, 3), 256, 1.0),
                                      ((0, 0, 1, 1, 2, 2), 729, 2.0),
                                      ((0, 1, 2, 3, 4), 3125, 5.0)]:

@@ -40,7 +40,8 @@ from negdep.errors import Caps
 from negdep.fixtures import dominance_spec, three_player_spec
 from negdep.report import canonical_json, witness_json
 
-from .test_symmetry import EXCHANGEABLE, _eight_player
+from .test_nsmd_chain import EXCHANGEABLE
+from .test_symmetry import _eight_player
 
 F = Fraction
 

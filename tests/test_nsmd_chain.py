@@ -1,10 +1,13 @@
 """The chain of one-coordinate maximum-weight closures that certifies NSMD
 with no LP (docs/theory.md section 13): the closure kernel against brute
 force, the chain against the LP decision, the verdicts against the
-chain-free path, permutation laws as an oracle, and the integer re-check of
-every cut."""
+chain-free path, permutation laws as an oracle, the integer re-check of
+every cut, and the transfer system on every grid point, which reads none of
+the law's automorphisms."""
 
+import hashlib
 import itertools
+import json
 from itertools import combinations_with_replacement
 from fractions import Fraction
 from unittest import mock
@@ -14,12 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negdep import checks, make_pmf, permutation_distribution, supermodular
-from negdep.distributions import integer_view
+from negdep.cli import main
+from negdep.distributions import integer_view, to_json_dict
 from negdep.errors import InternalConsistencyError
 from negdep.maxflow import integer_max_flow
+from negdep.simplex import INFEASIBLE, OPTIMAL
 from negdep.uppersets import enumerate_upper_index_sets, poset_covers
 
 from .strategies import grid_laws
+from .test_symmetry import XOR, _eight_player
 
 F = Fraction
 
@@ -84,9 +90,10 @@ def test_permutation_laws_need_no_lp(values):
 
 
 # the orthant screen passes on both, so only the chain stands before the LPs:
-# an exchangeable law that is not NSMD (the box LP names the witness), and
-# one that is, though the chain's step at j = 4 fails
-_NOT_NSMD = make_pmf(3, [
+# an exchangeable law on {0, 1, 2}^3, found by a seeded search, that is not
+# NSMD though NOD holds (the box LP names the witness), and one that is NSMD,
+# though the chain's step at j = 4 fails
+EXCHANGEABLE = make_pmf(3, [
     (x, F(w, 33))
     for cls, w in {(0, 0, 1): 1, (0, 0, 2): 1, (0, 2, 2): 5, (1, 1, 2): 2, (1, 2, 2): 2}.items()
     for x in sorted(set(itertools.permutations(cls)))])
@@ -95,7 +102,7 @@ _NSMD_PAST_THE_CHAIN = make_pmf(4, [((0, 1, 1, 0), F(1, 4)), ((0, 1, 1, 1), F(1,
                                     ((1, 1, 0, 0), F(3, 10))])
 
 
-@pytest.mark.parametrize("d, holds", [(_NOT_NSMD, False), (_NSMD_PAST_THE_CHAIN, True)],
+@pytest.mark.parametrize("d, holds", [(EXCHANGEABLE, False), (_NSMD_PAST_THE_CHAIN, True)],
                          ids=["not-nsmd", "nsmd"])
 def test_a_failed_chain_falls_back_to_the_lps(d, holds):
     view, r, scale = _signed_measure(d)
@@ -107,6 +114,63 @@ def test_a_failed_chain_falls_back_to_the_lps(d, holds):
     assert verdict.holds == holds and lp.call_count == (1 if holds else 2)
     if not holds:
         checks.verify_witness(d, verdict)
+
+
+def test_an_infeasible_transfer_system_falls_through_to_the_box_lp():
+    lps = []
+    solve = supermodular.simplex_solve
+
+    def recording(lp):
+        result = solve(lp)
+        lps.append((len(lp.equalities), lp.num_vars, result.status))
+        return result
+
+    with mock.patch.object(supermodular, "simplex_solve", recording):
+        verdict = checks.check_nsmd(EXCHANGEABLE)
+    # one row per point of the 3^3 grid and one unknown per cell, then the
+    # box LP on one variable per point
+    assert lps == [(27, 36, INFEASIBLE), (0, 27, OPTIMAL)]
+    assert not verdict.holds and verdict.witness.gap == F(6, 1331)
+    checks.verify_witness(EXCHANGEABLE, verdict)
+
+
+# -- NSMD reads none of the law's automorphisms ----------------------------------
+
+# law -> (its builder, holds, gap, grid points, and the exit code and sha256
+# of the report of `negdep check --props nsmd --jobs 1`)
+NO_SYMMETRY_PINS = {
+    "fixed-draw-128": (lambda: _eight_player("fixed"), True, 0, 65536, 0,
+                       "39d90bcf66496c39e4ca622f2aa568d2b8080294fbcb1183cca4fd93264da8e5"),
+    "random-draw-840": (lambda: _eight_player("random"), True, 0, 65536, 0,
+                        "4661cef5aa9eba08a20c12cc8d01c9ae7105d8dff388482e4a3fa0a12a6f5828"),
+    "xor": (lambda: XOR, False, F(1, 8), 16, 1,
+            "f8524a76776dcf548a9d726269fd04c3ae46de6569089372c5a7deec5459da87"),
+    "exchangeable": (lambda: EXCHANGEABLE, False, F(6, 1331), 27, 1,
+                     "23768b1efaeb829ecc87401ce02120dd691deb6ea5ec39e3c53eaffa15534e68"),
+    "diagonal-iiij": (lambda: make_pmf(4, [((i, i, i, j), F(1, 9))
+                                           for i in range(3) for j in range(3)]),
+                      False, F(10, 27), 81, 1,
+                      "54a55cc34144a64e555ca82baf048cce19148a6ded500d48759c19e44b680116"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(NO_SYMMETRY_PINS))
+def test_nsmd_runs_no_generator_search(label, tmp_path, capsys, monkeypatch):
+    build, holds, gap, points, code, digest = NO_SYMMETRY_PINS[label]
+    d = build()
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(to_json_dict(d)))
+    out = tmp_path / "report.json"
+    monkeypatch.delenv("NEGDEP_CAPS", raising=False)
+    with mock.patch.object(checks, "generators", side_effect=AssertionError("generators ran")):
+        verdict = checks.check_nsmd(d)
+        assert main(["check", str(path), "--props", "nsmd", "--jobs", "1", "-o", str(out)]) == code
+    assert (verdict.holds, verdict.definitive, verdict.stats.conditioning_pairs) == (holds, True, points)
+    assert (verdict.witness.gap if verdict.witness else 0) == gap
+    if not holds:
+        checks.verify_witness(d, verdict)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
 
 
 # -- the integer re-check of each cut -------------------------------------------

@@ -18,7 +18,6 @@ from negdep import (
     check_conjecture,
     check_na,
     check_nltd,
-    check_nsmd,
     check_nrd,
     check_nrtd,
     equal_strength,
@@ -29,11 +28,9 @@ from negdep import (
     permutation_distribution,
     to_json_dict,
 )
-from negdep import checks, supermodular, symmetry
+from negdep import checks, symmetry
 from negdep.checks import LawCache, _subsets
 from negdep.cli import main
-from negdep.errors import InternalConsistencyError
-from negdep.simplex import INFEASIBLE
 from negdep.symmetry import generators, is_automorphism, orbit_leaders, stabilizer
 
 from . import reference_symmetry
@@ -396,84 +393,6 @@ def test_first_witness_is_at_an_orbit_leader():
 def test_conjecture_is_unchanged(values, jobs, st_mode):
     on, off = _on_and_off(lambda: check_conjecture(values, jobs=jobs, st_mode=st_mode))
     assert on == off
-
-
-# -- NSMD's transfer system on orbits ------------------------------------------
-
-@settings(max_examples=60, deadline=None)
-@given(symmetric_laws.filter(lambda d: d.dim >= 3))
-def test_nsmd_is_unchanged_on_planted_symmetry(d):
-    on, off = _on_and_off(lambda: check_nsmd(d))
-    assert repr(on) == repr(off)
-
-
-# exchangeable on {0, 1, 2}^3, found by a seeded search: NOD holds, so no
-# orthant sum is negative, yet the transfer system is infeasible
-EXCHANGEABLE = make_pmf(3, [
-    (x, F(w, 33))
-    for cls, w in {(0, 0, 1): 1, (0, 0, 2): 1, (0, 2, 2): 5, (1, 1, 2): 2, (1, 2, 2): 2}.items()
-    for x in sorted(set(itertools.permutations(cls)))])
-
-
-def _recorded_lps(run):
-    """``run``'s result and, for each LP it solves through supermodular,
-    (number of equality rows, number of variables, status)."""
-    lps = []
-    solve = supermodular.simplex_solve
-
-    def recording(lp):
-        result = solve(lp)
-        lps.append((len(lp.equalities), lp.num_vars, result.status))
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(supermodular, "simplex_solve", recording)
-        return run(), lps
-
-
-def test_an_infeasible_orbit_system_falls_through_to_the_box_lp():
-    d = EXCHANGEABLE
-    assert len(_group(_gens(d), 3)) == 6
-    (on, on_lps), (off, off_lps) = _on_and_off(lambda: _recorded_lps(lambda: check_nsmd(d)))
-    # one row per multiset of three grid positions, then the same box LP
-    assert [lp[0] for lp in on_lps] == [10, 0] and [lp[0] for lp in off_lps] == [27, 0]
-    assert on_lps[0][2] == off_lps[0][2] == INFEASIBLE
-    assert on_lps[1:] == off_lps[1:]
-    assert repr(on) == repr(off)
-    assert not on.holds and on.witness.gap == F(6, 1331)
-    checks.verify_witness(d, on)
-
-
-def test_a_permutation_that_moves_the_law_raises():
-    view = LawCache(XOR).view
-    cells, products, mass = supermodular.independence_grid(view)
-    r = [p - mass ** 3 * c for p, c in zip(products, cells)]
-    decide = supermodular.decide_on_grid
-    assert decide(view[2], r, mass ** 4, _gens(XOR)) == decide(view[2], r, mass ** 4)
-    for perm in [(0, 1, 3, 2), (0, 0, 2, 3)]:  # the swap of X3 and X4; not a permutation
-        with pytest.raises(InternalConsistencyError):
-            decide(view[2], r, mass ** 4, [perm])
-
-
-# two independent bits of unequal bias: the orthant screen passes and the
-# chain of closures holds, so no grid move is ever built, yet their swap
-# moves the law
-BIASED = make_pmf(2, [((a, b), F(1 + a, 3) * F(1 + 2 * b, 4)) for a in (0, 1) for b in (0, 1)])
-
-
-@pytest.mark.parametrize("d, perms", [(XOR, [(0, 1, 3, 2), (0, 0, 2, 3)]),
-                                      (BIASED, [(1, 0), (0, 0)])])
-def test_nsmd_raises_on_a_permutation_that_moves_the_law(d, perms):
-    # XOR fails NOD, so the orthant screen decides it; BIASED passes the
-    # screen and the chain: neither runs the transfer system
-    view = LawCache(d).view
-    cells, products, mass = supermodular.independence_grid(view)
-    r = [p - mass ** (d.dim - 1) * c for p, c in zip(products, cells)]
-    screened = supermodular.orthant_screen(r, view[2]) is not None
-    assert screened == (d is XOR) and supermodular.closure_chain_holds(view) == (d is BIASED)
-    for perm in perms:
-        with pytest.raises(InternalConsistencyError):
-            supermodular.below_independent_copy(view, view.axes, None, [perm])
 
 
 _REPORT_LAWS = {
