@@ -398,8 +398,9 @@ def check_nsmd(d: FiniteJointDistribution, caps: Caps | None = None) -> Verdict:
 
 
 def _check_nsmd(work: LawCache, caps) -> Verdict:
-    """On the law's integer view, with no independent-copy law (docs/theory.md
-    section 10)."""
+    """On the law's integer view, with no independent-copy law: the grid cap,
+    then the closure chain on the atoms, then, for a law the chain does not
+    certify, the grid (docs/theory.md sections 10 and 13)."""
     _require_joint(work.d)
     points, witness = below_independent_copy(work.view, work.view.axes, caps)
     return Verdict("nsmd", witness is None, witness, CheckStats(conditioning_pairs=points))

@@ -18,11 +18,13 @@ signed measure p_Y - p_X as ints on the flat lexicographic grid over one
 positive scale, and re-checks its answer there by grid position
 (docs/theory.md section 10). Two front ends build that measure: one from two
 laws (:func:`supermodular_leq`), one from a law's integer view against its
-independent copy (:func:`below_independent_copy`). The second first tries a
-sufficient certificate with no LP, a chain of one-coordinate maximum-weight
-closures, each one minimum cut (:func:`closure_chain_holds`, docs/theory.md
-section 13). Past the screen and the chain, both front ends solve the same
-transfer system, one row per grid point and one unknown per cell; the law's
+independent copy (:func:`below_independent_copy`). The second first checks
+the grid cap and then tries a sufficient certificate on the atoms, with no
+grid and no LP: a chain of one-coordinate maximum-weight closures, each one
+minimum cut (:func:`closure_chain_holds`, docs/theory.md section 13). Every
+law the chain does not certify goes to :func:`decide_on_grid`, as both laws
+of the first front end do: the orthant screen, then the transfer system,
+one row per grid point and one unknown per cell, then the box LP. The law's
 automorphisms play no part in it.
 """
 
@@ -190,35 +192,19 @@ def decide_on_grid(sizes: list[int], r: list[int],
     right-hand side, or every objective coefficient, by one positive factor
     and so changes no pivot.
     """
-    return _screen(sizes, r, scale) or _solve_lps(sizes, r, scale)
-
-
-def _screen(sizes: list[int], r: list[int],
-            scale: int) -> tuple[Fraction, list[int], int] | None:
-    """The steps of :func:`decide_on_grid` before any LP: the balance, the
-    gcd and the orthant screen. Returns the answer of the most negative
-    orthant, or None when every orthant sum is nonnegative."""
     if sum(r) != 0:
         raise InternalConsistencyError("signed measure does not balance")
     g = math.gcd(*r) or 1
     target = [v // g for v in r]
     worst = orthant_screen(target, sizes)
-    if worst is None:
-        return None
-    low, reverse, k = worst
-    psi = _orthant_indicator(sizes, reverse, k)
-    gap = Fraction(-low * g, scale)
-    if _recheck(sizes, r, scale, psi, 1) != gap:
-        raise InternalConsistencyError("witness gap differs from the orthant sum")
-    return gap, psi, 1
+    if worst is not None:
+        low, reverse, k = worst
+        psi = _orthant_indicator(sizes, reverse, k)
+        gap = Fraction(-low * g, scale)
+        if _recheck(sizes, r, scale, psi, 1) != gap:
+            raise InternalConsistencyError("witness gap differs from the orthant sum")
+        return gap, psi, 1
 
-
-def _solve_lps(sizes: list[int], r: list[int],
-               scale: int) -> tuple[Fraction, list[int] | None, int]:
-    """The transfer system and, if it has no solution, the box LP with its
-    witness, on ``r / g`` for the gcd g of r's entries."""
-    g = math.gcd(*r) or 1
-    target = [v // g for v in r]
     # feasibility: sum of lambda_c * transfer_c == target, lambda >= 0, with
     # one row per grid point and one unknown per cell
     cells = _grid_cells(sizes)
@@ -436,24 +422,21 @@ def below_independent_copy(view, axes,
     decided on its integer view; ``axes`` is its support grid.
 
     Returns the number of grid points and, when the order fails, the
-    witness. On the grid, r = products - mass**(dim-1) * cells over
-    mass**dim is p_perp - p_X, and E[psi] under the law and under its copy
-    are integer sums over the same grid. The cap is checked before anything
-    grid-sized is built.
-
-    The steps of :func:`decide_on_grid` before any LP run first, unchanged.
-    When the orthant screen passes and :func:`closure_chain_holds`, the
-    order holds with no LP; otherwise the transfer system and the box LP
-    decide, as in :func:`decide_on_grid`.
+    witness. The grid cap is checked first, then :func:`closure_chain_holds`
+    runs on the atoms: a law it certifies holds with no grid built. Any
+    other law is laid out on the grid, where r = products - mass**(dim-1) *
+    cells over mass**dim is p_perp - p_X, and :func:`decide_on_grid` decides
+    it; E[psi] under the law and under its copy are integer sums over the
+    same grid. A chain that holds proves NSMD, hence NOD, so the orthant
+    screen could never have fired on a law it certifies.
     """
     total = _grid_size(view[2], caps)
+    if closure_chain_holds(view):
+        return total, None
     cells, products, mass = independence_grid(view)
     lift = mass ** (len(axes) - 1)
     r = [p - lift * c for p, c in zip(products, cells)]
-    found = _screen(view[2], r, lift * mass)
-    if found is None and closure_chain_holds(view):
-        return total, None
-    gap, psi, den = found or _solve_lps(view[2], r, lift * mass)
+    gap, psi, den = decide_on_grid(view[2], r, lift * mass)
     if psi is None:
         return total, None
     return total, SupermodularWitness(

@@ -21,8 +21,8 @@ from itertools import accumulate
 from operator import eq, itemgetter
 from typing import NamedTuple, Sequence
 
+from .conditioning import tail_masks
 from .stochorder import RankPacking
-from .uppersets import at_or_above
 
 #: Search nodes (one coordinate mapped) allowed per law. Past it the search
 #: stops and keeps the generators found so far, which span a subgroup.
@@ -237,15 +237,13 @@ def least_failing_corner(view, gens: Sequence[Sequence[int]], upper: bool
     full = (1 << len(weights)) - 1
     events, margins = [], []
     for column, size in zip(zip(*ranks), sizes):
-        above = at_or_above(column, size)
+        events.append(tail_masks(column, size, ">=" if upper else "<=", sentinel=False))
         line = [0] * size
         for v, w in zip(column, weights):
             line[v] += w
         if upper:
-            events.append(above[:size])
             margins.append(list(accumulate(line[::-1]))[::-1])
         else:
-            events.append([full ^ bits for bits in above[1:]])
             margins.append(list(accumulate(line)))
     classes: dict[int, int] = {}  # weight -> its atoms; J is their weighted popcount
     for k, w in enumerate(weights):

@@ -9,9 +9,10 @@ fixed order starting from the empty set and ending at the full set.
 The module also holds the one copy of the kernels on grids of small ints
 that the checkers share: the at-or-above bitsets of a column, the covers of
 a point set, and the flat lexicographic grid with its strides, the scatter
-of an integer view, orthant sums and outer products. NSMD's screen and the
-label counts use the flat grid; the orthant scans walk the corners instead
-(docs/theory.md section 7).
+of an integer view, orthant sums and outer products. The label counts use
+the flat grid, and so does NSMD, but only for a law its closure chain does
+not certify on the atoms (docs/theory.md section 13); the orthant scans walk
+the corners instead (docs/theory.md section 7).
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
-"""Every name a module of the package imports is read somewhere in it.
+"""Every name a module of the package imports is read somewhere in it, and
+every private function or class the package defines is read somewhere in
+the package.
 
-``__init__.py`` is skipped: it imports names to re-export them."""
+``__init__.py`` is skipped by the import check: it imports names to
+re-export them."""
 
 import ast
 from pathlib import Path
@@ -34,3 +37,31 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_definitions(sources: list[str]) -> list[str]:
+    """The ``_private`` functions and classes (not ``__dunder__`` ones)
+    defined in any of the sources that no ``ast.Name`` or ``ast.Attribute``
+    reads in any of them, in definition order."""
+    trees = [ast.parse(source) for source in sources]
+    defined, read = [], set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                defined.append(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return [name for name in defined if name not in read]
+
+
+def test_the_check_sees_an_unused_private_helper():
+    sources = ["def _kept(): pass\ndef _dropped(): pass\nclass _Box:\n    def __init__(self): pass\n",
+               "import a\nx = a._kept()\ny = _Box()\n"]
+    assert unused_private_definitions(sources) == ["_dropped"]
+
+
+def test_no_unused_private_helpers():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_definitions(sources) == []

@@ -2,8 +2,8 @@
 with no LP (docs/theory.md section 13): the closure kernel against brute
 force, the chain against the LP decision, the verdicts against the
 chain-free path, permutation laws as an oracle, the integer re-check of
-every cut, and the transfer system on every grid point, which reads none of
-the law's automorphisms."""
+every cut, the laws it certifies before any grid is built, and the transfer
+system on every grid point, which reads none of the law's automorphisms."""
 
 import hashlib
 import itertools
@@ -89,7 +89,7 @@ def test_permutation_laws_need_no_lp(values):
     assert verdict.stats.conditioning_pairs == len(set(values)) ** len(values)
 
 
-# the orthant screen passes on both, so only the chain stands before the LPs:
+# the chain fails on both and the orthant screen passes, so the LPs decide:
 # an exchangeable law on {0, 1, 2}^3, found by a seeded search, that is not
 # NSMD though NOD holds (the box LP names the witness), and one that is NSMD,
 # though the chain's step at j = 4 fails
@@ -171,6 +171,43 @@ def test_nsmd_runs_no_generator_search(label, tmp_path, capsys, monkeypatch):
         checks.verify_witness(d, verdict)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     capsys.readouterr()
+
+
+# -- a chain-certified law builds no grid ---------------------------------------
+
+# the TRUE laws: the two 8-player knockout laws and the four TRUE laws of the
+# benchmark's NSMD ladder, with their grid-point counts
+CHAIN_CERTIFIED = {
+    "fixed-draw-128": (lambda: _eight_player("fixed"), 65536),
+    "random-draw-840": (lambda: _eight_player("random"), 65536),
+    "permutation-012": (lambda: permutation_distribution([0, 1, 2]), 27),
+    "permutation-00011": (lambda: permutation_distribution([0, 0, 0, 1, 1]), 32),
+    "permutation-0012": (lambda: permutation_distribution([0, 0, 1, 2]), 81),
+    "permutation-0112": (lambda: permutation_distribution([0, 1, 1, 2]), 81),
+}
+
+# the sha256 of the verdict repr of each law the chain does not certify
+PAST_THE_CHAIN = {
+    "exchangeable": "b5fae335b0132c33bce15fb4f6984a5597f5750de53117e28c43c748c8f282ec",
+    "diagonal-iiij": "6d748c5235f353dd9f04b6101945c9d9f19c39f042b2251ded50795925c81178",
+}
+
+
+def test_a_chain_certified_law_builds_no_grid():
+    # the chain runs straight after the grid cap, so the laws it certifies
+    # are TRUE before any grid is laid out; the rest go to ``decide_on_grid``
+    with mock.patch.object(supermodular, "independence_grid",
+                           side_effect=AssertionError("the grid was built")):
+        for build, points in CHAIN_CERTIFIED.values():
+            verdict = checks.check_nsmd(build())
+            assert repr(verdict) == repr(checks.Verdict(
+                "nsmd", True, None, checks.CheckStats(conditioning_pairs=points)))
+    for label, digest in PAST_THE_CHAIN.items():
+        with mock.patch.object(supermodular, "decide_on_grid",
+                               wraps=supermodular.decide_on_grid) as grid:
+            verdict = checks.check_nsmd(NO_SYMMETRY_PINS[label][0]())
+        assert grid.call_count == 1
+        assert hashlib.sha256(repr(verdict).encode()).hexdigest() == digest
 
 
 # -- the integer re-check of each cut -------------------------------------------
