@@ -60,7 +60,7 @@ from .errors import (
     default_caps,
 )
 from .rationals import NEG_INF, POS_INF, Extended, as_rational
-from .stochorder import UpperSetViolation, st_leq
+from .stochorder import RankPacking, UpperSetViolation, st_leq
 from .supermodular import SupermodularWitness, below_independent_copy, witness_expectations
 from .symmetry import (
     block_orbits,
@@ -185,9 +185,10 @@ class LawCache:
     It holds the law's ``integer_view``, with the support grid, and the
     generators of its coordinate automorphisms, each built on first use
     unless a parsed law file brings its view along; the regression cell
-    results keyed by (kind, variant, J), the orthant verdicts keyed by side
-    and the orbit maps keyed by observed block. A cell's result also depends
-    on the caps and the st mode, which stay fixed while the cache lives.
+    results keyed by (kind, variant, J), the orthant verdicts keyed by side,
+    the orbit maps keyed by observed block and the packed rank keys keyed by
+    block. A cell's result also depends on the caps and the st mode, which
+    stay fixed while the cache lives.
     """
 
     def __init__(self, d: FiniteJointDistribution, view: IntegerView | None = None):
@@ -197,6 +198,7 @@ class LawCache:
         self.cells: dict[tuple, tuple] = {}
         self.orthants: dict[str, Verdict] = {}
         self.orbits: dict[tuple, object] = {}
+        self.keys: dict[tuple[int, ...], tuple[int, list[int]]] = {}
 
     @cached_property
     def view(self):
@@ -205,6 +207,16 @@ class LawCache:
     @cached_property
     def generators(self):
         return generators(self.view, self.view.axes)
+
+    def packed_keys(self, block: tuple[int, ...]) -> tuple[int, list[int]]:
+        """The guard bits of the rank packing of the coordinates ``block``
+        (1-based), and each atom's packed ranks on them."""
+        if block not in self.keys:
+            cols = [j - 1 for j in block]
+            packing = RankPacking([self.view[2][c] for c in cols])
+            self.keys[block] = (packing.guards,
+                                [packing.pack(map(r.__getitem__, cols)) for r in self.view[1]])
+        return self.keys[block]
 
     def leaders(self, cells):
         return orbit_leaders(self.generators, cells)

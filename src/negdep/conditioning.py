@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 from .errors import InternalConsistencyError
 from .stochorder import (
     IntegerLaw,
-    RankPacking,
     SupportUnion,
     UpperSetViolation,
     cut_violation,
@@ -114,21 +113,14 @@ class CellContext:
         self.tallied: set[tuple[int, int]] = set()
         self.st_checks = 0
 
-    @property
-    def guards(self) -> int:
-        """The guard bits of the observed block's rank packing."""
-        return self.block(self.i_max)[0]
-
     def block(self, block: tuple[int, ...] | str):
         """The guard bits of the block's rank packing, each atom's packed ranks
-        on the block, and the block's integer laws by mask; for ``ORBITS``,
-        the same for the orbit keys."""
+        on the block, both kept on the ``LawCache``, and the block's integer
+        laws by mask, kept for this cell; for ``ORBITS``, the same for the
+        orbit keys."""
         entry = self.blocks.get(block)
         if entry is None:
-            cols = [j - 1 for j in block]
-            packing = RankPacking([self.sizes[c] for c in cols])
-            keys = [packing.pack(map(r.__getitem__, cols)) for r in self.ranks]
-            entry = self.blocks[block] = (packing.guards, keys, {})
+            entry = self.blocks[block] = (*self.work.packed_keys(block), {})
         return entry
 
     def int_law(self, mask: int, block: tuple[int, ...] | str | None = None) -> IntegerLaw:

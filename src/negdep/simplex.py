@@ -47,9 +47,14 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexResult:
+    """At optimum, ``duals`` holds one optimal dual value per ``constraints``
+    row, minus the final reduced cost of the row's slack (docs/theory.md
+    section 8); ``equalities`` rows get none."""
+
     status: str
     objective: Fraction | None = None
     solution: tuple[Fraction, ...] | None = None
+    duals: tuple[Fraction, ...] | None = None
 
 
 def _integer_row(coeffs: Mapping[int, Fraction], rhs) -> tuple[dict[int, int], int, int]:
@@ -170,10 +175,12 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     t = _Tableau(lp.num_vars)
     needs_phase1 = False
     artificials: list[int] = []
+    slacks: list[int] = []
 
     for coeffs, rhs in lp.constraints:
         row, b, scale = _integer_row(coeffs, rhs)
         slack = t.new_col()
+        slacks.append(slack)
         row[slack] = scale
         if b < 0:
             row = {c: -a for c, a in row.items()}
@@ -242,4 +249,5 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         status=OPTIMAL,
         objective=Fraction(t.z_value, t.z_den),
         solution=tuple(values),
+        duals=tuple(Fraction(-t.z.get(s, 0), t.z_den) for s in slacks),
     )

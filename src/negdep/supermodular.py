@@ -1,7 +1,7 @@
 """Supermodular stochastic-order decision by exact linear programming.
 
 Whether E[psi(X)] <= E[psi(Y)] for every supermodular psi is decided on the
-finite product grid spanned by both supports: the adjacent-step inequalities
+finite product grid spanned by both supports: the adjacent-step conditions
 
     psi(x + e_i + e_j) - psi(x + e_i) - psi(x + e_j) + psi(x) >= 0
 
@@ -11,7 +11,8 @@ compactifies it. Maximizing E[psi(X)] - E[psi(Y)] over that polytope gives
 exactly 0 when the order holds and a strictly positive gap when it fails.
 A failed order is witnessed by the indicator of its most negative orthant
 of p_Y - p_X when it has one, with no LP, and otherwise by the maximizing
-psi (docs/theory.md section 5).
+psi; an order that holds is certified by the box LP's optimal duals
+(docs/theory.md section 5).
 
 One integer core decides the order (:func:`decide_on_grid`): it reads the
 signed measure p_Y - p_X as ints on the flat lexicographic grid over one
@@ -23,9 +24,10 @@ the grid cap and then tries a sufficient certificate on the atoms, with no
 grid and no LP: a chain of one-coordinate maximum-weight closures, each one
 minimum cut (:func:`closure_chain_holds`, docs/theory.md section 13). Every
 law the chain does not certify goes to :func:`decide_on_grid`, as both laws
-of the first front end do: the orthant screen, then the transfer system,
-one row per grid point and one unknown per cell, then the box LP. The law's
-automorphisms play no part in it.
+of the first front end do: the orthant screen, then one box LP, one
+variable per grid point and one row per cell and per point, whose optimal
+primal is the witness and whose optimal duals are the transfer certificate.
+The law's automorphisms play no part in it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Sequence
 from .distributions import FiniteJointDistribution, Vector
 from .errors import Caps, GridTooLarge, InternalConsistencyError, UndefinedAtAtom, default_caps
 from .maxflow import integer_max_flow
-from .simplex import OPTIMAL, LinearProgram, SimplexResult, simplex_solve
+from .simplex import OPTIMAL, LinearProgram, simplex_solve
 from .uppersets import grid_strides, orthant_sums, outer_product, poset_covers, scatter
 
 
@@ -178,19 +180,15 @@ def decide_on_grid(sizes: list[int], r: list[int],
     orthant (see :func:`orthant_screen`), den is 1 and no LP runs; otherwise
     psi is the box LP's maximizer and the gap its optimum.
 
-    The order holds iff the box LP's optimum is 0, which by LP duality is
-    the same as r being a nonnegative combination of elementary transfer
-    vectors delta(x) - delta(x+e_i) - delta(x+e_j) + delta(x+e_i+e_j)
-    (constant functions make the box shift cancel out). A negative orthant
-    sum of r already rules the transfers out, and the orthant's indicator,
-    which is supermodular and in the box, is the witness. Otherwise the
-    feasibility system is solved first — it is far less degenerate — with
-    one row per grid point and one transfer coefficient per cell, and its
-    certificate is re-verified by direct summation; only a failed order
-    runs the box LP, to maximize the gap and extract the witness psi.
-    Both LPs read r divided by the gcd of its entries, which scales every
-    right-hand side, or every objective coefficient, by one positive factor
-    and so changes no pivot.
+    The order holds iff the box LP's optimum is 0. A negative orthant sum of
+    r rules that out, and the orthant's indicator, which is supermodular and
+    in the box, is the witness. Otherwise the box LP is the one LP solved.
+    When its optimum is 0, its optimal duals on the cell rows are a transfer
+    certificate: nonnegative coefficients of the elementary transfer vectors
+    delta(x) - delta(x+e_i) - delta(x+e_j) + delta(x+e_i+e_j) that sum to r
+    (docs/theory.md section 5), re-checked here by direct summation. The LP
+    reads r divided by the gcd of its entries, which scales every objective
+    coefficient by one positive factor and so changes no pivot.
     """
     if sum(r) != 0:
         raise InternalConsistencyError("signed measure does not balance")
@@ -205,24 +203,27 @@ def decide_on_grid(sizes: list[int], r: list[int],
             raise InternalConsistencyError("witness gap differs from the orthant sum")
         return gap, psi, 1
 
-    # feasibility: sum of lambda_c * transfer_c == target, lambda >= 0, with
-    # one row per grid point and one unknown per cell
+    # maximize the gap over the box-bounded cone: one row per cell,
+    # -(psi(up12) - psi(up1) - psi(up2) + psi(x)) <= 0, then the shifted box
+    # 0 <= phi <= 2, one row per grid point
     cells = _grid_cells(sizes)
-    rows: list[dict[int, int]] = [{} for _ in target]
-    for j, cell in enumerate(cells):
-        for k, sign in zip(cell, (1, -1, -1, 1)):
-            rows[k][j] = sign
-    feas = simplex_solve(LinearProgram(
-        num_vars=len(cells),
-        objective={},
-        constraints=(),
-        equalities=list(zip(rows, target)),
+    constraints = [({k12: -1, k1: 1, k2: 1, k: -1}, 0) for k, k1, k2, k12 in cells]
+    constraints += [({k: 1}, 2) for k in range(len(target))]
+    result = simplex_solve(LinearProgram(
+        num_vars=len(target),
+        objective={k: -v for k, v in enumerate(target) if v},
+        constraints=constraints,
     ))
-    if feas.status == OPTIMAL:
+    if result.status != OPTIMAL:
+        raise InternalConsistencyError(f"supermodular LP ended {result.status}")
+    if result.objective < 0:
+        raise InternalConsistencyError(
+            f"box LP optimum {result.objective} is below that of phi = 0")
+    if result.objective == 0:
         # re-check the transfer certificate by direct summation
-        mu, lam_den = _over_one_denominator(feas.solution)
+        lam, lam_den = _over_one_denominator(result.duals[:len(cells)])
         achieved = [0] * len(target)
-        for (k, k1, k2, k12), v in zip(cells, mu):
+        for (k, k1, k2, k12), v in zip(cells, lam):
             if v:
                 if v < 0:
                     raise InternalConsistencyError("negative transfer coefficient")
@@ -235,28 +236,8 @@ def decide_on_grid(sizes: list[int], r: list[int],
                 "transfer certificate does not reproduce p_Y - p_X")
         return Fraction(0), None, 1
 
-    # order violated with no negative orthant sum: maximize the gap over the
-    # box-bounded cone for a witness
-    constraints: list[tuple[dict[int, int], int]] = []
-    for k, k1, k2, k12 in cells:
-        # -(psi(up12) - psi(up1) - psi(up2) + psi(x)) <= 0
-        constraints.append(({k12: -1, k1: 1, k2: 1, k: -1}, 0))
-    for k in range(len(target)):
-        constraints.append(({k: 1}, 2))  # shifted box: 0 <= phi <= 2
-    objective = {k: -v for k, v in enumerate(target) if v}
-
-    result: SimplexResult = simplex_solve(
-        LinearProgram(num_vars=len(target), objective=objective, constraints=constraints)
-    )
-    if result.status != OPTIMAL:
-        raise InternalConsistencyError(f"supermodular LP ended {result.status}")
-    gap = result.objective * g / scale
-    if gap <= 0:
-        raise InternalConsistencyError(
-            f"transfer system infeasible but box LP optimum is {gap}"
-        )
-
     # the box shift cancels in the objective, so psi = phi - 1 has the same gap
+    gap = result.objective * g / scale
     phi, den = _over_one_denominator(result.solution)
     psi = [v - den for v in phi]
     if _recheck(sizes, r, scale, psi, den) != gap:
@@ -309,14 +290,6 @@ def witness_expectations(witness: GridFunction, dX: FiniteJointDistribution,
     x, y = _weights_on(axes, dX), _weights_on(axes, dY)
     _recheck([len(ax) for ax in axes], *_signed_measure(x, y), psi, den)
     return tuple(Fraction(sum(map(mul, psi, w)), den * scale) for w, scale in (x, y))
-
-
-def verify_supermodular_witness(witness: GridFunction,
-                                dX: FiniteJointDistribution,
-                                dY: FiniteJointDistribution) -> Fraction:
-    """Re-check a witness from scratch; returns the (positive) gap."""
-    left, right = witness_expectations(witness, dX, dY)
-    return left - right
 
 
 def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,

@@ -2,7 +2,8 @@
 
 This is the simplex as it was before the tableau moved to integer rows: every
 pivot divides and subtracts exact Fractions. The differential tests compare
-the integer tableau against it, pivot for pivot.
+the integer tableau against it, pivot for pivot. Its duals are minus the
+final reduced costs of the slacks, as the integer tableau's are.
 """
 
 from __future__ import annotations
@@ -138,11 +139,13 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     t = _Tableau(lp.num_vars)
     needs_phase1 = False
     artificials: list[int] = []
+    slacks: list[int] = []
 
     for coeffs, rhs in lp.constraints:
         row = {c: _to_q(a) for c, a in coeffs.items() if a}
         b = _to_q(rhs)
         slack = t.new_col()
+        slacks.append(slack)
         row[slack] = _Q(1)
         if b < 0:
             row = {c: -a for c, a in row.items()}
@@ -213,4 +216,5 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         status=OPTIMAL,
         objective=_back(t.z_value),
         solution=tuple(_back(v) for v in values),
+        duals=tuple(_back(-t.z.get(s, _Q(0))) for s in slacks),
     )

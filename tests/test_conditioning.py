@@ -260,7 +260,8 @@ def test_an_orbit_flow_spreads_evenly_to_a_coupling_of_the_atoms(law, orbit_coun
     ctx = CellContext(LawCache(d), (1,), Caps(), "fast")
     orbits = ctx.orbits
     assert len(set(orbits.keys)) == orbit_count and (orbits.above is None) == young
-    orbit_of = dict(zip(ctx.block(ctx.i_max)[1], orbits.keys))
+    guards, keys, _ = ctx.block(ctx.i_max)
+    orbit_of = dict(zip(keys, orbits.keys))
     labels = label_masks(ctx.work.view, [(0, ">")], (), sentinel=True)
     steps = 0
     for (_, lo), (_, hi) in zip(labels, labels[1:]):
@@ -276,7 +277,7 @@ def test_an_orbit_flow_spreads_evenly_to_a_coupling_of_the_atoms(law, orbit_coun
             xs = [i for i, x in enumerate(fhi.keys) if orbit_of[x] == ohi.keys[a]]
             ys = [j for j, y in enumerate(flo.keys) if orbit_of[y] == olo.keys[b]]
             edges = [(i, j) for i in xs for j in ys
-                     if ((flo.keys[j] | ctx.guards) - fhi.keys[i]) & ctx.guards == ctx.guards]
+                     if ((flo.keys[j] | guards) - fhi.keys[i]) & guards == guards]
             # every x of the orbit has as many comparable y in the other one
             assert len({sum(i == k for k, _ in edges) for i in xs}) == 1
             for pair in edges:
@@ -284,7 +285,7 @@ def test_an_orbit_flow_spreads_evenly_to_a_coupling_of_the_atoms(law, orbit_coun
         scale = lcm(*(m.denominator for m in spread.values()))
         scaled = IntegerLaw(fhi.keys, tuple(w * scale for w in fhi.weights), fhi.total * scale)
         check_integer_coupling(sorted((i, j, int(m * scale)) for (i, j), m in spread.items()),
-                               scaled, flo, ctx.guards)
+                               scaled, flo, guards)
     assert steps >= 2
 
 

@@ -54,9 +54,10 @@ def test_nsmd_matches_fraction_reference(d):
     assert repr(supermodular.supermodular_leq(d, perp)) == repr(ref.supermodular_leq(d, perp))
     if not want.holds:
         checks.verify_witness(d, want)
-        gap = supermodular.verify_supermodular_witness(want.witness.function, d, perp)
-        assert gap == ref.verify_supermodular_witness(want.witness.function, d, perp)
-        assert gap == want.witness.gap == want.witness.left - want.witness.right
+        left, right = supermodular.witness_expectations(want.witness.function, d, perp)
+        assert (left, right) == (want.witness.left, want.witness.right)
+        assert left - right == want.witness.gap == ref.verify_supermodular_witness(
+            want.witness.function, d, perp)
 
 
 def _broken(witness: GridFunction, k: int, value) -> GridFunction:
@@ -80,9 +81,10 @@ def test_positional_recheck_rejects_what_the_reference_rejects(d, data):
         want = ref.verify_supermodular_witness(bad, d, perp)
     except InternalConsistencyError:
         with pytest.raises(InternalConsistencyError):
-            supermodular.verify_supermodular_witness(bad, d, perp)
+            supermodular.witness_expectations(bad, d, perp)
     else:
-        assert supermodular.verify_supermodular_witness(bad, d, perp) == want
+        left, right = supermodular.witness_expectations(bad, d, perp)
+        assert left - right == want
 
 
 def test_recheck_reads_the_witness_by_grid_position():
@@ -91,9 +93,9 @@ def test_recheck_reads_the_witness_by_grid_position():
     w = verdict.witness.function
     swapped = GridFunction(w.axes, (w.values[1], w.values[0]) + w.values[2:])
     with pytest.raises(InternalConsistencyError, match="lex grid"):
-        supermodular.verify_supermodular_witness(swapped, d, independent_copy(d))
+        supermodular.witness_expectations(swapped, d, independent_copy(d))
     with pytest.raises(InternalConsistencyError, match="box"):
-        supermodular.verify_supermodular_witness(_broken(w, 0, F(3, 2)), d, independent_copy(d))
+        supermodular.witness_expectations(_broken(w, 0, F(3, 2)), d, independent_copy(d))
 
 
 def test_verify_witness_builds_one_independent_copy():

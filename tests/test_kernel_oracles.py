@@ -106,3 +106,37 @@ def test_simplex_solution_is_feasible_and_attains_objective():
             assert sum((a * x[j] for j, a in coeffs.items()), F(0)) <= rhs
         value = sum((c * x[j] for j, c in lp.objective.items()), F(0))
         assert value == result.objective
+
+
+def _assert_duals_are_optimal(lp, result):
+    """y >= 0, b . y equal to the primal optimum, and A^T y >= c, exactly:
+    by weak duality y is then optimal for min b . y s.t. A^T y >= c, y >= 0."""
+    y = result.duals
+    assert len(y) == len(lp.constraints) and all(v >= 0 for v in y)
+    assert sum((rhs * v for (_, rhs), v in zip(lp.constraints, y)), F(0)) == result.objective
+    for j in range(lp.num_vars):
+        column = sum((coeffs.get(j, 0) * v for (coeffs, _), v in zip(lp.constraints, y)), F(0))
+        assert column >= lp.objective.get(j, 0)
+
+
+def test_simplex_duals_solve_the_dual_lp():
+    # each random LP as drawn, with every row divided by its own positive
+    # factor (which scales its dual by that factor), and in plain ints
+    rng = random.Random(20240229)
+    optimal = 0
+    for _ in range(150):
+        lp = _random_lp(rng)
+        factors = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in lp.constraints]
+        variants = [lp, LinearProgram(lp.num_vars, lp.objective, [
+            ({j: a / k for j, a in coeffs.items()}, rhs / k)
+            for (coeffs, rhs), k in zip(lp.constraints, factors)])]
+        variants.append(LinearProgram(lp.num_vars, {j: int(c) for j, c in lp.objective.items()}, [
+            ({j: int(a) for j, a in coeffs.items()}, int(rhs)) for coeffs, rhs in lp.constraints]))
+        for variant in variants:
+            result = simplex_solve(variant)
+            if result.status == OPTIMAL:
+                _assert_duals_are_optimal(variant, result)
+                optimal += 1
+            else:
+                assert result.duals is None
+    assert optimal > 90

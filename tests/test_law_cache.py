@@ -83,6 +83,21 @@ def test_audit_scans_each_regression_cell_once(monkeypatch, law, request):
     assert len(scanned) == len(set(scanned))
 
 
+@pytest.mark.parametrize("law", ["table1", "random_draw_counterexample", "perm-0112"])
+def test_audit_packs_each_block_once(monkeypatch, law, request):
+    # a block's packed rank keys depend on the law alone, so the cells of one
+    # audit share them: one rank packing per distinct block
+    d = (permutation_distribution([0, 1, 1, 2]) if law == "perm-0112"
+         else request.getfixturevalue(law))
+    packings, asked = [], []
+    packing, packed_keys = checks.RankPacking, checks.LawCache.packed_keys
+    monkeypatch.setattr(checks, "RankPacking", lambda sizes: packings.append(sizes) or packing(sizes))
+    monkeypatch.setattr(checks.LawCache, "packed_keys",
+                        lambda self, block: asked.append(block) or packed_keys(self, block))
+    audit_implications(d, jobs=1)
+    assert len(packings) == len(set(asked)) < len(asked)
+
+
 def test_check_command_scans_each_size_one_cell_once(monkeypatch, tmp_path, table1):
     scanned = _counting_scan(monkeypatch)
     path = tmp_path / "law.json"

@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is read somewhere in it, and
+"""Every name a module of the package imports is read somewhere in it,
 every private function or class the package defines is read somewhere in
-the package.
+the package, and so is every public module-level function, or else
+``__init__.py`` re-exports it.
 
 ``__init__.py`` is skipped by the import check: it imports names to
 re-export them."""
@@ -65,3 +66,40 @@ def test_the_check_sees_an_unused_private_helper():
 def test_no_unused_private_helpers():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unused_private_definitions(sources) == []
+
+
+def unused_public_functions(sources: dict[str, str]) -> list[str]:
+    """The public functions defined at the top level of the modules, given
+    by file name, that no ``ast.Name`` or ``ast.Attribute`` reads in any of
+    them and that ``__init__.py`` does not import to re-export, as
+    ``module.function`` in file-name and definition order. Methods are not
+    module-level and are not checked."""
+    trees = {name: ast.parse(source) for name, source in sorted(sources.items())}
+    defined, read = [], set()
+    for name, tree in trees.items():
+        defined += [f"{name.removesuffix('.py')}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and name == "__init__.py":
+                read.update(alias.name for alias in node.names)
+    return [qualified for qualified in defined if qualified.partition(".")[2] not in read]
+
+
+def test_the_check_sees_an_unused_public_function():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": "def exported(): pass\ndef called(): pass\ndef dropped(): pass\n"
+                "def _private(): pass\nclass Law:\n    def method(self): pass\n",
+        "b.py": "from . import a\nx = a.called()\n",
+    }
+    assert unused_public_functions(sources) == ["a.dropped"]
+
+
+def test_no_unused_public_functions():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unused_public_functions(sources) == []

@@ -2,12 +2,15 @@
 with no LP (docs/theory.md section 13): the closure kernel against brute
 force, the chain against the LP decision, the verdicts against the
 chain-free path, permutation laws as an oracle, the integer re-check of
-every cut, the laws it certifies before any grid is built, and the transfer
-system on every grid point, which reads none of the law's automorphisms."""
+every cut, the laws it certifies before any grid is built, and the one box
+LP past the chain, whose duals certify an order that holds and which reads
+none of the law's automorphisms."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
+import time
 from itertools import combinations_with_replacement
 from fractions import Fraction
 from unittest import mock
@@ -21,7 +24,7 @@ from negdep.cli import main
 from negdep.distributions import integer_view, to_json_dict
 from negdep.errors import InternalConsistencyError
 from negdep.maxflow import integer_max_flow
-from negdep.simplex import INFEASIBLE, OPTIMAL
+from negdep.simplex import OPTIMAL
 from negdep.uppersets import enumerate_upper_index_sets, poset_covers
 
 from .strategies import grid_laws
@@ -89,10 +92,10 @@ def test_permutation_laws_need_no_lp(values):
     assert verdict.stats.conditioning_pairs == len(set(values)) ** len(values)
 
 
-# the chain fails on both and the orthant screen passes, so the LPs decide:
+# the chain fails on both and the orthant screen passes, so the box LP decides:
 # an exchangeable law on {0, 1, 2}^3, found by a seeded search, that is not
-# NSMD though NOD holds (the box LP names the witness), and one that is NSMD,
-# though the chain's step at j = 4 fails
+# NSMD though NOD holds (the box LP's maximizer is the witness), and one that
+# is NSMD, though the chain's step at j = 4 fails (its duals certify it)
 EXCHANGEABLE = make_pmf(3, [
     (x, F(w, 33))
     for cls, w in {(0, 0, 1): 1, (0, 0, 2): 1, (0, 2, 2): 5, (1, 1, 2): 2, (1, 2, 2): 2}.items()
@@ -104,34 +107,69 @@ _NSMD_PAST_THE_CHAIN = make_pmf(4, [((0, 1, 1, 0), F(1, 4)), ((0, 1, 1, 1), F(1,
 
 @pytest.mark.parametrize("d, holds", [(EXCHANGEABLE, False), (_NSMD_PAST_THE_CHAIN, True)],
                          ids=["not-nsmd", "nsmd"])
-def test_a_failed_chain_falls_back_to_the_lps(d, holds):
+def test_a_failed_chain_falls_back_to_one_box_lp(d, holds):
     view, r, scale = _signed_measure(d)
     assert supermodular.orthant_screen(r, view[2]) is None
     assert not supermodular.closure_chain_holds(view)
     with mock.patch.object(supermodular, "simplex_solve",
                            wraps=supermodular.simplex_solve) as lp:
         verdict = checks.check_nsmd(d)
-    assert verdict.holds == holds and lp.call_count == (1 if holds else 2)
+    assert verdict.holds == holds and lp.call_count == 1
     if not holds:
         checks.verify_witness(d, verdict)
 
 
-def test_an_infeasible_transfer_system_falls_through_to_the_box_lp():
-    lps = []
+def _recording(lps):
     solve = supermodular.simplex_solve
 
-    def recording(lp):
+    def run(lp):
         result = solve(lp)
-        lps.append((len(lp.equalities), lp.num_vars, result.status))
+        lps.append((len(lp.constraints), lp.num_vars, result.status, result.objective))
         return result
+    return run
 
-    with mock.patch.object(supermodular, "simplex_solve", recording):
+
+def test_a_positive_box_lp_optimum_names_the_witness():
+    lps = []
+    with mock.patch.object(supermodular, "simplex_solve", _recording(lps)):
         verdict = checks.check_nsmd(EXCHANGEABLE)
-    # one row per point of the 3^3 grid and one unknown per cell, then the
-    # box LP on one variable per point
-    assert lps == [(27, 36, INFEASIBLE), (0, 27, OPTIMAL)]
+    # the box LP on one variable per point of the 3^3 grid, with one row per
+    # cell and one per point, and no other LP
+    (rows, num_vars, status, optimum), = lps
+    assert (rows, num_vars, status) == (36 + 27, 27, OPTIMAL) and optimum > 0
     assert not verdict.holds and verdict.witness.gap == F(6, 1331)
     checks.verify_witness(EXCHANGEABLE, verdict)
+
+
+def test_an_order_past_the_chain_is_certified_by_one_lp():
+    # the permutation law of 0..3 is NA, so with the chain bypassed the screen
+    # passes and the box LP's duals must certify all 256 grid points
+    lps = []
+    start = time.perf_counter()
+    with mock.patch.object(supermodular, "closure_chain_holds", return_value=False), \
+            mock.patch.object(supermodular, "simplex_solve", _recording(lps)):
+        verdict = checks.check_nsmd(permutation_distribution([0, 1, 2, 3]))
+    assert time.perf_counter() - start < 5
+    assert verdict.holds and verdict.definitive and verdict.stats.conditioning_pairs == 256
+    assert [(num_vars, status, optimum) for _, num_vars, status, optimum in lps] == [
+        (256, OPTIMAL, 0)]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda duals: [0] * len(duals), "does not reproduce"),
+    (lambda duals: [2 * v for v in duals], "does not reproduce"),
+    (lambda duals: [-v for v in duals], "negative transfer coefficient"),
+], ids=["zero", "doubled", "negated"])
+def test_duals_that_do_not_certify_the_order_raise(tamper, message):
+    solve = supermodular.simplex_solve
+
+    def tampered(lp):
+        result = solve(lp)
+        return dataclasses.replace(result, duals=tuple(tamper(result.duals)))
+
+    with mock.patch.object(supermodular, "simplex_solve", tampered):
+        with pytest.raises(InternalConsistencyError, match=message):
+            checks.check_nsmd(_NSMD_PAST_THE_CHAIN)
 
 
 # -- NSMD reads none of the law's automorphisms ----------------------------------

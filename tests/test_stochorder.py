@@ -234,7 +234,7 @@ class TestIntegerKernel:
         ctx = _cell(d, J)
         lx, ly = ctx.int_law(mask_x), ctx.int_law(mask_y)
         dX, dY = _fraction_law(d, J, mask_x), _fraction_law(d, J, mask_y)
-        flows, _ = integer_coupling(lx, ly, ctx.guards)
+        flows, _ = integer_coupling(lx, ly, ctx.block(ctx.i_max)[0])
         assert (flows is not None) == st_leq_uppersets(dX, dY).holds
         if flows is None:
             return
@@ -254,12 +254,13 @@ class TestIntegerKernel:
         d, J, mask_x, mask_y = case
         ctx = _cell(d, J)
         lx, ly = ctx.int_law(mask_x), ctx.int_law(mask_y)
-        flows, deficient = integer_coupling(lx, ly, ctx.guards)
-        ref_flows, ref_deficient = ref.integer_coupling(lx, ly, ctx.guards)
+        guards = ctx.block(ctx.i_max)[0]
+        flows, deficient = integer_coupling(lx, ly, guards)
+        ref_flows, ref_deficient = ref.integer_coupling(lx, ly, guards)
         assert (flows is None) == (ref_flows is None)
         assert deficient == ref_deficient
         if flows is not None:
-            check_integer_coupling(flows, lx, ly, ctx.guards)
+            check_integer_coupling(flows, lx, ly, guards)
 
     @settings(max_examples=200, deadline=None)
     @given(coupled_laws())
@@ -311,9 +312,10 @@ class TestIntegerKernel:
         masks = dict(label_masks(integer_view(table1), (), [0], sentinel=False))
         lo, hi = masks[(0,)], masks[(2,)]
         lx, ly = ctx.int_law(hi), ctx.int_law(lo)
-        flows, _ = integer_coupling(lx, ly, ctx.guards)
+        guards = ctx.block(ctx.i_max)[0]
+        flows, _ = integer_coupling(lx, ly, guards)
         assert flows is not None
-        return flows, lx, ly, ctx.guards
+        return flows, lx, ly, guards
 
     def test_tampered_row_sum_raises(self, table1):
         flows, lx, ly, guards = self._holding_case(table1)

@@ -12,7 +12,7 @@ from negdep import (
     supermodular_leq,
 )
 from negdep.errors import Caps
-from negdep.supermodular import verify_supermodular_witness
+from negdep.supermodular import witness_expectations
 
 from .strategies import finite_distributions
 
@@ -40,8 +40,8 @@ class TestSupermodularLeq:
         # LP's optimum, the corner function +-1, would give gap 1.
         assert verdict.gap == F(1, 4)
         assert [v for _, v in verdict.witness.values] == [1, 0, 0, 0]
-        gap = verify_supermodular_witness(verdict.witness, com, independent_copy(com))
-        assert gap == verdict.gap
+        left, right = witness_expectations(verdict.witness, com, independent_copy(com))
+        assert left - right == verdict.gap
 
     def test_product_law_passes(self):
         coin = make_pmf(1, [((0,), F(1, 2)), ((1,), F(1, 2))])
@@ -76,11 +76,11 @@ class TestWitnessSoundness:
             for j in range(1, d.dim + 1):
                 assert d.marginal([j]) == independent_copy(d).marginal([j])
         else:
-            verify_supermodular_witness(verdict.witness, d, independent_copy(d))
+            witness_expectations(verdict.witness, d, independent_copy(d))
 
     def test_margin_mismatch_detected(self):
         a = make_pmf(1, [((0,), F(1, 2)), ((1,), F(1, 2))])
         b = make_pmf(1, [((0,), F(1, 3)), ((1,), F(2, 3))])
         verdict = supermodular_leq(a, b)
         assert not verdict.holds
-        verify_supermodular_witness(verdict.witness, a, b)
+        witness_expectations(verdict.witness, a, b)

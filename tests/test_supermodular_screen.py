@@ -1,6 +1,6 @@
 """The supermodular order with its orthant pre-screen against the Fraction
-reference, against the transfer LP that the pre-screen skips, and its
-orthant witness against the box LP that it skips."""
+reference, against the reference's transfer LP, which the live decision
+never solves, and its orthant witness against the box LP that it skips."""
 
 import itertools
 from fractions import Fraction
@@ -18,7 +18,7 @@ from negdep import (
     simplex,
     supermodular,
 )
-from negdep.simplex import INFEASIBLE, SimplexResult
+from negdep.simplex import INFEASIBLE, OPTIMAL, SimplexResult
 
 from . import reference_supermodular as ref
 
@@ -65,15 +65,14 @@ def law_pairs(draw):
 
 
 def _up_to_scale(result):
-    """An LP result with its solution divided by its largest entry and its
-    objective reduced to a sign. The live decision reads p_Y - p_X divided by
-    the gcd of its integer entries, so its transfer solutions and box-LP
-    optima are the reference's times one positive factor per LP."""
-    top = max(result.solution or (0,), key=abs)
+    """An LP result with its objective reduced to a sign, and no duals. The
+    live decision reads p_Y - p_X divided by the gcd of its integer entries,
+    so its box-LP optimum is the reference's times one positive factor, at
+    the same maximizer."""
     return SimplexResult(
         result.status,
         result.objective and F((result.objective > 0) - (result.objective < 0)),
-        result.solution and tuple(v / top if top else v for v in result.solution))
+        result.solution)
 
 
 def _solves(module, call):
@@ -112,16 +111,21 @@ def test_orders_match_fraction_reference(pair):
 def _assert_screen_is_sound(dX, dY):
     """If the pre-screen fires, the live decision solves no LP and the
     reference's transfer LP is infeasible, after which the reference takes
-    its witness from the orthant too; otherwise every LP pivots exactly as
-    the reference's does. Returns whether it fired."""
+    its witness from the orthant too. Otherwise the live decision solves one
+    box LP: when the order fails it pivots exactly as the reference's box LP
+    does, after the reference's infeasible transfer LP; when the order holds
+    the reference's transfer LP is feasible. Returns whether it fired."""
     got, got_solves = _solves(supermodular, lambda: supermodular.supermodular_leq(dX, dY))
     want, want_solves = _solves(ref, lambda: ref.supermodular_leq(dX, dY))
     assert repr(got) == repr(want)
     fired = not got_solves
+    statuses = [result.status for result, _ in want_solves]
     if fired:
-        assert [result.status for result, _ in want_solves] == [INFEASIBLE]
+        assert statuses == [INFEASIBLE]
+    elif got.holds:
+        assert len(got_solves) == 1 and statuses == [OPTIMAL]
     else:
-        assert got_solves == want_solves
+        assert statuses[0] == INFEASIBLE and got_solves == want_solves[1:]
     return fired
 
 
@@ -145,7 +149,7 @@ def test_prescreen_decides_the_diagonal_law_without_the_transfer_lp():
 def test_orthant_sums_can_pass_where_the_order_fails():
     # nonnegative orthant sums do not imply the supermodular order in
     # dimension 3: every orthant sum of p_Y - p_X is nonnegative here, yet the
-    # transfer system is infeasible, so the screen stays silent and both LPs run
+    # transfer system is infeasible, so the screen stays silent and the box LP runs
     points = list(itertools.product(range(3), range(3), range(2)))
     weights = [20, 12, 16, 20, 14, 14, 13, 20, 15, 12, 18, 18, 17, 14, 15, 18, 16, 16]
     dX = make_pmf(3, [(p, F(1, 18)) for p in points])
@@ -153,7 +157,8 @@ def test_orthant_sums_can_pass_where_the_order_fails():
     assert not _assert_screen_is_sound(dX, dY)
     verdict = supermodular.supermodular_leq(dX, dY)
     assert not verdict.holds and verdict.gap == F(1, 144)
-    assert supermodular.verify_supermodular_witness(verdict.witness, dX, dY) == verdict.gap
+    left, right = supermodular.witness_expectations(verdict.witness, dX, dY)
+    assert left - right == verdict.gap
 
 
 def _no_lp(lp):
