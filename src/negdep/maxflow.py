@@ -147,6 +147,34 @@ def integer_max_flow(n: int, edges: Sequence[tuple[int, int, int]], src: int,
     return total, sent, seen
 
 
+def first_fit(masks: Sequence[int], supply: list[int],
+              demand: list[int]) -> dict[tuple[int, int], int]:
+    """Route each ``supply[i]``, i ascending, to the j with bit j set in
+    ``masks[i]`` that still have demand, lowest j first. Returns the routed
+    mass by (i, j) pair, each positive; ``supply`` and ``demand`` are left
+    holding what was not routed. A shortfall does not mean that no complete
+    routing exists; a maximum flow decides that."""
+    routed: dict[tuple[int, int], int] = {}
+    # the j with demand left, as one bitset built from a string in linear time
+    open_j = int("".join("1" if d else "0" for d in reversed(demand)) or "0", 2)
+    for i, m in enumerate(masks):
+        s = supply[i]
+        m &= open_j
+        while m and s:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            d = demand[j]
+            f = s if s < d else d
+            routed[i, j] = f
+            demand[j] = d - f
+            s -= f
+            if f == d:
+                open_j ^= low
+        supply[i] = s
+    return routed
+
+
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
     """Exact maximum flow value, a maximizing flow, and the min-cut side."""
     scale = lcm(*(c.denominator for _, _, c in net._edges)) if net._edges else 1

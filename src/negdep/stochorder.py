@@ -33,7 +33,7 @@ from .distributions import (
     over_common_denominator,
 )
 from .errors import Caps, InternalConsistencyError, default_caps
-from .maxflow import integer_max_flow
+from .maxflow import first_fit, integer_max_flow
 from .uppersets import (
     UpperSet,
     at_or_above,
@@ -178,13 +178,14 @@ def integer_coupling(lx: IntegerLaw, ly: IntegerLaw, guards: int,
     Capacities are cross-multiplied by the other law's total: ``w_x * T_Y``
     on source and x -> y edges, ``w_y * T_X`` on sink edges (docs/theory.md
     section 2). The order holds iff the flow reaches ``T_X * T_Y``. A
-    first-fit pass routes each x-atom, in key order, to its comparable
-    y-atoms in key order; only if it leaves mass unrouted does Dinic run, on
-    the residual network of that flow. Returns ``(flows, None)`` with the
-    checked coupling's (i, j, f) triples when the order holds, and
-    ``(None, deficient)`` with the indices of the x-atoms reachable from the
-    source in the final residual network when it fails: the source side of
-    the minimal minimum cut, which is the same for every maximum flow.
+    first-fit pass (:func:`maxflow.first_fit`) routes each x-atom, in key
+    order, to its comparable y-atoms in key order; only if it leaves mass
+    unrouted does Dinic run, on the residual network of that flow. Returns
+    ``(flows, None)`` with the checked coupling's (i, j, f) triples when the
+    order holds, and ``(None, deficient)`` with the indices of the x-atoms
+    reachable from the source in the final residual network when it fails:
+    the source side of the minimal minimum cut, which is the same for every
+    maximum flow.
 
     Atom i of lx may send mass to the atoms j of ly whose keys are at least
     its own componentwise or, when ``comparable`` is given, to those whose
@@ -196,25 +197,8 @@ def integer_coupling(lx: IntegerLaw, ly: IntegerLaw, guards: int,
     masks = _above_masks(lx, ly, guards) if comparable is None else comparable
     supply = [w * ty for w in lx.weights]
     demand = [w * tx for w in ly.weights]
-    greedy: dict[tuple[int, int], int] = {}
-    open_y = (1 << ny) - 1                  # the y-atoms with demand left
-    short = 0
-    for i, m in enumerate(masks):
-        s = supply[i]
-        m &= open_y
-        while m and s:
-            low = m & -m
-            m ^= low
-            j = low.bit_length() - 1
-            d = demand[j]
-            f = s if s < d else d
-            greedy[i, j] = f
-            demand[j] = d - f
-            s -= f
-            if f == d:
-                open_y ^= low
-        supply[i] = s
-        short += s
+    greedy = first_fit(masks, supply, demand)
+    short = sum(supply)
     if short:
         # forward edges keep their residual capacity; each greedy flow
         # becomes a y -> x edge that can send it back

@@ -21,13 +21,14 @@ positive scale, and re-checks its answer there by grid position
 laws (:func:`supermodular_leq`), one from a law's integer view against its
 independent copy (:func:`below_independent_copy`). The second first checks
 the grid cap and then tries a sufficient certificate on the atoms, with no
-grid and no LP: a chain of one-coordinate maximum-weight closures, each one
-minimum cut (:func:`closure_chain_holds`, docs/theory.md section 13). Every
-law the chain does not certify goes to :func:`decide_on_grid`, as both laws
-of the first front end do: the orthant screen, then one box LP, one
-variable per grid point and one row per cell and per point, whose optimal
-primal is the witness and whose optimal duals are the transfer certificate.
-The law's automorphisms play no part in it.
+grid and no LP: a chain of one-coordinate maximum-weight closures, each
+step decided by suffix sums, by a first-fit upward transport, or, only
+where first fit falls short, by one minimum cut (:func:`closure_chain_holds`,
+docs/theory.md section 13). Every law the chain does not certify goes to
+:func:`decide_on_grid`, as both laws of the first front end do: the orthant
+screen, then one box LP, one variable per grid point and one row per cell
+and per point, whose optimal primal is the witness and whose optimal duals
+are the transfer certificate. The law's automorphisms play no part in it.
 """
 
 from __future__ import annotations
@@ -41,9 +42,16 @@ from typing import Sequence
 
 from .distributions import FiniteJointDistribution, Vector
 from .errors import Caps, GridTooLarge, InternalConsistencyError, UndefinedAtAtom, default_caps
-from .maxflow import integer_max_flow
+from .maxflow import first_fit, integer_max_flow
 from .simplex import OPTIMAL, LinearProgram, simplex_solve
-from .uppersets import grid_strides, orthant_sums, outer_product, poset_covers, scatter
+from .uppersets import (
+    grid_strides,
+    orthant_sums,
+    outer_product,
+    points_above,
+    poset_covers,
+    scatter,
+)
 
 
 @dataclass(frozen=True, eq=True)
@@ -348,6 +356,35 @@ def closure_excess(weights: Sequence[int], covers: Sequence[tuple[int, int]]) ->
     return positive - value
 
 
+def upward_transport(weights: Sequence[int], up: Sequence[int], order: Sequence[int]) -> bool:
+    """Whether first fit moves every positive weight upward onto the
+    negative ones, so that no upper set has positive weight. Point a may
+    send to the points whose bits are set in ``up[a]``, those at or above
+    it; the senders go in the given ``order``, which puts first the points
+    with the fewest points above them. The transport is re-checked in
+    integers: every pair goes upward, every point sends exactly its
+    positive weight and receives exactly its negative one (docs/theory.md
+    section 13). False says only that first fit fell short.
+    """
+    senders = [a for a in order if weights[a] > 0]
+    supply = [weights[a] for a in senders]
+    demand = [-w if w < 0 else 0 for w in weights]
+    routed = first_fit([up[a] for a in senders], supply, demand)
+    if any(supply):
+        return False
+    rows = [0] * len(weights)
+    cols = [0] * len(weights)
+    for (k, b), f in routed.items():
+        a = senders[k]
+        if f <= 0 or not up[a] >> b & 1:
+            raise InternalConsistencyError(f"transport of {f} from point {a} to {b} is not upward")
+        rows[a] += f
+        cols[b] += f
+    if rows != [max(w, 0) for w in weights] or cols != [max(-w, 0) for w in weights]:
+        raise InternalConsistencyError("transport sums differ from the point weights")
+    return True
+
+
 def closure_chain_holds(view) -> bool:
     """A sufficient condition, in polynomial time, for a law to lie below its
     independent copy in the supermodular order, on its integer view.
@@ -357,9 +394,12 @@ def closure_chain_holds(view) -> bool:
     may have P(X_<j in U, X_j > t) > P(X_<j in U) P(X_j > t). With atom
     weights over their total T, point z of that support gets the weight
     w(z, X_j > t) T - w(z) W_t, where W_t is the weight of {X_j > t}, and
-    the condition is that the largest upper-set weight (:func:`closure_excess`)
-    is 0. Every NA law passes; a law that fails is not decided
-    (docs/theory.md section 13).
+    the condition is that no upper set has positive weight. At j = 2 the
+    support is a chain, whose upper sets are its suffixes, so the largest
+    suffix sum decides. Past it, a complete :func:`upward_transport`
+    certifies the step, and only where first fit falls short does one
+    minimum cut (:func:`closure_excess`) decide. Every NA law passes; a law
+    that fails is not decided (docs/theory.md section 13).
     """
     weights, ranks, sizes = view
     total = sum(weights)
@@ -368,15 +408,25 @@ def closure_chain_holds(view) -> bool:
         for rank, w in zip(ranks, weights):
             by_prefix.setdefault(rank[:c], [0] * sizes[c])[rank[c]] += w
         points = sorted(by_prefix)
-        covers, _ = poset_covers(points)
+        if c > 1:
+            up = points_above(points)
+            order = sorted(range(len(points)), key=lambda a: up[a].bit_count())
+        covers = None
         lines = [by_prefix[z] for z in points]
         mass = [sum(line) for line in lines]
         tails = [0] * len(points)  # weight of each z with X_j at rank >= v: X_j > t, t of rank v-1
         for v in range(sizes[c] - 1, 0, -1):
             tails = [a + line[v] for a, line in zip(tails, lines)]
             above = sum(tails)
-            if closure_excess([a * total - w * above for a, w in zip(tails, mass)], covers):
-                return False
+            excess = [a * total - w * above for a, w in zip(tails, mass)]
+            if c == 1:
+                if max(itertools.accumulate(reversed(excess))) > 0:
+                    return False
+            elif not upward_transport(excess, up, order):
+                if covers is None:
+                    covers, _ = poset_covers(points, up)
+                if closure_excess(excess, covers):
+                    return False
     return True
 
 

@@ -42,25 +42,36 @@ def at_or_above(column: Iterable[int], size: int) -> list[int]:
     return above
 
 
-def poset_covers(points: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], int]:
+def points_above(points: Sequence[Sequence[int]]) -> list[int]:
+    """``up[a]`` for each of the given points of small nonnegative ints: the
+    bitset of the points at or above point a componentwise, a included, as
+    the AND over the axes of one ``at_or_above`` bitset."""
+    up = [(1 << len(points)) - 1] * len(points)
+    for column in zip(*points):
+        above = at_or_above(column, max(column) + 1)
+        up = [u & above[v] for u, v in zip(up, column)]
+    return up
+
+
+def poset_covers(points: Sequence[Sequence[int]],
+                 up: Sequence[int] | None = None) -> tuple[list[tuple[int, int]], int]:
     """The cover pairs of distinct points of small nonnegative ints, given in
     lexicographic order, as index pairs ``(a, b)`` with ``points[b]`` covering
     ``points[a]`` componentwise, ascending; and the number of comparable
     pairs ``a < b``.
 
-    ``up[a]`` is the bitset of the points at or above point a. Lexicographic
-    order extends the componentwise one, so the lowest bit left in
-    ``up[a]`` once a is dropped is a cover of a, and dropping everything at
-    or above it leaves the next cover lowest (docs/theory.md section 6).
-    Points on one axis form a chain, whose covers are consecutive.
+    ``up`` is :func:`points_above` of the points, built here unless the
+    caller has it. Lexicographic order extends the componentwise one, so the
+    lowest bit left in ``up[a]`` once a is dropped is a cover of a, and
+    dropping everything at or above it leaves the next cover lowest
+    (docs/theory.md section 6). Points on one axis form a chain, whose
+    covers are consecutive.
     """
     n = len(points)
     if n and len(points[0]) == 1:
         return list(zip(range(n - 1), range(1, n))), n * (n - 1) // 2
-    up = [(1 << n) - 1] * n
-    for column in zip(*points):
-        above = at_or_above(column, max(column) + 1)
-        up = [u & above[v] for u, v in zip(up, column)]
+    if up is None:
+        up = points_above(points)
     covers = []
     for a, u in enumerate(up):
         u ^= 1 << a

@@ -36,9 +36,10 @@ from negdep import (
 )
 from negdep.checks import SAFE_IMPLICATIONS
 from negdep.cli import main
+from negdep.distributions import integer_view
 from negdep.errors import Caps
 from negdep.fixtures import dominance_spec, run_fixture, three_player_spec
-from negdep.supermodular import witness_expectations
+from negdep.supermodular import closure_chain_holds, witness_expectations
 
 F = Fraction
 
@@ -335,3 +336,16 @@ def test_criterion_19_nod_on_one_corner_per_orbit():
         verdict = check_nod(build())
         assert verdict.holds and verdict.definitive
         _pass_line(19, f"{label} NOD", start, 1.0)
+
+
+def test_criterion_20_nsmd_chain_on_the_sixteen_player_fixed_draw():
+    # the paper's fixed draw at 16 players: 32,768 atoms. The closure chain
+    # certifies NSMD on the integer view, where the support grid (5^16
+    # points) is far past the grid cap. Budget: the chain took 1.6 s of
+    # process time on 2 vCPU with CPython 3.11.7, so 6 s leaves room for a
+    # loaded host; the build and the view are not timed
+    view = integer_view(knockout_fixed_draw(equal_strength(4, FixedDraw(tuple(range(1, 17))))))
+    assert len(view[0]) == 2 ** 15
+    start = time.monotonic()
+    assert closure_chain_holds(view)
+    _pass_line(20, "NSMD chain of the 16-player fixed draw", start, 6.0)

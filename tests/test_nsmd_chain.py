@@ -23,9 +23,9 @@ from negdep import checks, make_pmf, permutation_distribution, supermodular
 from negdep.cli import main
 from negdep.distributions import integer_view, to_json_dict
 from negdep.errors import InternalConsistencyError
-from negdep.maxflow import integer_max_flow
+from negdep.maxflow import first_fit, integer_max_flow
 from negdep.simplex import OPTIMAL
-from negdep.uppersets import enumerate_upper_index_sets, poset_covers
+from negdep.uppersets import enumerate_upper_index_sets, points_above, poset_covers
 
 from .strategies import grid_laws
 from .test_symmetry import XOR, _eight_player
@@ -278,7 +278,108 @@ def _tampered(how):
     ("cut of the wrong weight", "does not weigh"),
 ])
 def test_a_tampered_flow_raises(how, message):
-    d = permutation_distribution([0, 1, 2])
+    # (0, 1) cannot send upward to (1, 0), so first fit falls short and the
+    # chain would run this cut; its top point (1, 0) is maximal
+    points = [(0, 0), (0, 1), (1, 0)]
+    weights = [1, 1, -2]
+    up = points_above(points)
+    assert not supermodular.upward_transport(weights, up, range(len(points)))
+    covers, _ = poset_covers(points)
+    assert supermodular.closure_excess(weights, covers) == 1
     with mock.patch.object(supermodular, "integer_max_flow", _tampered(how)):
         with pytest.raises(InternalConsistencyError, match=message):
-            checks.check_nsmd(d)
+            supermodular.closure_excess(weights, covers)
+
+
+# -- the first-fit transport that certifies a step with no flow -------------------
+
+def _chain_by_enumeration(view):
+    """closure_chain_holds by brute force: every upper set of each prefix
+    support, at every threshold, by direct summation."""
+    weights, ranks, sizes = view
+    total = sum(weights)
+    for c in range(1, len(sizes)):
+        points = sorted({rank[:c] for rank in ranks})
+        for idx in enumerate_upper_index_sets(points):
+            inside = {points[k] for k in idx}
+            in_u = [rank[:c] in inside for rank in ranks]
+            for t in range(sizes[c] - 1):
+                above = sum(w for rank, w in zip(ranks, weights) if rank[c] > t)
+                joint = sum(w for rank, w, u in zip(ranks, weights, in_u) if u and rank[c] > t)
+                if joint * total > sum(w for w, u in zip(weights, in_u) if u) * above:
+                    return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_laws())
+def test_chain_matches_enumeration_of_every_upper_set(d):
+    view = integer_view(d)
+    assert supermodular.closure_chain_holds(view) == _chain_by_enumeration(view)
+
+
+@pytest.mark.parametrize("law, holds", [
+    (make_pmf(2, [((0, 2), F(1, 3)), ((1, 1), F(1, 3)), ((2, 0), F(1, 3))]), True),
+    (make_pmf(2, [((0, 0), F(1, 2)), ((1, 1), F(1, 4)), ((1, 0), F(1, 4))]), False),
+    (make_pmf(2, [((i, j), F(1, 4)) for i in range(2) for j in range(2)]), True),
+], ids=["antitone", "comonotone", "independent"])
+def test_the_first_step_is_decided_by_suffix_sums(law, holds):
+    # in dimension 2 the chain has only the step over X_1, whose support is
+    # a chain: no transport and no flow runs
+    view = integer_view(law)
+    with mock.patch.object(supermodular, "first_fit", side_effect=AssertionError("first fit")), \
+            mock.patch.object(supermodular, "integer_max_flow", side_effect=AssertionError("flow")):
+        assert supermodular.closure_chain_holds(view) == holds == _chain_by_enumeration(view)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_posets())
+def test_a_complete_transport_leaves_no_upper_set_positive(poset):
+    points, weights = poset
+    weights[-1] -= sum(weights)
+    up = points_above(points)
+    order = sorted(range(len(points)), key=lambda a: up[a].bit_count())
+    best = max(sum(weights[k] for k in idx) for idx in enumerate_upper_index_sets(points))
+    if supermodular.upward_transport(weights, up, order):
+        assert best == 0
+
+
+def test_first_fit_certifies_the_ladder_and_the_fixed_draw_with_no_flow():
+    with mock.patch.object(supermodular, "integer_max_flow",
+                           side_effect=AssertionError("a max-flow ran")):
+        for label in ("fixed-draw-128", "permutation-012", "permutation-00011",
+                      "permutation-0012", "permutation-0112"):
+            assert supermodular.closure_chain_holds(integer_view(CHAIN_CERTIFIED[label][0]())), label
+
+
+def test_the_flow_fallback_certifies_where_first_fit_falls_short():
+    with mock.patch.object(supermodular, "closure_excess",
+                           wraps=supermodular.closure_excess) as cut:
+        assert supermodular.closure_chain_holds(integer_view(_eight_player("random")))
+    assert cut.call_count > 0
+
+
+def _tampered_transport(how):
+    def run(masks, supply, demand):
+        routed = first_fit(masks, supply, demand)
+        (k, b), f = next(iter(routed.items()))
+        if how == "out of order":
+            below = next(j for j in range(len(demand)) if not masks[k] >> j & 1)
+            routed[k, below] = routed.pop((k, b))
+        elif how == "row sum off":
+            routed[k, b] = f + 1
+        elif how == "not positive":
+            routed[k, b] = 0
+        return routed
+    return run
+
+
+@pytest.mark.parametrize("how, message", [
+    ("out of order", "is not upward"),
+    ("not positive", "is not upward"),
+    ("row sum off", "sums differ"),
+])
+def test_a_tampered_transport_raises(how, message):
+    with mock.patch.object(supermodular, "first_fit", _tampered_transport(how)):
+        with pytest.raises(InternalConsistencyError, match=message):
+            checks.check_nsmd(permutation_distribution([0, 1, 2]))
