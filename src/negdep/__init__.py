@@ -58,7 +58,7 @@ from .checks import (
 )
 from .maxflow import FlowNetwork, MaxFlowResult, max_flow
 from .rationals import NEG_INF, POS_INF
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, SimplexResult, simplex_solve
+from .simplex import OPTIMAL, UNBOUNDED, LinearProgram, SimplexResult, simplex_solve
 from .stochorder import Coupling, StVerdict, st_leq, st_leq_coupling, st_leq_uppersets
 from .supermodular import GridFunction, SupermodularVerdict, supermodular_leq
 from .tournaments import (

@@ -22,13 +22,17 @@ def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and "num/den" or decimal strings to Fraction
     ("0.5" is exactly 1/2); reject floats.
 
-    A malformed string, zero denominators included, raises ``ValueError``.
+    A malformed string, zero denominators and exponent notation included,
+    raises ``ValueError``. "1e999999999" would make ``Fraction`` build
+    ``10**999999999``, so an exponent is refused before it is read.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation is not an exact rational token: {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:

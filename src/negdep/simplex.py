@@ -1,13 +1,15 @@
 """Exact simplex for LPs in standard inequality form, pivoting in integers.
 
     maximize    c . x
-    subject to  A x <= b,   x >= 0
+    subject to  A x <= b,   x >= 0,   with b >= 0,
 
-Rows are sparse dicts of integers plus an integer rhs; each row's basic column
-has a positive coefficient and appears in no other row, and the reduced costs
-and objective value are integers over one positive denominator. A pivot takes
-an integer combination of each row with the pivot row and divides out its
-gcd (docs/theory.md section 8); Fractions appear only at the API.
+so the basis of slacks is feasible before the first pivot; a negative rhs
+or an equality row raises ``ValueError``. Rows are sparse dicts of integers
+plus an integer rhs; each row's basic column has a positive coefficient and
+appears in no other row, and the reduced costs and objective value are
+integers over one positive denominator. A pivot takes an integer combination
+of each row with the pivot row and divides out its gcd (docs/theory.md
+section 8); Fractions appear only at the API.
 
 The entering variable follows Bland's rule (lowest eligible index), which
 both terminates and — by entering the original sparse columns first — keeps
@@ -24,19 +26,18 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .errors import InternalConsistencyError
-
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . x  s.t.  each (coeffs, rhs) row means coeffs . x <= rhs.
+    """max objective . x  s.t.  each (coeffs, rhs) row means coeffs . x <= rhs,
+    with every rhs >= 0.
 
-    ``equalities`` rows mean coeffs . x == rhs; they go through phase 1 with
-    artificial variables instead of being split into two inequalities.
+    ``equalities`` must stay empty: :func:`simplex_solve` rejects any row in
+    it. The field is kept only because ``perfbench/layertrace.py`` reads its
+    length.
     """
 
     num_vars: int
@@ -49,7 +50,7 @@ class LinearProgram:
 class SimplexResult:
     """At optimum, ``duals`` holds one optimal dual value per ``constraints``
     row, minus the final reduced cost of the row's slack (docs/theory.md
-    section 8); ``equalities`` rows get none."""
+    section 8)."""
 
     status: str
     objective: Fraction | None = None
@@ -103,32 +104,14 @@ class _Tableau:
         self.z_den = 1
         self.num_cols = num_structural
 
-    def new_col(self) -> int:
-        col = self.num_cols
-        self.num_cols += 1
-        return col
-
-    def set_objective(self, coeffs: Mapping[int, Fraction]) -> None:
-        """Install reduced costs for the given objective, pricing out the basis."""
-        self.z, self.z_value, self.z_den = _integer_row(coeffs, 0)
-        for r, b in enumerate(self.basis):
-            self._price_out(r, b)
-
-    def _price_out(self, r: int, e: int) -> None:
-        if self.z.get(e):
-            self.z, (self.z_value, self.z_den) = _eliminate(
-                self.z, (self.z_value, self.z_den), self.rows[r], (-self.rhs[r], 0), e)
-
     def pivot(self, r: int, e: int) -> None:
-        row = self.rows[r]
-        if row[e] < 0:  # only when a zero-level artificial leaves the basis
-            self.rows[r] = row = {c: -a for c, a in row.items()}
-            self.rhs[r] = -self.rhs[r]
-        tail = (self.rhs[r],)
+        row, tail = self.rows[r], (self.rhs[r],)
         for i, other in enumerate(self.rows):
             if i != r and other.get(e):
                 self.rows[i], (self.rhs[i],) = _eliminate(other, (self.rhs[i],), row, tail, e)
-        self._price_out(r, e)
+        if self.z.get(e):
+            self.z, (self.z_value, self.z_den) = _eliminate(
+                self.z, (self.z_value, self.z_den), row, (-self.rhs[r], 0), e)
         self.basis[r] = e
 
     def _entering(self) -> int | None:
@@ -171,74 +154,23 @@ class _Tableau:
 
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
-    """Exact optimum of the LP, or UNBOUNDED / INFEASIBLE."""
+    """Exact optimum of the LP, or UNBOUNDED. A negative rhs or an equality
+    row raises ``ValueError``."""
+    if lp.equalities:
+        raise ValueError("equality rows are not supported; every row is coeffs . x <= rhs")
     t = _Tableau(lp.num_vars)
-    needs_phase1 = False
-    artificials: list[int] = []
-    slacks: list[int] = []
-
     for coeffs, rhs in lp.constraints:
         row, b, scale = _integer_row(coeffs, rhs)
-        slack = t.new_col()
-        slacks.append(slack)
-        row[slack] = scale
         if b < 0:
-            row = {c: -a for c, a in row.items()}
-            b = -b
-            art = t.new_col()
-            row[art] = scale
-            artificials.append(art)
-            t.basis.append(art)
-            needs_phase1 = True
-        else:
-            t.basis.append(slack)
+            raise ValueError(f"rhs {rhs} is negative; every rhs must be >= 0")
+        row[t.num_cols] = scale  # the row's slack, basic at level b
+        t.basis.append(t.num_cols)
+        t.num_cols += 1
         t.rows.append(row)
         t.rhs.append(b)
-
-    for coeffs, rhs in lp.equalities:
-        row, b, scale = _integer_row(coeffs, rhs)
-        if b < 0:
-            row = {c: -a for c, a in row.items()}
-            b = -b
-        art = t.new_col()
-        row[art] = scale
-        artificials.append(art)
-        t.basis.append(art)
-        t.rows.append(row)
-        t.rhs.append(b)
-        needs_phase1 = True
-
-    if needs_phase1:
-        t.set_objective({a: -1 for a in artificials})
-        status = t.run()
-        if status != OPTIMAL:
-            raise InternalConsistencyError(
-                f"phase 1 ended {status}, but its objective is bounded above by 0"
-            )
-        if t.z_value != 0:
-            return SimplexResult(status=INFEASIBLE)
-        art_set = set(artificials)
-        for r in range(len(t.rows)):
-            if t.basis[r] in art_set:
-                # basic artificial at value 0: pivot it out on any real column
-                candidate = None
-                for c, a in t.rows[r].items():
-                    if c not in art_set and a:
-                        candidate = c
-                        break
-                if candidate is not None:
-                    t.pivot(r, candidate)
-        keep = [r for r in range(len(t.rows)) if t.basis[r] not in art_set]
-        t.rows = [t.rows[r] for r in keep]
-        t.rhs = [t.rhs[r] for r in keep]
-        t.basis = [t.basis[r] for r in keep]
-        for row in t.rows:
-            for a in artificials:
-                row.pop(a, None)
-
-    t.set_objective(lp.objective)
-    status = t.run()
-    if status == UNBOUNDED:
+    # every basic column is a slack, with cost 0, so the costs are the reduced costs
+    t.z, t.z_value, t.z_den = _integer_row(lp.objective, 0)
+    if t.run() == UNBOUNDED:
         return SimplexResult(status=UNBOUNDED)
 
     values = [Fraction(0)] * lp.num_vars
@@ -249,5 +181,5 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         status=OPTIMAL,
         objective=Fraction(t.z_value, t.z_den),
         solution=tuple(values),
-        duals=tuple(Fraction(-t.z.get(s, 0), t.z_den) for s in slacks),
+        duals=tuple(Fraction(-t.z.get(s, 0), t.z_den) for s in range(lp.num_vars, t.num_cols)),
     )

@@ -40,7 +40,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .distributions import FiniteJointDistribution, Vector
+from .distributions import FiniteJointDistribution, Vector, over_common_denominator
 from .errors import Caps, GridTooLarge, InternalConsistencyError, UndefinedAtAtom, default_caps
 from .maxflow import first_fit, integer_max_flow
 from .simplex import OPTIMAL, LinearProgram, simplex_solve
@@ -145,11 +145,6 @@ def _orthant_indicator(sizes: Sequence[int], reverse: bool, k: int) -> list[int]
     return outer_product(lines)
 
 
-def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _recheck(sizes: Sequence[int], r: Sequence[int], scale: int,
              psi: Sequence[int], den: int) -> Fraction:
     """Re-check psi[k] / den against r[k] / scale = p_Y - p_X on the flat lex
@@ -229,7 +224,7 @@ def decide_on_grid(sizes: list[int], r: list[int],
             f"box LP optimum {result.objective} is below that of phi = 0")
     if result.objective == 0:
         # re-check the transfer certificate by direct summation
-        lam, lam_den = _over_one_denominator(result.duals[:len(cells)])
+        lam, lam_den = over_common_denominator(result.duals[:len(cells)])
         achieved = [0] * len(target)
         for (k, k1, k2, k12), v in zip(cells, lam):
             if v:
@@ -246,7 +241,7 @@ def decide_on_grid(sizes: list[int], r: list[int],
 
     # the box shift cancels in the objective, so psi = phi - 1 has the same gap
     gap = result.objective * g / scale
-    phi, den = _over_one_denominator(result.solution)
+    phi, den = over_common_denominator(result.solution)
     psi = [v - den for v in phi]
     if _recheck(sizes, r, scale, psi, den) != gap:
         raise InternalConsistencyError("witness gap differs from the box LP optimum")
@@ -294,7 +289,7 @@ def witness_expectations(witness: GridFunction, dX: FiniteJointDistribution,
     axes = witness.axes
     if tuple(x for x, _ in witness.values) != tuple(itertools.product(*axes)):
         raise InternalConsistencyError("witness points are not the lex grid of its axes")
-    psi, den = _over_one_denominator([v for _, v in witness.values])
+    psi, den = over_common_denominator([v for _, v in witness.values])
     x, y = _weights_on(axes, dX), _weights_on(axes, dY)
     _recheck([len(ax) for ax in axes], *_signed_measure(x, y), psi, den)
     return tuple(Fraction(sum(map(mul, psi, w)), den * scale) for w, scale in (x, y))

@@ -3,7 +3,10 @@
 This is the simplex as it was before the tableau moved to integer rows: every
 pivot divides and subtracts exact Fractions. The differential tests compare
 the integer tableau against it, pivot for pivot. Its duals are minus the
-final reduced costs of the slacks, as the integer tableau's are.
+final reduced costs of the slacks, as the integer tableau's are. It keeps
+the phase 1 that the live simplex no longer has: a row with a negative rhs
+or an equality row gets an artificial column, and an LP whose phase 1 ends
+above 0 is INFEASIBLE, so it can still solve an equality system.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from negdep.errors import InternalConsistencyError
-from negdep.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, SimplexResult
+from negdep.simplex import OPTIMAL, UNBOUNDED, LinearProgram, SimplexResult
+
+INFEASIBLE = "infeasible"
 
 _Q = Fraction
 

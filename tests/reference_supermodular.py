@@ -12,9 +12,11 @@ the witness check as it was before it ran by grid position, on
 Fraction-keyed dicts, and ``check_nsmd`` as it was before it ran on the
 law's integer view, through an independent-copy law and
 ``GridFunction.as_dict``. The union grid, the grid cells and the simplex
-are imported from the package, unchanged. The differential tests compare
-the live decisions against them, verdict, gap, witness and expectations
-alike.
+of the box LP are imported from the package, unchanged; the transfer LP's
+equality system is solved by the Fraction simplex of
+``tests/reference_simplex.py``, which keeps a phase 1. The differential
+tests compare the live decisions against them, verdict, gap, witness and
+expectations alike.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from negdep.supermodular import (
     _grid_cells,
     _union_axes,
 )
+
+from . import reference_simplex
 
 
 def local_supermodularity_deficits(f: GridFunction):
@@ -119,7 +123,7 @@ def transfer_lp(cells, r) -> SimplexResult:
         rows[k12][c] = rows[k12].get(c, Fraction(0)) + one
         rows[k1][c] = rows[k1].get(c, Fraction(0)) - one
         rows[k2][c] = rows[k2].get(c, Fraction(0)) - one
-    feas = simplex_solve(LinearProgram(
+    feas = reference_simplex.simplex_solve(LinearProgram(
         num_vars=len(cells),
         objective={},
         constraints=(),

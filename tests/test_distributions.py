@@ -254,6 +254,14 @@ class TestJson:
         with pytest.raises(ValueError):
             from_json_dict({"dim": 1})
 
+    @pytest.mark.parametrize("token", ["1e3", "1E3", "2.5e-1", "-1e0", "1e999999999"])
+    def test_rejects_exponent_notation(self, token):
+        # Fraction would build 10**exponent first: minutes for "1e999999999"
+        with pytest.raises(ValueError, match="exponent notation"):
+            as_rational(token)
+        with pytest.raises(ValueError, match="bad atom #0: exponent notation"):
+            from_json_dict({"dim": 2, "atoms": [{"x": [token, "1"], "p": "1"}]})
+
     @pytest.mark.parametrize("atoms", [5, None, "x", {"x": ["0"], "p": "1"}])
     def test_rejects_atoms_that_are_not_a_list(self, atoms):
         with pytest.raises(ValueError, match="'atoms' must be a list"):

@@ -26,15 +26,15 @@ from . import reference_simplex as ref
 F = Fraction
 
 _COEFFS = [F(-2), F(-1), F(-1, 2), F(1, 3), F(1), F(3, 2), F(2)]
-_RHS = [F(-3, 2), F(-1), F(0), F(0), F(1, 2), F(1), F(2), F(7, 3)]
+_RHS = [F(0), F(0), F(1, 2), F(1), F(2), F(7, 3)]
 
 
 def _recorded(module, call, pure_bland_ties=False):
     """Run ``call`` with ``module``'s simplex; return its result and every
     pivot in order: the row, the entering column and the pivot row's key
-    order, which the phase-1 clean-up reads. With ``pure_bland_ties`` the
-    ratio ties go to the lowest basis index from the first pivot on, as they
-    do after a long degenerate streak."""
+    order, which the integer update keeps as the Fraction update does. With
+    ``pure_bland_ties`` the ratio ties go to the lowest basis index from the
+    first pivot on, as they do after a long degenerate streak."""
     pivots = []
     pivot = module._Tableau.pivot
     leaving = module._Tableau._leaving
@@ -63,9 +63,9 @@ def _assert_same_solve(lp, pure_bland_ties=False):
 
 @st.composite
 def programs(draw):
-    """Small LPs with negative rhs (phase 1), equality rows, fractional
-    coefficients, possibly an empty objective, and often a zero rhs or a
-    repeated row, so degenerate pivots, unbounded and infeasible LPs occur."""
+    """Small LPs in the simplex's form (rhs >= 0, no equality rows) with
+    fractional coefficients, possibly an empty objective, and often a zero
+    rhs or a repeated row, so degenerate pivots and unbounded LPs occur."""
     n = draw(st.integers(1, 5))
 
     def row():
@@ -73,17 +73,14 @@ def programs(draw):
         return coeffs, draw(st.sampled_from(_RHS))
 
     constraints = [row() for _ in range(draw(st.integers(0, 6)))]
-    equalities = [row() for _ in range(draw(st.integers(0, 3)))]
-    for rows in (constraints, equalities):
-        if rows and draw(st.booleans()):
-            coeffs, rhs = draw(st.sampled_from(rows))
-            k = draw(st.sampled_from([F(1), F(2), F(1, 3)]))
-            rows.append(({c: k * a for c, a in coeffs.items()}, k * rhs))
+    if constraints and draw(st.booleans()):
+        coeffs, rhs = draw(st.sampled_from(constraints))
+        k = draw(st.sampled_from([F(1), F(2), F(1, 3)]))
+        constraints.append(({c: k * a for c, a in coeffs.items()}, k * rhs))
     objective = {}
     if draw(st.integers(0, 3)):
         objective = {c: draw(st.sampled_from(_COEFFS)) for c in range(n) if draw(st.booleans())}
-    return LinearProgram(num_vars=n, objective=objective, constraints=constraints,
-                         equalities=equalities)
+    return LinearProgram(num_vars=n, objective=objective, constraints=constraints)
 
 
 @settings(max_examples=400, deadline=None)
@@ -101,22 +98,43 @@ def _lp(num_vars, objective, constraints=(), equalities=()):
 
 @pytest.mark.parametrize("lp, status", [
     (_lp(2, {0: 1}, [({1: 1}, 1)]), simplex.UNBOUNDED),
-    (_lp(1, {0: 1}, [({0: 1}, -1)]), simplex.INFEASIBLE),
-    (_lp(1, {}, [({0: 1}, F(1, 2))], [({0: 1}, 2)]), simplex.INFEASIBLE),
+    (_lp(2, {0: F(1, 3), 1: F(1, 7)}, [({0: F(2, 5), 1: 1}, F(9, 11)), ({0: 1}, F(1, 2))]),
+     simplex.OPTIMAL),
+    # Beale (1955): degenerate pivots that cycle under the largest-cost rule
+    (_lp(4, {0: F(3, 4), 1: -20, 2: F(1, 2), 3: -6},
+         [({0: F(1, 4), 1: -8, 2: -1, 3: 9}, 0), ({0: F(1, 2), 1: -12, 2: F(-1, 2), 3: 3}, 0),
+          ({2: 1}, 1)]), simplex.OPTIMAL),
     (_lp(2, {0: 2, 1: 1}, [({0: 1, 1: 1}, 1), ({0: 2, 1: 2}, 2), ({0: 3, 1: 3}, 3),
                            ({0: 1}, 1), ({1: 1}, 1)]), simplex.OPTIMAL),
+    # x == y as two rows with rhs 0
+    (_lp(2, {0: 1, 1: 1}, [({0: 1, 1: -1}, 0), ({0: -1, 1: 1}, 0), ({0: 1}, F(3, 4))]),
+     simplex.OPTIMAL),
+    # a repeated row at rhs 0
+    (_lp(2, {0: 1, 1: 1}, [({0: 1, 1: -1}, 0), ({0: 2, 1: -2}, 0), ({1: 1}, 3)]),
+     simplex.OPTIMAL),
+    (_lp(2, {0: 1}, [({0: 1, 1: 1}, 0), ({0: 1, 1: -1}, 0)]), simplex.OPTIMAL),
+    (_lp(3, {}, [({0: 1, 1: 2}, 5), ({0: 1}, 1), ({2: F(2, 3)}, 0)]), simplex.OPTIMAL),
+])
+def test_hand_programs_match_fraction_reference(lp, status):
+    assert _assert_same_solve(lp).status == status
+
+
+@pytest.mark.parametrize("lp, status", [
+    (_lp(1, {0: 1}, [({0: 1}, -1)]), ref.INFEASIBLE),
+    (_lp(1, {}, [({0: 1}, F(1, 2))], [({0: 1}, 2)]), ref.INFEASIBLE),
     (_lp(1, {0: -1}, [({0: -1}, -2), ({0: 1}, 5)]), simplex.OPTIMAL),
-    # a redundant equality leaves an artificial basic at zero in a row with
-    # no real column, so the row is dropped
     (_lp(2, {0: 1, 1: 1}, [({0: 1}, 3)], [({0: 1, 1: -1}, 1), ({0: 2, 1: -2}, 2)]),
      simplex.OPTIMAL),
-    # here the artificial left at zero leaves on a negative coefficient
     (_lp(2, {0: 1}, equalities=[({0: 1, 1: 1}, 0), ({0: 1, 1: -1}, 0)]), simplex.OPTIMAL),
     (_lp(3, {}, equalities=[({0: 1, 1: 2}, 5), ({0: 1}, 1), ({2: F(2, 3)}, 0)]),
      simplex.OPTIMAL),
 ])
-def test_hand_programs_match_fraction_reference(lp, status):
-    assert _assert_same_solve(lp).status == status
+def test_programs_outside_the_form_raise(lp, status):
+    # a negative rhs or an equality row needs a phase 1, which only the
+    # Fraction reference keeps (its transfer LP solves an equality system)
+    with pytest.raises(ValueError):
+        simplex.simplex_solve(lp)
+    assert ref.simplex_solve(lp).status == status
 
 
 _LADDER = [permutation_distribution(values)

@@ -172,6 +172,42 @@ def test_duals_that_do_not_certify_the_order_raise(tamper, message):
             checks.check_nsmd(_NSMD_PAST_THE_CHAIN)
 
 
+# the six laws of the `audit_small` benchmark workload (seeds 0-63 and
+# 20261017) that reach the box LP, by seed: the atoms on {0, 1, 2}^3 with
+# weights over one total, whether NSMD holds, and the sha256 of the
+# `check_nsmd` verdict's repr as it was while the simplex still had a phase 1
+_LP_AUDIT_LAWS = {
+    "seed-0": (24, {(0, 0, 0): 1, (0, 1, 2): 8, (1, 0, 2): 6, (1, 1, 0): 9}, True,
+               "27365e766ee1eb723b266f26d2be7331997e8d4aef6d505346a61f56e4769f86"),
+    "seed-20": (38, {(0, 1, 1): 2, (0, 1, 2): 6, (0, 2, 0): 6, (0, 2, 2): 3, (1, 1, 1): 1,
+                     (1, 2, 2): 2, (2, 1, 2): 9, (2, 2, 0): 9}, False,
+                "b2a651d54509d4a2a8cfe4be9efcb493cde360fe4f00e19ca06328ed43d69e6c"),
+    "seed-24": (34, {(0, 1, 0): 8, (0, 1, 2): 9, (1, 0, 1): 2, (1, 0, 2): 1, (1, 1, 1): 1,
+                     (2, 0, 2): 5, (2, 1, 0): 8}, True,
+                "1349b35bc72ac52ac86aa1e69768b9cb430ff7d35274a4554806580f11bf1cbf"),
+    "seed-29": (40, {(0, 1, 1): 1, (0, 2, 2): 5, (1, 0, 2): 9, (1, 2, 1): 8, (1, 2, 2): 3,
+                     (2, 0, 1): 5, (2, 1, 1): 4, (2, 2, 0): 5}, True,
+                "63c43522b433497ab77acaba57f05ff3bb26bed2465da81d386acda55ff01b3c"),
+    "seed-41": (51, {(0, 1, 2): 9, (0, 2, 1): 4, (1, 0, 2): 8, (1, 1, 0): 5, (1, 1, 2): 6,
+                     (1, 2, 0): 5, (2, 0, 0): 4, (2, 0, 2): 7, (2, 1, 1): 3}, True,
+                "63c43522b433497ab77acaba57f05ff3bb26bed2465da81d386acda55ff01b3c"),
+    "seed-46": (19, {(0, 2, 2): 3, (1, 0, 2): 5, (1, 2, 0): 3, (2, 0, 0): 3, (2, 0, 2): 3,
+                     (2, 2, 2): 2}, True,
+                "c7e7f7670aa6d7a7798bfec12616f6c369ad268be617f9848639a24cbd46a200"),
+}
+
+
+@pytest.mark.parametrize("label", list(_LP_AUDIT_LAWS))
+def test_audit_laws_that_reach_the_box_lp_keep_their_verdicts(label):
+    total, weights, holds, digest = _LP_AUDIT_LAWS[label]
+    d = make_pmf(3, [(x, F(w, total)) for x, w in weights.items()])
+    with mock.patch.object(supermodular, "simplex_solve",
+                           wraps=supermodular.simplex_solve) as lp:
+        verdict = checks.check_nsmd(d)
+    assert lp.call_count == 1 and verdict.holds == holds
+    assert hashlib.sha256(repr(verdict).encode()).hexdigest() == digest
+
+
 # -- NSMD reads none of the law's automorphisms ----------------------------------
 
 # law -> (its builder, holds, gap, grid points, and the exit code and sha256

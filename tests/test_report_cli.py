@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -318,6 +319,7 @@ _BAD_INPUTS = {
     "check-atoms-number": ["check", {"dim": 2, "atoms": 5}],
     "check-atoms-null": ["check", {"dim": 2, "atoms": None}],
     "check-zero-denominator": ["check", _atom(["0", "1"], "1/0")],
+    "check-exponent": ["check", _atom(["1e999999999", "1"], "1")],
     "check-vector-string": ["check", _atom("01", "1")],
     "check-bool-atom": ["check", _atom([True, False], True)],
     "check-output-dir-missing": ["check", _LAW, "-o", _MISSING],
@@ -325,6 +327,10 @@ _BAD_INPUTS = {
         "build", _knockout(win_prob=[["0", "1/0"], ["1/2", "0"]])],
     "build-zero-denominator-pair-prob": [
         "build", _round_robin(law=[["0", "1/0"], ["1", "1/2"]])],
+    "build-exponent-win-prob": ["build", _knockout(win_prob=[["0", "1e-999999999"],
+                                                             ["1/2", "0"]])],
+    "build-exponent-pair-score": ["build", _round_robin(law=[["1e999999999", "1/2"],
+                                                             ["1", "1/2"]])],
     "build-float-win-prob": ["build", _knockout(win_prob=[[0, 0.5], [0.5, 0]])],
     "build-bool-win-prob": ["build", _knockout(win_prob=[[False, True], [False, False]])],
     "build-bool-pair-score": ["build", _round_robin(law=[[False, "1/2"], [True, "1/2"]])],
@@ -339,6 +345,7 @@ _BAD_INPUTS = {
     "build-output-dir-missing": ["build", _KNOCKOUT, "-o", _MISSING],
     "reproduce-output-dir-missing": ["reproduce", "ex-3.2", "-o", _MISSING],
     "conjecture-zero-denominator": ["conjecture", "--values", "1/0,1"],
+    "conjecture-exponent": ["conjecture", "--values", "1e999999999,1"],
     "conjecture-output-dir-missing": ["conjecture", "-n", "2", "-o", _MISSING],
 }
 
@@ -364,6 +371,18 @@ class TestOneErrorLine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_exponent_notation_exits_two_at_once(self, tmp_path, capsys):
+        # this 20-byte law once ran for more than a minute: Fraction built
+        # 10**999999999 before any check could refuse it
+        path = tmp_path / "exponent.json"
+        path.write_text('{"dim":2,"atoms":[{"x":["1e999999999","1"],"p":"1"}]}')
+        start = time.perf_counter()
+        assert main(["check", str(path), "--jobs", "1"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "error: bad atom #0: exponent notation is not an exact rational token: "
+            "'1e999999999'\n")
 
     def test_huge_ell_is_a_size_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -3,14 +3,11 @@ from fractions import Fraction
 import pytest
 
 from negdep import (
-    INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    InternalConsistencyError,
     LinearProgram,
     simplex_solve,
 )
-from negdep.simplex import _Tableau
 
 F = Fraction
 
@@ -59,16 +56,19 @@ def test_unbounded():
 
 
 def test_infeasible():
-    # x <= -1 with x >= 0 cannot hold
-    assert simplex_solve(lp(1, {0: 1}, [({0: 1}, -1)])).status == INFEASIBLE
+    # x <= -1 with x >= 0 cannot hold; with every rhs >= 0, x = 0 is always
+    # feasible, so the only way to state an infeasible LP is refused
+    with pytest.raises(ValueError, match="negative"):
+        simplex_solve(lp(1, {0: 1}, [({0: 1}, -1)]))
 
 
 def test_negative_rhs_feasible():
-    # x >= 2 encoded as -x <= -2, maximize -x: optimum at x = 2
-    result = simplex_solve(lp(1, {0: -1}, [({0: -1}, -2), ({0: 1}, 5)]))
-    assert result.status == OPTIMAL
-    assert result.objective == -2
-    assert result.solution == (F(2),)
+    # x >= 2 encoded as -x <= -2 is feasible, but the slack basis is not, and
+    # there is no phase 1 to find another
+    with pytest.raises(ValueError, match="negative"):
+        simplex_solve(lp(1, {0: -1}, [({0: -1}, -2), ({0: 1}, 5)]))
+    with pytest.raises(ValueError, match="negative"):
+        simplex_solve(lp(1, {0: -1}, [({0: 1}, 5), ({0: F(-1, 3)}, F(-2, 3))]))
 
 
 def test_fractional_coefficients_exact():
@@ -84,56 +84,48 @@ def test_fractional_coefficients_exact():
 
 
 def test_equality_via_two_inequalities():
-    rows = [({0: 1, 1: 1}, 1), ({0: -1, 1: -1}, -1), ({0: 1}, F(3, 4))]
-    result = simplex_solve(lp(2, {0: 1}, rows))
+    # x == y as x - y <= 0 and y - x <= 0, both degenerate at the start
+    rows = [({0: 1, 1: -1}, 0), ({0: -1, 1: 1}, 0), ({0: 1}, F(3, 4))]
+    result = simplex_solve(lp(2, {0: 1, 1: 1}, rows))
     assert result.status == OPTIMAL
-    assert result.objective == F(3, 4)
+    assert result.objective == F(3, 2)
+    assert result.solution == (F(3, 4), F(3, 4))
 
 
 def test_native_equality_rows():
+    # equality rows are refused before any pivot, even a feasible one
     program = LinearProgram(
         num_vars=2,
         objective={0: F(1)},
         constraints=[({0: F(1)}, F(3, 4))],
         equalities=[({0: F(1), 1: F(1)}, F(1))],
     )
-    result = simplex_solve(program)
-    assert result.status == OPTIMAL
-    assert result.objective == F(3, 4)
-    assert result.solution == (F(3, 4), F(1, 4))
+    with pytest.raises(ValueError, match="equality"):
+        simplex_solve(program)
 
 
 def test_infeasible_equality_system():
+    # x == 2 against x <= 1/2: refused as an equality row, not reported
+    # infeasible, since there is no phase 1 to find that out
     program = LinearProgram(
         num_vars=1,
         objective={},
         constraints=[({0: F(1)}, F(1, 2))],
         equalities=[({0: F(1)}, F(2))],
     )
-    assert simplex_solve(program).status == INFEASIBLE
+    with pytest.raises(ValueError, match="equality"):
+        simplex_solve(program)
 
 
 def test_pure_feasibility_with_empty_objective():
+    # with no objective the slack basis is optimal at once: x = 0, duals 0
     program = LinearProgram(
         num_vars=2,
         objective={},
-        constraints=(),
-        equalities=[({0: F(1), 1: F(2)}, F(5)), ({0: F(1)}, F(1))],
+        constraints=[({0: F(1), 1: F(2)}, F(5)), ({0: F(1)}, F(1))],
     )
     result = simplex_solve(program)
     assert result.status == OPTIMAL
-    assert result.solution == (F(1), F(2))
-
-
-def test_phase1_non_optimal_status_raises(monkeypatch):
-    # phase 1 cannot be unbounded; if it ever reports so, the solver must say
-    # so loudly, also under python -O, instead of reading a stale objective
-    monkeypatch.setattr(_Tableau, "run", lambda self: UNBOUNDED)
-    equality_lp = LinearProgram(
-        num_vars=2,
-        objective={0: F(1)},
-        constraints=[],
-        equalities=[({0: F(1), 1: F(1)}, F(1))],
-    )
-    with pytest.raises(InternalConsistencyError):
-        simplex_solve(equality_lp)
+    assert result.objective == 0
+    assert result.solution == (F(0), F(0))
+    assert result.duals == (F(0), F(0))

@@ -2,6 +2,7 @@
 reference, against the reference's transfer LP, which the live decision
 never solves, and its orthant witness against the box LP that it skips."""
 
+import contextlib
 import itertools
 from fractions import Fraction
 from unittest import mock
@@ -18,9 +19,11 @@ from negdep import (
     simplex,
     supermodular,
 )
-from negdep.simplex import INFEASIBLE, OPTIMAL, SimplexResult
+from negdep.simplex import OPTIMAL, SimplexResult
 
+from . import reference_simplex
 from . import reference_supermodular as ref
+from .reference_simplex import INFEASIBLE
 
 F = Fraction
 
@@ -75,24 +78,30 @@ def _up_to_scale(result):
         result.solution)
 
 
-def _solves(module, call):
-    """Run ``call``; return its result and, for every LP solved through
-    ``module.simplex_solve``, the result up to scale and the pivots in order."""
+def _solves(call, *modules):
+    """Run ``call``; return its result and, for every LP solved through the
+    ``simplex_solve`` of one of ``modules``, in order, the result up to scale
+    and the live tableau's pivots (none for the Fraction simplex)."""
     solves = []
-    pivot, solve = simplex._Tableau.pivot, module.simplex_solve
+    pivot = simplex._Tableau.pivot
 
     def recording_pivot(self, r, e):
         solves[-1][1].append((r, e))
         pivot(self, r, e)
 
-    def recording_solve(lp):
-        solves.append([None, []])
-        result = solve(lp)
-        solves[-1][0] = _up_to_scale(result)
-        return result
+    def recording(solve):
+        def recording_solve(lp):
+            solves.append([None, []])
+            result = solve(lp)
+            solves[-1][0] = _up_to_scale(result)
+            return result
+        return recording_solve
 
-    with mock.patch.object(simplex._Tableau, "pivot", recording_pivot), \
-            mock.patch.object(module, "simplex_solve", recording_solve):
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(simplex._Tableau, "pivot", recording_pivot))
+        for module in modules:
+            stack.enter_context(mock.patch.object(
+                module, "simplex_solve", recording(module.simplex_solve)))
         return call(), solves
 
 
@@ -115,8 +124,9 @@ def _assert_screen_is_sound(dX, dY):
     box LP: when the order fails it pivots exactly as the reference's box LP
     does, after the reference's infeasible transfer LP; when the order holds
     the reference's transfer LP is feasible. Returns whether it fired."""
-    got, got_solves = _solves(supermodular, lambda: supermodular.supermodular_leq(dX, dY))
-    want, want_solves = _solves(ref, lambda: ref.supermodular_leq(dX, dY))
+    got, got_solves = _solves(lambda: supermodular.supermodular_leq(dX, dY), supermodular)
+    # the reference's transfer LP runs on the Fraction simplex, its box LP on the live one
+    want, want_solves = _solves(lambda: ref.supermodular_leq(dX, dY), ref, reference_simplex)
     assert repr(got) == repr(want)
     fired = not got_solves
     statuses = [result.status for result, _ in want_solves]
@@ -180,7 +190,7 @@ def test_a_screened_law_is_decided_without_any_lp(d):
 @given(_PAIRS)
 def test_a_screened_witness_is_the_most_negative_orthant(pair):
     dX, dY = pair
-    got, solves = _solves(supermodular, lambda: supermodular.supermodular_leq(dX, dY))
+    got, solves = _solves(lambda: supermodular.supermodular_leq(dX, dY), supermodular)
     if solves:
         return
     _, grid, cells, r = ref.signed_measure(dX, dY)
