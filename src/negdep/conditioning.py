@@ -18,19 +18,19 @@ from operator import itemgetter, le
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError
+from .maxflow import positive_upper_set
 from .stochorder import (
     IntegerLaw,
     SupportUnion,
     UpperSetViolation,
     cut_violation,
-    integer_coupling,
     masked_law,
     require_agreement,
     support_union,
     sweep_violation,
     tail_order,
 )
-from .uppersets import at_or_above, grid_comparable_pairs, grid_covers, poset_covers
+from .uppersets import at_or_above, grid_comparable_pairs, grid_covers, keys_above, poset_covers
 
 #: The block key of the orbit laws in ``CellContext.blocks``.
 ORBITS = "orbits"
@@ -131,14 +131,19 @@ class CellContext:
             law = cache[mask] = masked_law(mask, keys, self.weights)
         return law
 
+    def keyed_union(self, mask_hi: int, mask_lo: int,
+                    block: tuple[int, ...] | str) -> SupportUnion:
+        """The block's laws given ``mask_hi`` (X) and ``mask_lo`` (Y) on the
+        union of their supports, keyed as the laws are, ascending."""
+        hi, lo = self.int_law(mask_hi, block), self.int_law(mask_lo, block)
+        return support_union(dict(zip(hi.keys, hi.weights)), dict(zip(lo.keys, lo.weights)))
+
     def union(self, mask_hi: int, mask_lo: int,
               block: tuple[int, ...]) -> tuple[SupportUnion, list[int]]:
-        """The block's laws given ``mask_hi`` (X) and ``mask_lo`` (Y) on the
-        union of their supports, as support values, and each point's packed
-        key. Packed keys sort like the values they stand for, so the union is
-        in the order of the values."""
-        hi, lo = self.int_law(mask_hi, block), self.int_law(mask_lo, block)
-        u = support_union(dict(zip(hi.keys, hi.weights)), dict(zip(lo.keys, lo.weights)))
+        """``keyed_union`` with the support values as its points, and each
+        point's packed key. Packed keys sort like the values they stand for,
+        so the union is in the order of the values."""
+        u = self.keyed_union(mask_hi, mask_lo, block)
         ranks, axes = dict(zip(self.block(block)[1], self.ranks)), self.work.view.axes
         return u._replace(points=[tuple(axes[j - 1][ranks[key][j - 1]] for j in block)
                                   for key in u.points]), u.points
@@ -146,17 +151,16 @@ class CellContext:
     def decide(self, mask_lo: int, mask_hi: int, block: tuple[int, ...],
                orbits=None) -> bool:
         """Does [X_block | high] <=st [X_block | low]? With ``orbits``, J's
-        stabilizer's orbits on the observed block, it is decided on the orbit
-        laws. On the full laws a block of several coordinates is FALSE at its
-        first failing one-coordinate marginal, with no coupling built
-        (docs/theory.md section 14). Verify mode also sweeps the upper sets
-        of the full laws and raises if the two oracles disagree. An order
-        that ``min_cut`` finds failing keeps its cut in ``cuts``, for
-        ``witness``."""
+        stabilizer's orbits on the observed block, it is decided on the
+        union of the orbit laws, under the orbits' own order. On the full
+        laws a block of several coordinates is FALSE at its first failing
+        one-coordinate marginal, with no network built (docs/theory.md
+        section 14). Verify mode also sweeps the upper sets of the full laws
+        and raises if the two oracles disagree. An order that ``min_cut``
+        finds failing keeps its cut in ``cuts``, for ``witness``."""
         if orbits:
-            hi, lo = self.int_law(mask_hi, ORBITS), self.int_law(mask_lo, ORBITS)
-            holds = integer_coupling(hi, lo, orbits.guards,
-                                     orbits.comparable(hi, lo))[0] is not None
+            u = self.keyed_union(mask_hi, mask_lo, ORBITS)
+            holds = positive_upper_set(u.net(), orbits.up(u.points))[1] is None
         elif len(block) > 1 and not all(self.decide(mask_lo, mask_hi, (j,)) for j in block):
             holds = False
         else:
@@ -168,34 +172,42 @@ class CellContext:
         return holds
 
     def min_cut(self, mask_lo: int, mask_hi: int, block: tuple[int, ...]) -> list[int] | None:
-        """The x-atoms (indices into the law given ``mask_hi``) on the source
-        side of the minimal minimum cut of the order on the block's full laws,
-        or None if it holds: by tail sums on one coordinate, else by the
-        coupling network. A cut depends on the two laws alone, so it is kept
-        in ``cuts`` and not found twice."""
+        """The keys of a set of points of the block whose upward closure is
+        the least upper set of greatest excess of X (the law given
+        ``mask_hi``) over Y, on the block's full laws, or None if the order
+        holds: by tail sums on one coordinate, else by the cut senders of
+        ``positive_upper_set`` on the netted union. That set depends on the
+        two laws alone, so it is kept in ``cuts`` and not found twice."""
         key = (block, mask_lo, mask_hi)
-        deficient = self.cuts.get(key)
-        if deficient is None:
-            hi, lo = self.int_law(mask_hi, block), self.int_law(mask_lo, block)
-            deficient = (tail_order(hi, lo) if len(block) == 1
-                         else integer_coupling(hi, lo, self.block(block)[0])[1])
-            if deficient is not None:
-                self.cuts[key] = deficient
-        return deficient
+        cut = self.cuts.get(key)
+        if cut is None:
+            if len(block) == 1:
+                hi = self.int_law(mask_hi, block)
+                cut = tail_order(hi, self.int_law(mask_lo, block))
+                cut = None if cut is None else [hi.keys[i] for i in cut]
+            else:
+                u = self.keyed_union(mask_hi, mask_lo, block)
+                up = keys_above(u.points, self.block(block)[0])
+                senders = positive_upper_set(u.net(), up)[1]
+                cut = None if senders is None else [u.points[a] for a in senders]
+            if cut is not None:
+                self.cuts[key] = cut
+        return cut
 
     def witness(self, mask_lo: int, mask_hi: int,
                 block: tuple[int, ...]) -> tuple[SupportUnion, UpperSetViolation]:
         """The union of the block's laws given ``mask_hi`` and ``mask_lo``, and
-        the upward closure of the x-atoms on the source side of the minimal
-        minimum cut of the order on those full laws, the same for every
-        maximum flow (docs/theory.md section 2). It is the cut ``decide``
-        kept, or, when a marginal refuted the order first, ``min_cut``'s."""
-        deficient = self.min_cut(mask_lo, mask_hi, block)
-        if deficient is None:
+        the least upper set of greatest excess of X over Y on those full
+        laws, the same for every maximum flow (docs/theory.md section 2). Its
+        cut is the one ``decide`` kept, or, when a marginal refuted the order
+        first, ``min_cut``'s."""
+        cut = self.min_cut(mask_lo, mask_hi, block)
+        if cut is None:
             raise InternalConsistencyError(f"no failed order on block {block} to name")
         u, keys = self.union(mask_hi, mask_lo, block)
-        hi = self.int_law(mask_hi, block)
-        return u, cut_violation(u, keys, self.block(block)[0], [hi.keys[i] for i in deficient])
+        index = {key: k for k, key in enumerate(keys)}
+        return u, cut_violation(u, keys_above(keys, self.block(block)[0]),
+                                [index[key] for key in cut])
 
     def tally(self, holds: bool) -> bool:
         """Count one order ``decide`` returned; its verdict."""

@@ -8,6 +8,7 @@ threshold sentinels (comparison against a Fraction is exact for them).
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -17,22 +18,27 @@ POS_INF = math.inf
 #: A threshold: an exact rational or one of the two infinite sentinels.
 Extended = Union[Fraction, float]
 
+#: The wire format of a rational: an optional sign, ASCII digits, then
+#: ``/digits`` or ``.digits``.
+_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
 
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and "num/den" or decimal strings to Fraction
     ("0.5" is exactly 1/2); reject floats.
 
-    A malformed string, zero denominators and exponent notation included,
-    raises ``ValueError``. "1e999999999" would make ``Fraction`` build
-    ``10**999999999``, so an exponent is refused before it is read.
+    A string outside ``_TOKEN``, or with a zero denominator, raises
+    ``ValueError``. ``Fraction`` alone would also read exponents (and build
+    ``10**999999999`` for "1e999999999"), digit separators, surrounding
+    whitespace, ".5" and non-ASCII digits, so a token is matched first.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if "e" in value or "E" in value:
-            raise ValueError(f"exponent notation is not an exact rational token: {value!r}")
+        if not _TOKEN.fullmatch(value):
+            raise ValueError(f"not an exact rational token: {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:

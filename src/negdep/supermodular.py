@@ -22,13 +22,13 @@ laws (:func:`supermodular_leq`), one from a law's integer view against its
 independent copy (:func:`below_independent_copy`). The second first checks
 the grid cap and then tries a sufficient certificate on the atoms, with no
 grid and no LP: a chain of one-coordinate maximum-weight closures, each
-step decided by suffix sums, by a first-fit upward transport, or, only
-where first fit falls short, by one minimum cut (:func:`closure_chain_holds`,
-docs/theory.md section 13). Every law the chain does not certify goes to
-:func:`decide_on_grid`, as both laws of the first front end do: the orthant
-screen, then one box LP, one variable per grid point and one row per cell
-and per point, whose optimal primal is the witness and whose optimal duals
-are the transfer certificate. The law's automorphisms play no part in it.
+step decided by suffix sums or by ``maxflow.positive_upper_set``
+(:func:`closure_chain_holds`, docs/theory.md section 13). Every law the
+chain does not certify goes to :func:`decide_on_grid`, as both laws of the
+first front end do: the orthant screen, then one box LP, one variable per
+grid point and one row per cell and per point, whose optimal primal is the
+witness and whose optimal duals are the transfer certificate. The law's
+automorphisms play no part in it.
 """
 
 from __future__ import annotations
@@ -42,14 +42,13 @@ from typing import Sequence
 
 from .distributions import FiniteJointDistribution, Vector, over_common_denominator
 from .errors import Caps, GridTooLarge, InternalConsistencyError, UndefinedAtAtom, default_caps
-from .maxflow import first_fit, integer_max_flow
+from .maxflow import positive_upper_set
 from .simplex import OPTIMAL, LinearProgram, simplex_solve
 from .uppersets import (
     grid_strides,
     orthant_sums,
     outer_product,
     points_above,
-    poset_covers,
     scatter,
 )
 
@@ -311,75 +310,6 @@ def supermodular_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
     return SupermodularVerdict(False, gap, _grid_function(axes, psi, den), total)
 
 
-def closure_excess(weights: Sequence[int], covers: Sequence[tuple[int, int]]) -> int:
-    """The largest total weight of an upper set of the points 0..m-1, given
-    their integer ``weights`` and the cover pairs ``(a, b)``, b above a, that
-    generate their order; at least 0, the empty set's.
-
-    One minimum cut gives it (Picard 1976): an edge from the source to each
-    point of positive weight, one from each point of negative weight to the
-    sink, each with the weight's size as capacity, and one along each cover,
-    with the sum P of the positive weights as capacity, which no minimum cut
-    can afford. The answer is P minus the maximum flow. The flow is re-checked
-    in integers, every edge within its capacity and every point conserving
-    it, so its value bounds each upper set's weight by P minus it; and the
-    cut's point side must be an upper set of exactly that weight
-    (docs/theory.md section 13).
-    """
-    m = len(weights)
-    positive = sum(w for w in weights if w > 0)
-    if not positive:
-        return 0
-    src, dst = m, m + 1
-    edges = [(a, b, positive) for a, b in covers]
-    edges += [(src, k, w) if w > 0 else (k, dst, -w) for k, w in enumerate(weights) if w]
-    value, sent, side = integer_max_flow(m + 2, edges, src, dst)
-    net = [0] * (m + 2)
-    for (u, v, cap), f in zip(edges, sent):
-        if not 0 <= f <= cap:
-            raise InternalConsistencyError(f"flow {f} on edge {(u, v)} of capacity {cap}")
-        net[u] -= f
-        net[v] += f
-    if any(net[:m]):
-        raise InternalConsistencyError("closure flow is not conserved at a point")
-    if -net[src] != value:
-        raise InternalConsistencyError(f"closure flow has value {-net[src]}, not {value}")
-    if any(side[a] and not side[b] for a, b in covers):
-        raise InternalConsistencyError("minimum cut side is not an upper set")
-    if sum(w for w, inside in zip(weights, side) if inside) != positive - value:
-        raise InternalConsistencyError("minimum cut side does not weigh P minus the flow")
-    return positive - value
-
-
-def upward_transport(weights: Sequence[int], up: Sequence[int], order: Sequence[int]) -> bool:
-    """Whether first fit moves every positive weight upward onto the
-    negative ones, so that no upper set has positive weight. Point a may
-    send to the points whose bits are set in ``up[a]``, those at or above
-    it; the senders go in the given ``order``, which puts first the points
-    with the fewest points above them. The transport is re-checked in
-    integers: every pair goes upward, every point sends exactly its
-    positive weight and receives exactly its negative one (docs/theory.md
-    section 13). False says only that first fit fell short.
-    """
-    senders = [a for a in order if weights[a] > 0]
-    supply = [weights[a] for a in senders]
-    demand = [-w if w < 0 else 0 for w in weights]
-    routed = first_fit([up[a] for a in senders], supply, demand)
-    if any(supply):
-        return False
-    rows = [0] * len(weights)
-    cols = [0] * len(weights)
-    for (k, b), f in routed.items():
-        a = senders[k]
-        if f <= 0 or not up[a] >> b & 1:
-            raise InternalConsistencyError(f"transport of {f} from point {a} to {b} is not upward")
-        rows[a] += f
-        cols[b] += f
-    if rows != [max(w, 0) for w in weights] or cols != [max(-w, 0) for w in weights]:
-        raise InternalConsistencyError("transport sums differ from the point weights")
-    return True
-
-
 def closure_chain_holds(view) -> bool:
     """A sufficient condition, in polynomial time, for a law to lie below its
     independent copy in the supermodular order, on its integer view.
@@ -391,10 +321,9 @@ def closure_chain_holds(view) -> bool:
     w(z, X_j > t) T - w(z) W_t, where W_t is the weight of {X_j > t}, and
     the condition is that no upper set has positive weight. At j = 2 the
     support is a chain, whose upper sets are its suffixes, so the largest
-    suffix sum decides. Past it, a complete :func:`upward_transport`
-    certifies the step, and only where first fit falls short does one
-    minimum cut (:func:`closure_excess`) decide. Every NA law passes; a law
-    that fails is not decided (docs/theory.md section 13).
+    suffix sum decides. Past it, ``maxflow.positive_upper_set`` decides on
+    the at-or-above bitsets of the support. Every NA law passes; a law that
+    fails is not decided (docs/theory.md section 13).
     """
     weights, ranks, sizes = view
     total = sum(weights)
@@ -405,8 +334,6 @@ def closure_chain_holds(view) -> bool:
         points = sorted(by_prefix)
         if c > 1:
             up = points_above(points)
-            order = sorted(range(len(points)), key=lambda a: up[a].bit_count())
-        covers = None
         lines = [by_prefix[z] for z in points]
         mass = [sum(line) for line in lines]
         tails = [0] * len(points)  # weight of each z with X_j at rank >= v: X_j > t, t of rank v-1
@@ -417,11 +344,8 @@ def closure_chain_holds(view) -> bool:
             if c == 1:
                 if max(itertools.accumulate(reversed(excess))) > 0:
                     return False
-            elif not upward_transport(excess, up, order):
-                if covers is None:
-                    covers, _ = poset_covers(points, up)
-                if closure_excess(excess, covers):
-                    return False
+            elif positive_upper_set(excess, up)[1] is not None:
+                return False
     return True
 
 

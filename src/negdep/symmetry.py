@@ -23,6 +23,7 @@ from typing import NamedTuple, Sequence
 
 from .conditioning import tail_masks
 from .stochorder import RankPacking
+from .uppersets import keys_above
 
 #: Search nodes (one coordinate mapped) allowed per law. Past it the search
 #: stops and keeps the generators found so far, which span a subgroup.
@@ -306,14 +307,14 @@ class BlockOrbits(NamedTuple):
     guards: int
     above: dict[int, frozenset[int]] | None
 
-    def comparable(self, lx, ly) -> list[int] | None:
-        """The edges from the orbits of lx to those of ly as one bitset over
-        ly's atoms per atom of lx, for ``integer_coupling``; None when they
-        are componentwise ``<=`` on the keys."""
+    def up(self, keys: Sequence[int]) -> list[int]:
+        """The edges among the given orbit keys as at-or-above bitsets, for
+        ``maxflow.positive_upper_set``: bit b of ``up[a]`` is set iff orbit
+        a has an edge to orbit b. The edges are a partial order, since every
+        generator preserves ``<=`` (docs/theory.md section 11)."""
         if self.above is None:
-            return None
-        return [sum(1 << j for j, y in enumerate(ly.keys) if y in self.above[x])
-                for x in lx.keys]
+            return keys_above(keys, self.guards)
+        return [sum(1 << b for b, y in enumerate(keys) if y in self.above[x]) for x in keys]
 
 
 def _reader(items: Sequence[int]):

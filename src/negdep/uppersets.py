@@ -53,6 +53,28 @@ def points_above(points: Sequence[Sequence[int]]) -> list[int]:
     return up
 
 
+def keys_above(keys: Sequence[int], guards: int) -> list[int]:
+    """``up[a]`` for each of the given packed rank keys, whose guard bits are
+    ``guards`` (``stochorder.RankPacking``): the bitset of the keys at or
+    above key a componentwise, a included. The guard bits give each axis's
+    field, and the bitset is the AND over the axes of one ``at_or_above``
+    bitset of the field's values (docs/theory.md section 2), which covers
+    every value the field can hold."""
+    up = [(1 << len(keys)) - 1] * len(keys)
+    offset = 0
+    while guards:
+        low = guards & -guards
+        guards ^= low
+        top = low.bit_length() - 1
+        if top > offset:                    # a one-value axis has no field bits
+            field = (1 << (top - offset)) - 1
+            column = [(key >> offset) & field for key in keys]
+            above = at_or_above(column, field + 1)
+            up = [u & above[v] for u, v in zip(up, column)]
+        offset = top + 1
+    return up
+
+
 def poset_covers(points: Sequence[Sequence[int]],
                  up: Sequence[int] | None = None) -> tuple[list[tuple[int, int]], int]:
     """The cover pairs of distinct points of small nonnegative ints, given in

@@ -11,10 +11,11 @@ verify mode to check the coupling's verdict, ``_deterministic_upper_violation``
 and ``_coordinate_means`` are kept here too. So is the integer coupling
 kernel as it was before the comparability bitsets and the first-fit warm
 start: it tests every (x, y) pair against the guard bits and runs a cold
-Dinic search on every call (``integer_coupling`` below). The reference
-shares no decision code with the engine under test beyond the max-flow
-engine and ``st_leq_coupling``, which its ``st_leq`` calls on the sub-blocks
-of the witness search and on the witness's two laws. It walks every
+Dinic search on every call (``integer_coupling`` below), with its integer
+re-check (``check_integer_coupling``). The reference shares no decision
+code with the engine under test beyond the max-flow engine and
+``st_leq_coupling``, which its ``st_leq`` calls on the sub-blocks of the
+witness search and on the witness's two laws. It walks every
 comparable pair of labels, as the engine did before it decided only the
 cover pairs. Every witness, of a regression cell or a conjecture partition
 and in either st mode, is the violation fast ``st_leq`` names on the
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 from negdep.checks import (
     ConjectureWitness,
@@ -49,7 +51,6 @@ from negdep.stochorder import (
     StVerdict,
     UpperSetViolation,
     _require_same_dim,
-    check_integer_coupling,
     masked_law,
     require_agreement,
     st_leq_coupling,
@@ -57,6 +58,33 @@ from negdep.stochorder import (
 from negdep.uppersets import componentwise_leq, enumerate_upper_index_sets, from_members
 
 ZERO = Fraction(0)
+
+
+def check_integer_coupling(flows: Sequence[tuple[int, int, int]], lx: IntegerLaw,
+                           ly: IntegerLaw, guards: int,
+                           comparable: Sequence[int] | None = None) -> None:
+    """Exact re-check of a coupling of lx below ly, in integers.
+
+    ``flows`` holds (i, j, f): mass ``f / (lx.total * ly.total)`` on the pair
+    of atom i of lx and atom j of ly. Every mass must be positive on a
+    comparable pair, and the row and column sums must be the two laws'
+    weights on that common scale. Comparable means componentwise ``<=`` on
+    the keys or, with ``comparable``, bit j set in ``comparable[i]``.
+    """
+    rows = [0] * len(lx.keys)
+    cols = [0] * len(ly.keys)
+    for i, j, f in flows:
+        if f <= 0:
+            raise InternalConsistencyError(f"coupling mass {f} at atoms {(i, j)}")
+        if not (((ly.keys[j] | guards) - lx.keys[i]) & guards == guards if comparable is None
+                else comparable[i] >> j & 1):
+            raise InternalConsistencyError(f"coupling pair of atoms {(i, j)} is not ordered")
+        rows[i] += f
+        cols[j] += f
+    if any(r != w * ly.total for r, w in zip(rows, lx.weights)):
+        raise InternalConsistencyError("coupling row sums differ from the left law")
+    if any(c != w * lx.total for c, w in zip(cols, ly.weights)):
+        raise InternalConsistencyError("coupling column sums differ from the right law")
 
 
 def integer_coupling(lx: IntegerLaw, ly: IntegerLaw, guards: int):

@@ -38,7 +38,8 @@ from negdep.checks import LawCache, Verdict, _scan_conjecture_partition, _subset
 from negdep.conditioning import ORBITS, CellContext, label_masks, tail_masks
 from negdep.distributions import integer_view
 from negdep.errors import Caps, InternalConsistencyError, default_caps
-from negdep.stochorder import IntegerLaw, check_integer_coupling, integer_coupling
+from negdep.maxflow import positive_upper_set
+from negdep.stochorder import IntegerLaw
 from negdep.symmetry import BlockOrbits
 
 from . import reference_conditioning as ref
@@ -253,9 +254,10 @@ def _fixed_draw_8():
     (lambda: permutation_distribution([0, 0, 1, 2, 3]), 4, True),
 ])
 def test_an_orbit_flow_spreads_evenly_to_a_coupling_of_the_atoms(law, orbit_count, young):
-    # every unit step of NRTD's labels on J = (1,) holds; its flow on the
-    # orbits, spread evenly over the comparable atom pairs of each orbit pair
-    # and scaled to integers, is a coupling of the full conditional laws
+    # every unit step of NRTD's labels on J = (1,) holds; its coupling on the
+    # orbits (the mass both laws share at each orbit, plus the kernel's
+    # transport), spread evenly over the comparable atom pairs of each orbit
+    # pair and scaled to integers, is a coupling of the full conditional laws
     d = law()
     ctx = CellContext(LawCache(d), (1,), Caps(), "fast")
     orbits = ctx.orbits
@@ -268,14 +270,17 @@ def test_an_orbit_flow_spreads_evenly_to_a_coupling_of_the_atoms(law, orbit_coun
         if lo == hi:
             continue
         steps += 1
-        ohi, olo = ctx.int_law(hi, ORBITS), ctx.int_law(lo, ORBITS)
-        flows, _ = integer_coupling(ohi, olo, orbits.guards, orbits.comparable(ohi, olo))
-        assert flows is not None
+        u = ctx.keyed_union(hi, lo, ORBITS)
+        transport, _ = positive_upper_set(u.net(), orbits.up(u.points))
+        assert transport is not None
+        flows = [(u.points[a], u.points[b], f) for (a, b), f in transport.items()]
+        flows += [(z, z, m) for z, x, y in zip(u.points, u.wx, u.wy)
+                  if (m := min(x * u.ty, y * u.tx))]
         fhi, flo = ctx.int_law(hi), ctx.int_law(lo)
         spread: dict[tuple[int, int], Fraction] = {}
         for a, b, f in flows:
-            xs = [i for i, x in enumerate(fhi.keys) if orbit_of[x] == ohi.keys[a]]
-            ys = [j for j, y in enumerate(flo.keys) if orbit_of[y] == olo.keys[b]]
+            xs = [i for i, x in enumerate(fhi.keys) if orbit_of[x] == a]
+            ys = [j for j, y in enumerate(flo.keys) if orbit_of[y] == b]
             edges = [(i, j) for i in xs for j in ys
                      if ((flo.keys[j] | guards) - fhi.keys[i]) & guards == guards]
             # every x of the orbit has as many comparable y in the other one
@@ -284,7 +289,7 @@ def test_an_orbit_flow_spreads_evenly_to_a_coupling_of_the_atoms(law, orbit_coun
                 spread[pair] = spread.get(pair, 0) + F(f, len(edges))
         scale = lcm(*(m.denominator for m in spread.values()))
         scaled = IntegerLaw(fhi.keys, tuple(w * scale for w in fhi.weights), fhi.total * scale)
-        check_integer_coupling(sorted((i, j, int(m * scale)) for (i, j), m in spread.items()),
+        ref.check_integer_coupling(sorted((i, j, int(m * scale)) for (i, j), m in spread.items()),
                                scaled, flo, guards)
     assert steps >= 2
 
@@ -298,8 +303,7 @@ def test_verify_mode_catches_a_wrong_orbit_edge_relation(d, monkeypatch):
     # edge present the orbit coupling holds, and the sweep on the full laws
     # disagrees
     assert not check_nrd(d, st_mode="verify").holds
-    monkeypatch.setattr(BlockOrbits, "comparable",
-                        lambda self, lx, ly: [(1 << len(ly.keys)) - 1] * len(lx.keys))
+    monkeypatch.setattr(BlockOrbits, "up", lambda self, keys: [(1 << len(keys)) - 1] * len(keys))
     with pytest.raises(InternalConsistencyError, match="oracles disagree"):
         check_nrd(d, st_mode="verify")
 

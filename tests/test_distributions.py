@@ -257,10 +257,26 @@ class TestJson:
     @pytest.mark.parametrize("token", ["1e3", "1E3", "2.5e-1", "-1e0", "1e999999999"])
     def test_rejects_exponent_notation(self, token):
         # Fraction would build 10**exponent first: minutes for "1e999999999"
-        with pytest.raises(ValueError, match="exponent notation"):
+        with pytest.raises(ValueError, match="not an exact rational token"):
             as_rational(token)
-        with pytest.raises(ValueError, match="bad atom #0: exponent notation"):
+        with pytest.raises(ValueError, match="bad atom #0: not an exact rational token"):
             from_json_dict({"dim": 2, "atoms": [{"x": [token, "1"], "p": "1"}]})
+
+    @pytest.mark.parametrize("token", ["1_000", "1_0/2_0", " 1/2 ", "\t7\n", ".5", "5.",
+                                       "\u0661\u0662", "1/-2", "0x1", ""])
+    def test_rejects_tokens_outside_the_wire_format(self, token):
+        # Fraction reads the first seven: digit separators, surrounding
+        # whitespace, a bare point and Arabic-Indic digits
+        with pytest.raises(ValueError, match="not an exact rational token"):
+            as_rational(token)
+        with pytest.raises(ValueError, match="bad atom #0: not an exact rational token"):
+            from_json_dict({"dim": 2, "atoms": [{"x": [token, "1"], "p": "1"}]})
+
+    @pytest.mark.parametrize("token, value", [("7", 7), ("-3/4", F(-3, 4)), ("+2", 2),
+                                              ("0.50", F(1, 2)), ("-0.125", F(-1, 8)),
+                                              ("06/08", F(3, 4))])
+    def test_reads_the_wire_format(self, token, value):
+        assert as_rational(token) == value
 
     @pytest.mark.parametrize("atoms", [5, None, "x", {"x": ["0"], "p": "1"}])
     def test_rejects_atoms_that_are_not_a_list(self, atoms):

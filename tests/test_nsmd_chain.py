@@ -1,10 +1,10 @@
 """The chain of one-coordinate maximum-weight closures that certifies NSMD
-with no LP (docs/theory.md section 13): the closure kernel against brute
-force, the chain against the LP decision, the verdicts against the
-chain-free path, permutation laws as an oracle, the integer re-check of
-every cut, the laws it certifies before any grid is built, and the one box
-LP past the chain, whose duals certify an order that holds and which reads
-none of the law's automorphisms."""
+with no LP (docs/theory.md section 13): the kernel that decides its steps
+against brute force, the chain against the LP decision, the verdicts
+against the chain-free path, permutation laws as an oracle, the integer
+re-check of every transport and cut, the laws it certifies before any grid
+is built, and the one box LP past the chain, whose duals certify an order
+that holds and which reads none of the law's automorphisms."""
 
 import dataclasses
 import hashlib
@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negdep import checks, make_pmf, permutation_distribution, supermodular
+from negdep import checks, make_pmf, maxflow, permutation_distribution, supermodular
 from negdep.cli import main
 from negdep.distributions import integer_view, to_json_dict
 from negdep.errors import InternalConsistencyError
-from negdep.maxflow import first_fit, integer_max_flow
+from negdep.maxflow import bits, first_fit, integer_max_flow, positive_upper_set
 from negdep.simplex import OPTIMAL
-from negdep.uppersets import enumerate_upper_index_sets, points_above, poset_covers
+from negdep.uppersets import enumerate_upper_index_sets, points_above
 
 from .strategies import grid_laws
 from .test_symmetry import XOR, _eight_player
@@ -44,13 +44,25 @@ def weighted_posets(draw):
     return points, weights
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(weighted_posets())
-def test_closure_excess_is_the_heaviest_upper_set(poset):
+def test_the_kernel_names_the_least_heaviest_upper_set(poset):
+    # against every upper set: a transport iff none weighs more than 0, and
+    # otherwise the cut senders' upward closure is the least maximiser, the
+    # intersection of the heaviest upper sets
     points, weights = poset
-    covers, _ = poset_covers(points)
-    best = max(sum(weights[k] for k in idx) for idx in enumerate_upper_index_sets(points))
-    assert supermodular.closure_excess(weights, covers) == best
+    weights[-1] -= sum(weights)
+    sets = [set(idx) for idx in enumerate_upper_index_sets(points)]
+    best = max(sum(weights[k] for k in idx) for idx in sets)
+    up = points_above(points)
+    transport, senders = positive_upper_set(weights, up)
+    assert (transport is not None) == (best == 0)
+    if senders is not None:
+        closure = 0
+        for a in senders:
+            closure |= up[a]
+        least = set.intersection(*(idx for idx in sets if sum(weights[k] for k in idx) == best))
+        assert set(bits(closure)) == least
 
 
 def _signed_measure(d):
@@ -290,41 +302,38 @@ def _tampered(how):
     def run(n, edges, src, dst):
         value, sent, side = integer_max_flow(n, edges, src, dst)
         sent = list(sent)
-        if how == "over capacity":
-            k = next(k for k, (u, _, _) in enumerate(edges) if u == src)
-            sent[k] = edges[k][2] + 1
-        elif how == "not conserved":
-            k = next(k for k, (_, v, _) in enumerate(edges) if v == dst)
-            sent[k] -= 1
+        if how in ("over capacity", "not conserved"):  # the last edge between points
+            k = max(k for k, (u, v, _) in enumerate(edges) if u > 1 and v > 1)
+            sent[k] += 1 if how == "over capacity" else -1
         elif how == "wrong value":
             value += 1
-        elif how == "cut not upward closed":
-            side = [True] + [False] * (n - 1)
-        elif how == "cut of the wrong weight":  # the source and the top point
-            side = [k in (n - 3, n - 2) for k in range(n)]
+        elif how == "cut of the wrong weight":  # the least point alone
+            side = [k in (src, 2) for k in range(n)]
         return value, sent, side
     return run
 
 
+#: both senders have three points at or above them; first fit sends all of
+#: (0,0,1) to (1,1,1), the first receiver above it, and leaves (0,1,0)
+#: short, so the flow moves (0,0,1) on to (2,0,2) and the step holds
+_REROUTED = ([(0, 0, 1), (0, 1, 0), (1, 1, 1), (1, 2, 0), (2, 0, 2)], [2, 3, -2, -1, -2])
+#: (0,1) cannot send upward to (1,0), so the step is cut
+_CUT = ([(0, 0), (0, 1), (1, 0)], [1, 1, -2])
+
+
 @pytest.mark.parametrize("how, message", [
-    ("over capacity", "of capacity"),
-    ("not conserved", "not conserved"),
-    ("wrong value", "has value"),
-    ("cut not upward closed", "not an upper set"),
+    ("over capacity", "sums differ"),
+    ("not conserved", "sums differ"),
+    ("wrong value", "sums differ"),
     ("cut of the wrong weight", "does not weigh"),
 ])
 def test_a_tampered_flow_raises(how, message):
-    # (0, 1) cannot send upward to (1, 0), so first fit falls short and the
-    # chain would run this cut; its top point (1, 0) is maximal
-    points = [(0, 0), (0, 1), (1, 0)]
-    weights = [1, 1, -2]
+    points, weights = _CUT if how in ("wrong value", "cut of the wrong weight") else _REROUTED
     up = points_above(points)
-    assert not supermodular.upward_transport(weights, up, range(len(points)))
-    covers, _ = poset_covers(points)
-    assert supermodular.closure_excess(weights, covers) == 1
-    with mock.patch.object(supermodular, "integer_max_flow", _tampered(how)):
+    positive_upper_set(weights, up)  # untampered, the answer is checked and stands
+    with mock.patch.object(maxflow, "integer_max_flow", _tampered(how)):
         with pytest.raises(InternalConsistencyError, match=message):
-            supermodular.closure_excess(weights, covers)
+            positive_upper_set(weights, up)
 
 
 # -- the first-fit transport that certifies a step with no flow -------------------
@@ -363,8 +372,8 @@ def test_the_first_step_is_decided_by_suffix_sums(law, holds):
     # in dimension 2 the chain has only the step over X_1, whose support is
     # a chain: no transport and no flow runs
     view = integer_view(law)
-    with mock.patch.object(supermodular, "first_fit", side_effect=AssertionError("first fit")), \
-            mock.patch.object(supermodular, "integer_max_flow", side_effect=AssertionError("flow")):
+    with mock.patch.object(maxflow, "first_fit", side_effect=AssertionError("first fit")), \
+            mock.patch.object(maxflow, "integer_max_flow", side_effect=AssertionError("flow")):
         assert supermodular.closure_chain_holds(view) == holds == _chain_by_enumeration(view)
 
 
@@ -373,15 +382,13 @@ def test_the_first_step_is_decided_by_suffix_sums(law, holds):
 def test_a_complete_transport_leaves_no_upper_set_positive(poset):
     points, weights = poset
     weights[-1] -= sum(weights)
-    up = points_above(points)
-    order = sorted(range(len(points)), key=lambda a: up[a].bit_count())
     best = max(sum(weights[k] for k in idx) for idx in enumerate_upper_index_sets(points))
-    if supermodular.upward_transport(weights, up, order):
+    if positive_upper_set(weights, points_above(points))[0] is not None:
         assert best == 0
 
 
 def test_first_fit_certifies_the_ladder_and_the_fixed_draw_with_no_flow():
-    with mock.patch.object(supermodular, "integer_max_flow",
+    with mock.patch.object(maxflow, "integer_max_flow",
                            side_effect=AssertionError("a max-flow ran")):
         for label in ("fixed-draw-128", "permutation-012", "permutation-00011",
                       "permutation-0012", "permutation-0112"):
@@ -389,23 +396,22 @@ def test_first_fit_certifies_the_ladder_and_the_fixed_draw_with_no_flow():
 
 
 def test_the_flow_fallback_certifies_where_first_fit_falls_short():
-    with mock.patch.object(supermodular, "closure_excess",
-                           wraps=supermodular.closure_excess) as cut:
+    with mock.patch.object(maxflow, "integer_max_flow", wraps=integer_max_flow) as flow:
         assert supermodular.closure_chain_holds(integer_view(_eight_player("random")))
-    assert cut.call_count > 0
+    assert flow.call_count > 0
 
 
 def _tampered_transport(how):
-    def run(masks, supply, demand):
-        routed = first_fit(masks, supply, demand)
-        (k, b), f = next(iter(routed.items()))
+    def run(senders, up, supply, demand):
+        routed = first_fit(senders, up, supply, demand)
+        (a, b), f = next(iter(routed.items()))
         if how == "out of order":
-            below = next(j for j in range(len(demand)) if not masks[k] >> j & 1)
-            routed[k, below] = routed.pop((k, b))
+            below = next(c for c in range(len(demand)) if not up[a] >> c & 1)
+            routed[a, below] = routed.pop((a, b))
         elif how == "row sum off":
-            routed[k, b] = f + 1
+            routed[a, b] = f + 1
         elif how == "not positive":
-            routed[k, b] = 0
+            routed[a, b] = 0
         return routed
     return run
 
@@ -416,6 +422,6 @@ def _tampered_transport(how):
     ("row sum off", "sums differ"),
 ])
 def test_a_tampered_transport_raises(how, message):
-    with mock.patch.object(supermodular, "first_fit", _tampered_transport(how)):
+    with mock.patch.object(maxflow, "first_fit", _tampered_transport(how)):
         with pytest.raises(InternalConsistencyError, match=message):
             checks.check_nsmd(permutation_distribution([0, 1, 2]))

@@ -13,21 +13,20 @@ from negdep import (
     st_leq_coupling,
     st_leq_uppersets,
 )
-from negdep import stochorder
+from negdep import maxflow
 from negdep.checks import LawCache
-from negdep.conditioning import CellContext, label_masks
-from negdep.distributions import integer_view
+from negdep.conditioning import CellContext
+from negdep.distributions import axis_ranks
 from negdep.errors import Caps
+from negdep.maxflow import bits, positive_upper_set
 from negdep.stochorder import (
     IntegerLaw,
     RankPacking,
     SupportUnion,
-    _pack_ranks,
-    check_integer_coupling,
     cut_violation,
-    integer_coupling,
+    support_union,
 )
-from negdep.uppersets import componentwise_leq
+from negdep.uppersets import componentwise_leq, keys_above, points_above
 
 from . import reference_conditioning as ref
 from .strategies import distribution_pairs, finite_distributions
@@ -161,12 +160,20 @@ class TestAgreementAndInvariants:
             Coupling(broken).validate(table1, table1)
 
 
+def pack_ranks(vectors):
+    """Packed ranks of the vectors within their own per-axis value sets, and
+    the packing's guard bits."""
+    ranks, axes = axis_ranks(zip(*vectors))
+    packing = RankPacking([len(ax) for ax in axes])
+    return [packing.pack(r) for r in ranks], packing.guards
+
+
 class TestRankPacking:
     def test_wide_axis_packs_and_orders_componentwise(self):
         # 40,000 distinct values on one axis: past the old 16-bit field limit
         rng = random.Random(7)
         vectors = [(F(k, 3), F(rng.randrange(5)), F(-k % 11)) for k in range(40_000)]
-        packed, guards = _pack_ranks(vectors)
+        packed, guards = pack_ranks(vectors)
         pairs = [(rng.randrange(len(vectors)), rng.randrange(len(vectors)))
                  for _ in range(4000)]
         # near-diagonal pairs, where the wide axis alone does not decide
@@ -178,7 +185,7 @@ class TestRankPacking:
 
     def test_packed_order_is_lexicographic(self):
         vectors = sorted({(F(a), F(b, 2)) for a in range(-2, 3) for b in range(6)})
-        packed, _ = _pack_ranks(vectors)
+        packed, _ = pack_ranks(vectors)
         assert packed == sorted(packed)
 
 
@@ -226,6 +233,20 @@ def _fraction_law(d, J, mask):
     return make_pmf(len(observed), [(x, p / total) for x, p in atoms])
 
 
+def _netted(lx, ly, guards):
+    """Two integer laws of one packing on the union of their supports, and
+    the union's at-or-above bitsets."""
+    u = support_union(dict(zip(lx.keys, lx.weights)), dict(zip(ly.keys, ly.weights)))
+    return u, keys_above(u.points, guards)
+
+
+def _closure(up, senders):
+    closure = 0
+    for a in senders:
+        closure |= up[a]
+    return bits(closure)
+
+
 class TestIntegerKernel:
     @settings(max_examples=200, deadline=None)
     @given(parent_law_and_masks())
@@ -234,118 +255,125 @@ class TestIntegerKernel:
         ctx = _cell(d, J)
         lx, ly = ctx.int_law(mask_x), ctx.int_law(mask_y)
         dX, dY = _fraction_law(d, J, mask_x), _fraction_law(d, J, mask_y)
-        flows, _ = integer_coupling(lx, ly, ctx.block(ctx.i_max)[0])
-        assert (flows is not None) == st_leq_uppersets(dX, dY).holds
-        if flows is None:
+        u, up = _netted(lx, ly, ctx.block(ctx.i_max)[0])
+        transport, _ = positive_upper_set(u.net(), up)
+        verdict = st_leq_coupling(dX, dY)
+        assert (transport is not None) == verdict.holds == st_leq_uppersets(dX, dY).holds
+        if transport is None:
+            assert verdict.violation == ctx.witness(mask_y, mask_x, ctx.i_max)[1]
             return
-        # conditional-law atoms and integer-law keys share the same (lex) order
-        xs = [x for x, _ in dX.atoms]
-        ys = [y for y, _ in dY.atoms]
+        # conditional-law atoms and integer-law keys share the same (lex)
+        # order, and the cell's weights are the Fraction laws' up to one
+        # factor per law, which scales the transport and the diagonal alike
+        points = sorted({x for x, _ in dX.atoms} | {y for y, _ in dY.atoms})
         assert [F(w, lx.total) for w in lx.weights] == [p for _, p in dX.atoms]
-        scale = lx.total * ly.total
-        expected = sorted((xs[i], ys[j], F(f, scale)) for i, j, f in flows)
-        coupling = st_leq_coupling(dX, dY).coupling
-        assert list(coupling.pairs) == expected
-        coupling.validate(dX, dY)
+        scale = u.tx * u.ty
+        expected = [(points[a], points[b], F(f, scale)) for (a, b), f in transport.items()]
+        expected += [(z, z, F(m, scale)) for z, a, b in zip(points, u.wx, u.wy)
+                     if (m := min(a * u.ty, b * u.tx))]
+        assert list(verdict.coupling.pairs) == sorted(expected)
+        verdict.coupling.validate(dX, dY)
 
     @settings(max_examples=300, deadline=None)
     @given(parent_law_and_masks())
     def test_matches_the_guard_test_kernel(self, case):
+        # the bipartite x -> y network of the reference, run cold: the same
+        # verdict, and its deficient x-atoms have the same upward closure
+        # in the union support as the kernel's cut senders
         d, J, mask_x, mask_y = case
         ctx = _cell(d, J)
         lx, ly = ctx.int_law(mask_x), ctx.int_law(mask_y)
         guards = ctx.block(ctx.i_max)[0]
-        flows, deficient = integer_coupling(lx, ly, guards)
+        u, up = _netted(lx, ly, guards)
+        transport, senders = positive_upper_set(u.net(), up)
         ref_flows, ref_deficient = ref.integer_coupling(lx, ly, guards)
-        assert (flows is None) == (ref_flows is None)
-        assert deficient == ref_deficient
-        if flows is not None:
-            check_integer_coupling(flows, lx, ly, guards)
+        assert (transport is None) == (ref_flows is None)
+        if senders is not None:
+            index = {key: k for k, key in enumerate(u.points)}
+            assert _closure(up, senders) == _closure(up, [index[lx.keys[i]]
+                                                          for i in ref_deficient])
 
     @settings(max_examples=200, deadline=None)
     @given(coupled_laws())
     def test_holds_on_laws_made_by_moving_mass_up(self, case):
-        flows, deficient = integer_coupling(*case)
-        assert deficient is None
-        check_integer_coupling(flows, *case)
+        u, up = _netted(*case)
+        transport, senders = positive_upper_set(u.net(), up)
+        assert senders is None and transport is not None
         assert ref.integer_coupling(*case)[0] is not None
-
-    @staticmethod
-    def _stuck_case(x_weights):
-        """x-atoms (0,0) and (0,1), y-atoms (0,1) and (1,0) with weight 1.
-
-        First fit sends all of (0,0) to (0,1), the only y-atom above (0,1)."""
-        packing = RankPacking([2, 2])
-        xs = tuple(packing.pack(p) for p in [(0, 0), (0, 1)])
-        ys = tuple(packing.pack(p) for p in [(0, 1), (1, 0)])
-        lx = IntegerLaw(xs, x_weights, sum(x_weights))
-        ly = IntegerLaw(ys, (1, 1), 2)
-        return lx, ly, packing.guards
 
     def _counting_max_flow(self, monkeypatch):
         calls = []
-        engine = stochorder.integer_max_flow
-        monkeypatch.setattr(stochorder, "integer_max_flow",
+        engine = maxflow.integer_max_flow
+        monkeypatch.setattr(maxflow, "integer_max_flow",
                             lambda *args: calls.append(args) or engine(*args))
         return calls
 
     def test_stuck_first_fit_holds_by_rerouting(self, monkeypatch):
+        # both senders have three points at or above them; first fit sends
+        # all of (0,0,1) to (1,1,1), the lowest receiver above it, which
+        # leaves (0,1,0) short; the flow sends it back to (2,0,2)
         calls = self._counting_max_flow(monkeypatch)
-        lx, ly, guards = self._stuck_case((1, 1))
-        flows, deficient = integer_coupling(lx, ly, guards)
-        assert len(calls) == 1
-        # (0,0) moves to (1,0) along the reverse edge of its greedy flow
-        assert flows == [(0, 1, 2), (1, 0, 2)] and deficient is None
+        up = points_above([(0, 0, 1), (0, 1, 0), (1, 1, 1), (1, 2, 0), (2, 0, 2)])
+        transport, senders = positive_upper_set([2, 3, -2, -1, -2], up)
+        assert len(calls) == 1 and senders is None
+        assert transport == {(0, 4): 2, (1, 2): 2, (1, 3): 1}
 
     def test_stuck_first_fit_fails_with_the_minimal_cut(self, monkeypatch):
+        # x-atoms (0,0) and (0,1) with weights 1 and 2, y-atoms (0,1) and
+        # (1,0) with weight 1: (0,1) nets to 1 and has no receiver above it
         calls = self._counting_max_flow(monkeypatch)
-        lx, ly, guards = self._stuck_case((1, 2))
-        flows, deficient = integer_coupling(lx, ly, guards)
+        packing = RankPacking([2, 2])
+        lx = IntegerLaw(tuple(map(packing.pack, [(0, 0), (0, 1)])), (1, 2), 3)
+        ly = IntegerLaw(tuple(map(packing.pack, [(0, 1), (1, 0)])), (1, 1), 2)
+        u, up = _netted(lx, ly, packing.guards)
+        assert u.net() == [2, 1, -3]
+        transport, senders = positive_upper_set(u.net(), up)
         assert len(calls) == 1
         # P(X >= (0,1)) = 2/3 > P(Y >= (0,1)) = 1/2
-        assert flows is None and deficient == [1]
-        assert ref.integer_coupling(lx, ly, guards) == (None, [1])
+        assert transport is None and senders == [1]
+        assert ref.integer_coupling(lx, ly, packing.guards) == (None, [1])
 
-    def _holding_case(self, table1):
-        ctx = _cell(table1, (1,))
-        # the values 0 and 2 of coordinate 1 have ranks 0 and 2
-        masks = dict(label_masks(integer_view(table1), (), [0], sentinel=False))
-        lo, hi = masks[(0,)], masks[(2,)]
-        lx, ly = ctx.int_law(hi), ctx.int_law(lo)
-        guards = ctx.block(ctx.i_max)[0]
-        flows, _ = integer_coupling(lx, ly, guards)
-        assert flows is not None
-        return flows, lx, ly, guards
+    def _tampered_first_fit(self, monkeypatch, tamper):
+        first_fit = maxflow.first_fit
 
-    def test_tampered_row_sum_raises(self, table1):
-        flows, lx, ly, guards = self._holding_case(table1)
-        i, j, f = flows[0]
-        with pytest.raises(InternalConsistencyError, match="row sums"):
-            check_integer_coupling([(i, j, f + 1)] + flows[1:], lx, ly, guards)
+        def run(senders, up, supply, demand):
+            routed = first_fit(senders, up, supply, demand)
+            tamper(routed, up)
+            return routed
+        monkeypatch.setattr(maxflow, "first_fit", run)
 
-    def test_incomparable_pair_raises(self, table1):
-        flows, lx, ly, guards = self._holding_case(table1)
-        bad = [(i, j) for i in range(len(lx.keys)) for j in range(len(ly.keys))
-               if ((ly.keys[j] | guards) - lx.keys[i]) & guards != guards]
-        i, j = bad[0]
-        with pytest.raises(InternalConsistencyError, match="not ordered"):
-            check_integer_coupling(flows + [(i, j, 1)], lx, ly, guards)
+    def test_tampered_row_sum_raises(self, monkeypatch):
+        def tamper(routed, up):
+            pair = next(iter(routed))
+            routed[pair] += 1
+        self._tampered_first_fit(monkeypatch, tamper)
+        with pytest.raises(InternalConsistencyError, match="sums differ"):
+            st_leq_coupling(delta(0, 0), delta(1, 1))
+
+    def test_incomparable_pair_raises(self, monkeypatch):
+        def tamper(routed, up):
+            (a, b), f = routed.popitem()
+            routed[a, next(c for c in range(len(up)) if not up[a] >> c & 1)] = f
+        self._tampered_first_fit(monkeypatch, tamper)
+        # (0,1) and (1,0) each send their half to (1,1); one is moved down
+        dX = make_pmf(2, [((0, 1), F(1, 2)), ((1, 0), F(1, 2))])
+        with pytest.raises(InternalConsistencyError, match="is not upward"):
+            st_leq_coupling(dX, delta(1, 1))
 
 
 def test_upper_closure_consistency():
-    # the min-cut witness is the upward closure of the deficient atoms in
-    # the union support; here X sits on the deficient atom, Y on (0, 0)
+    # the min-cut witness is the upward closure of the cut senders in the
+    # union support; here X sits on the sender, Y on (0, 0)
     def vecs(*tuples):
         return [tuple(F(v) for v in t) for t in tuples]
 
     ambient = vecs((0, 0), (0, 1), (1, 0), (1, 1))
-    keys, guards = _pack_ranks(ambient)
-    v = cut_violation(SupportUnion(ambient, [0, 1, 0, 0], [1, 0, 0, 0], 1, 1),
-                      keys, guards, [keys[1]])
+    up = points_above(axis_ranks(zip(*ambient))[0])
+    v = cut_violation(SupportUnion(ambient, [0, 1, 0, 0], [1, 0, 0, 0], 1, 1), up, [1])
     assert v.upper_set.points == ((F(0), F(1)), (F(1), F(1)))
+    assert v.upper_set.minimal == ((F(0), F(1)),)
     # a closure that does not violate the order is an internal error
     ambient = vecs((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
-    keys, guards = _pack_ranks(ambient)
+    up = points_above(axis_ranks(zip(*ambient))[0])
     with pytest.raises(InternalConsistencyError, match="min cut"):
-        cut_violation(SupportUnion(ambient, [0, 0, 3, 0, 0], [0, 0, 0, 0, 3], 3, 3),
-                      keys, guards, [keys[2]])
+        cut_violation(SupportUnion(ambient, [0, 0, 3, 0, 0], [0, 0, 0, 0, 3], 3, 3), up, [2])

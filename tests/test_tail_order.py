@@ -1,24 +1,20 @@
-"""The one-coordinate tail-sum kernel against the coupling network, and the
-marginal refutation of multi-coordinate orders (docs/theory.md section 14):
-equal verdicts and equal deficient sets, the witness a refuted order names,
-and no max-flow run for an order a marginal decides."""
+"""The one-coordinate tail-sum kernel against the bipartite coupling
+network of the reference, and the marginal refutation of multi-coordinate
+orders (docs/theory.md section 14): equal verdicts and equal deficient sets,
+the witness a refuted order names, and no network built for an order a
+marginal decides."""
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negdep import check_nrd, conditioning, make_pmf, stochorder
+from negdep import check_nrd, conditioning, make_pmf, maxflow, stochorder
 from negdep.checks import LawCache, _scan_conjecture_partition, _subsets
 from negdep.conditioning import CellContext, label_masks
 from negdep.errors import default_caps
-from negdep.stochorder import (
-    IntegerLaw,
-    RankPacking,
-    SupportUnion,
-    integer_coupling,
-    tail_order,
-)
+from negdep.stochorder import IntegerLaw, RankPacking, SupportUnion, tail_order
+from negdep.uppersets import keys_above
 
 from . import reference_conditioning as ref
 from .strategies import finite_distributions
@@ -50,7 +46,7 @@ def _law(atoms: dict[int, int]) -> IntegerLaw:
 @example(_law({0: 1, 4: 1}), _law({2: 1}))        # excess 0 at rank 0 ties the empty cut
 @example(_law({2: 3}), _law({2: 1}))              # one point each, equal
 def test_tail_sums_name_the_coupling_networks_minimal_cut(lx, ly):
-    flows, deficient = integer_coupling(lx, ly, RankPacking([RANKS]).guards)
+    flows, deficient = ref.integer_coupling(lx, ly, RankPacking([RANKS]).guards)
     got = tail_order(lx, ly)
     assert (got is None) == (flows is not None)
     assert got == deficient
@@ -67,21 +63,23 @@ def test_a_tied_excess_takes_the_largest_threshold():
 @given(finite_distributions(min_dim=3, max_dim=3, max_atoms=6), st.sampled_from(["fast", "verify"]))
 def test_a_block_is_decided_as_its_coupling_decides_it(d, st_mode):
     # every ordered pair of NRD labels at J = (1,), on every observed block:
-    # the verdict is the coupling's, and a failing order names the cut of
-    # the coupling network, whether a marginal refuted it or not
+    # the verdict is the reference coupling's, and a failing order names the
+    # upward closure of its network's cut, whether a marginal refuted it or
+    # not
     ctx = CellContext(LawCache(d), (1,), default_caps(), st_mode)
     masks = [m for _, m in label_masks(ctx.work.view, (), [0], sentinel=False)]
     for mask_lo in masks:
         for mask_hi in masks:
             for block in _subsets(ctx.i_max):
                 hi, lo = ctx.int_law(mask_hi, block), ctx.int_law(mask_lo, block)
-                flows, deficient = integer_coupling(hi, lo, ctx.block(block)[0])
+                guards = ctx.block(block)[0]
+                flows, deficient = ref.integer_coupling(hi, lo, guards)
                 assert ctx.decide(mask_lo, mask_hi, block) == (flows is not None)
                 if deficient is not None:
                     u, violation = ctx.witness(mask_lo, mask_hi, block)
                     keys = ctx.union(mask_hi, mask_lo, block)[1]
                     assert violation == stochorder.cut_violation(
-                        u, keys, ctx.block(block)[0], [hi.keys[i] for i in deficient])
+                        u, keys_above(keys, guards), [keys.index(hi.keys[i]) for i in deficient])
 
 
 # the sorted columns of test_conditioning's dependent law: raising X1 pushes
@@ -101,7 +99,7 @@ def test_a_conjecture_witness_refuted_on_a_marginal_is_the_coupling_cut(monkeypa
     monkeypatch.setattr(CellContext, "witness", spy)
     args = (_DEPENDENT, (1,), (), (), (2, 3), default_caps(), "fast")
     got, stats = _scan_conjecture_partition((LawCache(_DEPENDENT),) + args[1:])
-    assert kept == [False]  # no cut kept: the witness ran the coupling
+    assert kept == [False]  # no cut kept: the witness ran the kernel
     assert repr((got, stats)) == repr(ref._scan_conjecture_partition(args))
     assert (got.triple_low, got.triple_high) == (((F(-1),), (), ()), ((F(0),), (), ()))
     assert got.violation.upper_set.points == ((F(0), F(1)), (F(5, 2), F(1)))
@@ -112,11 +110,11 @@ def test_a_conjecture_witness_refuted_on_a_marginal_is_the_coupling_cut(monkeypa
 def test_an_order_a_marginal_refutes_runs_no_max_flow(monkeypatch):
     # comonotone on three axes with distinct values, so the law has no
     # automorphism and every order is decided on the full laws; NRD fails at
-    # J = (1,) on the marginal of X2, before any coupling network is built
+    # J = (1,) on the marginal of X2, before any netted network is built
     d = make_pmf(3, [((F(0), F(0), F(0)), F(1, 2)), ((F(1), F(2), F(5)), F(1, 2))])
     assert not LawCache(d).generators
-    runs = {"flow": 0, "coupling": 0}
-    flow, coupling = stochorder.integer_max_flow, conditioning.integer_coupling
+    runs = {"flow": 0, "kernel": 0}
+    flow, kernel = maxflow.integer_max_flow, conditioning.positive_upper_set
 
     def count(name, f):
         def counted(*args):
@@ -124,12 +122,12 @@ def test_an_order_a_marginal_refutes_runs_no_max_flow(monkeypatch):
             return f(*args)
         return counted
 
-    monkeypatch.setattr(stochorder, "integer_max_flow", count("flow", flow))
-    monkeypatch.setattr(conditioning, "integer_coupling", count("coupling", coupling))
+    monkeypatch.setattr(maxflow, "integer_max_flow", count("flow", flow))
+    monkeypatch.setattr(conditioning, "positive_upper_set", count("kernel", kernel))
     verdict = check_nrd(d)
     assert not verdict.holds and verdict.witness.given == (1,)
     assert verdict.witness.observed == (2,)
-    assert runs == {"flow": 0, "coupling": 0}
+    assert runs == {"flow": 0, "kernel": 0}
 
 
 def test_means_are_the_fraction_sums():

@@ -8,22 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negdep import EnumerationCapExceeded, count_upper_sets, enumerate_upper_sets
-from negdep.stochorder import (
-    IntegerLaw,
-    RankPacking,
-    SupportUnion,
-    _above_masks,
-    _pack_ranks,
-    cut_violation,
-)
+from negdep.stochorder import RankPacking, SupportUnion, cut_violation
 from negdep.uppersets import (
     at_or_above,
     componentwise_leq,
     from_members,
     grid_comparable_pairs,
     grid_covers,
+    keys_above,
     poset_covers,
 )
+
+from .test_stochorder import pack_ranks
 
 F = Fraction
 
@@ -80,12 +76,12 @@ def test_cap_exceeded():
 
 
 def test_upper_closure():
-    # the min-cut witness is the upward closure of the deficient atoms
-    # within the union support
+    # the min-cut witness is the upward closure of the cut senders within
+    # the union support
     ambient = vecs((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
-    keys, guards = _pack_ranks(ambient)
+    keys, guards = pack_ranks(ambient)
     v = cut_violation(SupportUnion(ambient, [0, 0, 3, 0, 0], [2, 0, 0, 0, 1], 3, 3),
-                      keys, guards, [keys[2]])
+                      keys_above(keys, guards), [2])
     assert v.upper_set.points == tuple(vecs((1, 0), (1, 1), (2, 2)))
     assert v.upper_set.minimal == tuple(vecs((1, 0)))
     assert (v.p_left, v.p_right) == (1, F(1, 3))
@@ -168,8 +164,9 @@ def test_at_or_above_bitsets_match_brute_force(case):
 @settings(max_examples=300, deadline=None)
 @given(points_and_queries())
 def test_coupling_masks_match_brute_force(case):
+    # one key list holds the points and the queries, some above them all
     shape, points, queries = case
     packing = RankPacking(shape)
-    laws = [IntegerLaw(tuple(map(packing.pack, xs)), (1,) * len(xs), len(xs))
-            for xs in (queries, points)]
-    assert _above_masks(*laws, packing.guards) == [_brute_above(points, q) for q in queries]
+    everything = queries + points
+    assert keys_above(list(map(packing.pack, everything)), packing.guards) == [
+        _brute_above(everything, q) for q in everything]

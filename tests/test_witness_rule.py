@@ -1,11 +1,12 @@
 """One witness rule for a failed stochastic order.
 
 A FALSE regression cell or conjecture partition names the upward closure of
-the source side of the coupling network's minimal minimum cut. That set is
+the source side of the netted network's minimal minimum cut. That set is
 the same for every maximum flow (docs/theory.md section 2), so the witness
 depends on the two conditional laws alone: not on the upper-set cap, not on
 the st mode, and not on the order in which the max-flow engine meets its
-edges.
+edges. The same holds for the cut of an NSMD chain step that first fit
+leaves short.
 """
 
 import random
@@ -20,8 +21,9 @@ from negdep import (
     equal_strength,
     knockout_fixed_draw,
     make_pmf,
+    maxflow,
     st_leq_coupling,
-    stochorder,
+    supermodular,
     verify_witness,
 )
 from negdep.checks import (
@@ -31,6 +33,7 @@ from negdep.checks import (
     _reverify_conjecture_witness,
     _scan_conjecture_partition,
 )
+from negdep.distributions import integer_view
 from negdep.errors import Caps, default_caps
 
 from .strategies import distribution_pairs, finite_distributions
@@ -139,7 +142,7 @@ def _shuffled_max_flow(seed):
     """``integer_max_flow`` on a seeded permutation of its edge list, with the
     flows mapped back to the input order."""
     rng = random.Random(seed)
-    engine = stochorder.integer_max_flow
+    engine = maxflow.integer_max_flow
 
     def run(n, edges, src, dst):
         order = list(range(len(edges)))
@@ -158,22 +161,22 @@ def _under_shuffles(run, seeds=range(3)):
     results = []
     for seed in seeds:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stochorder, "integer_max_flow", _shuffled_max_flow(seed))
+            mp.setattr(maxflow, "integer_max_flow", _shuffled_max_flow(seed))
             results.append(run())
     return results
 
 
-#: a FALSE pair whose residual network has more than one maximum flow
-_MOVING = (make_pmf(2, [((0, 0), F(1, 8)), ((0, 1), F(1, 8)), ((0, 2), F(3, 8)),
-                        ((2, 1), F(3, 8))]),
-           make_pmf(2, [((1, 2), F(1, 6)), ((2, 0), F(1, 3)), ((2, 2), F(1, 2))]))
+#: a FALSE pair whose netted residual network has more than one maximum flow
+_MOVING = (make_pmf(2, [((0, 1), F(5, 13)), ((0, 2), F(5, 13)), ((2, 0), F(3, 13))]),
+           make_pmf(2, [((0, 1), F(1, 10)), ((0, 3), F(3, 20)), ((1, 1), F(1, 4)),
+                        ((1, 3), F(1, 20)), ((2, 2), F(1, 10)), ((3, 0), F(7, 20))]))
 
 
 def test_the_shuffles_move_the_flow_and_not_the_witness():
     calls = []
-    engine = stochorder.integer_max_flow
+    engine = maxflow.integer_max_flow
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stochorder, "integer_max_flow",
+        mp.setattr(maxflow, "integer_max_flow",
                    lambda *args: calls.append(args) or engine(*args))
         want = st_leq_coupling(*_MOVING)
     assert not want.holds and len(calls) == 1
@@ -181,6 +184,31 @@ def test_the_shuffles_move_the_flow_and_not_the_witness():
     assert len({tuple(sent) for _, sent, _ in runs}) > 1
     assert len({(value, tuple(seen)) for value, _, seen in runs}) == 1
     assert all(got == want for got in _under_shuffles(lambda: st_leq_coupling(*_MOVING)))
+
+
+#: law 165 of the benchmark's audit_small workload at seed 1: at one step of
+#: its NSMD chain first fit leaves weight unsent, and a cut decides the step
+_CHAIN_SHORT = make_pmf(3, [((0, 0, 2), F(2, 13)), ((0, 1, 2), F(2, 13)), ((0, 2, 2), F(8, 39)),
+                            ((1, 0, 0), F(1, 13)), ((1, 0, 1), F(3, 13)), ((1, 1, 1), F(2, 39)),
+                            ((1, 2, 0), F(2, 39)), ((2, 0, 2), F(1, 13))])
+
+
+def test_a_chain_step_names_the_same_cut_in_any_edge_order():
+    steps = []
+    kernel = supermodular.positive_upper_set
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(supermodular, "positive_upper_set",
+                   lambda weights, up: steps.append((weights, up)) or kernel(weights, up))
+        assert not supermodular.closure_chain_holds(integer_view(_CHAIN_SHORT))
+    weights, up = steps[-1]
+    calls = []
+    engine = maxflow.integer_max_flow
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maxflow, "integer_max_flow",
+                   lambda *args: calls.append(args) or engine(*args))
+        want = kernel(weights, up)
+    assert len(calls) == 1 and want == (None, [1, 2, 6])
+    assert all(got == want for got in _under_shuffles(lambda: kernel(weights, up), range(8)))
 
 
 def test_every_false_witness_is_the_same_in_any_edge_order(request):
