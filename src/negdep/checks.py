@@ -30,7 +30,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from operator import add, mul
 from typing import Callable, Mapping, Sequence
@@ -59,6 +59,7 @@ from .errors import (
     InternalConsistencyError,
     default_caps,
 )
+from .maxflow import bits
 from .rationals import NEG_INF, POS_INF, Extended, as_rational
 from .stochorder import RankPacking, UpperSetViolation, st_leq
 from .supermodular import SupermodularWitness, below_independent_copy, witness_expectations
@@ -72,9 +73,9 @@ from .symmetry import (
 from .uppersets import (
     UpperSet,
     componentwise_leq,
-    enumerate_upper_index_sets,
     from_members,
     grid_strides,
+    upper_set_sums,
 )
 
 ZERO = Fraction(0)
@@ -309,16 +310,14 @@ def _check_nod(work: LawCache) -> Verdict:
 
 # -- negative association ----------------------------------------------------
 
-def _block_pairs(n: int, max_block: int | None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@lru_cache(maxsize=None)
+def _block_pairs(n: int, max_block: int | None) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The disjoint pairs of blocks of coordinates 1..n, A1 before A2 in
+    (size, lex) order, built once per (n, max_block)."""
     subsets = _subsets(range(1, n + 1), max_block)
-    rank = {s: k for k, s in enumerate(subsets)}
-    pairs = []
-    for a1 in subsets:
-        taken = set(a1)
-        for a2 in subsets:
-            if rank[a2] > rank[a1] and not taken & set(a2):
-                pairs.append((a1, a2))
-    return pairs
+    masks = [sum(1 << j for j in s) for s in subsets]
+    return tuple((a1, a2) for k, (a1, m1) in enumerate(zip(subsets, masks))
+                 for a2, m2 in zip(subsets[k + 1:], masks[k + 1:]) if not m1 & m2)
 
 
 def _scan_association_cell(args) -> tuple[AssociationWitness | None, CheckStats]:
@@ -341,21 +340,19 @@ def _scan_association_cell(args) -> tuple[AssociationWitness | None, CheckStats]
     table = [[0] * len(support2) for _ in support1]
     for (a, b), w in zip(keys, weights):
         table[index1[a]][index2[b]] += w
-    p1 = [sum(row) for row in table]
     p2 = [sum(col) for col in zip(*table)]
     total = sum(weights)
 
-    upper2 = list(enumerate_upper_index_sets(support2, cap=caps.max_upper_sets))
-    masses2 = [sum(map(p2.__getitem__, idx2)) for idx2 in upper2]
+    upper2 = [(bits(m), mass2) for m, mass2 in
+              upper_set_sums(support2, p2, 0, cap=caps.max_upper_sets)]
     examined = 0
     stats_upper = len(upper2)
-    for idx1 in enumerate_upper_index_sets(support1, cap=caps.max_upper_sets):
+    # each upper set of A1 carries its row of table sums, whose total is mass1
+    for members1, row in upper_set_sums(support1, table, [0] * len(support2),
+                                        lambda r, t: list(map(add, r, t)), caps.max_upper_sets):
         stats_upper += 1
-        mass1 = sum(map(p1.__getitem__, idx1))
-        row = [0] * len(support2)
-        for i in idx1:
-            row = list(map(add, row, table[i]))
-        for idx2, mass2 in zip(upper2, masses2):
+        mass1 = sum(row)
+        for idx2, mass2 in upper2:
             examined += 1
             mass12 = sum(map(row.__getitem__, idx2))
             if mass12 * total > mass1 * mass2:
@@ -366,7 +363,8 @@ def _scan_association_cell(args) -> tuple[AssociationWitness | None, CheckStats]
                                          for i in idx])
 
                 witness = AssociationWitness(
-                    a1, a2, members(support1, idx1, cols1), members(support2, idx2, cols2),
+                    a1, a2, members(support1, bits(members1), cols1),
+                    members(support2, idx2, cols2),
                     Fraction(mass12, total), Fraction(mass1, total), Fraction(mass2, total),
                 )
                 return witness, CheckStats(

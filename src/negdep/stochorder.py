@@ -35,7 +35,7 @@ from .distributions import (
 )
 from .errors import Caps, InternalConsistencyError, default_caps
 from .maxflow import bits, positive_upper_set
-from .uppersets import UpperSet, enumerate_upper_index_sets, from_members, points_above
+from .uppersets import UpperSet, from_members, points_above, upper_set_sums
 
 
 class RankPacking:
@@ -216,13 +216,13 @@ def _violation(u: SupportUnion, idx: Sequence[int],
 def sweep_violation(u: SupportUnion, cap: int | None) -> tuple[UpperSetViolation | None, int]:
     """The first upper set of the union support, in enumeration order, on
     which X carries more mass than Y (None if there is none), and the number
-    of upper sets examined up to it."""
+    of upper sets examined up to it. Each set carries the sum of the netted
+    weights over it, which is positive iff X carries more mass there."""
     examined = 0
-    for idx in enumerate_upper_index_sets(u.points, cap=cap):
+    for members, excess in upper_set_sums(u.points, u.net(), 0, cap=cap):
         examined += 1
-        violation = _violation(u, idx)
-        if violation is not None:
-            return violation, examined
+        if excess > 0:
+            return _violation(u, bits(members)), examined
     return None, examined
 
 

@@ -230,7 +230,9 @@ def least_failing_corner(view, gens: Sequence[Sequence[int]], upper: bool
     depth-first walk fixes axis 0, then axis 1, and so on, keeping the AND
     of the axes' event bitsets over the atoms. A subtree whose bitset is
     empty has J = 0 and holds, and a branch is cut as soon as some
-    generator g puts g.x below x.
+    generator g puts g.x below x: at each axis, the generators whose next
+    comparison that axis fixes bound the positions it takes, and only a
+    position equal to a bound moves its generator on.
     """
     weights, ranks, sizes = view
     n = len(sizes)
@@ -249,45 +251,79 @@ def least_failing_corner(view, gens: Sequence[Sequence[int]], upper: bool
     classes: dict[int, int] = {}  # weight -> its atoms; J is their weighted popcount
     for k, w in enumerate(weights):
         classes[w] = classes.get(w, 0) | 1 << k
-    # (g.x)[b] = x[inverse[b]], and both are fixed once axis ready[b] is
     plans = []
     for g in gens:
-        inverse = [0] * n
-        for a, b in enumerate(g):
-            inverse[b] = a
-        plans.append((inverse, [max(b, inverse[b]) for b in range(n)], 0))
+        # (g.x)[b] = x[i] for b = g[i]: one comparison per position g moves
+        # (a fixed one always agrees), ascending, as (the axis that fixes both)
+        steps = sorted(((max(b, i), b, i) for i, b in enumerate(g) if i != b), key=itemgetter(1))
+        if steps:
+            plans.append((steps, 0))
     x = [0] * n
 
     def walk(a: int, mask: int, product: int, pending: list) -> tuple | None:
         """Axes 0..a-1 are fixed at x[:a]. ``pending`` holds each generator
-        not yet known to put g.x above x, as (inverse, ready, p): g.x and
-        x agree before position p."""
-        for v, (event, margin) in enumerate(zip(events[a], margins[a])):
-            inside = mask & event
+        not yet known to put g.x above x, as (steps, p): g.x and x agree at
+        steps[:p], and steps[p] is fixed at axis a or later. If at a, it
+        bounds x[a] by some c, and only x[a] == c keeps the generator."""
+        through, at = [], {}
+        lo, hi = 0, len(events[a]) - 1
+        for plan in pending:
+            steps, p = plan
+            ready, b, i = steps[p]
+            if ready > a:
+                through.append(plan)
+                continue
+            if b == a:                  # g.x < x once x[a] > x[i]
+                c = x[i]
+                if c < hi:
+                    hi = c
+            else:                       # g.x < x once x[a] < x[b]
+                c = x[b]
+                if c > lo:
+                    lo = c
+            at.setdefault(c, []).append(plan)
+        for v in range(lo, hi + 1):
+            inside = mask & events[a][v]
             if not inside:
                 continue
             x[a] = v
-            kept = []
-            for inverse, ready, p in pending:
-                while p < n and ready[p] <= a and x[inverse[p]] == x[p]:
-                    p += 1
-                if p == n or ready[p] > a:
-                    kept.append((inverse, ready, p))
-                elif x[inverse[p]] < x[p]:
-                    break  # g.x < x: not the least corner of its orbit
-                # otherwise g.x > x for every corner below, and g is dropped
-            else:
-                if a + 1 < n:
-                    found = walk(a + 1, inside, product * margin, kept)
-                    if found:
-                        return found
+            kept = through
+            if v in at:
+                kept = _advance(at[v], through, x, a)
+                if kept is None:
                     continue
-                joint = sum(w * (inside & bits).bit_count() for w, bits in classes.items())
-                if joint * scale > product * margin:
-                    return list(x), joint, product * margin
+            product_v = product * margins[a][v]
+            if a + 1 < n:
+                found = walk(a + 1, inside, product_v, kept)
+                if found:
+                    return found
+                continue
+            joint = sum(w * (inside & bits).bit_count() for w, bits in classes.items())
+            if joint * scale > product_v:
+                return list(x), joint, product_v
         return None
 
     return walk(0, full, 1, plans)
+
+
+def _advance(plans: list, through: list, x: list[int], a: int) -> list | None:
+    """``through`` and the generators of ``plans``, whose comparison at
+    axis a found g.x and x equal, each moved on past the comparisons that
+    axis a fixes; None if one of them puts g.x below x."""
+    kept = list(through)
+    for steps, p in plans:
+        p += 1
+        while p < len(steps) and steps[p][0] <= a and x[steps[p][2]] == x[steps[p][1]]:
+            p += 1
+        if p == len(steps):
+            continue                    # g.x = x on every corner below: dropped
+        ready, b, i = steps[p]
+        if ready > a:
+            kept.append((steps, p))
+        elif x[i] < x[b]:
+            return None                 # g.x < x: not the least corner of its orbit
+        # otherwise g.x > x on every corner below, and g is dropped
+    return kept
 
 
 class BlockOrbits(NamedTuple):

@@ -2,9 +2,11 @@
 
 An upper set is identified by its antichain of minimal elements; enumeration
 walks the points in decreasing lexicographic order (a linear extension of the
-componentwise order runs the other way, so all dominators of a point are
+componentwise order runs the other way, so every point above a point is
 decided before it) and emits every upward-closed subset exactly once, in a
-fixed order starting from the empty set and ending at the full set.
+fixed order starting from the empty set and ending at the full set. The walk
+holds one bitset of the points still free, and carries a sum of per-point
+values along, so the association scan and the sweep sum no set again.
 
 The module also holds the one copy of the kernels on grids of small ints
 that the checkers share: the at-or-above bitsets of a column, the covers of
@@ -19,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .distributions import Vector
 from .errors import EnumerationCapExceeded
+from .maxflow import bits
 
 
 def componentwise_leq(x: Sequence, y: Sequence) -> bool:
@@ -229,56 +232,56 @@ def from_members(members: Iterable[Vector]) -> UpperSet:
     return UpperSet(pts, _minimal_elements(pts))
 
 
+def upper_set_sums(points: Sequence[Vector], values: Sequence, zero,
+                   plus: Callable = add, cap: int | None = None) -> Iterator[tuple[int, object]]:
+    """Yield each upper set of ``points`` as the bitset of its indices (bit i
+    for ``points[i]``) and the sum, by ``plus`` from ``zero``, of ``values``
+    over its members.
+
+    The walk takes the points in decreasing lexicographic order and decides
+    each one, excluded before included, so the empty set comes first and
+    the full set last. Excluding a point forces out every later point at or
+    below it, so a point still free has every point above it included; a
+    forced point is skipped, and the walk has 2L - 1 nodes for L upper sets,
+    each a few int operations and, when included, one ``plus``
+    (docs/theory.md section 3). ``cap`` bounds the number of sets yielded
+    (EnumerationCapExceeded past it); the worst case is exponential in the
+    largest antichain.
+    """
+    n = len(points)
+    order = sorted(range(n), key=points.__getitem__, reverse=True)
+    ordered = [points[i] for i in order]
+    # ranks that fall as the values rise, so "at or above" in them is "at or
+    # below" in the points: out[k] holds position k and every later position
+    # at or below it
+    falling = [{v: r for r, v in enumerate(sorted(set(column), reverse=True))}
+               for column in zip(*ordered)]
+    out = points_above([tuple(map(dict.__getitem__, falling, p)) for p in ordered])
+    member = [1 << i for i in order]
+    value = list(map(values.__getitem__, order))
+    count = 0
+    stack = [((1 << n) - 1, 0, zero)]   # (free positions, members, their sum)
+    while stack:
+        free, members, total = stack.pop()
+        while free:
+            low = free & -free
+            k = low.bit_length() - 1
+            stack.append((free ^ low, members | member[k], plus(total, value[k])))
+            free &= ~out[k]
+        count += 1
+        if cap is not None and count > cap:
+            raise EnumerationCapExceeded(
+                f"more than {cap} upper sets; raise the cap to enumerate them all"
+            )
+        yield members, total
+
+
 def enumerate_upper_index_sets(points: Sequence[Vector],
                                cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield each upper set as a tuple of indices into ``points``.
-
-    The empty set comes first and the full set last. ``cap`` bounds the number
-    of sets yielded (EnumerationCapExceeded past it); the worst case is
-    exponential in the largest antichain.
-    """
-    order = sorted(range(len(points)), key=lambda i: points[i], reverse=True)
-    n = len(order)
-    # dominators[k]: positions before k whose point componentwise-dominates
-    # point k; including k requires all of them already included.
-    dominators: list[list[int]] = []
-    for k in range(n):
-        pk = points[order[k]]
-        dominators.append(
-            [i for i in range(k) if componentwise_leq(pk, points[order[i]])]
-        )
-
-    included = [False] * n
-    phase = [0] * n
-    count = 0
-    k = 0
-    while k >= 0:
-        if k == n:
-            count += 1
-            if cap is not None and count > cap:
-                raise EnumerationCapExceeded(
-                    f"more than {cap} upper sets; raise the cap to enumerate them all"
-                )
-            yield tuple(sorted(order[i] for i in range(n) if included[i]))
-            k -= 1
-            continue
-        ph = phase[k]
-        if ph == 0:          # try: point k excluded
-            phase[k] = 1
-            included[k] = False
-            k += 1
-            if k < n:
-                phase[k] = 0
-        elif ph == 1:        # try: point k included, if its dominators all are
-            phase[k] = 2
-            if all(included[i] for i in dominators[k]):
-                included[k] = True
-                k += 1
-                if k < n:
-                    phase[k] = 0
-        else:                # exhausted both choices
-            included[k] = False
-            k -= 1
+    """Yield each upper set as an ascending tuple of indices into ``points``,
+    in the order and under the cap of :func:`upper_set_sums`."""
+    for members, _ in upper_set_sums(points, [0] * len(points), 0, cap=cap):
+        yield tuple(bits(members))
 
 
 def enumerate_upper_sets(points: Sequence[Vector],

@@ -55,7 +55,9 @@ from negdep.stochorder import (
     require_agreement,
     st_leq_coupling,
 )
-from negdep.uppersets import componentwise_leq, enumerate_upper_index_sets, from_members
+from negdep.uppersets import componentwise_leq, from_members
+
+from .reference_scans import enumerate_upper_index_sets
 
 ZERO = Fraction(0)
 

@@ -4,10 +4,16 @@ These are the scans as they were before the checkers moved to integer
 weights over a common denominator: they add and multiply exact Fractions and
 read the marginals with ``marginal``. The differential tests compare the
 integer checkers against them, verdict, witness and stats alike.
+
+``enumerate_upper_index_sets`` is the include/exclude upper-set enumerator as
+it was before the package's walk carried a bitset of forced-out points: it
+rescans each point's dominators and sorts every set it yields. The tests that
+need upper sets independent of the package's walk read them from here.
 """
 
 from dataclasses import replace
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from negdep.checks import (
     AssociationWitness,
@@ -16,12 +22,65 @@ from negdep.checks import (
     Verdict,
     _block_pairs,
 )
-from negdep.errors import default_caps
+from negdep.distributions import Vector
+from negdep.errors import EnumerationCapExceeded, default_caps
 from negdep.rationals import NEG_INF
-from negdep.uppersets import enumerate_upper_index_sets, from_members
+from negdep.uppersets import componentwise_leq, from_members
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def enumerate_upper_index_sets(points: Sequence[Vector],
+                               cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield each upper set as a tuple of indices into ``points``.
+
+    The empty set comes first and the full set last. ``cap`` bounds the number
+    of sets yielded (EnumerationCapExceeded past it); the worst case is
+    exponential in the largest antichain.
+    """
+    order = sorted(range(len(points)), key=lambda i: points[i], reverse=True)
+    n = len(order)
+    # dominators[k]: positions before k whose point componentwise-dominates
+    # point k; including k requires all of them already included.
+    dominators: list[list[int]] = []
+    for k in range(n):
+        pk = points[order[k]]
+        dominators.append(
+            [i for i in range(k) if componentwise_leq(pk, points[order[i]])]
+        )
+
+    included = [False] * n
+    phase = [0] * n
+    count = 0
+    k = 0
+    while k >= 0:
+        if k == n:
+            count += 1
+            if cap is not None and count > cap:
+                raise EnumerationCapExceeded(
+                    f"more than {cap} upper sets; raise the cap to enumerate them all"
+                )
+            yield tuple(sorted(order[i] for i in range(n) if included[i]))
+            k -= 1
+            continue
+        ph = phase[k]
+        if ph == 0:          # try: point k excluded
+            phase[k] = 1
+            included[k] = False
+            k += 1
+            if k < n:
+                phase[k] = 0
+        elif ph == 1:        # try: point k included, if its dominators all are
+            phase[k] = 2
+            if all(included[i] for i in dominators[k]):
+                included[k] = True
+                k += 1
+                if k < n:
+                    phase[k] = 0
+        else:                # exhausted both choices
+            included[k] = False
+            k -= 1
 
 
 def orthant_scan(d, side):

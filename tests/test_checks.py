@@ -29,7 +29,7 @@ from negdep import (
     verify_witness,
 )
 from negdep import conditioning
-from negdep.checks import CheckStats, _run_cells
+from negdep.checks import CheckStats, _block_pairs, _run_cells, _subsets
 from negdep.errors import Caps
 from negdep.rationals import NEG_INF
 from negdep.tournaments import FixedDraw
@@ -152,6 +152,16 @@ class TestAssociation:
         seq = check_na(random_draw_counterexample, jobs=1)
         par = check_na(random_draw_counterexample, jobs=2)
         assert seq == par
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_block_pairs_are_built_once_in_size_lex_order(self, n):
+        # A1 before A2 in (size, lex) order, disjoint, one tuple per (n, max_block)
+        for max_block in (None, 1, 2, n - 1):
+            subsets = _subsets(range(1, n + 1), max_block)
+            expected = [(a1, a2) for k, a1 in enumerate(subsets) for a2 in subsets[k + 1:]
+                        if not set(a1) & set(a2)]
+            assert list(_block_pairs(n, max_block)) == expected
+            assert _block_pairs(n, max_block) is _block_pairs(n, max_block)
 
 
 class TestParallelCells:

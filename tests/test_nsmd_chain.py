@@ -25,8 +25,9 @@ from negdep.distributions import integer_view, to_json_dict
 from negdep.errors import InternalConsistencyError
 from negdep.maxflow import bits, first_fit, integer_max_flow, positive_upper_set
 from negdep.simplex import OPTIMAL
-from negdep.uppersets import enumerate_upper_index_sets, points_above
+from negdep.uppersets import points_above
 
+from .reference_scans import enumerate_upper_index_sets
 from .strategies import grid_laws
 from .test_symmetry import XOR, _eight_player
 

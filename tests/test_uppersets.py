@@ -8,17 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negdep import EnumerationCapExceeded, count_upper_sets, enumerate_upper_sets
+from negdep.maxflow import bits
 from negdep.stochorder import RankPacking, SupportUnion, cut_violation
 from negdep.uppersets import (
     at_or_above,
     componentwise_leq,
+    enumerate_upper_index_sets,
     from_members,
     grid_comparable_pairs,
     grid_covers,
     keys_above,
     poset_covers,
+    upper_set_sums,
 )
 
+from . import reference_scans as ref
 from .test_stochorder import pack_ranks
 
 F = Fraction
@@ -91,6 +95,49 @@ def test_membership_beyond_ambient():
     u = from_members(vecs((1, 1), (2, 2)))
     assert u.contains(tuple(F(v) for v in (5, 5)))
     assert not u.contains(tuple(F(v) for v in (1, 0)))
+
+
+# -- the walk against the include/exclude reference -----------------------------
+
+@st.composite
+def distinct_points(draw):
+    """Distinct points of 0-3 dimensions with small values, in any order,
+    and one small int per point. A block of no coordinates projects every
+    atom to the one point ()."""
+    dim = draw(st.integers(0, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim), unique=True, max_size=9))
+    values = draw(st.lists(st.integers(-9, 9), min_size=len(points), max_size=len(points)))
+    return points, values
+
+
+def _until_cap(sets):
+    out = []
+    with pytest.raises(EnumerationCapExceeded):
+        for idx in sets:
+            out.append(idx)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(distinct_points())
+def test_the_walk_yields_the_reference_sets_in_order(case):
+    points, values = case
+    expected = list(ref.enumerate_upper_index_sets(points))
+    assert list(enumerate_upper_index_sets(points)) == expected
+    # the cap fires at the same count: cap = L - 1 raises, cap = L does not
+    size = len(expected)
+    assert list(enumerate_upper_index_sets(points, cap=size)) == expected
+    assert (_until_cap(enumerate_upper_index_sets(points, cap=size - 1))
+            == _until_cap(ref.enumerate_upper_index_sets(points, cap=size - 1))
+            == expected[:-1])
+    # the carried sums are the direct sums, of ints and of rows alike
+    rows = [[v, -v, i] for i, v in enumerate(values)]
+    assert [(tuple(bits(m)), total) for m, total in upper_set_sums(points, values, 0)] == [
+        (idx, sum(values[i] for i in idx)) for idx in expected]
+    carried = upper_set_sums(points, rows, [0, 0, 0],
+                             lambda r, t: [a + b for a, b in zip(r, t)])
+    assert [row for _, row in carried] == [
+        [sum(rows[i][c] for i in idx) for c in range(3)] for idx in expected]
 
 
 # -- covers and comparable pairs of label grids --------------------------------
