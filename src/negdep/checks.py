@@ -61,7 +61,7 @@ from .errors import (
 )
 from .maxflow import bits
 from .rationals import NEG_INF, POS_INF, Extended, as_rational
-from .stochorder import RankPacking, UpperSetViolation, st_leq
+from .stochorder import RankPacking, UpperSetViolation, require_st_mode, st_leq
 from .supermodular import SupermodularWitness, below_independent_copy, witness_expectations
 from .symmetry import (
     block_orbits,
@@ -207,7 +207,7 @@ class LawCache:
 
     @cached_property
     def generators(self):
-        return generators(self.view, self.view.axes)
+        return generators(self.view)
 
     def packed_keys(self, block: tuple[int, ...]) -> tuple[int, list[int]]:
         """The guard bits of the rank packing of the coordinates ``block``
@@ -412,7 +412,7 @@ def _check_nsmd(work: LawCache, caps) -> Verdict:
     then the closure chain on the atoms, then, for a law the chain does not
     certify, the grid (docs/theory.md sections 10 and 13)."""
     _require_joint(work.d)
-    points, witness = below_independent_copy(work.view, work.view.axes, caps)
+    points, witness = below_independent_copy(work.view, caps)
     return Verdict("nsmd", witness is None, witness, CheckStats(conditioning_pairs=points))
 
 
@@ -492,6 +492,8 @@ def _run_cells(scan: Callable, cells: list, jobs: int, done: dict | None = None,
     symmetry orbit; only those are scanned, and every other cell takes its
     leader's result, which is TRUE (docs/theory.md section 11).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     done = {} if done is None else done
     leaders = leaders or range(len(cells))
     todo = []
@@ -518,6 +520,7 @@ def _check_regression_family(work, kind, prop, max_j, variant, caps, st_mode, jo
     _require_joint(d)
     if variant not in (WEAK, STRICT):
         raise ValueError(f"unknown variant {variant!r}")
+    require_st_mode(st_mode)
     if max_j is not None and max_j < 1:
         raise ValueError(f"max_j must be at least 1, got {max_j}")
     caps = caps or default_caps()
@@ -738,6 +741,7 @@ def check_conjecture(values: Sequence, max_n: int = 5,
         )
     if len(values) < 2:
         raise ValueError("need at least two values")
+    require_st_mode(st_mode)
     caps = caps or default_caps()
     d = permutation_distribution(values)
     work = LawCache(d)

@@ -8,8 +8,9 @@ holds iff the conditional law of the observed block decreases in the usual
 stochastic order along every comparable pair of labels. That order is
 transitive, so only the cover pairs of the labels are decided, each on the
 orbits of J's stabilizer when the law has one (docs/theory.md section 11).
-Only a failing cell walks every pair, in order, on the full laws, so that its
-first failing pair, witness and counts are those of the plain pair loop.
+Only a failing cell walks every pair, in order, so that its first failing
+pair and counts are those of the plain pair loop; its witness is found on
+the full laws.
 """
 
 from __future__ import annotations
@@ -216,14 +217,12 @@ class CellContext:
 
     def st_screen(self, mask_lo: int, mask_hi: int) -> bool:
         """``decide`` on the observed block, kept per pair of events and
-        counted once per pass over the labels. A failure on the orbits is not
-        kept, so the pair walk decides it again on the full laws, for its cut."""
+        counted once per pass over the labels. A verdict on the orbits is the
+        full laws' verdict (docs/theory.md section 11), so every one is kept."""
         key = (mask_lo, mask_hi)
         holds = self.st_cache.get(key)
         if holds is None:
-            holds = self.decide(mask_lo, mask_hi, self.i_max, self.orbits)
-            if holds or not self.orbits:
-                self.st_cache[key] = holds
+            holds = self.st_cache[key] = self.decide(mask_lo, mask_hi, self.i_max, self.orbits)
         if key in self.tallied:
             return holds
         self.tallied.add(key)
@@ -239,7 +238,7 @@ class CellContext:
         orbits: the unit steps of a large tail ``grid``, else the covers of
         the labels' poset, the same pairs there. The cell holds iff they all do
         (docs/theory.md section 6). Only if one fails are the pairs walked in
-        order, on the full laws, and counted afresh."""
+        order, reusing the verdicts already decided, and counted afresh."""
         points = [label for label, _ in labels]
         if grid and len(points) > GRID_LABELS:
             covers, pairs = grid_covers(points), None
@@ -248,7 +247,7 @@ class CellContext:
         if all(self.st_screen(labels[a][1], labels[b][1]) for a, b in covers
                if labels[a][1] != labels[b][1]):
             return None, grid_comparable_pairs(points) if pairs is None else pairs
-        self.orbits, self.tallied, self.st_checks, pairs = None, set(), 0, 0
+        self.tallied, self.st_checks, pairs = set(), 0, 0
         for a_pos, (low, mask_lo) in enumerate(labels):
             for high, mask_hi in labels[a_pos + 1:]:
                 if not all(map(le, low, high)):

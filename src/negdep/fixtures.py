@@ -50,12 +50,6 @@ from .tournaments import (
 
 F = Fraction
 
-FIXTURE_IDS = (
-    "ex-2.1", "ex-3.1", "ex-3.2", "ex-3.3",
-    "thm-3.1", "thm-3.2", "thm-3.3", "lemma-3.1", "conjecture",
-)
-
-
 @dataclass
 class FixtureResult:
     fixture: str
@@ -343,6 +337,8 @@ _RUNNERS: dict[str, Callable[[Caps, int, str], FixtureResult]] = {
     "lemma-3.1": _run_lemma_3_1,
     "conjecture": _run_conjecture,
 }
+
+FIXTURE_IDS = tuple(_RUNNERS)
 
 
 def run_fixture(fixture: str, caps: Caps | None = None, jobs: int = 1,

@@ -1,11 +1,12 @@
 """Exact maximum flow, and the one kernel that asks whether some upper set
 of a poset has positive weight.
 
-The engine is :func:`integer_max_flow`, a Dinic search (BFS level graph plus
-blocking flow) on integer nodes and integer capacities, so it terminates and
-every intermediate quantity stays exact. :func:`max_flow` takes a
-:class:`FlowNetwork` with rational capacities, scales them by their common
-denominator to integers, runs the engine, and scales flows back to Fractions.
+The engine is :func:`integer_max_flow`, an Edmonds-Karp search (each
+augmenting path a shortest one, found by breadth-first search) on integer
+nodes and integer capacities, so it terminates and every intermediate
+quantity stays exact. :func:`max_flow` takes a :class:`FlowNetwork` with
+rational capacities, scales them by their common denominator to integers,
+runs the engine, and scales flows back to Fractions.
 :func:`positive_upper_set` decides every usual stochastic order on two or
 more axes and every NSMD chain step past the first: a first-fit upward
 transport, and a max-flow warm-started from it only where first fit falls
@@ -83,71 +84,33 @@ def integer_max_flow(n: int, edges: Sequence[tuple[int, int, int]], src: int,
         to.append(u)
         residual.append(0)
 
-    level = [-1] * n
-    it = [0] * n
-
-    def bfs() -> bool:
-        for i in range(n):
-            level[i] = -1
-        level[src] = 0
+    total = 0
+    while True:
+        # one BFS from src; entry[v] is the slot it first reached v by
+        seen = [False] * n
+        seen[src] = True
+        entry = [0] * n
         queue = deque([src])
-        while queue:
+        while queue and not seen[dst]:
             u = queue.popleft()
             for e in adj[u]:
                 v = to[e]
-                if residual[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+                if residual[e] > 0 and not seen[v]:
+                    seen[v] = True
+                    entry[v] = e
                     queue.append(v)
-        return level[dst] >= 0
-
-    def augment_once() -> int:
-        """One admissible path in the level graph, with current-arc pruning."""
-        path: list[int] = []
-        u = src
-        while True:
-            if u == dst:
-                bottleneck = min(residual[e] for e in path)
-                for e in path:
-                    residual[e] -= bottleneck
-                    residual[e ^ 1] += bottleneck
-                return bottleneck
-            advanced = False
-            while it[u] < len(adj[u]):
-                e = adj[u][it[u]]
-                v = to[e]
-                if residual[e] > 0 and level[v] == level[u] + 1:
-                    path.append(e)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
-                if not path:
-                    return 0
-                level[u] = -1       # dead end in this phase
-                e = path.pop()
-                u = to[e ^ 1]
-                it[u] += 1
-
-    total = 0
-    while bfs():
-        it = [0] * n
-        while True:
-            pushed = augment_once()
-            if pushed == 0:
-                break
-            total += pushed
-
-    # residual reachability gives the min cut
-    seen = [False] * n
-    seen[src] = True
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for e in adj[u]:
-            if residual[e] > 0 and not seen[to[e]]:
-                seen[to[e]] = True
-                queue.append(to[e])
+        if not seen[dst]:
+            break   # seen is the residual reach of src: the min cut's source side
+        path = []
+        v = dst
+        while v != src:
+            path.append(entry[v])
+            v = to[entry[v] ^ 1]
+        bottleneck = min(residual[e] for e in path)
+        for e in path:
+            residual[e] -= bottleneck
+            residual[e ^ 1] += bottleneck
+        total += bottleneck
 
     sent = [cap - residual[2 * k] for k, (_, _, cap) in enumerate(edges)]
     return total, sent, seen
@@ -199,11 +162,11 @@ def positive_upper_set(weights: Sequence[int], up: Sequence[int]
     point b is at or above point a in a partial order. Each point of
     positive weight sends it to the points of negative weight above it, by
     first fit (:func:`first_fit`), the senders with the fewest points above
-    them first. Only on a shortfall does Dinic run, on the netted network
-    (source -> sender at its weight, sender -> each receiver above it at
-    the sender's weight, receiver -> sink at its weight's size), warm from
-    the first-fit flow: residual forward capacities, plus a back edge per
-    routed pair (docs/theory.md section 2).
+    them first. Only on a shortfall does a max-flow run, on the netted
+    network (source -> sender at its weight, sender -> each receiver above
+    it at the sender's weight, receiver -> sink at its weight's size), warm
+    from the first-fit flow: residual forward capacities, plus a back edge
+    per routed pair (docs/theory.md section 2).
 
     Returns ``(transport, None)`` when no upper set has positive weight,
     ``transport[a, b] > 0`` being the weight a sends up to b, each point

@@ -292,6 +292,12 @@ def require_agreement(by_coupling: bool, by_uppersets: bool) -> None:
         )
 
 
+def require_st_mode(mode: str) -> None:
+    """Raise unless ``mode`` is an st mode: ``fast`` or ``verify``."""
+    if mode not in ("fast", "verify"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def st_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
            mode: str = "fast", caps: Caps | None = None) -> StVerdict:
     """Decide X <=st Y.
@@ -301,8 +307,7 @@ def st_leq(dX: FiniteJointDistribution, dY: FiniteJointDistribution,
     Both modes return the coupling's verdict, so a FALSE answer names the
     min-cut upper set in either.
     """
-    if mode not in ("fast", "verify"):
-        raise ValueError(f"unknown mode {mode!r}")
+    require_st_mode(mode)
     by_flow = st_leq_coupling(dX, dY)
     if mode == "verify":
         require_agreement(by_flow.holds, st_leq_uppersets(dX, dY, caps=caps).holds)

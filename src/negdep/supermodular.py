@@ -358,10 +358,10 @@ def independence_grid(view) -> tuple[list[int], list[int], int]:
     return cells, outer_product(lines), sum(view[0])
 
 
-def below_independent_copy(view, axes,
-                           caps: Caps | None = None) -> tuple[int, SupermodularWitness | None]:
+def below_independent_copy(view, caps: Caps | None = None
+                           ) -> tuple[int, SupermodularWitness | None]:
     """The law below its independent copy in the supermodular order (NSMD),
-    decided on its integer view; ``axes`` is its support grid.
+    decided on its integer view, whose ``axes`` are its support grid.
 
     Returns the number of grid points and, when the order fails, the
     witness. The grid cap is checked first, then :func:`closure_chain_holds`
@@ -376,13 +376,13 @@ def below_independent_copy(view, axes,
     if closure_chain_holds(view):
         return total, None
     cells, products, mass = independence_grid(view)
-    lift = mass ** (len(axes) - 1)
+    lift = mass ** (len(view.axes) - 1)
     r = [p - lift * c for p, c in zip(products, cells)]
     gap, psi, den = decide_on_grid(view[2], r, lift * mass)
     if psi is None:
         return total, None
     return total, SupermodularWitness(
-        function=_grid_function(axes, psi, den),
+        function=_grid_function(view.axes, psi, den),
         gap=gap,
         left=Fraction(sum(map(mul, psi, cells)), den * mass),
         right=Fraction(sum(map(mul, psi, products)), den * lift * mass),

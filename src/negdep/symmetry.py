@@ -50,7 +50,7 @@ def is_automorphism(law: dict, axes: Sequence[tuple], perm: Sequence[int]) -> bo
     return all(map(eq, map(law.get, map(move, law)), law.values()))
 
 
-def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[tuple[int, ...]]:
+def generators(view, budget: int = NODE_BUDGET) -> list[tuple[int, ...]]:
     """Generators of the law's coordinate-automorphism group, each verified by
     :func:`is_automorphism`; ``[]`` when only the identity was found.
 
@@ -64,6 +64,7 @@ def generators(view, axes: Sequence[tuple], budget: int = NODE_BUDGET) -> list[t
     returned.
     """
     weights, ranks, sizes = view
+    axes = view.axes
     n = len(sizes)
     margins = [[0] * s for s in sizes]
     for r, w in zip(ranks, weights):

@@ -78,25 +78,22 @@ def keys_above(keys: Sequence[int], guards: int) -> list[int]:
     return up
 
 
-def poset_covers(points: Sequence[Sequence[int]],
-                 up: Sequence[int] | None = None) -> tuple[list[tuple[int, int]], int]:
+def poset_covers(points: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], int]:
     """The cover pairs of distinct points of small nonnegative ints, given in
     lexicographic order, as index pairs ``(a, b)`` with ``points[b]`` covering
     ``points[a]`` componentwise, ascending; and the number of comparable
     pairs ``a < b``.
 
-    ``up`` is :func:`points_above` of the points, built here unless the
-    caller has it. Lexicographic order extends the componentwise one, so the
-    lowest bit left in ``up[a]`` once a is dropped is a cover of a, and
-    dropping everything at or above it leaves the next cover lowest
-    (docs/theory.md section 6). Points on one axis form a chain, whose
+    With ``up`` the :func:`points_above` bitsets of the points: lexicographic
+    order extends the componentwise one, so the lowest bit left in ``up[a]``
+    once a is dropped is a cover of a, and dropping everything at or above
+    it leaves the next cover lowest (docs/theory.md section 6). Points on one axis form a chain, whose
     covers are consecutive.
     """
     n = len(points)
     if n and len(points[0]) == 1:
         return list(zip(range(n - 1), range(1, n))), n * (n - 1) // 2
-    if up is None:
-        up = points_above(points)
+    up = points_above(points)
     covers = []
     for a, u in enumerate(up):
         u ^= 1 << a

@@ -11,13 +11,13 @@ verify mode to check the coupling's verdict, ``_deterministic_upper_violation``
 and ``_coordinate_means`` are kept here too. So is the integer coupling
 kernel as it was before the comparability bitsets and the first-fit warm
 start: it tests every (x, y) pair against the guard bits and runs a cold
-Dinic search on every call (``integer_coupling`` below), with its integer
-re-check (``check_integer_coupling``). The reference shares no decision
-code with the engine under test beyond the max-flow engine and
-``st_leq_coupling``, which its ``st_leq`` calls on the sub-blocks of the
-witness search and on the witness's two laws. It walks every
-comparable pair of labels, as the engine did before it decided only the
-cover pairs. Every witness, of a regression cell or a conjecture partition
+max-flow on every call (``integer_coupling`` below), on the Dinic engine of
+``tests/reference_maxflow.py``, with its integer re-check
+(``check_integer_coupling``). The reference shares no decision code with
+the engine under test beyond ``st_leq_coupling``, which its ``st_leq``
+calls on the sub-blocks of the witness search and on the witness's two
+laws. It walks every comparable pair of labels, as the engine did before it
+decided only the cover pairs. Every witness, of a regression cell or a conjecture partition
 and in either st mode, is the violation fast ``st_leq`` names on the
 Fraction laws: the upward closure of the coupling's minimal minimum cut.
 Apart from that witness rule and the module-level names, the code below is
@@ -43,7 +43,6 @@ from negdep.checks import (
 )
 from negdep.distributions import EQ, LOWER, UPPER, FiniteJointDistribution, Vector, integer_view
 from negdep.errors import Caps, InternalConsistencyError, default_caps
-from negdep.maxflow import integer_max_flow
 from negdep.rationals import NEG_INF, POS_INF, Extended
 from negdep.stochorder import (
     IntegerLaw,
@@ -57,6 +56,7 @@ from negdep.stochorder import (
 )
 from negdep.uppersets import componentwise_leq, from_members
 
+from .reference_maxflow import integer_max_flow
 from .reference_scans import enumerate_upper_index_sets
 
 ZERO = Fraction(0)

@@ -1,14 +1,22 @@
 """Cross-checks of the exact kernels against independent implementations."""
 
+import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
 from scipy.optimize import linprog
 
-from negdep import FlowNetwork, LinearProgram, max_flow, simplex_solve
+from negdep import FlowNetwork, LinearProgram, max_flow, maxflow, simplex_solve
+from negdep.maxflow import integer_max_flow, positive_upper_set
 from negdep.simplex import OPTIMAL, UNBOUNDED
+from negdep.uppersets import points_above
+
+from . import reference_maxflow
+from .test_nsmd_chain import weighted_posets
 
 F = Fraction
 
@@ -56,6 +64,72 @@ def test_max_flow_rational_capacities_scale_consistently():
             names = list(net._ids)
             scaled.add_edge(names[u], names[v], c / 7)
         assert max_flow(scaled).value == max_flow(net).value / 7
+
+
+def _integer_network(net):
+    """The node count, integer edges, source and sink of a network whose
+    capacities are integers."""
+    edges = [(u, v, int(c)) for u, v, c in net._edges]
+    return len(net._ids), edges, net._ids[net.source], net._ids[net.sink]
+
+
+def _assert_engines_agree(n, edges, src, dst):
+    value, sent, seen = integer_max_flow(n, edges, src, dst)
+    ref_value, _, ref_seen = reference_maxflow.integer_max_flow(n, edges, src, dst)
+    assert (value, seen) == (ref_value, ref_seen)
+    assert all(0 <= f <= cap for f, (_, _, cap) in zip(sent, edges))
+    net_out = [0] * n
+    for (u, v, _), f in zip(edges, sent):
+        net_out[u] += f
+        net_out[v] -= f
+    assert net_out[src] == value == -net_out[dst]
+    assert not any(x for k, x in enumerate(net_out) if k not in (src, dst))
+
+
+def test_the_engine_matches_the_reference_dinic_on_random_networks():
+    # same value and same source side; the flows themselves may differ
+    rng = random.Random(4711)
+    for _ in range(300):
+        net, _ = _random_network(rng)
+        _assert_engines_agree(*_integer_network(net))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_posets())
+def test_the_engine_matches_the_reference_dinic_on_warm_netted_networks(poset):
+    # every network the kernel hands to the engine, after a first-fit
+    # shortfall, is run on both engines
+    points, weights = poset
+    weights[-1] -= sum(weights)
+
+    def both(n, edges, src, dst):
+        _assert_engines_agree(n, edges, src, dst)
+        return integer_max_flow(n, edges, src, dst)
+
+    with mock.patch.object(maxflow, "integer_max_flow", side_effect=both):
+        positive_upper_set(weights, points_above(points))
+
+
+def test_the_source_side_is_the_least_minimum_cut():
+    # by brute force over every set of middle nodes: the nodes the residual
+    # network reaches from the source are the intersection of the source
+    # sides of all minimum s-t cuts (docs/theory.md section 2)
+    rng = random.Random(2718)
+    for _ in range(300):
+        net, _ = _random_network(rng)
+        middle = [node for node in net.nodes if node not in ("s", "t")]
+        names = list(net._ids)
+        sides = {}
+        for k in range(len(middle) + 1):
+            for chosen in itertools.combinations(middle, k):
+                side = frozenset(("s", *chosen))
+                sides[side] = sum(c for u, v, c in net._edges
+                                  if names[u] in side and names[v] not in side)
+        least = min(sides.values())
+        result = max_flow(net)
+        assert result.value == least
+        assert result.source_side == frozenset.intersection(
+            *(side for side, c in sides.items() if c == least))
 
 
 def _random_lp(rng):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import negdep
 from negdep import (
     audit_implications,
+    check_conjecture,
     check_na,
     check_nltd,
     check_nrd,
@@ -293,6 +294,24 @@ class TestBadInputExitCodes:
                 check(table1, max_j=0)
         with pytest.raises(ValueError, match="max_block"):
             check_na(table1, max_block=0)
+
+    def test_unknown_st_mode_raises(self, table1):
+        # a misspelt mode once ran fast mode, so the second oracle never ran
+        for call in (lambda: check_nrd(table1, st_mode="verfy"),
+                     lambda: audit_implications(table1, st_mode="verfy"),
+                     lambda: check_conjecture([1, 2, 3], st_mode="verfy")):
+            with pytest.raises(ValueError, match="unknown mode 'verfy'"):
+                call()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_raise(self, jobs, table1):
+        # fewer than one worker once ran the cells sequentially
+        for call in (lambda: check_na(table1, jobs=jobs),
+                     lambda: check_nrd(table1, jobs=jobs),
+                     lambda: audit_implications(table1, jobs=jobs),
+                     lambda: check_conjecture([1, 2, 3], jobs=jobs)):
+            with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+                call()
 
 
 _MISSING = object()  # stands for an output path inside a directory that does not exist

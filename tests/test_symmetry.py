@@ -44,14 +44,14 @@ def _on_and_off(run):
     that every cell is scanned."""
     on = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checks, "generators", lambda view, axes: [])
+        mp.setattr(checks, "generators", lambda view: [])
         off = run()
     return on, off
 
 
 def _gens(d):
     work = LawCache(d)
-    return generators(work.view, work.view.axes)
+    return generators(work.view)
 
 
 def _law(view):
@@ -173,7 +173,7 @@ def test_exact_check_rejects_what_two_dimensional_pruning_passes():
     work = LawCache(d)
     assert not is_automorphism(_law(work.view), work.view.axes, swap)
     # any two of X1, X2, X4 determine the third: the group is S_3 on them
-    group = _group(generators(work.view, work.view.axes), 4)
+    group = _group(generators(work.view), 4)
     assert len(group) == 6
     assert all(g[2] == 2 for g in group)
 
@@ -182,18 +182,18 @@ def test_exact_check_reads_the_value_tables():
     d = make_pmf(2, [((0, 5), F(1, 2)), ((1, 6), F(1, 2))])
     work = LawCache(d)
     assert not is_automorphism(_law(work.view), work.view.axes, (1, 0))
-    assert generators(work.view, work.view.axes) == []
+    assert generators(work.view) == []
 
 
 def test_node_budget_keeps_the_generators_found_so_far():
     d = permutation_distribution([0, 1, 2, 3, 4])
     work = LawCache(d)
-    full = generators(work.view, work.view.axes)
+    full = generators(work.view)
     assert len(_group(full, 5)) == 120
-    assert generators(work.view, work.view.axes, budget=0) == []
+    assert generators(work.view, budget=0) == []
     sizes = []
     for budget in range(1, 40):
-        partial = generators(work.view, work.view.axes, budget=budget)
+        partial = generators(work.view, budget=budget)
         assert partial == full[:len(partial)]  # a prefix, so a subgroup
         assert all(is_automorphism(_law(work.view), work.view.axes, p) for p in partial)
         sizes.append(len(partial))
@@ -226,9 +226,9 @@ def _eight_player(draw):
 
 def _assert_reference_generators(d):
     view = LawCache(d).view
-    assert generators(view, view.axes) == reference_symmetry.generators(view, view.axes)
+    assert generators(view) == reference_symmetry.generators(view, view.axes)
     for budget in range(41):
-        assert (generators(view, view.axes, budget)
+        assert (generators(view, budget)
                 == reference_symmetry.generators(view, view.axes, budget)), budget
 
 
@@ -269,7 +269,7 @@ def _counted_search(monkeypatch, d):
     monkeypatch.setattr(symmetry, "_marginal_table", count_tables)
     monkeypatch.setattr(symmetry, "is_automorphism", count_checks)
     view = LawCache(d).view
-    return generators(view, view.axes), counts, checked
+    return generators(view), counts, checked
 
 
 def test_the_random_draw_law_needs_no_table_search(monkeypatch):
