@@ -46,7 +46,6 @@ from .distributions import (
     Vector,
     eq_event,
     independent_copy,
-    integer_view,
     lower_event,
     permutation_distribution,
     upper_event,
@@ -183,27 +182,27 @@ class LawCache:
     """Work shared by the properties decided on one law in one audit or one
     ``negdep check`` command.
 
-    It holds the law's ``integer_view``, with the support grid, and the
-    generators of its coordinate automorphisms, each built on first use
-    unless a parsed law file brings its view along; the regression cell
+    It reads the law's integer view, with the support grid and the per-axis
+    tables, from the law itself (``d.view``): a tournament builder, the
+    permutation builder and a parsed law file bring it along, and any other
+    law is ranked once, on first use. It holds the generators of the law's
+    coordinate automorphisms, built on first use; the regression cell
     results keyed by (kind, variant, J), the orthant verdicts keyed by side,
     the orbit maps keyed by observed block and the packed rank keys keyed by
     block. A cell's result also depends on the caps and the st mode, which
     stay fixed while the cache lives.
     """
 
-    def __init__(self, d: FiniteJointDistribution, view: IntegerView | None = None):
+    def __init__(self, d: FiniteJointDistribution):
         self.d = d
-        if view is not None:
-            self.view = view
         self.cells: dict[tuple, tuple] = {}
         self.orthants: dict[str, Verdict] = {}
         self.orbits: dict[tuple, object] = {}
         self.keys: dict[tuple[int, ...], tuple[int, list[int]]] = {}
 
-    @cached_property
-    def view(self):
-        return integer_view(self.d)
+    @property
+    def view(self) -> IntegerView:
+        return self.d.view
 
     @cached_property
     def generators(self):

@@ -93,7 +93,7 @@ def _cmd_check(args) -> int:
     verdicts = []
     timings = {}
     exit_code = 0
-    work = LawCache(d, view)
+    work = LawCache(d)
 
     def write_report():
         _write_report(build_check_report(d, verdicts, caps, settings=_settings(args),

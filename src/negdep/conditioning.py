@@ -15,8 +15,8 @@ the full laws.
 
 from __future__ import annotations
 
-from operator import itemgetter, le
-from typing import Iterable, Sequence
+from operator import le
+from typing import Sequence
 
 from .errors import InternalConsistencyError
 from .maxflow import positive_upper_set
@@ -31,7 +31,7 @@ from .stochorder import (
     sweep_violation,
     tail_order,
 )
-from .uppersets import at_or_above, grid_comparable_pairs, grid_covers, keys_above, poset_covers
+from .uppersets import grid_comparable_pairs, grid_covers, keys_above, poset_covers
 
 #: The block key of the orbit laws in ``CellContext.blocks``.
 ORBITS = "orbits"
@@ -42,16 +42,17 @@ ORBITS = "orbits"
 GRID_LABELS = 512
 
 
-def tail_masks(column: Iterable[int], size: int, op: str, sentinel: bool) -> list[int]:
+def tail_masks(above: Sequence[int], op: str, sentinel: bool) -> list[int]:
     """The atom masks of {x op v} for the support values v of one axis, ascending.
 
-    ``column[k]`` is the rank of atom k among the axis's ``size`` values.
-    Upper tails read the at-or-above bitsets of the ranks, and lower tails
-    their complements. With ``sentinel`` the grid also gets the unbounded
-    threshold, whose mask is every atom: +inf after the values for lower
-    tails, -inf before them for upper tails.
+    ``above`` is the axis's table in ``IntegerView.above``: ``above[r]``
+    holds the atoms of rank at least r, so ``above[0]`` is every atom, and
+    the axis has ``len(above) - 1`` values. Upper tails read those bitsets,
+    and lower tails their complements. With ``sentinel`` the grid also gets
+    the unbounded threshold, whose mask is every atom: +inf after the values
+    for lower tails, -inf before them for upper tails.
     """
-    above = at_or_above(column, size)  # above[r]: ranks >= r; above[0]: every atom
+    size = len(above) - 1
     if op in ("<=", "<"):
         masks = [above[0] ^ m for m in (above[1:] if op == "<=" else above[:size])]
         return masks + [above[0]] if sentinel else masks
@@ -69,10 +70,10 @@ def label_masks(view, tails: Sequence[tuple[int, str]], pinned: Sequence[int],
     mask is the AND of one bitset per tail axis and the bitset of the atoms
     carrying those pinned ranks (docs/theory.md section 6).
     """
-    _, ranks, sizes = view
+    ranks = view[1]
     axes = []
     for c, op in tails:
-        masks = tail_masks(map(itemgetter(c), ranks), sizes[c], op, sentinel)
+        masks = tail_masks(view.above[c], op, sentinel)
         axes.append([((p,), m) for p, m in enumerate(masks)])
     if pinned:
         groups: dict[tuple[int, ...], int] = {}

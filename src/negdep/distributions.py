@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -121,6 +122,14 @@ class FiniteJointDistribution:
 
     dim: int
     atoms: tuple[tuple[Vector, Fraction], ...]
+
+    @cached_property
+    def view(self) -> "IntegerView":
+        """The law's :func:`integer_view`. A builder or :func:`parse_law` that
+        knows the ranks attaches it with the law (:func:`with_view`); any
+        other law is ranked here, once. It is not a field, so equality,
+        hashing, ``repr`` and the wire format never see it."""
+        return integer_view(self)
 
     # -- basic queries ---------------------------------------------------
 
@@ -266,17 +275,25 @@ def permutation_distribution(values: Sequence) -> FiniteJointDistribution:
     Equal values collapse: each distinct arrangement of a multiset is
     enumerated once and carries probability (product of multiplicity
     factorials) / n!, so the work is the number of atoms, not n!.
+
+    The arrangements are enumerated over the values' ranks, which order
+    like the values, so the law comes with its integer view: every atom
+    weighs the numerator of its probability, and every axis holds all the
+    distinct values.
     """
     vals = sorted(as_rational(v) for v in values)
     if not vals:
         raise EmptyIndexSet("values must be nonempty")
     n = len(vals)
-    p = Fraction(math.prod(math.factorial(m) for m in Counter(vals).values()),
-                 math.factorial(n))
-    return FiniteJointDistribution(n, tuple((x, p) for x in _arrangements(vals)))
+    counts = Counter(vals)
+    p = Fraction(math.prod(map(math.factorial, counts.values())), math.factorial(n))
+    table = tuple(counts)  # sorted, as vals is
+    ranks = list(_arrangements([r for r, m in enumerate(counts.values()) for _ in range(m)]))
+    law = FiniteJointDistribution(n, tuple((tuple(map(table.__getitem__, r)), p) for r in ranks))
+    return with_view(law, IntegerView.of((p.numerator,) * len(ranks), ranks, (table,) * n))
 
 
-def _arrangements(vals: list[Fraction]):
+def _arrangements(vals: list[int]):
     """Each distinct arrangement of the sorted values once, in lexicographic
     order: the next one swaps the last ascent's left end with the smallest
     larger value to its right and reverses the tail (Narayana Pandita)."""
@@ -299,12 +316,56 @@ def _arrangements(vals: list[Fraction]):
 # The checkers read a law through its integer view: integer weights over one
 # common denominator and the per-axis ranks of the atoms' values.
 
+def at_or_above(column: Iterable[int], size: int) -> list[int]:
+    """``above[v]`` for v in 0..size: the bitset of the positions k with
+    ``column[k] >= v`` (bit k set), a suffix OR over the values, which must
+    lie in ``range(size)``; ``above[size]`` is 0. The points at or above a
+    query point componentwise are the AND over the axes of one such bitset."""
+    above = [0] * (size + 1)
+    for k, v in enumerate(column):
+        above[v] |= 1 << k
+    for v in range(size - 1, -1, -1):
+        above[v] |= above[v + 1]
+    return above
+
+
 class IntegerView(tuple):
     """``(weights, ranks, sizes)`` as :func:`integer_view` returns them, with
     the sorted support values of each axis, the law's support grid, kept as
-    ``axes``."""
+    ``axes``, and two per-axis tables built on first use. A view is shared
+    by everything that reads its law, so no reader changes it."""
 
     axes: tuple = ()
+
+    @classmethod
+    def of(cls, weights: tuple[int, ...], ranks: list[tuple[int, ...]],
+           axes: tuple) -> "IntegerView":
+        """The view of atoms with these weights and rank tuples, on these
+        sorted support values per axis."""
+        view = cls((weights, ranks, [len(ax) for ax in axes]))
+        view.axes = axes
+        return view
+
+    @cached_property
+    def above(self) -> list[list[int]]:
+        """Per axis, the :func:`at_or_above` bitsets of its rank column over
+        the atoms: ``above[a][v]`` holds the atoms whose rank on axis a is at
+        least v."""
+        _, ranks, sizes = self
+        return [at_or_above(column, size) for column, size in zip(zip(*ranks), sizes)]
+
+    @cached_property
+    def margins(self) -> list[list[int]]:
+        """Per axis, its marginal weight line: ``margins[a][v]`` is the
+        weight of the atoms whose rank on axis a is v."""
+        weights, ranks, sizes = self
+        lines = []
+        for column, size in zip(zip(*ranks), sizes):
+            line = [0] * size
+            for v, w in zip(column, weights):
+                line[v] += w
+            lines.append(line)
+        return lines
 
 
 def _rank_column(tokens: Sequence, read: Callable | None = None) -> tuple[tuple, list[int]]:
@@ -347,17 +408,19 @@ def integer_weights(d: FiniteJointDistribution) -> tuple[int, ...]:
     return over_common_denominator([p for _, p in d.atoms])[0]
 
 
-def _view(weights: tuple[int, ...], ranks: list[tuple[int, ...]], axes: tuple) -> IntegerView:
-    view = IntegerView((weights, ranks, [len(ax) for ax in axes]))
-    view.axes = axes
-    return view
-
-
 def integer_view(d: FiniteJointDistribution) -> IntegerView:
     """The atoms' integer weights over the law's common denominator, each
-    atom's per-axis ranks among the support values, and the axis sizes."""
+    atom's per-axis ranks among the support values, and the axis sizes.
+    Checkers read ``d.view``, which ranks a law at most once."""
     ranks, axes = axis_ranks(zip(*(x for x, _ in d.atoms)))
-    return _view(integer_weights(d), ranks, axes)
+    return IntegerView.of(integer_weights(d), ranks, axes)
+
+
+def with_view(d: FiniteJointDistribution, view: IntegerView) -> FiniteJointDistribution:
+    """``d``, carrying ``view`` as its ``d.view``; ``view`` must be what
+    ``integer_view(d)`` would build."""
+    d.__dict__["view"] = view
+    return d
 
 
 # -- wire format ----------------------------------------------------------
@@ -382,7 +445,8 @@ def from_json_dict(obj: dict) -> FiniteJointDistribution:
 
 
 def parse_law(obj: dict) -> tuple[FiniteJointDistribution, IntegerView]:
-    """Read a distribution file's JSON object into the law and its integer view.
+    """Read a distribution file's JSON object into the law and its integer
+    view, which the law carries as ``law.view``.
 
     The atoms are read column by column (see :func:`_read_columns`). Input
     that reading does not expect, valid or not, is read row by row instead,
@@ -400,11 +464,10 @@ def parse_law(obj: dict) -> tuple[FiniteJointDistribution, IntegerView]:
         raise ValueError(f"'dim' must be an integer, got {dim!r}")
     if not isinstance(raw_atoms, list):
         raise ValueError(f"'atoms' must be a list, got {raw_atoms!r}")
-    read = _read_columns(dim, raw_atoms)
-    if read is not None:
-        return read
-    law = _read_rows(dim, raw_atoms)
-    return law, integer_view(law)
+    law = _read_columns(dim, raw_atoms)
+    if law is None:
+        law = _read_rows(dim, raw_atoms)
+    return law, law.view
 
 
 #: Token types the column-wise reading takes. Checked on every token, since a
@@ -412,8 +475,9 @@ def parse_law(obj: dict) -> tuple[FiniteJointDistribution, IntegerView]:
 _TOKEN_TYPES = {str, int}
 
 
-def _read_columns(dim: int, raw_atoms: list) -> tuple[FiniteJointDistribution, IntegerView] | None:
-    """The law and its view, or None where the row-wise reading must decide.
+def _read_columns(dim: int, raw_atoms: list) -> FiniteJointDistribution | None:
+    """The law, carrying its view, or None where the row-wise reading must
+    decide.
 
     Each axis's distinct tokens are read once and ranked, so "1/2", "2/4" and
     "0.5" share one rank; atoms merge on their rank tuples and sort by them,
@@ -444,7 +508,7 @@ def _read_columns(dim: int, raw_atoms: list) -> tuple[FiniteJointDistribution, I
         return None
     columns = [map(ax.__getitem__, col) for ax, col in zip(axes, zip(*keys))]
     law = FiniteJointDistribution(dim, tuple(zip(zip(*columns), atom_probs)))
-    return law, _view(weights, keys, axes)
+    return with_view(law, IntegerView.of(weights, keys, axes))
 
 
 def _exact(value) -> Fraction:

@@ -27,7 +27,8 @@ from .rationals import as_rational
 
 @dataclass
 class FlowNetwork:
-    """Directed capacitated network with designated source and sink."""
+    """Directed capacitated network with designated source and sink, which
+    must be two nodes."""
 
     source: Hashable
     sink: Hashable
@@ -35,6 +36,8 @@ class FlowNetwork:
     _edges: list = field(default_factory=list)   # (u_id, v_id, capacity)
 
     def __post_init__(self):
+        if self.source == self.sink:
+            raise ValueError(f"source and sink are the same node {self.source!r}")
         self._node_id(self.source)
         self._node_id(self.sink)
 

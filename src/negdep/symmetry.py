@@ -66,12 +66,9 @@ def generators(view, budget: int = NODE_BUDGET) -> list[tuple[int, ...]]:
     weights, ranks, sizes = view
     axes = view.axes
     n = len(sizes)
-    margins = [[0] * s for s in sizes]
-    for r, w in zip(ranks, weights):
-        for a, k in enumerate(r):
-            margins[a][k] += w
     ids: dict[tuple, int] = {}
-    colours = [ids.setdefault((axes[a], tuple(margins[a])), len(ids)) for a in range(n)]
+    colours = [ids.setdefault((axis, tuple(line)), len(ids))
+               for axis, line in zip(axes, view.margins)]
     if len(ids) == n:
         return []
     columns = list(zip(*ranks))
@@ -235,20 +232,16 @@ def least_failing_corner(view, gens: Sequence[Sequence[int]], upper: bool
     comparison that axis fixes bound the positions it takes, and only a
     position equal to a bound moves its generator on.
     """
-    weights, ranks, sizes = view
+    weights, _, sizes = view
     n = len(sizes)
     scale = sum(weights) ** (n - 1)
     full = (1 << len(weights)) - 1
-    events, margins = [], []
-    for column, size in zip(zip(*ranks), sizes):
-        events.append(tail_masks(column, size, ">=" if upper else "<=", sentinel=False))
-        line = [0] * size
-        for v, w in zip(column, weights):
-            line[v] += w
-        if upper:
-            margins.append(list(accumulate(line[::-1]))[::-1])
-        else:
-            margins.append(list(accumulate(line)))
+    op = ">=" if upper else "<="
+    events = [tail_masks(above, op, sentinel=False) for above in view.above]
+    if upper:
+        margins = [list(accumulate(line[::-1]))[::-1] for line in view.margins]
+    else:
+        margins = [list(accumulate(line)) for line in view.margins]
     classes: dict[int, int] = {}  # weight -> its atoms; J is their weighted popcount
     for k, w in enumerate(weights):
         classes[w] = classes.get(w, 0) | 1 << k

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .distributions import FiniteJointDistribution
+from .distributions import FiniteJointDistribution, IntegerView, axis_ranks, with_view
 from .errors import SupportOutOfRange
 from .rationals import as_rational, format_rational
 
@@ -36,7 +36,8 @@ def _score_law(n: int, steps: Iterable[Callable], scale: int = 1) -> FiniteJoint
     """Law of the score vector that a chain of steps reaches from all zeros.
 
     A step maps a state to its (successor, int weight) pairs; states hold the
-    scores times ``scale`` (docs/theory.md section 12).
+    scores times ``scale`` (docs/theory.md section 12). The law carries the
+    integer view of its final states and weights (docs/theory.md section 9).
     """
     state = {(0,) * n: 1}
     for step in steps:
@@ -45,12 +46,19 @@ def _score_law(n: int, steps: Iterable[Callable], scale: int = 1) -> FiniteJoint
             for successor, w in step(scores):
                 merged[successor] = merged.get(successor, 0) + weight * w
         state = merged
-    total = sum(state.values())
+    keys, weights = zip(*sorted(state.items()))
+    total = sum(weights)
     # one Fraction per distinct score and weight, shared by the atoms
-    value = {s: Fraction(s, scale) for s in set().union(*state)}
-    prob = {w: Fraction(w, total) for w in set(state.values())}
-    return FiniteJointDistribution(n, tuple((tuple(map(value.get, scores)), prob[w])
-                                            for scores, w in sorted(state.items())))
+    value = {s: Fraction(s, scale) for s in set().union(*keys)}
+    prob = {w: Fraction(w, total) for w in set(weights)}
+    law = FiniteJointDistribution(n, tuple((tuple(map(value.get, scores)), prob[w])
+                                           for scores, w in zip(keys, weights)))
+    # the int scores order like their values, and the lcm of the reduced
+    # probabilities' denominators is total / gcd(weights)
+    ranks, tables = axis_ranks(zip(*keys), int)
+    axes = tuple(tuple(map(value.get, table)) for table in tables)
+    g = math.gcd(*weights)
+    return with_view(law, IntegerView.of(tuple(w // g for w in weights), ranks, axes))
 
 
 # -- round robin -----------------------------------------------------------

@@ -9,8 +9,9 @@ holds one bitset of the points still free, and carries a sum of per-point
 values along, so the association scan and the sweep sum no set again.
 
 The module also holds the one copy of the kernels on grids of small ints
-that the checkers share: the at-or-above bitsets of a column, the covers of
-a point set, and the flat lexicographic grid with its strides, the scatter
+that the checkers share (the at-or-above bitsets of a column live with the
+integer view, in ``negdep.distributions``, which keeps them per axis): the
+points at or above each point, the covers of a point set, and the flat lexicographic grid with its strides, the scatter
 of an integer view, orthant sums and outer products. The label counts use
 the flat grid, and so does NSMD, but only for a law its closure chain does
 not certify on the atoms (docs/theory.md section 13); the orthant scans walk
@@ -23,26 +24,13 @@ from dataclasses import dataclass
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .distributions import Vector
+from .distributions import Vector, at_or_above
 from .errors import EnumerationCapExceeded
 from .maxflow import bits
 
 
 def componentwise_leq(x: Sequence, y: Sequence) -> bool:
     return all(a <= b for a, b in zip(x, y))
-
-
-def at_or_above(column: Iterable[int], size: int) -> list[int]:
-    """``above[v]`` for v in 0..size: the bitset of the positions k with
-    ``column[k] >= v`` (bit k set), a suffix OR over the values, which must
-    lie in ``range(size)``; ``above[size]`` is 0. The points at or above a
-    query point componentwise are the AND over the axes of one such bitset."""
-    above = [0] * (size + 1)
-    for k, v in enumerate(column):
-        above[v] |= 1 << k
-    for v in range(size - 1, -1, -1):
-        above[v] |= above[v + 1]
-    return above
 
 
 def points_above(points: Sequence[Sequence[int]]) -> list[int]:

@@ -36,7 +36,7 @@ from negdep import (
 )
 from negdep.checks import LawCache, Verdict, _scan_conjecture_partition, _subsets
 from negdep.conditioning import ORBITS, CellContext, label_masks, tail_masks
-from negdep.distributions import integer_view
+from negdep.distributions import at_or_above, integer_view
 from negdep.errors import Caps, InternalConsistencyError, default_caps
 from negdep.maxflow import positive_upper_set
 from negdep.stochorder import IntegerLaw
@@ -160,14 +160,16 @@ def tied_laws(draw, min_dim=2, max_dim=4):
 
 
 def test_tail_masks_follow_the_variant_mapping():
-    # ranks 0, 1, 2 hold atoms {0}, {1, 2}, {3}
-    ranks = [0, 1, 1, 2]
-    assert tail_masks(ranks, 3, "<=", sentinel=True) == [0b0001, 0b0111, 0b1111, 0b1111]
-    assert tail_masks(ranks, 3, "<", sentinel=True) == [0b0000, 0b0001, 0b0111, 0b1111]
-    assert tail_masks(ranks, 3, ">", sentinel=True) == [0b1111, 0b1110, 0b1000, 0b0000]
-    assert tail_masks(ranks, 3, ">=", sentinel=True) == [0b1111, 0b1111, 0b1110, 0b1000]
-    assert tail_masks(ranks, 3, ">=", sentinel=False) == [0b1111, 0b1110, 0b1000]
-    assert tail_masks(ranks, 3, "<=", sentinel=False) == [0b0001, 0b0111, 0b1111]
+    # ranks 0, 1, 2 hold atoms {0}, {1, 2}, {3}; the masks read the column's
+    # at-or-above bitsets, the table an integer view keeps per axis
+    above = at_or_above([0, 1, 1, 2], 3)
+    assert above == [0b1111, 0b1110, 0b1000, 0b0000]
+    assert tail_masks(above, "<=", sentinel=True) == [0b0001, 0b0111, 0b1111, 0b1111]
+    assert tail_masks(above, "<", sentinel=True) == [0b0000, 0b0001, 0b0111, 0b1111]
+    assert tail_masks(above, ">", sentinel=True) == [0b1111, 0b1110, 0b1000, 0b0000]
+    assert tail_masks(above, ">=", sentinel=True) == [0b1111, 0b1111, 0b1110, 0b1000]
+    assert tail_masks(above, ">=", sentinel=False) == [0b1111, 0b1110, 0b1000]
+    assert tail_masks(above, "<=", sentinel=False) == [0b0001, 0b0111, 0b1111]
     # weak upper tails are the strict events {X > t}, strict ones {X >= t}
     assert checks._TAIL_OPS == {("lower", "weak"): "<=", ("lower", "strict"): "<",
                                 ("upper", "weak"): ">", ("upper", "strict"): ">="}

@@ -107,44 +107,53 @@ def test_product_laws_are_na_and_nod(factors):
     assert check_nod(d).holds
 
 
-def test_nod_builds_the_integer_view_once(monkeypatch):
+def _count_rankings(monkeypatch) -> list:
+    """The laws ``integer_view`` ranks from here on, in call order. A law
+    reads its view through ``distributions.integer_view`` unless it brought
+    one along."""
     calls = []
-    view = checks.integer_view
-    monkeypatch.setattr(checks, "integer_view", lambda d: calls.append(d) or view(d))
-    d = permutation_distribution([0, 1, 2, 3])
-    verdict = check_nod(d)
-    assert len(calls) == 1
-    assert repr(verdict) == repr(ref.check_nod(d))
+    view = distributions.integer_view
+    monkeypatch.setattr(distributions, "integer_view", lambda d: calls.append(d) or view(d))
+    return calls
+
+
+def test_nod_builds_the_integer_view_once(monkeypatch):
+    calls = _count_rankings(monkeypatch)
+    built = permutation_distribution([0, 1, 2, 3])
+    verdict = check_nod(built)
+    assert calls == []  # the builder brought the view, so nothing is ranked
+    assert repr(verdict) == repr(ref.check_nod(built))
+    # the same atoms with no view: ranked exactly once, however often checked
+    pmf = make_pmf(built.dim, built.atoms)
+    assert pmf == built
+    for _ in range(2):
+        assert repr(check_nod(pmf)) == repr(verdict)
+    assert len(calls) == 1 and calls[0] is pmf
 
 
 def test_conjecture_builds_the_integer_view_once(monkeypatch):
-    calls = []
-    view = checks.integer_view
-    monkeypatch.setattr(checks, "integer_view", lambda d: calls.append(d) or view(d))
+    calls = _count_rankings(monkeypatch)
     report = check_conjecture([0, 1, 1, 2], jobs=1)
-    assert len(calls) == 1
+    assert calls == []  # its permutation law brought the view
     assert report.stats.cells > 1
 
 
 def test_audit_builds_one_integer_view_per_law(monkeypatch):
-    calls = []
-    view = checks.integer_view
-    monkeypatch.setattr(checks, "integer_view", lambda d: calls.append(d) or view(d))
+    calls = _count_rankings(monkeypatch)
     laws = [permutation_distribution([0, 1, 2]),
             make_pmf(3, [((0, 0, 1), F(1, 2)), ((1, 1, 1), F(1, 3)), ((1, 2, 0), F(1, 6))])]
     for d in laws:
         report = audit_implications(d, jobs=1)
         assert len(report.verdicts) == len(checks.PROPERTIES)
-    assert calls == laws
+    # the built law is never ranked, and the law with no view once
+    assert calls == laws[1:]
 
 
 def test_check_command_reads_the_view_with_the_law(monkeypatch, tmp_path, capsys):
-    calls, caches = [], []
-    view = checks.integer_view
-    for module in (checks, distributions):
-        monkeypatch.setattr(module, "integer_view", lambda d: calls.append(d) or view(d))
-    monkeypatch.setattr(cli, "LawCache",
-                        lambda d, v: caches.append(checks.LawCache(d, v)) or caches[-1])
+    caches = []
+    view = distributions.integer_view
+    calls = _count_rankings(monkeypatch)
+    monkeypatch.setattr(cli, "LawCache", lambda d: caches.append(checks.LawCache(d)) or caches[-1])
     law = permutation_distribution([0, 1, 2])
     obj = to_json_dict(law)
     # the first atom split in two entries, one with its values spelled another way
@@ -156,7 +165,9 @@ def test_check_command_reads_the_view_with_the_law(monkeypatch, tmp_path, capsys
     # every one of these reads the view, which the parser built with the law
     assert cli.main(["check", str(path), "--props", "nsmd,nlod,nod,nrd1", "-o", report]) == 0
     assert calls == []
-    assert caches[0].view == view(law) and caches[0].view.axes == view(law).axes
+    work = caches[0]
+    assert work.view is work.d.view
+    assert work.view == view(law) and work.view.axes == view(law).axes
 
 
 @pytest.mark.parametrize("orbits", [True, False], ids=["orbit-walk", "trivial-group"])
@@ -188,13 +199,14 @@ def _skewed(x):
     return 1 + sum(i * v for i, v in enumerate(x)) % 7
 
 
-def test_orthant_scans_without_automorphisms_build_no_grid(monkeypatch):
+def test_orthant_scans_without_automorphisms_build_no_grid():
     # 6**6 = 46,656 lower corners and no automorphism; a grid of one int
     # per corner would peak at about 2.8 MiB a side
     d = _weighted_permutations(6, _skewed)
     work = LawCache(d)
     assert work.generators == []
-    monkeypatch.setattr(checks, "integer_view", lambda law: work.view)
+    # the view, and with it the generators' margin table, is the law's own,
+    # built above, so the peak below is the corner walk's
     for checker, reference in ((check_nlod, ref.check_nlod), (check_nuod, ref.check_nuod)):
         tracemalloc.start()
         try:

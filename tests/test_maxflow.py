@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from negdep import FlowNetwork, max_flow
 
 F = Fraction
@@ -71,3 +73,13 @@ def test_conservation_at_interior_nodes():
         outflow = sum(f for (u, v), f in result.flows.items() if u == node)
         assert inflow == outflow
     assert result.value == sum(f for (u, v), f in result.flows.items() if u == "s")
+
+
+def test_source_equal_to_sink_is_refused():
+    # a network whose source is its sink has no s-t cut; the engine's first
+    # search would reach the sink at once with an empty path
+    with pytest.raises(ValueError, match="source and sink are the same node 's'"):
+        FlowNetwork("s", "s")
+    with pytest.raises(ValueError, match=r"same node \(0, 1\)"):
+        FlowNetwork((0, 1), (0, 1))
+    assert max_flow(FlowNetwork("s", "t")).value == 0
